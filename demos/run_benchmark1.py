@@ -10,10 +10,9 @@ the three inclusions exactly.  Prints an ASCII saliency map: '#' flagged,
 import argparse
 import time
 
-from wavesaliency.config import bundled_config_path, load_scenario
+from wavesaliency.config import bundled_config_path, load_scenario, simulate_scenario
 from wavesaliency.pipeline import run_detection
 from wavesaliency.sampling import GroundTruth, detection_metrics
-from wavesaliency.sim import simulate
 
 
 def main():
@@ -28,17 +27,7 @@ def main():
           f"{len(scenario.defects)} inclusions")
 
     t0 = time.perf_counter()
-    cube = simulate(
-        scenario.material,
-        list(scenario.defects),
-        scenario.excitation,
-        scenario.grid.n1,
-        scenario.grid.n2,
-        scenario.grid.steps,
-        scenario.grid.safety,
-        record_every=scenario.grid.record_every,
-        space_order=scenario.grid.space_order,
-    )
+    cube = simulate_scenario(scenario)
     print(f"simulated {cube.t_len} stored snapshots "
           f"in {time.perf_counter() - t0:.1f} s")
 

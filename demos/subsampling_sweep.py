@@ -7,30 +7,19 @@
 
 import time
 
-from wavesaliency.config import bundled_config_path, load_scenario
+from wavesaliency.config import bundled_config_path, load_scenario, simulate_scenario
 from wavesaliency.pipeline import run_detection
 from wavesaliency.sampling import (
     GroundTruth,
     detection_metrics,
     monte_carlo_sweep,
 )
-from wavesaliency.sim import simulate
 
 RATIOS = [0.5, 0.33, 0.2, 0.1, 0.07]
 TRIALS = 50
 
 scenario = load_scenario(bundled_config_path("bench1_ci"))
-cube = simulate(
-    scenario.material,
-    list(scenario.defects),
-    scenario.excitation,
-    scenario.grid.n1,
-    scenario.grid.n2,
-    scenario.grid.steps,
-    scenario.grid.safety,
-    record_every=scenario.grid.record_every,
-    space_order=scenario.grid.space_order,
-)
+cube = simulate_scenario(scenario)
 partition = scenario.partition()
 config = scenario.detection_config()
 truth = GroundTruth.from_defects(list(scenario.defects), partition)

@@ -6,18 +6,12 @@ measured number is an estimate of the minimal sampling rate that still
 captures the field.
 """
 
-from wavesaliency.config import bundled_config_path, load_scenario
-from wavesaliency.sim import simulate
+from wavesaliency.config import bundled_config_path, load_scenario, simulate_scenario
 from wavesaliency.spectrum import dft2_magnitude, occupied_fraction
 
 
 def last_snapshot(name):
-    s = load_scenario(bundled_config_path(name))
-    cube = simulate(
-        s.material, list(s.defects), s.excitation,
-        s.grid.n1, s.grid.n2, s.grid.steps, s.grid.safety,
-        record_every=s.grid.record_every, space_order=s.grid.space_order,
-    )
+    cube = simulate_scenario(load_scenario(bundled_config_path(name)))
     return cube.slice_at(cube.t_len - 1), cube.dx
 
 

@@ -28,6 +28,7 @@ _EXPORTS = {
     "NoSignalError": "errors",
     "WindowingError": "errors",
     "MaskError": "errors",
+    "RankError": "errors",
     "ConfigError": "errors",
     # cube I/O
     "GridPoint": "cube",
@@ -54,8 +55,6 @@ _EXPORTS = {
     "DEFAULT_SPACE_ORDER": "sim",
     # windowing
     "Partition": "windowing",
-    "make_partition": "windowing",
-    "region_centroid": "windowing",
     "ProbePair": "windowing",
     "effective_source": "windowing",
     "first_envelope_peak_time": "windowing",
@@ -74,7 +73,6 @@ _EXPORTS = {
     "salient_columns": "saliency",
     "SaliencyMap": "saliency",
     "saliency_map": "saliency",
-    "classify": "saliency",
     "write_saliency_csv": "saliency",
     "saliency_csv_text": "saliency",
     "write_saliency_pgm": "saliency",
@@ -106,7 +104,7 @@ _EXPORTS = {
     "DetectionConfig": "pipeline",
     "DetectionResult": "pipeline",
     "run_detection": "pipeline",
-    "resolve_group_velocity": "pipeline",
+    "build_window_set": "pipeline",
     # config
     "ScenarioConfig": "config",
     "GridSettings": "config",
@@ -115,6 +113,8 @@ _EXPORTS = {
     "ProbeSettings": "config",
     "parse_scenario": "config",
     "load_scenario": "config",
+    "simulate_scenario": "config",
+    "with_overrides": "config",
     "scenario_echo": "config",
 }
 

@@ -1,7 +1,8 @@
 """Command-line front end: simulate / detect / sweep / spectrum.
 
-Exit codes are stable: 0 success, 2 bad configuration (parse failure or a
-partition that does not divide the grid), 3 simulation divergence, 4
+Exit codes are stable: 0 success, 2 bad configuration (parse failure, a
+partition that does not divide the grid, or a detection setting out of
+range, in the file or on the command line), 3 simulation divergence, 4
 windowing produced no active region, 5 silent input where a signal is
 required.  Any other toolkit error exits 1.
 
@@ -100,6 +101,7 @@ def main(argv=None) -> int:
         DivergenceError,
         NoSignalError,
         PartitionError,
+        RankError,
         WaveSaliencyError,
         WindowingError,
     )
@@ -112,7 +114,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         return _cmd_spectrum(args)
-    except (ConfigError, PartitionError) as exc:
+    except (ConfigError, PartitionError, RankError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:
@@ -129,12 +131,6 @@ def main(argv=None) -> int:
         return EXIT_ERROR
 
 
-def _load_scenario(path):
-    from .config import load_scenario
-
-    return load_scenario(path)
-
-
 def _check_cube_matches(cube, scenario) -> None:
     from .errors import ConfigError
 
@@ -146,22 +142,11 @@ def _check_cube_matches(cube, scenario) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    from .config import scenario_echo
+    from .config import load_scenario, scenario_echo, simulate_scenario
     from .cube import meta_path, write_cube, write_meta
-    from .sim import simulate
 
-    scenario = _load_scenario(args.config)
-    cube = simulate(
-        scenario.material,
-        list(scenario.defects),
-        scenario.excitation,
-        scenario.grid.n1,
-        scenario.grid.n2,
-        scenario.grid.steps,
-        scenario.grid.safety,
-        record_every=scenario.grid.record_every,
-        space_order=scenario.grid.space_order,
-    )
+    scenario = load_scenario(args.config)
+    cube = simulate_scenario(scenario)
     write_cube(cube, args.output)
     meta = scenario_echo(scenario)
     meta["cube.dt"] = repr(cube.dt)
@@ -173,34 +158,16 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _apply_detect_overrides(scenario, args):
-    """Fold --rank/--tw/--ratio/--theta into the scenario's detection block."""
-    from dataclasses import replace
-
-    from .config import _parse_rank
-    from .errors import ConfigError
-
-    det = scenario.detection
-    if getattr(args, "rank", None) is not None:
-        try:
-            det = replace(det, rank=_parse_rank(args.rank))
-        except ValueError:
-            raise ConfigError(f"bad --rank value {args.rank!r}") from None
-    if getattr(args, "tw", None) is not None:
-        det = replace(det, window_len=args.tw)
-    if getattr(args, "ratio", None) is not None:
-        det = replace(det, ratio=args.ratio)
-    if getattr(args, "theta", None) is not None:
-        det = replace(det, theta=args.theta)
-    return replace(scenario, detection=det)
-
-
 def _cmd_detect(args) -> int:
-    from .cube import read_cube, write_meta
+    from .config import load_scenario, scenario_echo, with_overrides
+    from .cube import read_cube, write_meta, write_text
     from .pipeline import run_detection
     from .saliency import write_saliency_csv, write_saliency_pgm
 
-    scenario = _apply_detect_overrides(_load_scenario(args.config), args)
+    scenario = with_overrides(
+        load_scenario(args.config),
+        rank=args.rank, window_len=args.tw, ratio=args.ratio, theta=args.theta,
+    )
     cube = read_cube(args.cube)
     _check_cube_matches(cube, scenario)
     partition = scenario.partition()
@@ -211,9 +178,7 @@ def _cmd_detect(args) -> int:
     write_saliency_csv(result.saliency, f"{args.prefix}.csv")
     write_saliency_pgm(result.saliency, f"{args.prefix}.pgm")
     flagged = sorted(result.flagged)
-    with open(f"{args.prefix}.flags.txt", "w") as fh:
-        for a, b in flagged:
-            fh.write(f"{a} {b}\n")
+    write_text(f"{args.prefix}.flags.txt", "".join(f"{a} {b}\n" for a, b in flagged))
 
     det = scenario.detection
     manifest = {
@@ -224,7 +189,7 @@ def _cmd_detect(args) -> int:
         "window_len": str(det.window_len),
         "energy_ratio": repr(det.ratio),
         "theta": repr(det.theta),
-        "mask": _mask_summary(scenario),
+        "mask": scenario_echo(scenario)["detection.mask"],
         "seed": str(scenario.seed),
         "active_regions": str(int(result.saliency.active.sum())),
         "flagged": ";".join(f"{a},{b}" for a, b in flagged),
@@ -241,12 +206,6 @@ def _cmd_detect(args) -> int:
     print(f"flagged {len(flagged)} region(s): "
           + (" ".join(f"({a},{b})" for a, b in flagged) or "none"))
     return EXIT_OK
-
-
-def _mask_summary(scenario) -> str:
-    from .config import _mask_echo
-
-    return _mask_echo(scenario.detection.mask)
 
 
 def _dump_window_cubes(window_set, dx: float, directory) -> int:
@@ -270,20 +229,28 @@ def _dump_window_cubes(window_set, dx: float, directory) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .config import MaskSettings, load_scenario, with_overrides
     from .cube import read_cube
     from .errors import ConfigError
     from .sampling import GroundTruth, monte_carlo_sweep, write_sweep_csv
 
-    scenario = _apply_detect_overrides(_load_scenario(args.config), args)
-    cube = read_cube(args.cube)
-    _check_cube_matches(cube, scenario)
-    partition = scenario.partition()
+    scenario = with_overrides(load_scenario(args.config), rank=args.rank)
     try:
         ratios = [float(r) for r in args.ratios.split(",") if r.strip()]
     except ValueError:
         raise ConfigError(f"bad --ratios list {args.ratios!r}") from None
     if args.trials < 1:
         raise ConfigError("--trials must be >= 1")
+    # Every mask the sweep will draw passes the checks of a file's mask line.
+    if args.pattern == "cross":
+        masks = [MaskSettings("cross", stride=args.stride)]
+    else:
+        masks = [MaskSettings("random", ratio=r, sharing=args.sharing) for r in ratios]
+    for mask in masks:
+        with_overrides(scenario, mask=mask)
+    cube = read_cube(args.cube)
+    _check_cube_matches(cube, scenario)
+    partition = scenario.partition()
     truth = GroundTruth.from_defects(list(scenario.defects), partition)
     rows = monte_carlo_sweep(
         cube,

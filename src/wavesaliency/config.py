@@ -55,10 +55,11 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .cube import GridPoint
-from .errors import ConfigError
+from . import sim
+from .cube import DataCube, GridPoint
+from .errors import ConfigError, GeometryError, MaskError, PartitionError
 from .pipeline import DetectionConfig
 from .sampling import PER_REGION, SHARED, Mask, double_cross_mask, random_mask
 from .sim import (
@@ -68,7 +69,7 @@ from .sim import (
     MaterialSpec,
     analytic_group_velocity,
 )
-from .windowing import DEFAULT_WINDOW_LEN, Partition, ProbePair, make_partition
+from .windowing import DEFAULT_WINDOW_LEN, Partition, ProbePair
 
 _KNOWN_BLOCKS = ("material", "grid", "excitation", "defect", "detection", "probes")
 
@@ -143,7 +144,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def partition(self) -> Partition:
-        return make_partition(
+        return Partition(
             self.grid.n1, self.grid.n2,
             self.detection.regions_x, self.detection.regions_y,
         )
@@ -178,6 +179,40 @@ class ScenarioConfig:
 
     def mask(self) -> Mask | None:
         return self.detection.mask.build(self.partition(), self.seed)
+
+
+def simulate_scenario(scenario: ScenarioConfig) -> DataCube:
+    """Run the scenario's plate through ``sim.simulate`` with every grid setting."""
+    grid = scenario.grid
+    return sim.simulate(
+        scenario.material,
+        list(scenario.defects),
+        scenario.excitation,
+        grid.n1,
+        grid.n2,
+        grid.steps,
+        grid.safety,
+        record_every=grid.record_every,
+        space_order=grid.space_order,
+    )
+
+
+def with_overrides(scenario: ScenarioConfig, **changes) -> ScenarioConfig:
+    """The scenario with detection settings replaced, checked like a file.
+
+    Keys are ``DetectionSettings`` fields; a None value keeps the file's
+    setting.  A ``rank`` given as text is read as in a file ("auto" or an
+    integer).  The result passes the same checks as a parsed scenario.
+    """
+    changes = {k: v for k, v in changes.items() if v is not None}
+    if isinstance(changes.get("rank"), str):
+        try:
+            changes["rank"] = _parse_rank(changes["rank"])
+        except ValueError:
+            raise ConfigError(f"bad rank value {changes['rank']!r}") from None
+    out = replace(scenario, detection=replace(scenario.detection, **changes))
+    _cross_validate(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -450,12 +485,19 @@ def _cross_validate(scenario: ScenarioConfig) -> None:
     src = scenario.excitation.source
     if not (0 <= src.l < grid.n1 and 0 <= src.m < grid.n2):
         raise ConfigError(f"excitation source {src} is off the grid")
-    # Partition divisibility against the grid block; PartitionError text is
-    # wrapped so the failure reads as a config problem.
-    from .errors import PartitionError
+    det = scenario.detection
+    if not 0.0 < det.ratio <= 1.0:
+        raise ConfigError(f"ratio must be in (0, 1], got {det.ratio}")
+    if not 0.0 < det.theta <= 1.0:
+        raise ConfigError(f"theta must be in (0, 1], got {det.theta}")
+    if det.rank != "auto" and (not isinstance(det.rank, int) or det.rank < 1):
+        raise ConfigError(f"rank must be 'auto' or an integer >= 1, got {det.rank!r}")
+    # Partition divisibility against the grid block, then the mask against
+    # the partition; the library's errors are wrapped so the failure reads
+    # as a config problem.
     try:
-        scenario.partition()
-    except PartitionError as exc:
+        scenario.mask()
+    except (PartitionError, MaskError, GeometryError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
     pair = scenario.probe_pair()
     for point in (pair.first, pair.second):

@@ -198,6 +198,23 @@ def write_meta(path: str | Path, entries: dict) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def write_text(destination, text: str) -> None:
+    """Write text to a path (created or truncated) or to an open text handle."""
+    if isinstance(destination, (str, Path)):
+        with open(destination, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        destination.write(text)
+
+
+def write_pgm(path: str | Path, pixels: np.ndarray) -> None:
+    """ASCII P2 grayscale image of ``pixels[x, y]`` (0-255), one text row per y."""
+    width, height = pixels.shape
+    lines = ["P2", f"{width} {height}", "255"]
+    lines += [" ".join(str(int(v)) for v in pixels[:, y]) for y in range(height)]
+    write_text(path, "\n".join(lines) + "\n")
+
+
 def read_meta(path: str | Path) -> dict[str, str]:
     """Parse a sidecar metadata file back into a string-valued dict."""
     out: dict[str, str] = {}

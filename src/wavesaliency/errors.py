@@ -50,6 +50,10 @@ class WindowingError(WaveSaliencyError):
     """Time-of-flight windowing produced no active region."""
 
 
+class RankError(WaveSaliencyError, ValueError):
+    """Requested subspace rank does not fit the snapshot matrix."""
+
+
 class MaskError(WaveSaliencyError):
     """Subsampling mask would retain too few points or has bad geometry."""
 

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .cube import DataCube
 from .saliency import (
     DEFAULT_DECISION_THRESHOLD,
@@ -62,11 +60,20 @@ class DetectionResult:
     flagged: frozenset[tuple[int, int]]
 
 
-def resolve_group_velocity(cube: DataCube, config: DetectionConfig) -> float:
-    """The propagation speed the windows will be timed with."""
-    if config.group_velocity is not None:
-        return float(config.group_velocity)
-    return estimate_group_velocity(cube, config.probes)
+def build_window_set(
+    cube: DataCube, partition: Partition, config: DetectionConfig
+) -> RegionalWindowSet:
+    """Time every region's window with the configured or probe-estimated speed.
+
+    The window set does not depend on the mask, so a Monte Carlo sweep
+    builds it once and shares it across all of its masked detections.
+    """
+    speed = config.group_velocity
+    if speed is None:
+        speed = estimate_group_velocity(cube, config.probes)
+    return extract_windows(
+        cube, partition, float(speed), config.excitation, config.window_len
+    )
 
 
 def run_detection(
@@ -78,29 +85,20 @@ def run_detection(
 ) -> DetectionResult:
     """Run the full chain on one cube.
 
-    A precomputed ``window_set`` (for the same cube and partition) skips the
-    velocity and windowing stages — the Monte Carlo sweep reuses one window
-    set across hundreds of masked detections.
+    A precomputed ``window_set`` (from ``build_window_set`` for the same
+    cube, partition and config) skips the velocity and windowing stages.
     """
     if window_set is None:
-        speed = resolve_group_velocity(cube, config)
-        window_set = extract_windows(
-            cube, partition, speed, config.excitation, config.window_len
-        )
-    else:
-        speed = window_set.group_velocity
+        window_set = build_window_set(cube, partition, config)
     sal = saliency_map(
         window_set,
         rank=config.rank,
         ratio=config.energy_ratio,
         mask=mask,
     )
-    flagged = frozenset(
-        (int(a), int(b)) for a, b in np.argwhere(sal.classify(config.threshold))
-    )
     return DetectionResult(
-        group_velocity=speed,
+        group_velocity=window_set.group_velocity,
         window_set=window_set,
         saliency=sal,
-        flagged=flagged,
+        flagged=sal.flagged_regions(config.threshold),
     )

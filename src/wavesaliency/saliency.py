@@ -13,12 +13,13 @@ that energy exceeds a fixed ratio of the snapshot's peak energy.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .cube import write_pgm, write_text
+from .errors import RankError
 from .windowing import RegionalWindowSet
 
 DEFAULT_ENERGY_RATIO = 0.25
@@ -230,25 +231,18 @@ class SaliencyMap:
     def shape(self) -> tuple[int, int]:
         return self.fractions.shape
 
-    def classify(self, threshold: float = DEFAULT_DECISION_THRESHOLD) -> np.ndarray:
-        """Defect verdict per region: saliency fraction >= threshold.
+    def flagged_regions(
+        self, threshold: float = DEFAULT_DECISION_THRESHOLD
+    ) -> frozenset[tuple[int, int]]:
+        """Regions (a, b) whose saliency fraction is >= threshold.
 
         Inactive regions are never flagged.
         """
         if not 0.0 < threshold <= 1.0:
             raise ValueError(f"threshold must be in (0, 1], got {threshold}")
         with np.errstate(invalid="ignore"):
-            return np.where(self.active, self.fractions >= threshold, False)
-
-    def flagged_regions(self, threshold: float = DEFAULT_DECISION_THRESHOLD) -> list[tuple[int, int]]:
-        """Sorted (a, b) list of regions meeting the threshold."""
-        verdict = self.classify(threshold)
-        return [tuple(idx) for idx in np.argwhere(verdict)]
-
-
-def classify(sal: SaliencyMap, threshold: float = DEFAULT_DECISION_THRESHOLD) -> set[tuple[int, int]]:
-    """Flagged regions as a set of (a, b) indices."""
-    return set(sal.flagged_regions(threshold))
+            hit = self.active & (self.fractions >= threshold)
+        return frozenset((int(a), int(b)) for a, b in np.argwhere(hit))
 
 
 def saliency_map(
@@ -269,9 +263,16 @@ def saliency_map(
     times the leading singular value is treated as exactly reconstructed
     and contributes no outliers (guards the full-rank edge, where residuals
     are float dust).
+
+    The mask's rows are resolved once and shared by every offset, so a
+    per-region mask draws its patterns once per call.
+
+    Raises:
+        RankError: the rank is outside [1, min(snapshot shape)].
     """
     part = window_set.partition
-    first = assemble_snapshot_matrix(window_set, 0, mask)
+    rows = _rows_from_mask(mask, window_set, window_set.active_count)
+    first = assemble_snapshot_matrix(window_set, 0, rows)
     spectrum = np.linalg.svd(first.values, compute_uv=False)
     if rank == "auto":
         rank_used = knee_rank(spectrum)
@@ -279,7 +280,7 @@ def saliency_map(
         rank_used = int(rank)
     limit = min(first.values.shape)
     if not 1 <= rank_used <= limit:
-        raise ValueError(
+        raise RankError(
             f"rank {rank_used} outside [1, {limit}] for a "
             f"{first.values.shape[0]} x {first.values.shape[1]} snapshot"
         )
@@ -287,7 +288,7 @@ def saliency_map(
     dust = (float(spectrum[0]) * _TINY) ** 2
     counts = np.zeros(len(first.column_labels))
     for tau in range(window_set.window_len):
-        snap = first if tau == 0 else assemble_snapshot_matrix(window_set, tau, mask)
+        snap = first if tau == 0 else assemble_snapshot_matrix(window_set, tau, rows)
         split = truncated_low_rank(snap.values, rank_used)
         energies = outlier_energies(split)
         if float(np.max(energies)) > dust:
@@ -310,34 +311,24 @@ def saliency_map(
 # Exports
 # ---------------------------------------------------------------------------
 
-def write_saliency_csv(sal: SaliencyMap, destination) -> None:
-    """Write the fraction grid as CSV: row a (x region), column b (y region).
+def saliency_csv_text(sal: SaliencyMap) -> str:
+    """The fraction grid as CSV: row a (x region), column b (y region).
 
     Inactive regions are written as ``NA``.
     """
-    close = False
-    if isinstance(destination, (str, Path)):
-        handle = open(destination, "w", newline="")
-        close = True
-    else:
-        handle = destination
-    try:
-        r1, r2 = sal.shape
-        for a in range(r1):
-            cells = [
-                f"{sal.fractions[a, b]:.6f}" if sal.active[a, b] else "NA"
-                for b in range(r2)
-            ]
-            handle.write(",".join(cells) + "\n")
-    finally:
-        if close:
-            handle.close()
+    r1, r2 = sal.shape
+    return "".join(
+        ",".join(
+            f"{sal.fractions[a, b]:.6f}" if sal.active[a, b] else "NA"
+            for b in range(r2)
+        ) + "\n"
+        for a in range(r1)
+    )
 
 
-def saliency_csv_text(sal: SaliencyMap) -> str:
-    buf = io.StringIO()
-    write_saliency_csv(sal, buf)
-    return buf.getvalue()
+def write_saliency_csv(sal: SaliencyMap, destination) -> None:
+    """Write ``saliency_csv_text`` to a path or an open text handle."""
+    write_text(destination, saliency_csv_text(sal))
 
 
 def write_saliency_pgm(sal: SaliencyMap, path) -> None:
@@ -347,20 +338,7 @@ def write_saliency_pgm(sal: SaliencyMap, path) -> None:
     forced to 255 and distinguished through ``<stem>.mask.pgm`` (255 =
     active, 0 = inactive).
     """
-    path = Path(path)
-    r1, r2 = sal.shape
-
-    def dump(target: Path, value_of) -> None:
-        lines = ["P2", f"{r1} {r2}", "255"]
-        for b in range(r2):
-            lines.append(" ".join(str(value_of(a, b)) for a in range(r1)))
-        target.write_text("\n".join(lines) + "\n")
-
-    def shade(a: int, b: int) -> int:
-        if not sal.active[a, b]:
-            return 255
-        return int(round(255.0 * sal.fractions[a, b]))
-
-    dump(path, shade)
-    dump(path.with_suffix(".mask.pgm"),
-         lambda a, b: 255 if sal.active[a, b] else 0)
+    shade = np.full(sal.shape, 255)
+    shade[sal.active] = np.round(255.0 * sal.fractions[sal.active])
+    write_pgm(path, shade)
+    write_pgm(Path(path).with_suffix(".mask.pgm"), np.where(sal.active, 255, 0))

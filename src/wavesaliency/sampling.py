@@ -13,16 +13,13 @@ shared low-rank subspace meaningful); per-region patterns exist behind the
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .cube import DataCube
+from .cube import DataCube, write_text
 from .errors import GeometryError, MaskError
-from .pipeline import DetectionConfig, run_detection
+from .pipeline import DetectionConfig, build_window_set, run_detection
 from .sim import DefectSpec, defect_cells
 from .windowing import Partition
 
@@ -298,42 +295,42 @@ def monte_carlo_sweep(
 ) -> list[SweepRow]:
     """Average detection metrics over seeded random masks, per ratio.
 
-    Trial t of every ratio uses seed ``base_seed + t``, so a parallel
-    implementation partitioned over trials would reproduce the exact same
-    table.  ``pattern="cross"`` replaces the random masks with the single
-    deterministic double-cross at ``stride`` (one output row; the ratio
-    list is ignored and the achieved ratio is reported instead).
+    The window set is built once and every trial is one masked detection
+    on it.  Trial t of every ratio uses seed ``base_seed + t``, so a
+    parallel implementation partitioned over trials would reproduce the
+    exact same table.  ``pattern="cross"`` replaces the random masks with
+    the single deterministic double-cross at ``stride`` (one output row;
+    the ratio list is ignored and the achieved ratio is reported instead).
+    That mask is scored once and its score counts for all ``trials``, so
+    the row reads as ``trials`` identical trials with zero standard error.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if pattern not in ("random", "cross"):
         raise ValueError(f"unknown mask pattern {pattern!r}")
 
-    # Velocity estimation and windowing depend only on the cube: do them once.
-    base = run_detection(cube, partition, config)
-    window_set = base.window_set
+    window_set = build_window_set(cube, partition, config)
 
-    def run_masked(mask: Mask) -> DetectionMetrics:
+    def score(mask: Mask) -> tuple[int, int, int, int, int]:
         result = run_detection(
             cube, partition, config, mask=mask, window_set=window_set
         )
         return detection_metrics(
             result.flagged, truth, partition, source_corner
-        )
+        ).as_tuple()
 
     p1, p2 = partition.p1, partition.p2
-    rows: list[SweepRow] = []
     if pattern == "cross":
         mask = double_cross_mask(p1, p2, stride)
-        scores = [run_masked(mask).as_tuple() for _ in range(trials)]
-        rows.append(_average_row(mask.achieved_ratio, scores, trials, base_seed))
-        return rows
+        scores = [score(mask)] * trials
+        return [_average_row(mask.achieved_ratio, scores, trials, base_seed)]
 
+    rows: list[SweepRow] = []
     for ratio in ratios:
-        scores = []
-        for t in range(trials):
-            mask = random_mask(p1, p2, float(ratio), base_seed + t, sharing)
-            scores.append(run_masked(mask).as_tuple())
+        scores = [
+            score(random_mask(p1, p2, float(ratio), base_seed + t, sharing))
+            for t in range(trials)
+        ]
         rows.append(_average_row(float(ratio), scores, trials, base_seed))
     return rows
 
@@ -362,34 +359,18 @@ SWEEP_CSV_HEADER = [
 ]
 
 
-def write_sweep_csv(rows: list[SweepRow], destination) -> None:
-    """One row per ratio, fixed column order, 6-decimal averages."""
-    close = False
-    if isinstance(destination, (str, Path)):
-        handle = open(destination, "w", newline="")
-        close = True
-    else:
-        handle = destination
-    try:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(SWEEP_CSV_HEADER)
-        for row in rows:
-            writer.writerow([
-                f"{row.nz:g}",
-                f"{row.correct:.6f}",
-                f"{row.false:.6f}",
-                f"{row.regional_correct:.6f}",
-                f"{row.regional_false:.6f}",
-                f"{row.origin_false:.6f}",
-                row.trials,
-                row.seed,
-            ])
-    finally:
-        if close:
-            handle.close()
-
-
 def sweep_csv_text(rows: list[SweepRow]) -> str:
-    buf = io.StringIO()
-    write_sweep_csv(rows, buf)
-    return buf.getvalue()
+    """One row per ratio, fixed column order, 6-decimal averages."""
+    lines = [",".join(SWEEP_CSV_HEADER)]
+    lines += [
+        f"{row.nz:g},{row.correct:.6f},{row.false:.6f},"
+        f"{row.regional_correct:.6f},{row.regional_false:.6f},"
+        f"{row.origin_false:.6f},{row.trials},{row.seed}"
+        for row in rows
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def write_sweep_csv(rows: list[SweepRow], destination) -> None:
+    """Write ``sweep_csv_text`` to a path or an open text handle."""
+    write_text(destination, sweep_csv_text(rows))

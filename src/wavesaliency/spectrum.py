@@ -9,12 +9,11 @@ justifies aggressive spatial subsampling.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from .cube import write_pgm, write_text
 from .errors import NoSignalError
 
 DEFAULT_FLOOR_DB = -20.0
@@ -89,28 +88,16 @@ def occupied_fraction(spectrum: WavenumberSpectrum, floor_db: float = DEFAULT_FL
 # Exports
 # ---------------------------------------------------------------------------
 
-def write_spectrum_csv(spectrum: WavenumberSpectrum, destination) -> None:
-    """Magnitude grid as CSV, one row per kx index, 6 significant digits."""
-    close = False
-    if isinstance(destination, (str, Path)):
-        handle = open(destination, "w", newline="")
-        close = True
-    else:
-        handle = destination
-    try:
-        for i in range(spectrum.values.shape[0]):
-            handle.write(
-                ",".join(f"{v:.6e}" for v in spectrum.values[i]) + "\n"
-            )
-    finally:
-        if close:
-            handle.close()
-
-
 def spectrum_csv_text(spectrum: WavenumberSpectrum) -> str:
-    buf = io.StringIO()
-    write_spectrum_csv(spectrum, buf)
-    return buf.getvalue()
+    """Magnitude grid as CSV, one row per kx index, 6 significant digits."""
+    return "".join(
+        ",".join(f"{v:.6e}" for v in row) + "\n" for row in spectrum.values
+    )
+
+
+def write_spectrum_csv(spectrum: WavenumberSpectrum, destination) -> None:
+    """Write ``spectrum_csv_text`` to a path or an open text handle."""
+    write_text(destination, spectrum_csv_text(spectrum))
 
 
 def write_spectrum_pgm(
@@ -125,13 +112,7 @@ def write_spectrum_pgm(
     """
     if floor_db >= 0:
         raise ValueError(f"floor_db must be negative, got {floor_db}")
-    path = Path(path)
     with np.errstate(divide="ignore"):
         db = 20.0 * np.log10(spectrum.values)
     scaled = np.clip((db - floor_db) / (-floor_db), 0.0, 1.0)
-    shades = np.round(255.0 * scaled).astype(int)
-    n1, n2 = shades.shape
-    lines = ["P2", f"{n1} {n2}", "255"]
-    for j in range(n2):
-        lines.append(" ".join(str(shades[i, j]) for i in range(n1)))
-    path.write_text("\n".join(lines) + "\n")
+    write_pgm(path, np.round(255.0 * scaled).astype(int))

@@ -109,16 +109,6 @@ class Partition:
                 for a in range(self.regions_x)]
 
 
-def make_partition(n1: int, n2: int, regions_x: int, regions_y: int) -> Partition:
-    """Build a shared-boundary partition; PartitionError if counts don't divide."""
-    return Partition(n1=n1, n2=n2, regions_x=regions_x, regions_y=regions_y)
-
-
-def region_centroid(partition: Partition, a: int, b: int, dx: float) -> tuple[float, float]:
-    """Physical center of region (a, b); IndexError when out of range."""
-    return partition.centroid(a, b, dx)
-
-
 @dataclass(frozen=True)
 class ProbePair:
     """Two recording nodes used to estimate the propagation speed.

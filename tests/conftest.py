@@ -9,24 +9,12 @@ cross-test sharing safe.
 import numpy as np
 import pytest
 
-from wavesaliency.config import bundled_config_path, load_scenario
-from wavesaliency.sim import simulate
+from wavesaliency.config import bundled_config_path, load_scenario, simulate_scenario
 
 
 def _run_scenario(name):
     scenario = load_scenario(bundled_config_path(name))
-    cube = simulate(
-        scenario.material,
-        list(scenario.defects),
-        scenario.excitation,
-        scenario.grid.n1,
-        scenario.grid.n2,
-        scenario.grid.steps,
-        scenario.grid.safety,
-        record_every=scenario.grid.record_every,
-        space_order=scenario.grid.space_order,
-    )
-    return scenario, cube
+    return scenario, simulate_scenario(scenario)
 
 
 @pytest.fixture(scope="session")

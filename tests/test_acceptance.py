@@ -20,7 +20,7 @@ import scipy.linalg
 
 from wavesaliency.cli import EXIT_OK, main
 from wavesaliency.cube import DataCube, read_cube, roundtrip_bytes, write_cube
-from wavesaliency.config import bundled_config_path, load_scenario
+from wavesaliency.config import bundled_config_path, load_scenario, simulate_scenario
 from wavesaliency.errors import PartitionError
 from wavesaliency.pipeline import run_detection
 from wavesaliency.sampling import (
@@ -35,10 +35,9 @@ from wavesaliency.sim import (
     analytic_group_velocity,
     analytic_phase_velocity,
     defect_cells,
-    simulate,
 )
 from wavesaliency.spectrum import dft2_magnitude, occupied_fraction
-from wavesaliency.windowing import estimate_group_velocity, make_partition
+from wavesaliency.windowing import Partition, estimate_group_velocity
 
 
 def _chebyshev(p, q):
@@ -106,13 +105,13 @@ def test_outlier_energies_match_projector_residuals(rng):
 
 def test_partition_sizes_on_the_benchmark_grid():
     for regions, expected in ((8, 33), (16, 17), (32, 9)):
-        part = make_partition(257, 257, regions, regions)
+        part = Partition(257, 257, regions, regions)
         print(f"{regions}x{regions} regions -> {part.p1}x{part.p2} nodes")
         assert (part.p1, part.p2) == (expected, expected)
     with pytest.raises(PartitionError):
-        make_partition(257, 257, 10, 10)
+        Partition(257, 257, 10, 10)
     with pytest.raises(PartitionError):
-        make_partition(257, 257, 16, 12)
+        Partition(257, 257, 16, 12)
 
 
 # ---------------------------------------------------------------------------
@@ -139,17 +138,7 @@ def test_probe_estimated_speed_tracks_dispersion(pristine):
     # simulation included
     start = time.perf_counter()
     small = load_scenario(bundled_config_path("pristine_ci"))
-    small_cube = simulate(
-        small.material,
-        list(small.defects),
-        small.excitation,
-        small.grid.n1,
-        small.grid.n2,
-        small.grid.steps,
-        small.grid.safety,
-        record_every=small.grid.record_every,
-        space_order=small.grid.space_order,
-    )
+    small_cube = simulate_scenario(small)
     small_analytic = analytic_group_velocity(
         small.material, small.excitation.carrier_frequency
     )

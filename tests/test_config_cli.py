@@ -398,7 +398,7 @@ def test_detect_is_byte_deterministic(small_run, tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_detect_overrides(small_run, tmp_path):
+def test_detect_overrides(small_run, tmp_path, capsys):
     cfg, cube_path = small_run
     prefix = tmp_path / "ovr"
     code = main([
@@ -412,10 +412,17 @@ def test_detect_overrides(small_run, tmp_path):
     assert "window_len = 9" in manifest
     assert "energy_ratio = 0.3" in manifest
     assert "theta = 0.9" in manifest
-    assert main([
-        "detect", str(cube_path), str(cfg), str(tmp_path / "bad"),
-        "--rank", "fast",
-    ]) == EXIT_CONFIG
+    # out-of-range settings are configuration errors with one message line;
+    # rank 500 only fails against the snapshot's size, at detection time
+    for bad in (["--rank", "fast"], ["--rank", "0"], ["--rank", "500"],
+                ["--ratio", "2"], ["--ratio", "0"], ["--theta", "0"],
+                ["--theta", "1.5"]):
+        capsys.readouterr()
+        assert main([
+            "detect", str(cube_path), str(cfg), str(tmp_path / "bad"), *bad,
+        ]) == EXIT_CONFIG, bad
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), (bad, err)
 
 
 def test_exit_code_config_errors(small_run, tmp_path):
@@ -434,6 +441,16 @@ def test_exit_code_config_errors(small_run, tmp_path):
     ]) == EXIT_CONFIG
     missing = tmp_path / "nope.cfg"
     assert main(["simulate", str(missing), str(tmp_path / "z.wvc")]) == 1
+    # out-of-range detection settings in the file fail like flag values
+    for text in (_edit(SMALL_CFG, ratio="2"), _edit(SMALL_CFG, theta="0"),
+                 _edit(SMALL_CFG, rank="0"),
+                 _inject(SMALL_CFG, "detection", "mask = random 2"),
+                 _inject(SMALL_CFG, "detection", "mask = cross 3")):
+        bad = tmp_path / "range.cfg"
+        bad.write_text(text)
+        assert main([
+            "detect", str(cube_path), str(bad), str(tmp_path / "r")
+        ]) == EXIT_CONFIG, text
 
 
 def test_exit_code_divergence(tmp_path):
@@ -533,9 +550,12 @@ def test_sweep_bad_arguments(ci_cube_file, tmp_path):
         "sweep", str(ci_cube_file), str(ci_cfg), str(out),
         "--ratios", "0.5,apple",
     ]) == EXIT_CONFIG
-    assert main([
-        "sweep", str(ci_cube_file), str(ci_cfg), str(out), "--trials", "0",
-    ]) == EXIT_CONFIG
+    for bad in (["--trials", "0"], ["--pattern", "cross", "--stride", "3"],
+                ["--ratios", "0.5,2"], ["--rank", "0"], ["--rank", "500"]):
+        assert main([
+            "sweep", str(ci_cube_file), str(ci_cfg), str(out), "--trials", "1",
+            *bad,
+        ]) == EXIT_CONFIG, bad
 
 
 # ---------------------------------------------------------------------------

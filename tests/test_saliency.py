@@ -13,7 +13,6 @@ from wavesaliency.cube import DataCube, GridPoint
 from wavesaliency.saliency import (
     SaliencyMap,
     assemble_snapshot_matrix,
-    classify,
     knee_rank,
     outlier_energies,
     salient_columns,
@@ -23,12 +22,12 @@ from wavesaliency.saliency import (
     write_saliency_csv,
     write_saliency_pgm,
 )
-from wavesaliency.sampling import double_cross_mask
+from wavesaliency.sampling import PER_REGION, Mask, double_cross_mask, random_mask
 from wavesaliency.sim import ExcitationSpec
 from wavesaliency.windowing import (
+    Partition,
     RegionalWindowSet,
     extract_windows,
-    make_partition,
 )
 
 
@@ -37,7 +36,7 @@ def _ramp_windows(n=129, regions=8, t_len=200, window_len=11):
         np.arange(1, t_len + 1, dtype=float)[:, None, None], (t_len, n, n)
     ).copy()
     cube = DataCube(n, n, t_len, 0.25 / (n - 1), 1e-6, vals)
-    part = make_partition(n, n, regions, regions)
+    part = Partition(n, n, regions, regions)
     exc = ExcitationSpec(5e5, 5, 1.0, GridPoint(0, 0))
     return extract_windows(cube, part, 5000.0, exc, window_len=window_len)
 
@@ -320,7 +319,7 @@ def _synthetic_window_set(spiked_taus, spiked_region=(1, 1), window_len=11):
     the rank-1 fit latch onto the spiked column instead, and the clean
     columns would become the outliers.
     """
-    part = make_partition(9, 9, 2, 2)
+    part = Partition(9, 9, 2, 2)
     base = np.linspace(1.0, 2.0, 25)
     windows = np.zeros((window_len, 25, 4))
     windows[:] = base[None, :, None]
@@ -376,7 +375,7 @@ def test_map_marks_inactive_with_nan():
     sal = saliency_map(ws2, rank=1, ratio=0.25)
     assert np.isnan(sal.fractions[0, 1])
     assert sal.fractions[1, 1] == pytest.approx(6 / 11)
-    assert (0, 1) not in classify(sal, 0.5)
+    assert (0, 1) not in sal.flagged_regions(0.5)
 
 
 def test_map_rank_validation():
@@ -387,17 +386,31 @@ def test_map_rank_validation():
         saliency_map(ws, rank=5)  # only 4 columns
 
 
+def test_per_region_rows_drawn_once_per_map(monkeypatch):
+    ws = _synthetic_window_set(spiked_taus=(0, 3))
+    mask = random_mask(5, 5, 0.6, seed=1, sharing=PER_REGION)
+    calls = []
+    original = Mask.row_indices
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(Mask, "row_indices", counted)
+    saliency_map(ws, rank=1, mask=mask)
+    assert calls == [(5, 5, 4)]
+
+
 def test_classify_threshold_rules():
     ws = _synthetic_window_set(spiked_taus=(0, 2, 3, 5, 7, 10))
     sal = saliency_map(ws, rank=1, ratio=0.25)
-    assert classify(sal, 0.5) == {(1, 1)}
-    assert classify(sal, 6 / 11) == {(1, 1)}  # >= is inclusive
-    assert classify(sal, 0.99) == set()
-    assert sal.flagged_regions(0.5) == [(1, 1)]
+    assert sal.flagged_regions(0.5) == frozenset({(1, 1)})
+    assert sal.flagged_regions(6 / 11) == {(1, 1)}  # >= is inclusive
+    assert sal.flagged_regions(0.99) == set()
     with pytest.raises(ValueError):
-        sal.classify(0.0)
+        sal.flagged_regions(0.0)
     with pytest.raises(ValueError):
-        sal.classify(1.5)
+        sal.flagged_regions(1.5)
 
 
 def test_map_scale_invariance():

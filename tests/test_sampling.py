@@ -26,7 +26,7 @@ from wavesaliency.sampling import (
     write_sweep_csv,
 )
 from wavesaliency.sim import DefectSpec
-from wavesaliency.windowing import make_partition
+from wavesaliency.windowing import Partition
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +155,7 @@ def test_row_indices_shape_mismatch():
 # ---------------------------------------------------------------------------
 
 def test_ground_truth_from_defects():
-    part = make_partition(129, 129, 8, 8)
+    part = Partition(129, 129, 8, 8)
     point = DefectSpec("point_inclusion", (0.2, 0.42), 100.0, 100.0)
     line = DefectSpec("line_segment", (0.2, 0.5, 0.4, 0.5), 1e-4, 1e-4)
     # cells: point -> (25, 53); line -> l in 25..51 at m = 64
@@ -168,7 +168,7 @@ def test_ground_truth_from_defects():
 
 
 def test_ground_truth_validate():
-    part = make_partition(129, 129, 8, 8)
+    part = Partition(129, 129, 8, 8)
     GroundTruth(frozenset({(0, 0), (7, 7)})).validate(part)
     with pytest.raises(ValueError):
         GroundTruth(frozenset({(8, 0)})).validate(part)
@@ -178,7 +178,7 @@ def test_ground_truth_validate():
 # metrics
 # ---------------------------------------------------------------------------
 
-PART8 = make_partition(129, 129, 8, 8)
+PART8 = Partition(129, 129, 8, 8)
 
 
 def test_metrics_perfect_detection():
@@ -219,7 +219,7 @@ def test_origin_block_geometry():
         (a, b) for a in range(5, 8) for b in range(5, 8)
     }
     # a 2x2 partition cannot hold a full 3x3 block: clamp to what exists
-    small = make_partition(129, 129, 2, 2)
+    small = Partition(129, 129, 2, 2)
     assert origin_block(small, (0, 0)) == {(0, 0), (0, 1), (1, 0), (1, 1)}
     with pytest.raises(ValueError):
         origin_block(PART8, (8, 0))
@@ -336,6 +336,39 @@ def test_sweep_validation(ci_bench1):
     with pytest.raises(ValueError):
         monte_carlo_sweep(cube, part, config, [0.5], trials=1,
                           base_seed=0, truth=truth, pattern="fancy")
+
+
+def _record_detections(monkeypatch):
+    """The mask of every detection the sweep makes, in call order."""
+    import wavesaliency.sampling as sampling
+
+    masks = []
+    original = sampling.run_detection
+
+    def counted(*args, **kwargs):
+        masks.append(kwargs.get("mask"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sampling, "run_detection", counted)
+    return masks
+
+
+def test_random_sweep_makes_one_masked_detection_per_trial(ci_bench1, monkeypatch):
+    cube, part, config, truth = _sweep_inputs(ci_bench1)
+    masks = _record_detections(monkeypatch)
+    monte_carlo_sweep(cube, part, config, [0.5, 0.2, 0.07], trials=2,
+                      base_seed=0, truth=truth)
+    assert len(masks) == 3 * 2
+    assert all(mask is not None for mask in masks)
+
+
+def test_cross_sweep_scores_its_mask_once(ci_bench1, monkeypatch):
+    cube, part, config, truth = _sweep_inputs(ci_bench1)
+    masks = _record_detections(monkeypatch)
+    rows = monte_carlo_sweep(cube, part, config, [], trials=5, base_seed=0,
+                             truth=truth, pattern="cross", stride=2)
+    assert len(masks) == 1 and masks[0] is not None
+    assert rows[0].trials == 5
 
 
 def test_sweep_csv_format(tmp_path):

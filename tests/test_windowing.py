@@ -17,25 +17,24 @@ from wavesaliency.errors import (
 )
 from wavesaliency.sim import ExcitationSpec, analytic_group_velocity
 from wavesaliency.windowing import (
+    Partition,
     ProbePair,
     arrival_time,
     effective_source,
     estimate_group_velocity,
     extract_windows,
     first_envelope_peak_time,
-    make_partition,
-    region_centroid,
 )
 
 L = 0.25
 
 
 def test_partition_region_sizes():
-    assert make_partition(257, 257, 8, 8).p1 == 33
-    assert make_partition(257, 257, 8, 8).p2 == 33
-    assert make_partition(257, 257, 16, 16).p1 == 17
-    assert make_partition(257, 257, 32, 32).p1 == 9
-    part = make_partition(257, 129, 8, 4)
+    assert Partition(257, 257, 8, 8).p1 == 33
+    assert Partition(257, 257, 8, 8).p2 == 33
+    assert Partition(257, 257, 16, 16).p1 == 17
+    assert Partition(257, 257, 32, 32).p1 == 9
+    part = Partition(257, 129, 8, 4)
     assert (part.p1, part.p2) == (33, 33)
     assert part.region_count == 32
     assert part.nodes_per_region == 33 * 33
@@ -43,17 +42,17 @@ def test_partition_region_sizes():
 
 def test_partition_rejects_non_divisible():
     with pytest.raises(PartitionError):
-        make_partition(256, 256, 10, 10)  # 255 intervals, no tenth
+        Partition(256, 256, 10, 10)  # 255 intervals, no tenth
     with pytest.raises(PartitionError):
-        make_partition(257, 257, 0, 8)
+        Partition(257, 257, 0, 8)
     with pytest.raises(PartitionError):
-        make_partition(33, 33, 5, 5)  # 32 intervals, no fifth
+        Partition(33, 33, 5, 5)  # 32 intervals, no fifth
     # 8 regions of 8 intervals is the finest legal split of 9 nodes
-    assert make_partition(9, 9, 8, 8).p1 == 2
+    assert Partition(9, 9, 8, 8).p1 == 2
 
 
 def test_partition_tiles_grid_with_shared_edges():
-    part = make_partition(33, 25, 4, 3)
+    part = Partition(33, 25, 4, 3)
     cover = np.zeros((part.n2, part.n1), dtype=int)
     for a, b in part.region_ids():
         l0, m0 = part.node_origin(a, b)
@@ -71,21 +70,21 @@ def test_partition_tiles_grid_with_shared_edges():
 
 
 def test_region_centroid_examples():
-    part = make_partition(257, 257, 8, 8)
+    part = Partition(257, 257, 8, 8)
     dx = L / 256
-    assert region_centroid(part, 0, 0, dx) == pytest.approx((L / 16, L / 16))
-    assert region_centroid(part, 7, 7, dx) == pytest.approx(
+    assert part.centroid(0, 0, dx) == pytest.approx((L / 16, L / 16))
+    assert part.centroid(7, 7, dx) == pytest.approx(
         (L - L / 16, L - L / 16)
     )
     # diagonal mirror symmetry
-    x, y = region_centroid(part, 2, 5, dx)
-    assert region_centroid(part, 5, 2, dx) == pytest.approx((y, x))
+    x, y = part.centroid(2, 5, dx)
+    assert part.centroid(5, 2, dx) == pytest.approx((y, x))
     with pytest.raises(IndexError):
-        region_centroid(part, 8, 0, dx)
+        part.centroid(8, 0, dx)
 
 
 def test_region_of_cell_respects_block_edges():
-    part = make_partition(257, 257, 8, 8)
+    part = Partition(257, 257, 8, 8)
     assert part.region_of_cell(0, 0) == (0, 0)
     assert part.region_of_cell(31, 31) == (0, 0)
     assert part.region_of_cell(32, 31) == (1, 0)
@@ -194,7 +193,7 @@ def _ramp_cube(n=33, t_len=120, dx=L / 32, dt=1e-6):
 
 def test_window_starts_match_arrival_times():
     cube = _ramp_cube()
-    part = make_partition(33, 33, 4, 4)
+    part = Partition(33, 33, 4, 4)
     exc = ExcitationSpec(5e5, 5, 1.0, GridPoint(0, 0))
     cg = 5000.0
     ws = extract_windows(cube, part, cg, exc, window_len=11)
@@ -202,7 +201,7 @@ def test_window_starts_match_arrival_times():
     sx, sy = src.l * cube.dx, src.m * cube.dx
     assert ws.active.all()
     for a, b in part.region_ids():
-        cx, cy = region_centroid(part, a, b, cube.dx)
+        cx, cy = part.centroid(a, b, cube.dx)
         start = int(round(arrival_time(np.hypot(cx - sx, cy - sy), cg, exc) / cube.dt))
         assert ws.arrival_index[a, b] == start
         col = ws.windows[:, :, ws.column_index(a, b)]
@@ -214,7 +213,7 @@ def test_window_starts_match_arrival_times():
 def test_window_start_at_source_region():
     # source placed exactly on region (0,0)'s centroid node: distance 0
     cube = _ramp_cube()
-    part = make_partition(33, 33, 4, 4)
+    part = Partition(33, 33, 4, 4)
     exc = ExcitationSpec(5e5, 5, 1.0, GridPoint(4, 4))
     ws = extract_windows(cube, part, 5000.0, exc, window_len=11)
     assert ws.arrival_index[0, 0] == round(exc.burst_duration / 2.0 / cube.dt)
@@ -223,7 +222,7 @@ def test_window_start_at_source_region():
 def test_far_regions_deactivate_when_record_ends():
     # 30 samples: near regions fit an 11-sample window, far corner does not
     cube = _ramp_cube(t_len=30)
-    part = make_partition(33, 33, 4, 4)
+    part = Partition(33, 33, 4, 4)
     exc = ExcitationSpec(5e5, 5, 1.0, GridPoint(0, 0))
     ws = extract_windows(cube, part, 5000.0, exc, window_len=11)
     assert ws.active[0, 0]
@@ -236,7 +235,7 @@ def test_far_regions_deactivate_when_record_ends():
 
 def test_equidistant_regions_share_arrival_index():
     cube = _ramp_cube()
-    part = make_partition(33, 33, 4, 4)
+    part = Partition(33, 33, 4, 4)
     exc = ExcitationSpec(5e5, 5, 1.0, GridPoint(0, 0))
     ws = extract_windows(cube, part, 5000.0, exc, window_len=11)
     # clamped corner source sits on the grid diagonal: (a,b) vs (b,a) tie
@@ -246,7 +245,7 @@ def test_equidistant_regions_share_arrival_index():
 
 def test_arrivals_monotone_in_distance():
     cube = _ramp_cube()
-    part = make_partition(33, 33, 4, 4)
+    part = Partition(33, 33, 4, 4)
     exc = ExcitationSpec(5e5, 5, 1.0, GridPoint(0, 0))
     ws = extract_windows(cube, part, 5000.0, exc, window_len=11)
     arr = ws.arrival_index
@@ -256,7 +255,7 @@ def test_arrivals_monotone_in_distance():
 
 def test_silent_region_marked_inactive():
     vals = np.ones((120, 33, 33))
-    part = make_partition(33, 33, 4, 4)
+    part = Partition(33, 33, 4, 4)
     l0, m0 = part.node_origin(2, 1)
     vals[:, m0:m0 + part.p2, l0:l0 + part.p1] = 0.0
     cube = DataCube(33, 33, 120, L / 32, 1e-6, vals)
@@ -271,7 +270,7 @@ def test_silent_region_marked_inactive():
 
 def test_all_zero_cube_has_no_active_regions():
     cube = DataCube(33, 33, 60, L / 32, 1e-6, np.zeros((60, 33, 33)))
-    part = make_partition(33, 33, 4, 4)
+    part = Partition(33, 33, 4, 4)
     exc = ExcitationSpec(5e5, 5, 1.0, GridPoint(0, 0))
     with pytest.raises(WindowingError):
         extract_windows(cube, part, 5000.0, exc, window_len=11)
@@ -279,7 +278,7 @@ def test_all_zero_cube_has_no_active_regions():
 
 def test_window_length_validation():
     cube = _ramp_cube(t_len=8)
-    part = make_partition(33, 33, 4, 4)
+    part = Partition(33, 33, 4, 4)
     exc = ExcitationSpec(5e5, 5, 1.0, GridPoint(0, 0))
     with pytest.raises(WindowingError):
         extract_windows(cube, part, 5000.0, exc, window_len=0)
@@ -291,7 +290,7 @@ def test_window_length_validation():
 
 def test_extraction_is_deterministic():
     cube = _ramp_cube()
-    part = make_partition(33, 33, 4, 4)
+    part = Partition(33, 33, 4, 4)
     exc = ExcitationSpec(5e5, 5, 1.0, GridPoint(0, 0))
     a = extract_windows(cube, part, 5000.0, exc, window_len=11)
     b = extract_windows(cube, part, 5000.0, exc, window_len=11)
