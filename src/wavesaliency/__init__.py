@@ -49,6 +49,8 @@ _EXPORTS = {
     "burst_force": "sim",
     "stable_timestep": "sim",
     "simulate": "sim",
+    "PlateOperator": "sim",
+    "leapfrog": "sim",
     "analytic_phase_velocity": "sim",
     "analytic_group_velocity": "sim",
     "total_energy_series": "sim",

@@ -474,6 +474,10 @@ def _cross_validate(scenario: ScenarioConfig) -> None:
     grid = scenario.grid
     if grid.n1 < 2 or grid.n2 < 2:
         raise ConfigError("grid must be at least 2x2 nodes")
+    if grid.n1 != grid.n2:
+        raise ConfigError(
+            f"the plate is square; n1 and n2 must match, got {grid.n1} and {grid.n2}"
+        )
     if grid.steps < 1:
         raise ConfigError("steps must be >= 1")
     if grid.safety <= 0:
@@ -486,6 +490,8 @@ def _cross_validate(scenario: ScenarioConfig) -> None:
     if not (0 <= src.l < grid.n1 and 0 <= src.m < grid.n2):
         raise ConfigError(f"excitation source {src} is off the grid")
     det = scenario.detection
+    if det.window_len < 1:
+        raise ConfigError(f"window_len must be >= 1, got {det.window_len}")
     if not 0.0 < det.ratio <= 1.0:
         raise ConfigError(f"ratio must be in (0, 1], got {det.ratio}")
     if not 0.0 < det.theta <= 1.0:

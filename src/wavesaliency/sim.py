@@ -17,6 +17,23 @@ fourth order (default); at the default grid resolution the second-order
 stencil underestimates the group velocity of a 500 kHz packet by ~6%, which
 the fourth-order stages reduce to below 1%.
 
+``simulate`` is two parts behind one call:
+
+* ``PlateOperator`` builds the nodal D and rho_h once and owns three
+  ``PaddedField`` buffers, w_curr, w_prev and the D lap(w) stage.  Each is
+  ``(n + 4) x (n + 4)``: the nodes inside two ghost layers.  A Laplacian
+  stage fills the odd-image ghosts in place (``2 * edge - mirror``, rows
+  then columns, as ``np.pad(..., reflect_type="odd")`` does) and evaluates
+  the stencil on one contiguous slice of the flattened buffer that runs
+  through every interior row at full padded width, so each neighbour is a
+  fixed offset.  Values landing in ghost columns are thrown away.
+* ``leapfrog`` steps from any initial ``(w_prev, w_curr)`` with an optional
+  point-force callback, writing each new state over w_prev; it allocates
+  nothing per step.
+
+Every element sees the same floating-point operations in the same order as
+a padded-copy evaluation, so the history is bit-identical to one.
+
 Plane-wave dispersion for the continuous model:
 
     omega = sqrt(D / rho_h) * k^2
@@ -27,6 +44,7 @@ Plane-wave dispersion for the continuous model:
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -294,20 +312,6 @@ def analytic_group_velocity(material: MaterialSpec, frequency: float) -> float:
 # Spatial operators
 # ---------------------------------------------------------------------------
 
-def _laplacian(f: np.ndarray, dx: float, order: int) -> np.ndarray:
-    """Discrete Laplacian with odd-image (simply supported) ghost nodes."""
-    if order == 2:
-        p = np.pad(f, 1, mode="reflect", reflect_type="odd")
-        return (
-            p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * f
-        ) / (dx * dx)
-    p = np.pad(f, 2, mode="reflect", reflect_type="odd")
-    c = p[2:-2, 2:-2]
-    along_y = -p[:-4, 2:-2] + 16.0 * p[1:-3, 2:-2] + 16.0 * p[3:-1, 2:-2] - p[4:, 2:-2]
-    along_x = -p[2:-2, :-4] + 16.0 * p[2:-2, 1:-3] + 16.0 * p[2:-2, 3:-1] - p[2:-2, 4:]
-    return (along_y + along_x - 60.0 * c) / (12.0 * dx * dx)
-
-
 def _cells_to_nodes(cells: np.ndarray, harmonic: bool) -> np.ndarray:
     """Average per-cell values onto nodes (cells indexed [m, l] here).
 
@@ -327,9 +331,207 @@ def _cells_to_nodes(cells: np.ndarray, harmonic: bool) -> np.ndarray:
     return 1.0 / avg if harmonic else avg
 
 
+class PaddedField:
+    """One ``(n + 4) x (n + 4)`` buffer: n x n nodes inside two ghost layers.
+
+    Padded index ``(m + 2, l + 2)`` holds node ``(l, m)``.  ``span`` is the
+    contiguous 1-D slice of the flattened buffer from padded ``(2, 2)`` to
+    ``(n + 1, n + 1)``: every node, plus the ghost columns between interior
+    rows.  ``shift[k]`` is the same slice moved by k elements, so the
+    stencil neighbours at +-1, +-2, +-W and +-2W (W = n + 4) are plain
+    views.  All views are built once.
+    """
+
+    def __init__(self, n: int):
+        width = n + 4
+        self.full = np.zeros((width, width))
+        self.nodes = self.full[2:-2, 2:-2]
+        flat = self.full.reshape(-1)
+        start, stop = 2 * width + 2, (n + 1) * width + n + 2
+        self.shift = {
+            k: flat[start + k:stop + k]
+            for k in (0, -1, 1, -2, 2, -width, width, -2 * width, 2 * width)
+        }
+        self.span = self.shift[0]
+        # Odd images 2 * edge - mirror, as np.pad(..., reflect_type="odd")
+        # computes them: the ghost rows first, then the ghost columns over
+        # every row, corners included.
+        f, inner, last = self.full, slice(2, n + 2), n + 1
+        self._ghost_lines = [
+            (line(edge + out * k), line(edge), line(edge - out * k))
+            for line in (lambda i: f[i, inner], lambda i: f[:, i])
+            for edge, out in ((2, -1), (last, 1))
+            for k in (1, 2)
+        ]
+        # Pinned edge rows and columns, together with the ghost columns the
+        # span crosses (overwritten by the next ghost fill anyway).
+        self._edge_bands = (f[2], f[last], f[inner, :3], f[inner, last:])
+
+    def fill_ghosts(self) -> None:
+        for ghost, edge, mirror in self._ghost_lines:
+            np.multiply(edge, 2.0, out=ghost)
+            np.subtract(ghost, mirror, out=ghost)
+
+    def pin_edges(self) -> None:
+        """Zero the edge nodes, and the ghost columns inside ``span``."""
+        for band in self._edge_bands:
+            band.fill(0.0)
+
+
+class PlateOperator:
+    """The discrete plate operator -lap(D lap w) / rho_h on one square grid.
+
+    Builds the nodal stiffness and density once and owns the ghost-padded
+    buffers the time loop steps in: ``w_curr``, ``w_prev`` and ``stage``
+    (D lap w), plus span-length scratch.  Each Laplacian stage fills the
+    odd-image ghosts of its input in place and then evaluates the stencil
+    on the contiguous spans of ``PaddedField``.  Values computed in the
+    ghost columns inside a span are thrown away: the next ghost fill
+    overwrites them before anything reads them.  Every node sees the same
+    operations, in the same order, as the padded-copy formula on
+    ``np.pad(f, 2, mode="reflect", reflect_type="odd")``, so results are
+    bit-identical to it for n >= 3.  Order 2 reads one ghost layer of the
+    same buffers.
+    """
+
+    def __init__(
+        self,
+        material_map: MaterialMap,
+        dx: float,
+        space_order: int = DEFAULT_SPACE_ORDER,
+    ):
+        if space_order not in (2, 4):
+            raise ValueError(f"space_order must be 2 or 4, got {space_order}")
+        cl, cm = material_map.cell_shape
+        if cl != cm:
+            raise ValueError("the plate is square; n1 and n2 must match")
+        n = cl + 1
+        self.n, self.dx, self.space_order = n, dx, space_order
+        # Layout is [m, l] (y index first) so that node views are already
+        # in cube payload order.
+        self.d_node = _cells_to_nodes(material_map.bending_stiffness.T, harmonic=True)
+        self.rho_node = _cells_to_nodes(material_map.areal_density.T, harmonic=False)
+
+        (self.w_curr, self.w_prev, self.stage,
+         self._accel, self._d, self._rho) = (PaddedField(n) for _ in range(6))
+        # Ghost-column entries of the coefficients only meet thrown-away
+        # values; edge copies keep that arithmetic finite.
+        self._d.full[...] = np.pad(self.d_node, 2, mode="edge")
+        self._rho.full[...] = np.pad(self.rho_node, 2, mode="edge")
+        self._acc, self._tmp = (np.empty_like(self.stage.span) for _ in range(2))
+
+    def laplacian_stage(self, src: PaddedField, out: np.ndarray) -> None:
+        """Fill ``src``'s ghosts and write its Laplacian over its span into ``out``."""
+        src.fill_ghosts()
+        at, acc, tmp, dx = src.shift, self._acc, self._tmp, self.dx
+        w = self.n + 4
+        if self.space_order == 2:
+            np.add(at[-w], at[w], out=out)
+            np.add(out, at[-1], out=out)
+            np.add(out, at[1], out=out)
+            np.multiply(at[0], 4.0, out=tmp)
+            np.subtract(out, tmp, out=out)
+            np.divide(out, dx * dx, out=out)
+            return
+        for total, near, far in ((out, w, 2 * w), (acc, 1, 2)):
+            np.multiply(at[-near], 16.0, out=total)
+            np.subtract(total, at[-far], out=total)
+            np.multiply(at[near], 16.0, out=tmp)
+            np.add(total, tmp, out=total)
+            np.subtract(total, at[far], out=total)
+        np.add(out, acc, out=out)
+        np.multiply(at[0], 60.0, out=tmp)
+        np.subtract(out, tmp, out=out)
+        np.divide(out, 12.0 * dx * dx, out=out)
+
+    def laplacian(self, field: np.ndarray) -> np.ndarray:
+        """Laplacian of one ``(n, n)`` field under odd-image ghosts, as a new array."""
+        self.stage.nodes[...] = field
+        self.laplacian_stage(self.stage, self._accel.span)
+        return self._accel.nodes.copy()
+
+    def acceleration(self, w: PaddedField) -> np.ndarray:
+        """-lap(D lap w) / rho_h over ``w``'s span, in a scratch span."""
+        stage, accel = self.stage.span, self._accel.span
+        self.laplacian_stage(w, stage)
+        np.multiply(stage, self._d.span, out=stage)
+        self.laplacian_stage(self.stage, accel)
+        np.negative(accel, out=accel)
+        np.divide(accel, self._rho.span, out=accel)
+        return accel
+
+
 # ---------------------------------------------------------------------------
 # Time stepping
 # ---------------------------------------------------------------------------
+
+def leapfrog(
+    operator: PlateOperator,
+    w_prev: np.ndarray,
+    w_curr: np.ndarray,
+    dt: float,
+    step_count: int,
+    forcing: Callable[[float], float] | None = None,
+    source: GridPoint | None = None,
+    *,
+    record_every: int = 1,
+    blow_up: float = math.inf,
+) -> np.ndarray:
+    """Central-difference steps from ``(w_prev, w_curr)``; the recorded history.
+
+    ``w_prev`` and ``w_curr`` are ``(n, n)`` states in ``[m, l]`` order at
+    t = -dt and t = 0.  ``forcing(t)``, when given, is the point force in N
+    at node ``source`` (required with it) over the step that starts at
+    time t.  Edges are
+    pinned to zero after every step.  Steps run in the operator's buffers
+    and allocate nothing.  Returns ``step_count // record_every + 1``
+    recorded states, ``w_curr`` first.
+
+    Raises:
+        DivergenceError: if any |w| is not finite or exceeds ``blow_up``
+            (a ``blow_up`` of 0 checks finiteness only), naming the first
+            bad step.
+    """
+    op = operator
+    record = np.zeros((step_count // record_every + 1, op.n, op.n))
+    record[0] = w_curr
+    prev, curr = op.w_prev, op.w_curr
+    for field, state in ((prev, w_prev), (curr, w_curr)):
+        field.full.fill(0.0)
+        field.nodes[...] = state
+    if forcing is not None:
+        source.validate(op.n, op.n)
+        src_idx = source.m * (op.n + 4) + source.l  # node (l, m) in a span
+        src_scale = op.rho_node[source.m, source.l] * op.dx * op.dx
+    tmp = op._tmp
+    dt2 = dt * dt
+    for step in range(1, step_count + 1):
+        accel = op.acceleration(curr)
+        if forcing is not None:
+            f_now = forcing((step - 1) * dt)
+            if f_now != 0.0:
+                accel[src_idx] += f_now / src_scale
+        # w_next = (2 w - w_prev) + dt^2 accel, written over w_prev.
+        nxt = prev.span
+        np.multiply(curr.span, 2.0, out=tmp)
+        np.subtract(tmp, nxt, out=nxt)
+        np.multiply(accel, dt2, out=accel)
+        np.add(nxt, accel, out=nxt)
+        prev.pin_edges()
+        # The span now holds nodes and zeros only; max/min need no
+        # temporary, and a NaN still propagates to the peak.
+        peak = max(float(nxt.max()), -float(nxt.min()))
+        if not math.isfinite(peak) or (blow_up > 0.0 and peak > blow_up):
+            raise DivergenceError(
+                f"explicit scheme diverged at step {step} "
+                f"(|w| reached {peak:.3e})",
+                step=step,
+            )
+        prev, curr = curr, prev
+        if step % record_every == 0:
+            record[step // record_every] = curr.nodes
+    return record
+
 
 def simulate(
     material: MaterialSpec,
@@ -343,7 +545,7 @@ def simulate(
     record_every: int = 1,
     space_order: int = DEFAULT_SPACE_ORDER,
 ) -> DataCube:
-    """Run the explicit scheme and return the recorded deflection history.
+    """Run the explicit scheme from rest and return the recorded history.
 
     The returned cube stores the state every ``record_every`` integrator
     steps (the initial all-zero state included), so its dt equals
@@ -364,16 +566,12 @@ def simulate(
     dx = material.side_length / (n1 - 1)
     mmap = build_material_map(material, defects, n1, n2)
     dt = stable_timestep(mmap, dx, safety, space_order)
-
-    # Internal layout is [m, l] (y index first) so that recorded slices are
-    # already in cube payload order.
-    d_node = _cells_to_nodes(mmap.bending_stiffness.T, harmonic=True)
-    rho_node = _cells_to_nodes(mmap.areal_density.T, harmonic=False)
+    operator = PlateOperator(mmap, dx, space_order)
 
     # A transverse force on a pinned edge node does no work; drive the
     # nearest interior node instead.
-    src_l = min(max(excitation.source.l, 1), n1 - 2)
-    src_m = min(max(excitation.source.m, 1), n2 - 2)
+    source = GridPoint(min(max(excitation.source.l, 1), n1 - 2),
+                       min(max(excitation.source.m, 1), n2 - 2))
 
     # Displacement scale of the driven lumped mass under the peak force held
     # for the whole burst; honest responses sit far below 1e6 times this.
@@ -383,36 +581,14 @@ def simulate(
         / (rho_min * dx * dx)
     )
 
-    t_len = step_count // record_every + 1
-    record = np.zeros((t_len, n2, n1))
-
-    w_prev = np.zeros((n2, n1))
-    w_curr = np.zeros((n2, n1))
-    for step in range(1, step_count + 1):
-        f_now = burst_force((step - 1) * dt, excitation)
-        u = _laplacian(w_curr, dx, space_order)
-        v = _laplacian(d_node * u, dx, space_order)
-        accel = -v / rho_node
-        if f_now != 0.0:
-            accel[src_m, src_l] += f_now / (rho_node[src_m, src_l] * dx * dx)
-        w_next = 2.0 * w_curr - w_prev + (dt * dt) * accel
-        w_next[0, :] = 0.0
-        w_next[-1, :] = 0.0
-        w_next[:, 0] = 0.0
-        w_next[:, -1] = 0.0
-        peak = float(np.max(np.abs(w_next)))
-        if not math.isfinite(peak) or (blow_up > 0.0 and peak > blow_up):
-            raise DivergenceError(
-                f"explicit scheme diverged at step {step} "
-                f"(|w| reached {peak:.3e})",
-                step=step,
-            )
-        w_prev, w_curr = w_curr, w_next
-        if step % record_every == 0:
-            record[step // record_every] = w_curr
-
+    rest = np.zeros((n2, n1))
+    record = leapfrog(
+        operator, rest, rest, dt, step_count,
+        lambda t: burst_force(t, excitation), source,
+        record_every=record_every, blow_up=blow_up,
+    )
     return DataCube(
-        n1=n1, n2=n2, t_len=t_len,
+        n1=n1, n2=n2, t_len=record.shape[0],
         dx=dx, dt=dt * record_every,
         values=record,
     )
@@ -429,14 +605,13 @@ def total_energy_series(
     velocity from centered differences of the stored slices.  Useful for
     drift checks on runs recorded at every integrator step.
     """
-    d_node = _cells_to_nodes(material_map.bending_stiffness.T, harmonic=True)
-    rho_node = _cells_to_nodes(material_map.areal_density.T, harmonic=False)
+    op = PlateOperator(material_map, cube.dx, space_order)
     dx2 = cube.dx * cube.dx
     out = np.empty(cube.t_len - 2)
     for t in range(1, cube.t_len - 1):
         v = (cube.values[t + 1] - cube.values[t - 1]) / (2.0 * cube.dt)
-        lap = _laplacian(cube.values[t], cube.dx, space_order)
-        kinetic = 0.5 * float(np.sum(rho_node * v * v)) * dx2
-        strain = 0.5 * float(np.sum(d_node * lap * lap)) * dx2
+        lap = op.laplacian(cube.values[t])
+        kinetic = 0.5 * float(np.sum(op.rho_node * v * v)) * dx2
+        strain = 0.5 * float(np.sum(op.d_node * lap * lap)) * dx2
         out[t - 1] = kinetic + strain
     return out

@@ -416,7 +416,7 @@ def test_detect_overrides(small_run, tmp_path, capsys):
     # rank 500 only fails against the snapshot's size, at detection time
     for bad in (["--rank", "fast"], ["--rank", "0"], ["--rank", "500"],
                 ["--ratio", "2"], ["--ratio", "0"], ["--theta", "0"],
-                ["--theta", "1.5"]):
+                ["--theta", "1.5"], ["--tw", "0"]):
         capsys.readouterr()
         assert main([
             "detect", str(cube_path), str(cfg), str(tmp_path / "bad"), *bad,
@@ -441,9 +441,13 @@ def test_exit_code_config_errors(small_run, tmp_path):
     ]) == EXIT_CONFIG
     missing = tmp_path / "nope.cfg"
     assert main(["simulate", str(missing), str(tmp_path / "z.wvc")]) == 1
+    # the simulator's plate is square
+    oblong = tmp_path / "oblong.cfg"
+    oblong.write_text(_edit(SMALL_CFG, n2="33"))
+    assert main(["simulate", str(oblong), str(tmp_path / "o.wvc")]) == EXIT_CONFIG
     # out-of-range detection settings in the file fail like flag values
     for text in (_edit(SMALL_CFG, ratio="2"), _edit(SMALL_CFG, theta="0"),
-                 _edit(SMALL_CFG, rank="0"),
+                 _edit(SMALL_CFG, rank="0"), _edit(SMALL_CFG, window_len="0"),
                  _inject(SMALL_CFG, "detection", "mask = random 2"),
                  _inject(SMALL_CFG, "detection", "mask = cross 3")):
         bad = tmp_path / "range.cfg"
