@@ -1,8 +1,9 @@
 """Command-line front end: simulate / detect / sweep / spectrum.
 
 Exit codes are stable: 0 success, 2 bad configuration (parse failure, a
-partition that does not divide the grid, or a detection setting out of
-range, in the file or on the command line), 3 simulation divergence, 4
+partition that does not divide the grid, a detection setting out of range
+in the file or on the command line, an empty sweep ratio list, or a
+spectrum floor that is not negative), 3 simulation divergence, 4
 windowing produced no active region, 5 silent input where a signal is
 required.  Any other toolkit error exits 1.
 
@@ -246,6 +247,8 @@ def _cmd_sweep(args) -> int:
         masks = [MaskSettings("cross", stride=args.stride)]
     else:
         masks = [MaskSettings("random", ratio=r, sharing=args.sharing) for r in ratios]
+    if not masks:
+        raise ConfigError(f"--ratios {args.ratios!r} names no ratio")
     for mask in masks:
         with_overrides(scenario, mask=mask)
     cube = read_cube(args.cube)
@@ -273,6 +276,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     from .cube import read_cube
+    from .errors import ConfigError
     from .spectrum import (
         dft2_magnitude,
         occupied_fraction,
@@ -280,11 +284,11 @@ def _cmd_spectrum(args) -> int:
         write_spectrum_pgm,
     )
 
+    if not args.floor_db < 0:
+        raise ConfigError(f"--floor-db must be negative, got {args.floor_db:g}")
     cube = read_cube(args.cube)
     index = args.snapshot if args.snapshot >= 0 else cube.t_len + args.snapshot
     if not 0 <= index < cube.t_len:
-        from .errors import ConfigError
-
         raise ConfigError(
             f"snapshot {args.snapshot} outside record of {cube.t_len} samples"
         )

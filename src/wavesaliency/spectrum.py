@@ -78,7 +78,7 @@ def occupied_fraction(spectrum: WavenumberSpectrum, floor_db: float = DEFAULT_FL
     rate: the smallest average sampling rate from which a signal with this
     spectral support is reconstructable.
     """
-    if floor_db >= 0:
+    if not floor_db < 0:
         raise ValueError(f"floor_db must be negative, got {floor_db}")
     threshold = 10.0 ** (floor_db / 20.0)
     return float(np.count_nonzero(spectrum.values > threshold) / spectrum.values.size)
@@ -110,7 +110,7 @@ def write_spectrum_pgm(
     Pixel row = ky index (so the image reads like a map with ky vertical),
     column = kx index; 255 = peak, 0 = at/below the floor.
     """
-    if floor_db >= 0:
+    if not floor_db < 0:
         raise ValueError(f"floor_db must be negative, got {floor_db}")
     with np.errstate(divide="ignore"):
         db = 20.0 * np.log10(spectrum.values)

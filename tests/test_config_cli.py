@@ -1,16 +1,19 @@
 """Scenario-file parsing and the command-line front end.
 
 CLI tests call ``main`` in-process and assert on exit codes and emitted
-files; one subprocess test checks the ``python -m`` entry point and the
-thread-count environment override.
+files; subprocess tests check the ``python -m`` entry point with the
+thread-count environment override, and that no subcommand imports scipy.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wavesaliency
 from wavesaliency.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGENCE,
@@ -488,6 +491,18 @@ def test_exit_code_no_signal(small_run, tmp_path):
     ]) == EXIT_CONFIG
 
 
+def test_spectrum_floor_must_be_negative(small_run, tmp_path, capsys):
+    _, cube_path = small_run
+    for floor in ("5", "0", "nan"):
+        capsys.readouterr()
+        assert main([
+            "spectrum", str(cube_path), str(tmp_path / "f"), "--floor-db", floor,
+        ]) == EXIT_CONFIG, floor
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), (floor, err)
+    assert not list(tmp_path.iterdir())
+
+
 def test_spectrum_outputs(small_run, tmp_path, capsys):
     cfg, cube_path = small_run
     prefix = tmp_path / "spec"
@@ -555,11 +570,19 @@ def test_sweep_bad_arguments(ci_cube_file, tmp_path):
         "--ratios", "0.5,apple",
     ]) == EXIT_CONFIG
     for bad in (["--trials", "0"], ["--pattern", "cross", "--stride", "3"],
-                ["--ratios", "0.5,2"], ["--rank", "0"], ["--rank", "500"]):
+                ["--ratios", "0.5,2"], ["--ratios", ","], ["--ratios", ""],
+                ["--rank", "0"], ["--rank", "500"]):
         assert main([
             "sweep", str(ci_cube_file), str(ci_cfg), str(out), "--trials", "1",
             *bad,
         ]) == EXIT_CONFIG, bad
+    assert not out.exists()
+    # the cross pattern ignores the ratio list
+    assert main([
+        "sweep", str(ci_cube_file), str(ci_cfg), str(out), "--trials", "1",
+        "--pattern", "cross", "--ratios", ",",
+    ]) == EXIT_OK
+    assert len(out.read_text().splitlines()) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +595,6 @@ def test_thread_override(monkeypatch):
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv(THREAD_ENV_VAR, "3")
     _apply_thread_override()
-    import os
-
     assert os.environ["OMP_NUM_THREADS"] == "3"
     assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
     # explicit settings win over the override
@@ -588,13 +609,63 @@ def test_thread_override_rejects_garbage(monkeypatch):
         main(["spectrum", "x", "y"])
 
 
+def _child_env() -> dict[str, str]:
+    """Environment whose PYTHONPATH finds the wavesaliency imported here.
+
+    pytest's ``pythonpath`` setting reaches only its own ``sys.path``, so a
+    child interpreter is told explicitly where the package lives.
+    """
+    root = str(Path(wavesaliency.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    path = root + os.pathsep + inherited if inherited else root
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "wavesaliency.cli", "--help"],
         capture_output=True,
         text=True,
-        env={**__import__("os").environ, THREAD_ENV_VAR: "2"},
+        env={**_child_env(), THREAD_ENV_VAR: "2"},
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
     for sub in ("simulate", "detect", "sweep", "spectrum"):
         assert sub in proc.stdout
+
+
+# Runs the CLI as ``python -m`` would, then reports the scipy modules loaded.
+_SCIPY_PROBE = """\
+import runpy
+import sys
+
+sys.argv = ["wavesaliency", *sys.argv[1:]]
+try:
+    runpy.run_module("wavesaliency.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+else:
+    code = 0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print("scipy modules:", loaded)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command", ["simulate", "detect", "sweep", "spectrum"])
+def test_runtime_imports_no_scipy(command, small_run, tmp_path):
+    cfg, cube_path = small_run
+    args = {
+        "simulate": [str(cfg), str(tmp_path / "s.wvc")],
+        "detect": [str(cube_path), str(cfg), str(tmp_path / "d")],
+        "sweep": [str(cube_path), str(cfg), str(tmp_path / "w.csv"),
+                  "--ratios", "0.5", "--trials", "1"],
+        "spectrum": [str(cube_path), str(tmp_path / "p")],
+    }[command]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, command, *args],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "scipy modules: []"

@@ -128,6 +128,8 @@ def test_fraction_floor_validation():
         occupied_fraction(spec, 0.0)
     with pytest.raises(ValueError):
         occupied_fraction(spec, 3.0)
+    with pytest.raises(ValueError):
+        occupied_fraction(spec, float("nan"))
 
 
 def test_ci_snapshot_fraction_is_sparse(ci_bench1):
@@ -168,3 +170,5 @@ def test_pgm_layout(tmp_path):
     assert rows[2][4] == "0"  # exact zero clips to the floor
     with pytest.raises(ValueError):
         write_spectrum_pgm(spec, out, floor_db=0.0)
+    with pytest.raises(ValueError):
+        write_spectrum_pgm(spec, out, floor_db=float("nan"))

@@ -3,10 +3,13 @@
 The velocity oracle is a synthetic cube carrying a pulse translated at an
 exactly known speed; the window-placement oracle is a ramp cube whose sample
 values equal their time index, so window contents reveal their start index.
+The envelope's oracle is ``scipy.signal.hilbert``, which the package itself
+does not import.
 """
 
 import numpy as np
 import pytest
+import scipy.signal
 
 from wavesaliency.cube import DataCube, GridPoint
 from wavesaliency.errors import (
@@ -19,6 +22,7 @@ from wavesaliency.sim import ExcitationSpec, analytic_group_velocity
 from wavesaliency.windowing import (
     Partition,
     ProbePair,
+    _analytic_envelope,
     arrival_time,
     effective_source,
     estimate_group_velocity,
@@ -117,6 +121,15 @@ def test_effective_source_clamps_to_interior():
     assert effective_source(GridPoint(0, 0), 33, 33) == GridPoint(1, 1)
     assert effective_source(GridPoint(32, 5), 33, 33) == GridPoint(31, 5)
     assert effective_source(GridPoint(10, 12), 33, 33) == GridPoint(10, 12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 664, 665, 1701])
+def test_envelope_matches_scipy_hilbert(n, rng):
+    x = rng.standard_normal(n)
+    expected = np.abs(scipy.signal.hilbert(x))
+    got = _analytic_envelope(x)
+    assert got.shape == (n,)
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(expected)
 
 
 def test_first_envelope_peak_refinement():
