@@ -66,12 +66,7 @@ _EXPORTS = {
     "extract_windows": "windowing",
     "DEFAULT_WINDOW_LEN": "windowing",
     # saliency
-    "SnapshotMatrix": "saliency",
-    "assemble_snapshot_matrix": "saliency",
     "knee_rank": "saliency",
-    "LowRankSplit": "saliency",
-    "truncated_low_rank": "saliency",
-    "outlier_energies": "saliency",
     "salient_columns": "saliency",
     "SaliencyMap": "saliency",
     "saliency_map": "saliency",

@@ -2,8 +2,9 @@
 
 Exit codes are stable: 0 success, 2 bad configuration (parse failure, a
 partition that does not divide the grid, a detection setting out of range
-in the file or on the command line, an empty sweep ratio list, or a
-spectrum floor that is not negative), 3 simulation divergence, 4
+in the file or on the command line, an empty sweep ratio list, a
+spectrum floor that is not negative, or a spectrum compare ratio outside
+(0, 1]), 3 simulation divergence, 4
 windowing produced no active region, 5 silent input where a signal is
 required.  Any other toolkit error exits 1.
 
@@ -286,6 +287,10 @@ def _cmd_spectrum(args) -> int:
 
     if not args.floor_db < 0:
         raise ConfigError(f"--floor-db must be negative, got {args.floor_db:g}")
+    if args.compare_ratio is not None and not 0.0 < args.compare_ratio <= 1.0:
+        raise ConfigError(
+            f"--compare-ratio must be in (0, 1], got {args.compare_ratio:g}"
+        )
     cube = read_cube(args.cube)
     index = args.snapshot if args.snapshot >= 0 else cube.t_len + args.snapshot
     if not 0 <= index < cube.t_len:

@@ -4,7 +4,8 @@ One file describes a complete experiment — plate material, grid and time
 stepping, excitation burst, any number of defects, the detection settings
 and the velocity probes — so a benchmark is a single self-contained,
 diff-friendly text fixture.  Python's configparser is not used because
-defect blocks must be repeatable.
+defect blocks must be repeatable.  Every number must be finite; an integer
+key also takes a float spelling of an exact integer (``65.0``).
 
 Example::
 
@@ -55,6 +56,7 @@ Example::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from . import sim
@@ -284,7 +286,7 @@ class _BlockReader:
         return self._convert(key, _parse_int, _REQUIRED if default is None else default)
 
     def get_float(self, key: str, default=None):
-        return self._convert(key, float, _REQUIRED if default is None else default)
+        return self._convert(key, _parse_float, _REQUIRED if default is None else default)
 
     def get_str(self, key: str, default=None):
         return self._convert(key, str, _REQUIRED if default is None else default)
@@ -301,8 +303,15 @@ class _BlockReader:
 _REQUIRED = object()
 
 
-def _parse_int(text: str) -> int:
+def _parse_float(text: str) -> float:
     value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def _parse_int(text: str) -> int:
+    value = _parse_float(text)
     if value != int(value):
         raise ValueError(f"{text!r} is not an integer")
     return int(value)
@@ -353,12 +362,15 @@ def _parse_defect(reader: _BlockReader) -> DefectSpec:
         raise ConfigError(
             f"unknown defect kind {kind!r}", line=reader.lineno
         )
-    spec = DefectSpec(
-        kind=kind,
-        geometry=geometry,
-        modulus_scale=reader.get_float("modulus_scale"),
-        density_scale=reader.get_float("density_scale"),
-    )
+    try:
+        spec = DefectSpec(
+            kind=kind,
+            geometry=geometry,
+            modulus_scale=reader.get_float("modulus_scale"),
+            density_scale=reader.get_float("density_scale"),
+        )
+    except (ValueError, GeometryError) as exc:
+        raise ConfigError(str(exc), line=reader.lineno) from None
     reader.finish()
     return spec
 

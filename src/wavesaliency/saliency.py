@@ -5,10 +5,24 @@ matrix whose columns are regions and whose rows are (possibly subsampled)
 in-region node samples.  Because every region sees nearly the same burst,
 just shifted to its own transit window, the matrix is close to low rank;
 regions whose response deviates from the shared pattern — i.e. defective
-ones — stick out of the best rank-r subspace.  A region's outlier energy is
+ones — stick out of the best rank-r subspace (the column-outlier model of
+Xu, Caramanis & Sanghavi, arXiv:1010.4237).  A region's outlier energy is
 the squared norm of its column of the residual left after subtracting the
 rank-r part, and its saliency is the fraction of window offsets at which
 that energy exceeds a fixed ratio of the snapshot's peak energy.
+
+``saliency_map`` gathers the snapshots of every offset in one stack and
+fits each with the rank-r basis of the smaller Gram matrix: the left basis
+U from ``eigh(X Xᵀ)`` when rows <= regions, else the right basis V from
+``eigh(Xᵀ X)``.  The residual is formed explicitly, X − U(UᵀX) or
+X − (XV)Vᵀ, never as ‖x‖² − ‖Uᵀx‖², whose cancellation error would rise
+above the dust floor.  Squaring X halves its relative precision: eigh
+places the basis to about eps·λ₀/(λ_r − λ_{r+1}), so an offset whose Gram
+eigengap at the rank is at most 1e-8 λ₀ (a rank in the noise floor, or
+above the snapshot's exact rank) is refitted with a thin SVD instead
+(Halko, Martinsson & Tropp 2011, arXiv:0909.4061, §5).  The tau = 0
+spectrum, which picks the rank and sets the dust floor, always comes from a
+full SVD.
 """
 
 from __future__ import annotations
@@ -29,92 +43,11 @@ DEFAULT_DECISION_THRESHOLD = 0.5
 # as numerically zero.
 _TINY = 1e-12
 
-
-@dataclass(frozen=True)
-class SnapshotMatrix:
-    """One tau-offset slice across all active regions.
-
-    ``values`` is (row_dim, active_region_count); column j belongs to region
-    ``column_labels[j]``.
-    """
-
-    values: np.ndarray = field(repr=False)
-    column_labels: list[tuple[int, int]]
-    tau: int
-
-    def __post_init__(self):
-        if self.values.ndim != 2:
-            raise ValueError("snapshot matrix must be 2-D")
-        if self.values.shape[1] != len(self.column_labels):
-            raise ValueError("one region label required per column")
-        if len(set(self.column_labels)) != len(self.column_labels):
-            raise ValueError("column labels must be unique")
-        self.values.flags.writeable = False
-
-    @property
-    def row_dim(self) -> int:
-        return self.values.shape[0]
-
-
-def _rows_from_mask(mask, window_set: RegionalWindowSet, n_active: int):
-    """Normalize the ``mask`` argument to row indices (or None).
-
-    Accepts None, a precomputed 1-D/2-D integer index array, or any object
-    with a ``row_indices(p1, p2, region_count)`` method (the sampling
-    masks), which may return shared (1-D) or per-region (2-D) indices.
-    """
-    if mask is None:
-        return None
-    if isinstance(mask, np.ndarray):
-        return mask
-    part = window_set.partition
-    return mask.row_indices(part.p1, part.p2, n_active)
-
-
-def assemble_snapshot_matrix(
-    window_set: RegionalWindowSet,
-    tau: int,
-    mask=None,
-) -> SnapshotMatrix:
-    """Stack the tau-th sample of every active region's window into columns.
-
-    Columns are vectorized x-fastest and ordered by region index
-    (a + regions_x * b); inactive regions are excluded entirely.  With a
-    mask, only the masked node positions are kept, shrinking the row count;
-    a 2-D index array (or a per-region sampling mask) gives each column its
-    own positions.
-    """
-    if not 0 <= tau < window_set.window_len:
-        raise IndexError(
-            f"tau {tau} outside window of length {window_set.window_len}"
-        )
-    ids = window_set.active_region_ids()
-    cols = [window_set.column_index(a, b) for a, b in ids]
-    full = window_set.windows[tau][:, cols]
-    rows = _rows_from_mask(mask, window_set, len(cols))
-    if rows is None:
-        picked = full
-    else:
-        rows = np.asarray(rows)
-        if rows.size == 0:
-            raise ValueError("mask retains no node positions")
-        if rows.min() < 0 or rows.max() >= full.shape[0]:
-            raise ValueError(
-                f"mask indexes node {int(rows.max())} outside the "
-                f"{full.shape[0]}-node region"
-            )
-        if rows.ndim == 1:
-            picked = full[rows, :]
-        elif rows.ndim == 2:
-            if rows.shape[1] != len(cols):
-                raise ValueError(
-                    f"per-region row sets cover {rows.shape[1]} regions, "
-                    f"but {len(cols)} are active"
-                )
-            picked = np.take_along_axis(full, rows, axis=0)
-        else:
-            raise ValueError("row indices must be 1-D (shared) or 2-D (per-region)")
-    return SnapshotMatrix(values=np.array(picked), column_labels=ids, tau=tau)
+# An offset whose Gram eigengap at the rank, lambda_r - lambda_(r+1), is at
+# most this fraction of lambda_0 is refitted by SVD.  eigh places the basis
+# to about eps * lambda_0 / gap, so above the floor the residual energies
+# agree with the SVD's to about 1e-8 of the peak; below it they drift apart.
+_GRAM_GAP = 1e-8
 
 
 def knee_rank(singular_values) -> int:
@@ -148,46 +81,6 @@ def knee_rank(singular_values) -> int:
     if np.max(above) <= 0.0:
         return 1
     return int(np.argmax(above)) + 1
-
-
-@dataclass(frozen=True)
-class LowRankSplit:
-    """Rank-r background plus outlier remainder of one snapshot matrix."""
-
-    low_rank: np.ndarray = field(repr=False)
-    outliers: np.ndarray = field(repr=False)
-    rank_used: int
-    singular_values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        for name in ("low_rank", "outliers", "singular_values"):
-            getattr(self, name).flags.writeable = False
-
-
-def truncated_low_rank(matrix, rank_used: int) -> LowRankSplit:
-    """Best rank-r split of a matrix (Frobenius-optimal truncated SVD)."""
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError("matrix must be 2-D")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
-    limit = min(m.shape)
-    if not 1 <= rank_used <= limit:
-        raise ValueError(f"rank must be in [1, {limit}], got {rank_used}")
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    low_rank = (u[:, :rank_used] * s[:rank_used]) @ vt[:rank_used]
-    return LowRankSplit(
-        low_rank=low_rank,
-        outliers=m - low_rank,
-        rank_used=rank_used,
-        singular_values=s,
-    )
-
-
-def outlier_energies(split: LowRankSplit) -> np.ndarray:
-    """Squared Euclidean norm of each column of the outlier remainder."""
-    c = split.outliers
-    return np.sum(c * c, axis=0)
 
 
 def salient_columns(energies, ratio: float = DEFAULT_ENERGY_RATIO) -> np.ndarray:
@@ -245,6 +138,77 @@ class SaliencyMap:
         return frozenset((int(a), int(b)) for a, b in np.argwhere(hit))
 
 
+def _rows_from_mask(mask, window_set: RegionalWindowSet, n_active: int):
+    """Normalize the ``mask`` argument to row indices (or None).
+
+    Accepts None, a precomputed 1-D/2-D integer index array, or any object
+    with a ``row_indices(p1, p2, region_count)`` method (the sampling
+    masks), which may return shared (1-D) or per-region (2-D) indices.
+    """
+    if mask is None:
+        return None
+    if isinstance(mask, np.ndarray):
+        return mask
+    part = window_set.partition
+    return mask.row_indices(part.p1, part.p2, n_active)
+
+
+def _gather_snapshots(windows: np.ndarray, cols: np.ndarray, rows) -> np.ndarray:
+    """All offsets' snapshot matrices as one C-contiguous (tau, rows, cols) stack.
+
+    ``rows`` is None (every node), a 1-D index vector shared by all columns,
+    or a (retained, len(cols)) array giving each column its own nodes.
+    """
+    if rows is None:
+        return np.take(windows, cols, axis=2)
+    rows = np.asarray(rows)
+    node_count = windows.shape[1]
+    if rows.size == 0:
+        raise ValueError("mask retains no node positions")
+    if rows.min() < 0 or rows.max() >= node_count:
+        raise ValueError(
+            f"mask indexes node {int(rows.max())} outside the "
+            f"{node_count}-node region"
+        )
+    if rows.ndim == 1:
+        rows = rows[:, None]
+    elif rows.ndim == 2:
+        if rows.shape[1] != len(cols):
+            raise ValueError(
+                f"per-region row sets cover {rows.shape[1]} regions, "
+                f"but {len(cols)} are active"
+            )
+    else:
+        raise ValueError("row indices must be 1-D (shared) or 2-D (per-region)")
+    # One take on the (tau, node * region) view: entry (i, j) of every
+    # offset's snapshot is node rows[i, j] (or rows[i]) of region cols[j].
+    flat = windows.reshape(windows.shape[0], -1)
+    return np.take(flat, rows * windows.shape[2] + cols, axis=1)
+
+
+def _residual_energies(x: np.ndarray, rank: int) -> np.ndarray:
+    """Column energies of x minus its best rank-r approximation.
+
+    The basis comes from ``eigh`` of the smaller Gram matrix and the
+    residual is formed explicitly; a Gram spectrum whose gap at the rank has
+    closed falls back to a thin SVD.
+    """
+    rows, cols = x.shape
+    wide = rows <= cols
+    lam, vecs = np.linalg.eigh(x @ x.T if wide else x.T @ x)
+    below = lam[-rank - 1] if rank < lam.size else 0.0
+    if not lam[-rank] - below > _GRAM_GAP * lam[-1]:
+        u, s, vt = np.linalg.svd(x, full_matrices=False)
+        resid = x - (u[:, :rank] * s[:rank]) @ vt[:rank]
+    elif wide:
+        u = vecs[:, -rank:]
+        resid = x - u @ (u.T @ x)
+    else:
+        v = vecs[:, -rank:]
+        resid = x - (x @ v) @ v.T
+    return np.sum(resid * resid, axis=0)
+
+
 def saliency_map(
     window_set: RegionalWindowSet,
     rank: int | str = "auto",
@@ -264,38 +228,42 @@ def saliency_map(
     and contributes no outliers (guards the full-rank edge, where residuals
     are float dust).
 
-    The mask's rows are resolved once and shared by every offset, so a
-    per-region mask draws its patterns once per call.
+    The mask's rows are resolved once and the snapshots of every offset are
+    gathered in one pass, so a per-region mask draws its patterns once per
+    call.  Columns are the active regions in region order
+    (a + regions_x * b), rows the retained nodes flattened x-fastest.
 
     Raises:
         RankError: the rank is outside [1, min(snapshot shape)].
+        ValueError: the mask keeps no node, indexes a node outside the
+            region, or gives per-region rows for the wrong region count.
     """
     part = window_set.partition
-    rows = _rows_from_mask(mask, window_set, window_set.active_count)
-    first = assemble_snapshot_matrix(window_set, 0, rows)
-    spectrum = np.linalg.svd(first.values, compute_uv=False)
+    ids = window_set.active_region_ids()
+    cols = np.array([window_set.column_index(a, b) for a, b in ids], dtype=np.intp)
+    rows = _rows_from_mask(mask, window_set, len(ids))
+    stack = _gather_snapshots(window_set.windows, cols, rows)
+    spectrum = np.linalg.svd(stack[0], compute_uv=False)
     if rank == "auto":
         rank_used = knee_rank(spectrum)
     else:
         rank_used = int(rank)
-    limit = min(first.values.shape)
+    limit = min(stack.shape[1:])
     if not 1 <= rank_used <= limit:
         raise RankError(
             f"rank {rank_used} outside [1, {limit}] for a "
-            f"{first.values.shape[0]} x {first.values.shape[1]} snapshot"
+            f"{stack.shape[1]} x {stack.shape[2]} snapshot"
         )
 
     dust = (float(spectrum[0]) * _TINY) ** 2
-    counts = np.zeros(len(first.column_labels))
-    for tau in range(window_set.window_len):
-        snap = first if tau == 0 else assemble_snapshot_matrix(window_set, tau, rows)
-        split = truncated_low_rank(snap.values, rank_used)
-        energies = outlier_energies(split)
+    counts = np.zeros(len(ids))
+    for snapshot in stack:
+        energies = _residual_energies(snapshot, rank_used)
         if float(np.max(energies)) > dust:
             counts += salient_columns(energies, ratio)
 
     fractions = np.full((part.regions_x, part.regions_y), np.nan)
-    for j, (a, b) in enumerate(first.column_labels):
+    for j, (a, b) in enumerate(ids):
         fractions[a, b] = counts[j] / window_set.window_len
     return SaliencyMap(
         fractions=fractions,

@@ -30,7 +30,6 @@ from wavesaliency.sampling import (
     monte_carlo_sweep,
     origin_block,
 )
-from wavesaliency.saliency import outlier_energies, truncated_low_rank
 from wavesaliency.sim import (
     analytic_group_velocity,
     analytic_phase_velocity,
@@ -38,6 +37,8 @@ from wavesaliency.sim import (
 )
 from wavesaliency.spectrum import dft2_magnitude, occupied_fraction
 from wavesaliency.windowing import Partition, estimate_group_velocity
+
+from lowrank_oracle import outlier_energies, truncated_low_rank
 
 
 def _chebyshev(p, q):

@@ -236,6 +236,47 @@ def test_integer_keys_reject_fractions():
     assert parse_scenario(_edit(SMALL_CFG, n1="65.0")).grid.n1 == 65
 
 
+# Every key a scenario file can hold, once each (plus a line-segment defect).
+EVERY_KEY_CFG = SMALL_CFG.replace(
+    "record_every = 4\n", "record_every = 4\nspace_order = 4\n"
+).replace(
+    "amplitude = 1.0\n", "amplitude = 1.0\nsource_l = 0\nsource_m = 0\n"
+).replace(
+    "theta = 0.5\n", "theta = 0.5\nmask = full\nsharing = shared\n"
+).replace(
+    "mode = analytic\n",
+    "mode = pair\nfirst_l = 20\nfirst_m = 1\nsecond_l = 44\nsecond_m = 1\n",
+) + """
+[defect]
+kind = line_segment
+x1 = 0.6
+y1 = 0.6
+x2 = 0.7
+y2 = 0.8
+modulus_scale = 0.5
+density_scale = 2
+"""
+
+
+def test_bad_values_on_every_key_raise_config_error():
+    # each value replaces one key line in turn; a non-finite, overflowing,
+    # hex or empty value is an error on every key, and zero either parses
+    # or is an error, but nothing else may escape parse_scenario
+    parse_scenario(EVERY_KEY_CFG)
+    lines = EVERY_KEY_CFG.split("\n")
+    keyed = [i for i, ln in enumerate(lines) if " = " in ln]
+    assert len(keyed) == 42
+    for i in keyed:
+        key = lines[i].split(" = ")[0]
+        for value in ("inf", "-inf", "nan", "1e309", "0x10", "", "0", "-0"):
+            text = "\n".join(lines[:i] + [f"{key} = {value}".rstrip()] + lines[i + 1:])
+            try:
+                parse_scenario(text)
+            except ConfigError:
+                continue
+            assert value in ("0", "-0"), f"{key} = {value!r} was accepted"
+
+
 def test_rank_values():
     assert parse_scenario(_edit(SMALL_CFG, rank="auto")).detection.rank == "auto"
     assert parse_scenario(_edit(SMALL_CFG, rank="14")).detection.rank == 14
@@ -501,6 +542,24 @@ def test_spectrum_floor_must_be_negative(small_run, tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), (floor, err)
     assert not list(tmp_path.iterdir())
+
+
+def test_spectrum_compare_ratio_range(small_run, tmp_path, capsys):
+    _, cube_path = small_run
+    missing = tmp_path / "absent.wvc"
+    for ratio in ("2", "0", "-0.5", "nan", "inf"):
+        for cube in (cube_path, missing):
+            capsys.readouterr()
+            # the missing cube would exit 1: the ratio is checked first
+            assert main([
+                "spectrum", str(cube), str(tmp_path / "c"), "--compare-ratio", ratio,
+            ]) == EXIT_CONFIG, ratio
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: --compare-ratio"), (ratio, err)
+    assert not list(tmp_path.iterdir())
+    assert main([
+        "spectrum", str(cube_path), str(tmp_path / "c"), "--compare-ratio", "1",
+    ]) == EXIT_OK
 
 
 def test_spectrum_outputs(small_run, tmp_path, capsys):

@@ -1,24 +1,25 @@
 """Low-rank splitting, knee detection, outlier scoring, and the saliency map.
 
 Independent oracles: a hand-evaluated chord-distance computation for the
-knee, random rank-r competitors for Frobenius optimality, and the projector
-route through scipy for the outlier energies.
+knee, random rank-r competitors for Frobenius optimality, the projector
+route through scipy for the outlier energies, and the per-snapshot SVD loop
+of ``lowrank_oracle`` for the Gram-eigh counts of ``saliency_map``.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from wavesaliency.cube import DataCube, GridPoint
+from wavesaliency.pipeline import build_window_set
 from wavesaliency.saliency import (
     SaliencyMap,
-    assemble_snapshot_matrix,
     knee_rank,
-    outlier_energies,
     salient_columns,
     saliency_csv_text,
     saliency_map,
-    truncated_low_rank,
     write_saliency_csv,
     write_saliency_pgm,
 )
@@ -28,6 +29,13 @@ from wavesaliency.windowing import (
     Partition,
     RegionalWindowSet,
     extract_windows,
+)
+
+from lowrank_oracle import (
+    assemble_snapshot_matrix,
+    oracle_counts,
+    outlier_energies,
+    truncated_low_rank,
 )
 
 
@@ -399,6 +407,174 @@ def test_per_region_rows_drawn_once_per_map(monkeypatch):
     monkeypatch.setattr(Mask, "row_indices", counted)
     saliency_map(ws, rank=1, mask=mask)
     assert calls == [(5, 5, 4)]
+
+
+def test_map_mask_validation():
+    # saliency_map checks the resolved rows itself, with the texts the
+    # snapshot assembler used
+    ws = _synthetic_window_set(spiked_taus=(0,))
+    with pytest.raises(ValueError, match="retains no node positions"):
+        saliency_map(ws, rank=1, mask=np.array([], dtype=int))
+    with pytest.raises(ValueError, match="indexes node 25 outside the 25-node region"):
+        saliency_map(ws, rank=1, mask=np.array([0, 7, 25]))
+    with pytest.raises(ValueError, match="outside the 25-node region"):
+        saliency_map(ws, rank=1, mask=np.array([-1, 3, 7]))
+    with pytest.raises(ValueError, match="cover 3 regions, but 4 are active"):
+        saliency_map(ws, rank=1, mask=np.zeros((5, 3), dtype=int))
+    with pytest.raises(ValueError, match="1-D .shared. or 2-D"):
+        saliency_map(ws, rank=1, mask=np.zeros((2, 2, 4), dtype=int))
+
+
+# ---------------------------------------------------------------------------
+# the Gram-eigh scoring core against the per-snapshot SVD oracle
+# ---------------------------------------------------------------------------
+
+def _low_rank_plus_outlier_set(rng, n, regions, window_len=11, exact_taus=()):
+    """Seeded windows: a rank-3 background shared by all regions plus noise,
+    with two outlier columns per offset.
+
+    At the offsets in ``exact_taus`` the noise is left out and the
+    background has rank 1, so with its two outlier columns the snapshot has
+    exact rank 3.
+    """
+    part = Partition(n, n, regions, regions)
+    nodes, count = part.nodes_per_region, part.region_count
+    windows = np.empty((window_len, nodes, count))
+    for tau in range(window_len):
+        exact = tau in exact_taus
+        k = 1 if exact else 3
+        snap = rng.normal(size=(nodes, k)) @ rng.normal(size=(k, count))
+        if not exact:
+            snap += 0.05 * rng.normal(size=(nodes, count))
+        hit = rng.choice(count, size=2, replace=False)
+        snap[:, hit] += 1.5 * rng.normal(size=(nodes, 2))
+        windows[tau] = snap
+    return RegionalWindowSet(
+        partition=part,
+        window_len=window_len,
+        group_velocity=5000.0,
+        dt=1e-6,
+        arrival_index=np.zeros((regions, regions), dtype=np.int64),
+        active=np.ones((regions, regions), dtype=bool),
+        windows=windows,
+    )
+
+
+def _assert_matches_oracle(ws, rank, mask):
+    sal = saliency_map(ws, rank=rank, ratio=0.25, mask=mask)
+    counts, spectrum = oracle_counts(ws, rank, 0.25, mask)
+    got = np.array([sal.fractions[a, b] for a, b in ws.active_region_ids()])
+    assert np.array_equal(got, counts / ws.window_len), (rank, mask)
+    assert np.array_equal(sal.singular_values, spectrum)
+    return int(counts.sum())
+
+
+def test_core_counts_match_svd_oracle(rng):
+    # (n, regions) -> p x p nodes per region, regions^2 columns:
+    # 25 x 4 and 25 x 16 are tall, 16 x 64 is wide
+    cases = ((9, 2), (17, 4), (25, 8))
+    shapes = set()
+    flagged = 0
+    for (n, regions) in cases:
+        ws = _low_rank_plus_outlier_set(rng, n, regions)
+        p = ws.partition.p1
+        masks = [
+            None,
+            random_mask(p, p, 0.64, seed=3),
+            random_mask(p, p, 0.4, seed=4),
+            random_mask(p, p, 0.4, seed=5, sharing=PER_REGION),
+        ]
+        if p % 2:
+            masks += [double_cross_mask(p, p, stride) for stride in (1, 2)]
+        for mask in masks:
+            rows = (mask.retained_count if mask is not None
+                    else ws.partition.nodes_per_region)
+            cols = ws.active_count
+            shapes.add("tall" if rows > cols else "wide" if rows < cols else "square")
+            for rank in range(1, min(rows, cols) + 1):
+                flagged += _assert_matches_oracle(ws, rank, mask)
+    assert shapes == {"tall", "wide", "square"}
+    assert flagged > 0
+
+
+def _svd_calls(monkeypatch, ws, rank, mask):
+    """Run saliency_map, recording compute_uv of every np.linalg.svd call."""
+    calls = []
+    original = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    try:
+        sal = saliency_map(ws, rank=rank, ratio=0.25, mask=mask)
+    finally:
+        monkeypatch.undo()
+    return sal, calls
+
+
+def test_core_falls_back_to_svd_below_the_rank(rng, monkeypatch):
+    # offsets 2, 5 and 8 have exact rank 3, so a rank-4 fit finds no fourth
+    # direction in the Gram spectrum and must refit those offsets by SVD
+    ws = _low_rank_plus_outlier_set(rng, 17, 4, exact_taus=(2, 5, 8))
+    for mask in (None, random_mask(5, 5, 0.4, seed=7)):
+        sal, calls = _svd_calls(monkeypatch, ws, 4, mask)
+        # one spectrum at tau = 0, one thin SVD per collapsed offset
+        assert calls == [False, True, True, True]
+        counts, _ = oracle_counts(ws, 4, 0.25, mask)
+        got = np.array([sal.fractions[a, b] for a, b in ws.active_region_ids()])
+        assert np.array_equal(got, counts / ws.window_len)
+
+
+def test_core_falls_back_where_the_gap_at_the_rank_closes(rng, monkeypatch):
+    # offset 6 has s_5/s_0 = 0.1, far above any small-eigenvalue floor, but
+    # s_5 and s_6 agree to 1e-9: the Gram basis cannot tell them apart, so a
+    # rank-5 fit of that offset goes to SVD, and a rank-4 fit does not
+    ws = _low_rank_plus_outlier_set(rng, 17, 4)
+    windows = np.array(ws.windows)
+    u, _ = np.linalg.qr(rng.normal(size=(25, 16)))
+    v, _ = np.linalg.qr(rng.normal(size=(16, 16)))
+    s = np.array([1.0, 0.8, 0.5, 0.3, 0.1 * (1 + 1e-9), 0.1]
+                 + list(0.05 * 0.8 ** np.arange(10)))
+    windows[6] = (u * s) @ v.T
+    ws = dataclasses.replace(ws, windows=windows)
+    for rank, expected in ((5, [False, True]), (4, [False])):
+        sal, calls = _svd_calls(monkeypatch, ws, rank, None)
+        assert calls == expected, rank
+        counts, _ = oracle_counts(ws, rank, 0.25)
+        got = np.array([sal.fractions[a, b] for a, b in ws.active_region_ids()])
+        assert np.array_equal(got, counts / ws.window_len)
+
+
+def test_knee_rank_in_the_noise_floor_matches_oracle(bench1):
+    # at the knee of this masked bench1 snapshot the rank sits in the noise
+    # floor (s_r/s_0 about 1e-6, gap 1e-12 of lambda_0) and one column's
+    # energy lies 2e-6 of the peak from the 0.25 cut: the Gram basis would
+    # misplace it, so the count must come from the SVD refit
+    scenario, cube = bench1
+    part = scenario.partition()
+    ws = build_window_set(cube, part, scenario.detection_config())
+    mask = random_mask(part.p1, part.p2, 0.33, seed=5)
+    sal = saliency_map(ws, rank="auto", ratio=0.25, mask=mask)
+    assert sal.rank_used == 84
+    counts, _ = oracle_counts(ws, 84, 0.25, mask)
+    got = np.array([sal.fractions[a, b] for a, b in ws.active_region_ids()])
+    assert np.array_equal(got, counts / ws.window_len)
+
+
+def test_cross_at_full_rank_flags_nothing(ci_bench1):
+    # rank = rows: every column lies in the fitted subspace, the residual is
+    # round-off below the dust floor, and no region may be flagged
+    scenario, cube = ci_bench1
+    part = scenario.partition()
+    ws = build_window_set(cube, part, scenario.detection_config())
+    mask = double_cross_mask(part.p1, part.p2, stride=4)
+    assert mask.retained_count == 17
+    sal = saliency_map(ws, rank=17, mask=mask)
+    assert sal.rank_used == 17
+    assert np.all(sal.fractions[sal.active] == 0.0)
+    assert sal.flagged_regions(scenario.detection.theta) == frozenset()
 
 
 def test_classify_threshold_rules():
