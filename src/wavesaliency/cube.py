@@ -5,7 +5,9 @@ at t_len equally spaced times.  The payload order is time-major, and within
 one time slice the x index runs fastest, i.e. element ``tau*n1*n2 + m*n1 + l``
 is the deflection at node ``(l, m)`` and time sample ``tau``.  Internally the
 samples live in a read-only float64 array of shape ``(t_len, n2, n1)`` whose
-C-order flattening is exactly that payload.
+C-order flattening is exactly that payload.  The cube's peak |w| is found
+once, by the same max/min pass that rejects non-finite samples, and kept
+as ``DataCube.peak`` so no later stage has to reduce the whole cube again.
 
 WVC1 layout (all integers and floats little-endian):
 
@@ -64,6 +66,8 @@ class DataCube:
         dx: node spacing in meters.
         dt: interval between stored samples in seconds.
         values: read-only float64 array of shape (t_len, n2, n1).
+        peak: max |w| over the whole cube, computed on construction; not a
+            constructor argument, and not part of ``==`` or ``repr``.
     """
 
     n1: int
@@ -72,6 +76,7 @@ class DataCube:
     dx: float
     dt: float
     values: np.ndarray = field(repr=False)
+    peak: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n1 < 2 or self.n2 < 2:
@@ -88,11 +93,15 @@ class DataCube:
                 f"payload has {arr.size} samples, header implies "
                 f"{self.n1 * self.n2 * self.t_len}"
             )
-        if not np.isfinite(arr).all():
+        # NaN propagates through max and min and an infinity reaches one of
+        # them, so this one reduction is also the finiteness check.
+        peak = max(float(arr.max()), -float(arr.min()))
+        if not np.isfinite(peak):
             raise CubeDataError("payload contains non-finite values")
         arr = arr.reshape(self.t_len, self.n2, self.n1)
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "peak", peak)
 
     def slice_at(self, t_index: int) -> np.ndarray:
         """One time slice as a read-only (n1, n2) array indexed ``[l, m]``."""

@@ -211,7 +211,7 @@ def estimate_group_velocity(cube: DataCube, probes: ProbePair) -> float:
     probes.first.validate(cube.n1, cube.n2)
     probes.second.validate(cube.n1, cube.n2)
 
-    peak_all = float(np.max(np.abs(cube.values)))
+    peak_all = cube.peak
     if peak_all == 0.0:
         raise NoSignalError("recorded field is identically zero")
 
@@ -301,6 +301,14 @@ def extract_windows(
     inside the record and its windowed RMS exceeds ``SILENCE_FLOOR`` times
     the cube's peak amplitude.
 
+    All regions are handled at once: the starts are one array in column
+    order, computed with the float operations of ``Partition.centroid`` and
+    ``arrival_time`` (``np.rint`` rounds half to even, as ``round`` does);
+    each window offset is one integer gather over all regions from the
+    flattened cube; each region's RMS is read from that stack and compared
+    with ``cube.peak``; and the columns of regions that overran the record
+    or are silent are zeroed.
+
     Raises:
         PartitionError: partition grid does not match the cube.
         WindowingError: invalid window length, or no region ends up active.
@@ -323,31 +331,40 @@ def extract_windows(
     sx, sy = src.position(cube.dx)
     r1, r2 = partition.regions_x, partition.regions_y
     p1, p2 = partition.p1, partition.p2
+    slab = cube.n1 * cube.n2  # payload samples per stored time
 
-    arrival = np.zeros((r1, r2), dtype=np.int64)
-    active = np.zeros((r1, r2), dtype=bool)
-    windows = np.zeros((window_len, p1 * p2, r1 * r2))
-    peak_all = float(np.max(np.abs(cube.values)))
+    # Region origins and centroids; rows are b, columns a, so ravel() is
+    # column order j = a + r1 * b.
+    l0 = np.arange(r1) * (p1 - 1)
+    m0 = np.arange(r2) * (p2 - 1)
+    cx = (l0 + (p1 - 1) / 2.0) * cube.dx
+    cy = (m0 + (p2 - 1) / 2.0) * cube.dx
+    distance = np.hypot(cx[None, :] - sx, cy[:, None] - sy).ravel()
+    t_c = distance / group_velocity + excitation.burst_duration / 2.0
+    # a start past 2**62 samples overruns any record; the cap keeps an
+    # absurdly slow wave's cast to int64 defined
+    start = np.rint(np.minimum(t_c / cube.dt, 2.0**62)).astype(np.int64)
+    fits = (start >= 0) & (start + window_len <= cube.t_len)
 
-    for b in range(r2):
-        for a in range(r1):
-            cx, cy = partition.centroid(a, b, cube.dx)
-            t_c = arrival_time(
-                float(np.hypot(cx - sx, cy - sy)), group_velocity, excitation
-            )
-            start = int(round(t_c / cube.dt))
-            arrival[a, b] = start
-            if start < 0 or start + window_len > cube.t_len:
-                continue
-            l0, m0 = partition.node_origin(a, b)
-            block = cube.values[start:start + window_len,
-                                m0:m0 + p2, l0:l0 + p1]
-            flat = block.reshape(window_len, p1 * p2)
-            rms = float(np.sqrt(np.mean(flat * flat)))
-            if rms <= SILENCE_FLOOR * peak_all:
-                continue
-            active[a, b] = True
-            windows[:, :, a + r1 * b] = flat
+    # Flat payload index of (node i, region j) at the window's first sample,
+    # stepped one stored sample per offset: the index stays one plane, not
+    # a stack.  Regions that overran the record read from sample 0 and are
+    # zeroed below, so every index is in range and "clip" only skips the
+    # bounds check and the buffered copy of ``out`` that "raise" makes.
+    origin = (m0[:, None] * cube.n1 + l0[None, :]).ravel()
+    local = (np.arange(p2)[:, None] * cube.n1 + np.arange(p1)[None, :]).ravel()
+    index = local[:, None] + (np.where(fits, start, 0) * slab + origin)
+    payload = cube.values.ravel()
+    windows = np.empty((window_len, p1 * p2, r1 * r2))
+    for tau in range(window_len):
+        np.take(payload, index, out=windows[tau], mode="clip")
+        index += slab
+
+    # per-region sum of squares, without a stack-sized temporary
+    energy = np.einsum("tij,tij->j", windows, windows)
+    rms = np.sqrt(energy / (window_len * p1 * p2))
+    active = fits & (rms > SILENCE_FLOOR * cube.peak)
+    windows[:, :, ~active] = 0.0
 
     if not active.any():
         raise WindowingError(
@@ -358,7 +375,7 @@ def extract_windows(
         window_len=window_len,
         group_velocity=group_velocity,
         dt=cube.dt,
-        arrival_index=arrival,
-        active=active,
+        arrival_index=np.ascontiguousarray(start.reshape(r2, r1).T),
+        active=np.ascontiguousarray(active.reshape(r2, r1).T),
         windows=windows,
     )

@@ -6,6 +6,7 @@ thread-count environment override, and that no subcommand imports scipy.
 """
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -258,23 +259,31 @@ density_scale = 2
 """
 
 
-def test_bad_values_on_every_key_raise_config_error():
-    # each value replaces one key line in turn; a non-finite, overflowing,
-    # hex or empty value is an error on every key, and zero either parses
-    # or is an error, but nothing else may escape parse_scenario
-    parse_scenario(EVERY_KEY_CFG)
+def _bad_value_table() -> list[tuple[str, str, str]]:
+    """(key, value, config text) with each bad value on each key line in turn."""
     lines = EVERY_KEY_CFG.split("\n")
     keyed = [i for i, ln in enumerate(lines) if " = " in ln]
     assert len(keyed) == 42
+    table = []
     for i in keyed:
         key = lines[i].split(" = ")[0]
         for value in ("inf", "-inf", "nan", "1e309", "0x10", "", "0", "-0"):
             text = "\n".join(lines[:i] + [f"{key} = {value}".rstrip()] + lines[i + 1:])
-            try:
-                parse_scenario(text)
-            except ConfigError:
-                continue
-            assert value in ("0", "-0"), f"{key} = {value!r} was accepted"
+            table.append((key, value, text))
+    return table
+
+
+def test_bad_values_on_every_key_raise_config_error():
+    # a non-finite, overflowing, hex or empty value is an error on every
+    # key, and zero either parses or is an error, but nothing else may
+    # escape parse_scenario
+    parse_scenario(EVERY_KEY_CFG)
+    for key, value, text in _bad_value_table():
+        try:
+            parse_scenario(text)
+        except ConfigError:
+            continue
+        assert value in ("0", "-0"), f"{key} = {value!r} was accepted"
 
 
 def test_rank_values():
@@ -530,6 +539,32 @@ def test_exit_code_no_signal(small_run, tmp_path):
     assert main([
         "spectrum", str(cube_path), str(tmp_path / "s"), "--snapshot", "999"
     ]) == EXIT_CONFIG
+
+
+def test_detect_on_sampled_bad_values_exits_with_a_documented_code(
+    small_run, tmp_path, capsys
+):
+    # a seeded draw from the bad-value table, each run through detect on the
+    # small cube: a documented exit code, never 1 and never an exception,
+    # and one error line whenever the run fails
+    _, cube_path = small_run
+    cfg = tmp_path / "mutated.cfg"
+    cfg.write_text(EVERY_KEY_CFG)
+    assert main(["detect", str(cube_path), str(cfg), str(tmp_path / "ok")]) == EXIT_OK
+    documented = {EXIT_OK, EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_WINDOWING,
+                  EXIT_NO_SIGNAL}
+    seen = set()
+    for key, value, text in random.Random(20261018).sample(_bad_value_table(), 60):
+        cfg.write_text(text)
+        capsys.readouterr()
+        code = main(["detect", str(cube_path), str(cfg), str(tmp_path / "out")])
+        assert code in documented, (key, value, code)
+        err = capsys.readouterr().err.splitlines()
+        if code != EXIT_OK:
+            assert len(err) == 1 and err[0].startswith("error: "), (key, value, err)
+        seen.add(code)
+    # the draw reaches detection, not only the parser
+    assert {EXIT_OK, EXIT_CONFIG, EXIT_NO_SIGNAL} <= seen
 
 
 def test_spectrum_floor_must_be_negative(small_run, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Cube container and WVC1 serialization."""
 
+import dataclasses
 import io
 import struct
 
@@ -101,6 +102,50 @@ def test_read_rejects_nonfinite_payload(rng):
     blob[header:header + 8] = struct.pack("<d", np.inf)
     with pytest.raises(CubeDataError):
         read_cube(io.BytesIO(bytes(blob)))
+
+
+def test_peak_is_max_abs(rng):
+    for _ in range(50):
+        cube = make_cube(rng)
+        assert cube.peak == float(np.max(np.abs(cube.values)))
+        assert type(cube.peak) is float
+        negative = -np.abs(cube.values) - 1e-3
+        neg = DataCube(cube.n1, cube.n2, cube.t_len, cube.dx, cube.dt, negative)
+        assert neg.peak == float(np.max(np.abs(negative)))
+        assert neg.peak == -float(negative.min())
+    zero = DataCube(3, 4, 2, 1e-3, 1e-8, np.zeros((2, 4, 3)))
+    assert zero.peak == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 11, 23])
+def test_nonfinite_sample_rejected_anywhere(bad, where, rng):
+    # first, a middle and the last of 2 x 3 x 4 samples
+    vals = rng.normal(size=(2, 3, 4))
+    vals.flat[where] = bad
+    with pytest.raises(CubeDataError, match="^payload contains non-finite values$"):
+        DataCube(4, 3, 2, 1e-3, 1e-8, vals)
+    blob = bytearray(roundtrip_bytes(DataCube(4, 3, 2, 1e-3, 1e-8, np.zeros((2, 3, 4)))))
+    header = struct.calcsize("<4sIIIIdd")
+    blob[header + 8 * where:header + 8 * where + 8] = struct.pack("<d", bad)
+    with pytest.raises(
+        CubeDataError, match="^cube file rejected: payload contains non-finite values$"
+    ):
+        read_cube(io.BytesIO(bytes(blob)))
+
+
+def test_peak_is_derived_not_compared(rng):
+    cube = make_cube(rng, n1=3, n2=4, t_len=2)
+    with pytest.raises(TypeError):
+        DataCube(3, 4, 2, cube.dx, cube.dt, cube.values, peak=1.0)
+    with pytest.raises(AttributeError):
+        cube.peak = 2.0
+    assert "peak" not in repr(cube)
+    twin = DataCube(3, 4, 2, cube.dx, cube.dt, cube.values.copy())
+    object.__setattr__(twin, "peak", cube.peak + 1.0)
+    assert twin == cube
+    peak = {f.name: f for f in dataclasses.fields(DataCube)}["peak"]
+    assert not (peak.init or peak.repr or peak.compare)
 
 
 def test_equality_is_exact(rng):

@@ -4,8 +4,13 @@ The velocity oracle is a synthetic cube carrying a pulse translated at an
 exactly known speed; the window-placement oracle is a ramp cube whose sample
 values equal their time index, so window contents reveal their start index.
 The envelope's oracle is ``scipy.signal.hilbert``, which the package itself
-does not import.
+does not import.  ``extract_windows``, which gathers all regions at once, is
+checked bit for bit against ``_reference_windows``, a per-region loop that
+cuts one window at a time.
 """
+
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,8 +23,10 @@ from wavesaliency.errors import (
     VelocityEstimateError,
     WindowingError,
 )
+from wavesaliency.pipeline import build_window_set
 from wavesaliency.sim import ExcitationSpec, analytic_group_velocity
 from wavesaliency.windowing import (
+    SILENCE_FLOOR,
     Partition,
     ProbePair,
     _analytic_envelope,
@@ -281,6 +288,19 @@ def test_silent_region_marked_inactive():
     assert ws.active_count == 15
 
 
+def test_absurdly_slow_wave_overruns_every_region():
+    # arrivals past the int64 range are overruns, not an invalid cast;
+    # at the second speed they overflow to infinity
+    cube = _ramp_cube()
+    part = Partition(33, 33, 4, 4)
+    exc = ExcitationSpec(5e5, 5, 1.0, GridPoint(0, 0))
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
+        warnings.simplefilter("error")
+        for speed in (1e-200, 1e-320):
+            with pytest.raises(WindowingError, match="no region has a usable window"):
+                extract_windows(cube, part, speed, exc, window_len=11)
+
+
 def test_all_zero_cube_has_no_active_regions():
     cube = DataCube(33, 33, 60, L / 32, 1e-6, np.zeros((60, 33, 33)))
     part = Partition(33, 33, 4, 4)
@@ -334,3 +354,135 @@ def test_windows_capture_the_wavefront(ci_pristine):
             hits += 1
     assert len(active_ids) > 0
     assert hits / len(active_ids) >= 0.9
+
+
+def _reference_windows(cube, partition, group_velocity, excitation, window_len):
+    """Per-region window cutting, one region at a time.
+
+    The loop ``extract_windows`` ran before it gathered every region at once;
+    it returns (windows, arrival_index, active) in the same layout.
+    """
+    src = effective_source(excitation.source, cube.n1, cube.n2)
+    sx, sy = src.position(cube.dx)
+    r1, r2 = partition.regions_x, partition.regions_y
+    p1, p2 = partition.p1, partition.p2
+
+    arrival = np.zeros((r1, r2), dtype=np.int64)
+    active = np.zeros((r1, r2), dtype=bool)
+    windows = np.zeros((window_len, p1 * p2, r1 * r2))
+    peak_all = float(np.max(np.abs(cube.values)))
+
+    for b in range(r2):
+        for a in range(r1):
+            cx, cy = partition.centroid(a, b, cube.dx)
+            t_c = arrival_time(
+                float(np.hypot(cx - sx, cy - sy)), group_velocity, excitation
+            )
+            start = int(round(t_c / cube.dt))
+            arrival[a, b] = start
+            if start < 0 or start + window_len > cube.t_len:
+                continue
+            l0, m0 = partition.node_origin(a, b)
+            block = cube.values[start:start + window_len,
+                                m0:m0 + p2, l0:l0 + p1]
+            flat = block.reshape(window_len, p1 * p2)
+            rms = float(np.sqrt(np.mean(flat * flat)))
+            if rms <= SILENCE_FLOOR * peak_all:
+                continue
+            active[a, b] = True
+            windows[:, :, a + r1 * b] = flat
+    return windows, arrival, active
+
+
+def _assert_matches_reference(cube, partition, group_velocity, excitation,
+                              window_len):
+    ws = extract_windows(cube, partition, group_velocity, excitation, window_len)
+    windows, arrival, active = _reference_windows(
+        cube, partition, group_velocity, excitation, window_len
+    )
+    assert ws.arrival_index.dtype == arrival.dtype
+    assert ws.arrival_index.shape == arrival.shape
+    assert np.array_equal(ws.arrival_index, arrival)
+    assert ws.active.dtype == active.dtype
+    assert np.array_equal(ws.active, active)
+    assert ws.windows.dtype == windows.dtype
+    assert ws.windows.shape == windows.shape
+    # bit for bit, signed zeros included
+    assert ws.windows.tobytes() == windows.tobytes()
+    return ws
+
+
+@pytest.mark.parametrize(
+    "name", ["ci_pristine", "ci_bench1", "bench1", "bench2", "pristine"]
+)
+def test_gather_matches_reference_on_bundled_plates(name, request):
+    scenario, cube = request.getfixturevalue(name)
+    ws = build_window_set(cube, scenario.partition(), scenario.detection_config())
+    _assert_matches_reference(cube, scenario.partition(), ws.group_velocity,
+                              scenario.excitation, scenario.detection.window_len)
+
+
+def _noise_cube(rng, n1=33, n2=33, t_len=60, dx=L / 32, dt=1e-6):
+    return DataCube(n1, n2, t_len, dx, dt, rng.standard_normal((t_len, n2, n1)))
+
+
+def test_gather_matches_reference_when_far_regions_overrun(rng):
+    # a slow wave: the far regions' windows run past the 60-sample record
+    cube = _noise_cube(rng)
+    part = Partition(33, 33, 4, 4)
+    exc = ExcitationSpec(5e5, 5, 1.0, GridPoint(0, 0))
+    ws = _assert_matches_reference(cube, part, 5000.0, exc, 11)
+    assert ws.active[0, 0] and not ws.active[3, 3]
+    assert ws.arrival_index[3, 3] + 11 > cube.t_len
+
+
+def test_gather_matches_reference_with_a_silent_quadrant(rng):
+    vals = rng.standard_normal((60, 33, 33))
+    vals[:, 16:, :17] = 0.0  # regions (0, 2), (1, 2), (0, 3), (1, 3)
+    cube = DataCube(33, 33, 60, L / 32, 1e-6, vals)
+    part = Partition(33, 33, 4, 4)
+    exc = ExcitationSpec(5e5, 5, 1.0, GridPoint(16, 16))
+    ws = _assert_matches_reference(cube, part, 20000.0, exc, 11)
+    assert not ws.active[0, 3] and not ws.active[1, 2]
+    assert ws.active_count == 12
+
+
+def test_gather_matches_reference_when_the_window_is_the_record(rng):
+    # an 11-sample record holds only windows that open at sample 0; region
+    # (0, 0), centred on the source, arrives on a rounding tie (0.5 -> 0)
+    # and every farther region rounds up and overruns
+    exc = ExcitationSpec(5e5, 5, 1.0, GridPoint(4, 4))
+    part = Partition(33, 33, 4, 4)
+    tie = _noise_cube(rng, t_len=11, dt=exc.burst_duration)
+    ws = _assert_matches_reference(tie, part, 5000.0, exc, 11)
+    assert ws.active_region_ids() == [(0, 0)]
+    assert ws.arrival_index[0, 0] == 0 and ws.arrival_index[1, 0] > 0
+    coarse = _noise_cube(rng, t_len=11, dt=1e-3)
+    ws = _assert_matches_reference(coarse, part, 5000.0, exc, 11)
+    assert ws.active.all() and not ws.arrival_index.any()
+
+
+def test_gather_matches_reference_on_an_oblong_partition(rng):
+    cube = _noise_cube(rng, n1=33, n2=25, t_len=80)
+    part = Partition(33, 25, 4, 2)
+    exc = ExcitationSpec(5e5, 5, 1.0, GridPoint(30, 2))
+    ws = _assert_matches_reference(cube, part, 5000.0, exc, 11)
+    assert ws.windows.shape == (11, 9 * 13, 8)
+    assert ws.active.shape == (4, 2)
+
+
+def test_window_set_allocates_a_fraction_of_the_cube(ci_bench1):
+    # the windows, their gather index and the RMS pass, but no temporary
+    # the size of the cube: the peak |w| comes with the cube
+    scenario, cube = ci_bench1
+    part, config = scenario.partition(), scenario.detection_config()
+    build_window_set(cube, part, config)  # warm any one-off allocations
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        build_window_set(cube, part, config)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * cube.values.nbytes
