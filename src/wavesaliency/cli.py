@@ -2,15 +2,16 @@
 
 Exit codes are stable: 0 success, 2 bad configuration (parse failure, a
 partition that does not divide the grid, a detection setting out of range
-in the file or on the command line, an empty sweep ratio list, a
+in the file or on the command line, a double-cross mask with per-region
+sharing, plate coefficients that overflow, an empty sweep ratio list, a
 spectrum floor that is not negative, or a spectrum compare ratio outside
-(0, 1]), 3 simulation divergence, 4
-windowing produced no active region, 5 silent input where a signal is
-required.  Any other toolkit error exits 1.
+(0, 1]), 3 simulation divergence, 4 windowing produced no active region,
+5 silent input where a signal is required.  Any other toolkit error
+exits 1.
 
 Heavy imports happen inside ``main`` so that the ``WAVESALIENCY_THREADS``
 environment variable can pin the BLAS/OpenMP thread pools before numpy is
-first loaded.
+first loaded; ``errors`` loads no numpy.
 """
 
 from __future__ import annotations
@@ -18,6 +19,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+
+from .errors import (
+    ConfigError,
+    DivergenceError,
+    NoSignalError,
+    PartitionError,
+    RankError,
+    WaveSaliencyError,
+    WindowingError,
+)
 
 THREAD_ENV_VAR = "WAVESALIENCY_THREADS"
 
@@ -27,6 +38,15 @@ EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
 EXIT_WINDOWING = 4
 EXIT_NO_SIGNAL = 5
+
+# Exit code of a caught error: the first row whose types match wins, and any
+# other toolkit or OS error exits EXIT_ERROR.
+_EXIT_CODES = (
+    ((ConfigError, PartitionError, RankError), EXIT_CONFIG),
+    (DivergenceError, EXIT_DIVERGENCE),
+    (WindowingError, EXIT_WINDOWING),
+    (NoSignalError, EXIT_NO_SIGNAL),
+)
 
 
 def _apply_thread_override() -> None:
@@ -97,17 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _apply_thread_override()
     args = build_parser().parse_args(argv)
-
-    from .errors import (
-        ConfigError,
-        DivergenceError,
-        NoSignalError,
-        PartitionError,
-        RankError,
-        WaveSaliencyError,
-        WindowingError,
-    )
-
     try:
         if args.command == "simulate":
             return _cmd_simulate(args)
@@ -116,26 +125,15 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         return _cmd_spectrum(args)
-    except (ConfigError, PartitionError, RankError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except WindowingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_WINDOWING
-    except NoSignalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_SIGNAL
     except (WaveSaliencyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return next(
+            (code for types, code in _EXIT_CODES if isinstance(exc, types)),
+            EXIT_ERROR,
+        )
 
 
 def _check_cube_matches(cube, scenario) -> None:
-    from .errors import ConfigError
-
     if (cube.n1, cube.n2) != (scenario.grid.n1, scenario.grid.n2):
         raise ConfigError(
             f"cube is {cube.n1}x{cube.n2} nodes but the config grid says "
@@ -233,7 +231,6 @@ def _dump_window_cubes(window_set, dx: float, directory) -> int:
 def _cmd_sweep(args) -> int:
     from .config import MaskSettings, load_scenario, with_overrides
     from .cube import read_cube
-    from .errors import ConfigError
     from .sampling import GroundTruth, monte_carlo_sweep, write_sweep_csv
 
     scenario = with_overrides(load_scenario(args.config), rank=args.rank)
@@ -245,7 +242,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("--trials must be >= 1")
     # Every mask the sweep will draw passes the checks of a file's mask line.
     if args.pattern == "cross":
-        masks = [MaskSettings("cross", stride=args.stride)]
+        masks = [MaskSettings("cross", stride=args.stride, sharing=args.sharing)]
     else:
         masks = [MaskSettings("random", ratio=r, sharing=args.sharing) for r in ratios]
     if not masks:
@@ -277,7 +274,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     from .cube import read_cube
-    from .errors import ConfigError
     from .spectrum import (
         dft2_magnitude,
         occupied_fraction,

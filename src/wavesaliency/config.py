@@ -109,6 +109,9 @@ class MaskSettings:
             return random_mask(
                 partition.p1, partition.p2, self.ratio, seed, self.sharing
             )
+        if self.sharing != SHARED:
+            raise MaskError("the double cross is one shared pattern; "
+                            f"sharing = {self.sharing} does not apply")
         return double_cross_mask(partition.p1, partition.p2, self.stride)
 
 
@@ -184,19 +187,30 @@ class ScenarioConfig:
 
 
 def simulate_scenario(scenario: ScenarioConfig) -> DataCube:
-    """Run the scenario's plate through ``sim.simulate`` with every grid setting."""
+    """Run the scenario's plate through ``sim.simulate`` with every grid setting.
+
+    Every argument has passed ``_cross_validate``, so a ValueError or an
+    arithmetic error here comes from the scenario's numbers themselves (a
+    bending stiffness or density out of float range, alone or through
+    overlapping defects, or a burst too long for it) and is raised as a
+    ConfigError.  They are checked here and not at parse time because
+    building the coefficient map costs far more than parsing the file.
+    """
     grid = scenario.grid
-    return sim.simulate(
-        scenario.material,
-        list(scenario.defects),
-        scenario.excitation,
-        grid.n1,
-        grid.n2,
-        grid.steps,
-        grid.safety,
-        record_every=grid.record_every,
-        space_order=grid.space_order,
-    )
+    try:
+        return sim.simulate(
+            scenario.material,
+            list(scenario.defects),
+            scenario.excitation,
+            grid.n1,
+            grid.n2,
+            grid.steps,
+            grid.safety,
+            record_every=grid.record_every,
+            space_order=grid.space_order,
+        )
+    except (ArithmeticError, ValueError) as exc:
+        raise ConfigError(f"the plate cannot be simulated: {exc}") from None
 
 
 def with_overrides(scenario: ScenarioConfig, **changes) -> ScenarioConfig:

@@ -204,7 +204,7 @@ def roundtrip_bytes(cube: DataCube) -> bytes:
 def write_meta(path: str | Path, entries: dict) -> None:
     """Write sidecar metadata as sorted ``key = value`` lines."""
     lines = [f"{key} = {entries[key]}" for key in sorted(entries)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_text(destination, text: str) -> None:

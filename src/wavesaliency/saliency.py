@@ -138,21 +138,6 @@ class SaliencyMap:
         return frozenset((int(a), int(b)) for a, b in np.argwhere(hit))
 
 
-def _rows_from_mask(mask, window_set: RegionalWindowSet, n_active: int):
-    """Normalize the ``mask`` argument to row indices (or None).
-
-    Accepts None, a precomputed 1-D/2-D integer index array, or any object
-    with a ``row_indices(p1, p2, region_count)`` method (the sampling
-    masks), which may return shared (1-D) or per-region (2-D) indices.
-    """
-    if mask is None:
-        return None
-    if isinstance(mask, np.ndarray):
-        return mask
-    part = window_set.partition
-    return mask.row_indices(part.p1, part.p2, n_active)
-
-
 def _gather_snapshots(windows: np.ndarray, cols: np.ndarray, rows) -> np.ndarray:
     """All offsets' snapshot matrices as one C-contiguous (tau, rows, cols) stack.
 
@@ -161,25 +146,8 @@ def _gather_snapshots(windows: np.ndarray, cols: np.ndarray, rows) -> np.ndarray
     """
     if rows is None:
         return np.take(windows, cols, axis=2)
-    rows = np.asarray(rows)
-    node_count = windows.shape[1]
-    if rows.size == 0:
-        raise ValueError("mask retains no node positions")
-    if rows.min() < 0 or rows.max() >= node_count:
-        raise ValueError(
-            f"mask indexes node {int(rows.max())} outside the "
-            f"{node_count}-node region"
-        )
     if rows.ndim == 1:
         rows = rows[:, None]
-    elif rows.ndim == 2:
-        if rows.shape[1] != len(cols):
-            raise ValueError(
-                f"per-region row sets cover {rows.shape[1]} regions, "
-                f"but {len(cols)} are active"
-            )
-    else:
-        raise ValueError("row indices must be 1-D (shared) or 2-D (per-region)")
     # One take on the (tau, node * region) view: entry (i, j) of every
     # offset's snapshot is node rows[i, j] (or rows[i]) of region cols[j].
     flat = windows.reshape(windows.shape[0], -1)
@@ -228,20 +196,20 @@ def saliency_map(
     and contributes no outliers (guards the full-rank edge, where residuals
     are float dust).
 
-    The mask's rows are resolved once and the snapshots of every offset are
-    gathered in one pass, so a per-region mask draws its patterns once per
-    call.  Columns are the active regions in region order
-    (a + regions_x * b), rows the retained nodes flattened x-fastest.
+    ``mask`` is None (every node) or a ``sampling.Mask``.  Its rows are
+    resolved once and the snapshots of every offset are gathered in one
+    pass, so a per-region mask draws its patterns once per call.  Columns
+    are the active regions in region order (a + regions_x * b), rows the
+    retained nodes flattened x-fastest.
 
     Raises:
         RankError: the rank is outside [1, min(snapshot shape)].
-        ValueError: the mask keeps no node, indexes a node outside the
-            region, or gives per-region rows for the wrong region count.
+        MaskError: the mask was built for another region size.
     """
     part = window_set.partition
     ids = window_set.active_region_ids()
     cols = np.array([window_set.column_index(a, b) for a, b in ids], dtype=np.intp)
-    rows = _rows_from_mask(mask, window_set, len(ids))
+    rows = None if mask is None else mask.row_indices(part.p1, part.p2, len(ids))
     stack = _gather_snapshots(window_set.windows, cols, rows)
     spectrum = np.linalg.svd(stack[0], compute_uv=False)
     if rank == "auto":

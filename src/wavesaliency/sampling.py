@@ -20,7 +20,7 @@ import numpy as np
 from .cube import DataCube, write_text
 from .errors import GeometryError, MaskError
 from .pipeline import DetectionConfig, build_window_set, run_detection
-from .sim import DefectSpec, defect_cells
+from .sim import DefectSpec, defect_cells, effective_source
 from .windowing import Partition
 
 SHARED = "shared"
@@ -288,7 +288,6 @@ def monte_carlo_sweep(
     base_seed: int,
     *,
     truth: GroundTruth,
-    source_corner: tuple[int, int] = (0, 0),
     pattern: str = "random",
     stride: int = 1,
     sharing: str = SHARED,
@@ -303,6 +302,8 @@ def monte_carlo_sweep(
     the ratio list is ignored and the achieved ratio is reported instead).
     That mask is scored once and its score counts for all ``trials``, so
     the row reads as ``trials`` identical trials with zero standard error.
+    ``origin_false`` counts false flags around the region that holds the
+    node ``config.excitation`` drives (see ``sim.effective_source``).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -310,6 +311,9 @@ def monte_carlo_sweep(
         raise ValueError(f"unknown mask pattern {pattern!r}")
 
     window_set = build_window_set(cube, partition, config)
+    src = effective_source(config.excitation.source, partition.n1, partition.n2)
+    # The cell whose lowest corner is the driven node lies in its region.
+    source_corner = partition.region_of_cell(src.l, src.m)
 
     def score(mask: Mask) -> tuple[int, int, int, int, int]:
         result = run_detection(

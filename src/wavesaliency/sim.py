@@ -205,6 +205,19 @@ def burst_force(t, excitation: ExcitationSpec):
     return out if out.ndim else float(out)
 
 
+def effective_source(source: GridPoint, n1: int, n2: int) -> GridPoint:
+    """Node that actually radiates: the source clamped inside the pinned rim.
+
+    A transverse force on a simply supported edge node does no work, so
+    ``simulate`` drives the nearest interior node; distances to the source
+    (window timing, the sweep's origin block) are measured from it.
+    """
+    return GridPoint(
+        l=min(max(source.l, 1), n1 - 2),
+        m=min(max(source.m, 1), n2 - 2),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Material map construction
 # ---------------------------------------------------------------------------
@@ -247,10 +260,12 @@ def build_material_map(
         raise ValueError("grid must be at least 2 x 2 nodes")
     d = np.full((n1 - 1, n2 - 1), base.bending_stiffness)
     rho_h = np.full((n1 - 1, n2 - 1), base.areal_density)
-    for defect in defects:
-        for cl, cm in defect_cells(defect, n1, n2):
-            d[cl, cm] *= defect.modulus_scale
-            rho_h[cl, cm] *= defect.density_scale
+    # A product that overflows fails MaterialMap's finiteness check instead.
+    with np.errstate(over="ignore"):
+        for defect in defects:
+            for cl, cm in defect_cells(defect, n1, n2):
+                d[cl, cm] *= defect.modulus_scale
+                rho_h[cl, cm] *= defect.density_scale
     return MaterialMap(bending_stiffness=d, areal_density=rho_h)
 
 
@@ -568,10 +583,7 @@ def simulate(
     dt = stable_timestep(mmap, dx, safety, space_order)
     operator = PlateOperator(mmap, dx, space_order)
 
-    # A transverse force on a pinned edge node does no work; drive the
-    # nearest interior node instead.
-    source = GridPoint(min(max(excitation.source.l, 1), n1 - 2),
-                       min(max(excitation.source.m, 1), n2 - 2))
+    source = effective_source(excitation.source, n1, n2)
 
     # Displacement scale of the driven lumped mass under the peak force held
     # for the whole burst; honest responses sit far below 1e6 times this.

@@ -28,7 +28,7 @@ from .errors import (
     VelocityEstimateError,
     WindowingError,
 )
-from .sim import ExcitationSpec
+from .sim import ExcitationSpec, effective_source
 
 DEFAULT_WINDOW_LEN = 11
 
@@ -129,19 +129,6 @@ class ProbePair:
         return float(
             np.hypot(self.second.l - self.first.l, self.second.m - self.first.m)
         ) * dx
-
-
-def effective_source(source: GridPoint, n1: int, n2: int) -> GridPoint:
-    """Node that actually radiates: the source clamped inside the pinned rim.
-
-    A transverse force applied on a simply supported edge node does no work,
-    so the simulator drives the nearest interior node; distance computations
-    here must agree with that.
-    """
-    return GridPoint(
-        l=min(max(source.l, 1), n1 - 2),
-        m=min(max(source.m, 1), n2 - 2),
-    )
 
 
 def _analytic_envelope(signal: np.ndarray) -> np.ndarray:

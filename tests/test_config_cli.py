@@ -510,6 +510,37 @@ def test_exit_code_config_errors(small_run, tmp_path):
         ]) == EXIT_CONFIG, text
 
 
+def test_overflowing_plate_coefficients_exit_config(tmp_path, capsys):
+    # a second inclusion on the same cell: 1e200 each, 1e400 together
+    overlapping = _edit(SMALL_CFG, modulus_scale="1e200").replace(
+        "[detection]",
+        "[defect]\nkind = point_inclusion\nx = 0.4\ny = 0.3\n"
+        "modulus_scale = 1e200\ndensity_scale = 1\n\n[detection]",
+    )
+    for text in (_edit(SMALL_CFG, modulus_scale="1e307"),
+                 _edit(SMALL_CFG, youngs_modulus="1e308", thickness="10"),
+                 _edit(SMALL_CFG, thickness="1e120"),
+                 overlapping):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(text)
+        assert main(["simulate", str(cfg), str(tmp_path / "h.wvc")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert len(parse_scenario(overlapping).defects) == 2
+
+
+def test_double_cross_rejects_per_region_sharing(ci_cube_file, tmp_path):
+    text = _inject(SMALL_CFG, "detection", "mask = cross 2\nsharing = per_region")
+    with pytest.raises(ConfigError, match="double cross is one shared pattern"):
+        parse_scenario(text)
+    out = tmp_path / "x.csv"
+    assert main([
+        "sweep", str(ci_cube_file), str(bundled_config_path("bench1_ci")), str(out),
+        "--trials", "1", "--pattern", "cross", "--sharing", "per_region",
+    ]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_exit_code_divergence(tmp_path):
     cfg = tmp_path / "unstable.cfg"
     cfg.write_text(_edit(
@@ -725,6 +756,19 @@ def test_module_entry_point():
     assert proc.returncode == 0, proc.stderr
     for sub in ("simulate", "detect", "sweep", "spectrum"):
         assert sub in proc.stdout
+
+
+def test_package_and_cli_imports_load_no_numpy():
+    # WAVESALIENCY_THREADS is applied in main; numpy must not load before it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, wavesaliency, wavesaliency.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # Runs the CLI as ``python -m`` would, then reports the scipy modules loaded.

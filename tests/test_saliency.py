@@ -13,6 +13,7 @@ import pytest
 import scipy.linalg
 
 from wavesaliency.cube import DataCube, GridPoint
+from wavesaliency.errors import MaskError
 from wavesaliency.pipeline import build_window_set
 from wavesaliency.saliency import (
     SaliencyMap,
@@ -410,19 +411,17 @@ def test_per_region_rows_drawn_once_per_map(monkeypatch):
 
 
 def test_map_mask_validation():
-    # saliency_map checks the resolved rows itself, with the texts the
-    # snapshot assembler used
+    # a mask built for 5x5-node regions cannot subsample 7x7-node ones
     ws = _synthetic_window_set(spiked_taus=(0,))
-    with pytest.raises(ValueError, match="retains no node positions"):
-        saliency_map(ws, rank=1, mask=np.array([], dtype=int))
-    with pytest.raises(ValueError, match="indexes node 25 outside the 25-node region"):
-        saliency_map(ws, rank=1, mask=np.array([0, 7, 25]))
-    with pytest.raises(ValueError, match="outside the 25-node region"):
-        saliency_map(ws, rank=1, mask=np.array([-1, 3, 7]))
-    with pytest.raises(ValueError, match="cover 3 regions, but 4 are active"):
-        saliency_map(ws, rank=1, mask=np.zeros((5, 3), dtype=int))
-    with pytest.raises(ValueError, match="1-D .shared. or 2-D"):
-        saliency_map(ws, rank=1, mask=np.zeros((2, 2, 4), dtype=int))
+    wide = dataclasses.replace(
+        ws,
+        partition=Partition(13, 13, 2, 2),
+        windows=np.ones((ws.window_len, 49, 4)),
+    )
+    mask = random_mask(5, 5, 0.5, seed=3)
+    assert saliency_map(ws, rank=1, mask=mask).rank_used == 1
+    with pytest.raises(MaskError, match="built for 5x5 regions cannot be applied to 7x7"):
+        saliency_map(wide, rank=1, mask=mask)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ single trials) whose outcomes are forced by construction.
 import numpy as np
 import pytest
 
+from wavesaliency.config import bundled_config_path, parse_scenario, simulate_scenario
 from wavesaliency.errors import GeometryError, MaskError
 from wavesaliency.pipeline import run_detection
 from wavesaliency.sampling import (
@@ -336,6 +337,30 @@ def test_sweep_validation(ci_bench1):
     with pytest.raises(ValueError):
         monte_carlo_sweep(cube, part, config, [0.5], trials=1,
                           base_seed=0, truth=truth, pattern="fancy")
+
+
+def test_sweep_scores_origin_false_around_the_source():
+    # bench1_ci driven from the far corner node: the origin block is the
+    # 3x3 regions around (7, 7), not around region (0, 0)
+    text = bundled_config_path("bench1_ci").read_text()
+    for key in ("source_l", "source_m"):
+        text = text.replace(f"{key} = 0", f"{key} = 128")
+    scenario = parse_scenario(text.replace("mode = pair", "mode = analytic"))
+    cube = simulate_scenario(scenario)
+    part, config = scenario.partition(), scenario.detection_config()
+    truth = GroundTruth.from_defects(list(scenario.defects), part)
+    trials = 6
+    row = monte_carlo_sweep(cube, part, config, [0.5], trials=trials,
+                            base_seed=2026, truth=truth)[0]
+    near_source = [
+        detection_metrics(
+            run_detection(cube, part, config,
+                          mask=random_mask(17, 17, 0.5, seed=2026 + t)).flagged,
+            truth, part, source_corner=(7, 7),
+        ).origin_false
+        for t in range(trials)
+    ]
+    assert row.origin_false == pytest.approx(np.mean(near_source))
 
 
 def _record_detections(monkeypatch):
