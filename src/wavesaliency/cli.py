@@ -3,11 +3,11 @@
 Exit codes are stable: 0 success, 2 bad configuration (parse failure, a
 partition that does not divide the grid, a detection setting out of range
 in the file or on the command line, a double-cross mask with per-region
-sharing, plate coefficients that overflow, an empty sweep ratio list, a
-spectrum floor that is not negative, or a spectrum compare ratio outside
-(0, 1]), 3 simulation divergence, 4 windowing produced no active region,
-5 silent input where a signal is required.  Any other toolkit error
-exits 1.
+sharing, plate coefficients or an analytic group velocity out of float
+range, an empty sweep ratio list, a spectrum floor that is not negative,
+or a spectrum compare ratio outside (0, 1]), 3 simulation divergence,
+4 windowing produced no active region, 5 silent input where a signal is
+required.  Any other toolkit error exits 1.
 
 Heavy imports happen inside ``main`` so that the ``WAVESALIENCY_THREADS``
 environment variable can pin the BLAS/OpenMP thread pools before numpy is
@@ -180,17 +180,17 @@ def _cmd_detect(args) -> int:
     flagged = sorted(result.flagged)
     write_text(f"{args.prefix}.flags.txt", "".join(f"{a} {b}\n" for a, b in flagged))
 
-    det = scenario.detection
+    echo = scenario_echo(scenario)
     manifest = {
         "group_velocity": repr(result.group_velocity),
         "velocity_source": scenario.probes.mode,
-        "rank_requested": str(det.rank),
+        "rank_requested": echo["detection.rank"],
         "rank_used": str(result.saliency.rank_used),
-        "window_len": str(det.window_len),
-        "energy_ratio": repr(det.ratio),
-        "theta": repr(det.theta),
-        "mask": scenario_echo(scenario)["detection.mask"],
-        "seed": str(scenario.seed),
+        "window_len": echo["detection.window_len"],
+        "energy_ratio": echo["detection.ratio"],
+        "theta": echo["detection.theta"],
+        "mask": echo["detection.mask"],
+        "seed": echo["seed"],
         "active_regions": str(int(result.saliency.active.sum())),
         "flagged": ";".join(f"{a},{b}" for a, b in flagged),
         "singular_values": " ".join(
@@ -229,9 +229,9 @@ def _dump_window_cubes(window_set, dx: float, directory) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .config import MaskSettings, load_scenario, with_overrides
+    from .config import load_scenario, with_overrides
     from .cube import read_cube
-    from .sampling import GroundTruth, monte_carlo_sweep, write_sweep_csv
+    from .sampling import GroundTruth, MaskSettings, monte_carlo_sweep, write_sweep_csv
 
     scenario = with_overrides(load_scenario(args.config), rank=args.rank)
     try:

@@ -7,11 +7,11 @@ diff-friendly text fixture.  Python's configparser is not used because
 defect blocks must be repeatable.  Every number must be finite; an integer
 key also takes a float spelling of an exact integer (``65.0``).
 
-Example::
+Every key, with its default; a key marked required shows an example::
 
-    seed = 2026
+    seed = 0                     # before any block: seeds the random masks
 
-    [material]
+    [material]                   # SI units; every key required
     youngs_modulus = 71e9
     poisson_ratio = 0.33
     density = 2700
@@ -19,51 +19,64 @@ Example::
     side_length = 0.25
 
     [grid]
-    n1 = 257
-    n2 = 257
-    steps = 1701
-    safety = 0.9
-    record_every = 21
+    n1 = 257                     # required; the plate is square, n2 = n1
+    n2 = 257                     # required
+    steps = 1701                 # required
+    safety = 0.9                 # fraction of the stable time step
+    record_every = 1             # keep every k-th step
+    space_order = 4              # 2 or 4
 
     [excitation]
-    frequency = 500e3
+    frequency = 500e3            # required
     cycles = 5
     amplitude = 1.0
+    source_l = 0                 # the driven node
+    source_m = 0
 
-    [defect]
+    [defect]                     # any number of blocks; every key required
     kind = point_inclusion
-    x = 0.20
+    x = 0.20                     # fractions of the side length
     y = 0.42
     modulus_scale = 100
     density_scale = 100
 
+    [defect]
+    kind = line_segment          # one cell thick, from (x1, y1) to (x2, y2);
+    x1 = 0.2                     # the scales as for an inclusion
+    y1 = 0.5
+    x2 = 0.4
+    y2 = 0.5
+
     [detection]
-    regions_x = 16
-    regions_y = 16
+    regions_x = 16               # required
+    regions_y = 16               # required
     window_len = 11
-    rank = 14
+    rank = auto                  # or an integer >= 1
     ratio = 0.25
     theta = 0.5
-    mask = full
+    mask = full                  # or random <ratio>, or cross <stride 1|2|4>
+    sharing = shared             # or per_region: one random mask per region
 
-    [probes]
-    mode = pair
-    first_l = 61
-    first_m = 31
-    second_l = 161
-    second_m = 81
+    [probes]                     # optional
+    mode = pair                  # or analytic: the closed-form group velocity
+    first_l = 77                 # all four or none; none puts the pair at
+    first_m = 1                  # nodes (0.3 (n1 - 1), 1) and (0.7 (n1 - 1), 1),
+    second_l = 179               # as here for n1 = 257
+    second_m = 1
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
 
 from . import sim
 from .cube import DataCube, GridPoint
 from .errors import ConfigError, GeometryError, MaskError, PartitionError
 from .pipeline import DetectionConfig
-from .sampling import PER_REGION, SHARED, Mask, double_cross_mask, random_mask
+from .saliency import DEFAULT_DECISION_THRESHOLD, DEFAULT_ENERGY_RATIO
+from .sampling import Mask, MaskSettings
 from .sim import (
     DEFAULT_SPACE_ORDER,
     DefectSpec,
@@ -80,6 +93,12 @@ _KNOWN_BLOCKS = ("material", "grid", "excitation", "defect", "detection", "probe
 # never moves.
 DEFAULT_PROBE_FRACTIONS = (0.3, 0.7)
 
+# Geometry keys of each defect kind, in ``DefectSpec.geometry`` order.
+_DEFECT_GEOMETRY_KEYS = {
+    "point_inclusion": ("x", "y"),
+    "line_segment": ("x1", "y1", "x2", "y2"),
+}
+
 
 @dataclass(frozen=True)
 class GridSettings:
@@ -92,27 +111,20 @@ class GridSettings:
     record_every: int = 1
     space_order: int = DEFAULT_SPACE_ORDER
 
-
-@dataclass(frozen=True)
-class MaskSettings:
-    """Subsampling request: full sampling, seeded random, or double cross."""
-
-    kind: str = "full"           # full | random | cross
-    ratio: float | None = None   # for random
-    stride: int | None = None    # for cross
-    sharing: str = SHARED
-
-    def build(self, partition: Partition, seed: int) -> Mask | None:
-        if self.kind == "full":
-            return None
-        if self.kind == "random":
-            return random_mask(
-                partition.p1, partition.p2, self.ratio, seed, self.sharing
+    def __post_init__(self):
+        if self.n1 < 2 or self.n2 < 2:
+            raise ValueError("grid must be at least 2x2 nodes")
+        if self.n1 != self.n2:
+            raise ValueError(
+                f"the plate is square; n1 and n2 must match, got {self.n1} and {self.n2}"
             )
-        if self.sharing != SHARED:
-            raise MaskError("the double cross is one shared pattern; "
-                            f"sharing = {self.sharing} does not apply")
-        return double_cross_mask(partition.p1, partition.p2, self.stride)
+        for name in ("steps", "record_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.safety <= 0:
+            raise ValueError("safety must be positive")
+        if self.space_order not in (2, 4):
+            raise ValueError(f"space_order must be 2 or 4, got {self.space_order}")
 
 
 @dataclass(frozen=True)
@@ -123,9 +135,20 @@ class DetectionSettings:
     regions_y: int
     window_len: int = DEFAULT_WINDOW_LEN
     rank: int | str = "auto"
-    ratio: float = 0.25
-    theta: float = 0.5
+    ratio: float = DEFAULT_ENERGY_RATIO
+    theta: float = DEFAULT_DECISION_THRESHOLD
     mask: MaskSettings = field(default_factory=MaskSettings)
+
+    def __post_init__(self):
+        if self.window_len < 1:
+            raise ValueError(f"window_len must be >= 1, got {self.window_len}")
+        for name in ("ratio", "theta"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in (0, 1], got {getattr(self, name)}")
+        if self.rank != "auto" and (not isinstance(self.rank, int) or self.rank < 1):
+            raise ValueError(
+                f"rank must be 'auto' or an integer >= 1, got {self.rank!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -134,6 +157,10 @@ class ProbeSettings:
 
     mode: str = "pair"            # pair | analytic
     pair: ProbePair | None = None  # None in pair mode = boundary defaults
+
+    def __post_init__(self):
+        if self.mode not in ("pair", "analytic"):
+            raise ValueError(f"unknown probe mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -221,12 +248,13 @@ def with_overrides(scenario: ScenarioConfig, **changes) -> ScenarioConfig:
     integer).  The result passes the same checks as a parsed scenario.
     """
     changes = {k: v for k, v in changes.items() if v is not None}
-    if isinstance(changes.get("rank"), str):
-        try:
+    try:
+        if isinstance(changes.get("rank"), str):
             changes["rank"] = _parse_rank(changes["rank"])
-        except ValueError:
-            raise ConfigError(f"bad rank value {changes['rank']!r}") from None
-    out = replace(scenario, detection=replace(scenario.detection, **changes))
+        detection = replace(scenario.detection, **changes)
+    except ValueError as exc:
+        raise ConfigError(f"bad detection setting: {exc}") from None
+    out = replace(scenario, detection=detection)
     _cross_validate(out)
     return out
 
@@ -235,12 +263,49 @@ def with_overrides(scenario: ScenarioConfig, **changes) -> ScenarioConfig:
 # Parsing
 # ---------------------------------------------------------------------------
 
-def _raw_blocks(text: str):
-    """Split config text into (block_name, {key: (value, line)}, line) tuples.
+_REQUIRED = object()
 
-    Top-level keys (before any header) go into a block named ``""``.
+
+@dataclass
+class _Block:
+    """One ``[block]`` of a file: its unread ``key: (text, line)`` entries.
+
+    ``get`` reads a key and ``make`` builds the block's settings, each
+    turning a bad value into a ConfigError at the line it came from.
     """
-    blocks: list[tuple[str, dict, int]] = [("", {}, 0)]
+
+    name: str
+    line: int | None = None
+    entries: dict[str, tuple[str, int]] = field(default_factory=dict)
+
+    def get(self, key: str, parse, default=_REQUIRED):
+        """``parse`` of the key's text, or ``default`` when the key is absent."""
+        if key not in self.entries:
+            if default is _REQUIRED:
+                raise ConfigError(
+                    f"[{self.name}] is missing required key {key!r}", line=self.line
+                )
+            return default
+        text, line = self.entries.pop(key)
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key!r}: {exc}", line=line) from None
+
+    def make(self, cls, **values):
+        """``cls(**values)``, which must use up every key of the block."""
+        try:
+            settings = cls(**values)
+        except (ValueError, GeometryError) as exc:
+            raise ConfigError(str(exc), line=self.line) from None
+        for key, (_, line) in self.entries.items():
+            raise ConfigError(f"unknown key {key!r} in [{self.name}]", line=line)
+        return settings
+
+
+def _read_blocks(text: str) -> list[_Block]:
+    """Split config text into blocks; keys before any header go in ``""``."""
+    blocks = [_Block("")]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -251,7 +316,9 @@ def _raw_blocks(text: str):
             name = line[1:-1].strip()
             if name not in _KNOWN_BLOCKS:
                 raise ConfigError(f"unknown block [{name}]", line=lineno)
-            blocks.append((name, {}, lineno))
+            if name != "defect" and any(b.name == name for b in blocks):
+                raise ConfigError(f"duplicate block [{name}]", line=lineno)
+            blocks.append(_Block(name, lineno))
             continue
         key, sep, value = line.partition("=")
         if not sep:
@@ -261,60 +328,11 @@ def _raw_blocks(text: str):
         key, value = key.strip(), value.strip()
         if not key or not value:
             raise ConfigError("empty key or value", line=lineno)
-        entries = blocks[-1][1]
+        entries = blocks[-1].entries
         if key in entries:
             raise ConfigError(f"duplicate key {key!r} in block", line=lineno)
         entries[key] = (value, lineno)
     return blocks
-
-
-class _BlockReader:
-    """Typed access to one block's entries with line-accurate errors."""
-
-    def __init__(self, name: str, entries: dict, lineno: int):
-        self.name = name
-        self.entries = dict(entries)
-        self.lineno = lineno
-
-    def _take(self, key: str, default):
-        if key in self.entries:
-            return self.entries.pop(key)
-        if default is _REQUIRED:
-            raise ConfigError(
-                f"[{self.name}] is missing required key {key!r}", line=self.lineno
-            )
-        return (default, self.lineno)
-
-    def _convert(self, key: str, caster, default):
-        value, lineno = self._take(key, default)
-        if isinstance(value, str):
-            try:
-                return caster(value)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"bad value for {key!r}: {exc}", line=lineno
-                ) from None
-        return value
-
-    def get_int(self, key: str, default=None):
-        return self._convert(key, _parse_int, _REQUIRED if default is None else default)
-
-    def get_float(self, key: str, default=None):
-        return self._convert(key, _parse_float, _REQUIRED if default is None else default)
-
-    def get_str(self, key: str, default=None):
-        return self._convert(key, str, _REQUIRED if default is None else default)
-
-    def finish(self):
-        if self.entries:
-            key = next(iter(self.entries))
-            _, lineno = self.entries[key]
-            raise ConfigError(
-                f"unknown key {key!r} in [{self.name}]", line=lineno
-            )
-
-
-_REQUIRED = object()
 
 
 def _parse_float(text: str) -> float:
@@ -337,193 +355,118 @@ def _parse_rank(text: str):
     return _parse_int(text)
 
 
-def _parse_mask(text: str, sharing: str, lineno: int) -> MaskSettings:
-    parts = text.split()
-    kind = parts[0]
-    if kind == "full":
-        if len(parts) != 1:
-            raise ConfigError("mask 'full' takes no argument", line=lineno)
-        return MaskSettings(kind="full", sharing=sharing)
+def _parse_mask(text: str) -> MaskSettings:
+    """``full``, ``random <ratio>`` or ``cross <stride>``, with shared sharing."""
+    kind, *args = text.split()
+    if kind == "full" and args:
+        raise ValueError("mask 'full' takes no argument")
     if kind == "random":
-        if len(parts) != 2:
-            raise ConfigError("mask 'random' needs a ratio", line=lineno)
-        try:
-            ratio = float(parts[1])
-        except ValueError:
-            raise ConfigError(f"bad mask ratio {parts[1]!r}", line=lineno) from None
-        return MaskSettings(kind="random", ratio=ratio, sharing=sharing)
+        if len(args) != 1:
+            raise ValueError("mask 'random' needs a ratio")
+        return MaskSettings(kind, ratio=_parse_float(args[0]))
     if kind == "cross":
-        if len(parts) != 2:
-            raise ConfigError("mask 'cross' needs a stride", line=lineno)
-        try:
-            stride = int(parts[1])
-        except ValueError:
-            raise ConfigError(f"bad mask stride {parts[1]!r}", line=lineno) from None
-        return MaskSettings(kind="cross", stride=stride, sharing=sharing)
-    raise ConfigError(f"unknown mask kind {kind!r}", line=lineno)
+        if len(args) != 1:
+            raise ValueError("mask 'cross' needs a stride")
+        return MaskSettings(kind, stride=_parse_int(args[0]))
+    return MaskSettings(kind)
 
 
-def _parse_defect(reader: _BlockReader) -> DefectSpec:
-    kind = reader.get_str("kind")
-    if kind == "point_inclusion":
-        geometry = (reader.get_float("x"), reader.get_float("y"))
-    elif kind == "line_segment":
-        geometry = (
-            reader.get_float("x1"), reader.get_float("y1"),
-            reader.get_float("x2"), reader.get_float("y2"),
-        )
-    else:
-        raise ConfigError(
-            f"unknown defect kind {kind!r}", line=reader.lineno
-        )
-    try:
-        spec = DefectSpec(
-            kind=kind,
-            geometry=geometry,
-            modulus_scale=reader.get_float("modulus_scale"),
-            density_scale=reader.get_float("density_scale"),
-        )
-    except (ValueError, GeometryError) as exc:
-        raise ConfigError(str(exc), line=reader.lineno) from None
-    reader.finish()
-    return spec
+def _parse_defect(b: _Block) -> DefectSpec:
+    kind = b.get("kind", str)
+    # An unknown kind reads no geometry and fails DefectSpec's own check.
+    geometry = tuple(
+        b.get(key, _parse_float) for key in _DEFECT_GEOMETRY_KEYS.get(kind, ())
+    )
+    return b.make(
+        DefectSpec,
+        kind=kind,
+        geometry=geometry,
+        modulus_scale=b.get("modulus_scale", _parse_float),
+        density_scale=b.get("density_scale", _parse_float),
+    )
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse and cross-validate a scenario; ConfigError carries the line."""
-    seen: dict[str, _BlockReader] = {}
-    defects: list[DefectSpec] = []
-    seed = 0
-    for name, entries, lineno in _raw_blocks(text):
-        reader = _BlockReader(name, entries, lineno)
-        if name == "":
-            seed = reader.get_int("seed", 0)
-            reader.finish()
-        elif name == "defect":
-            defects.append(_parse_defect(reader))
-        else:
-            if name in seen:
-                raise ConfigError(f"duplicate block [{name}]", line=lineno)
-            seen[name] = reader
-
+    blocks = _read_blocks(text)
+    named = {b.name: b for b in blocks if b.name != "defect"}
     for required in ("material", "grid", "excitation", "detection"):
-        if required not in seen:
+        if required not in named:
             raise ConfigError(f"missing required block [{required}]")
 
-    r = seen["material"]
-    try:
-        material = MaterialSpec(
-            youngs_modulus=r.get_float("youngs_modulus"),
-            poisson_ratio=r.get_float("poisson_ratio"),
-            density=r.get_float("density"),
-            thickness=r.get_float("thickness"),
-            side_length=r.get_float("side_length"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), line=r.lineno) from None
-    r.finish()
-
-    r = seen["grid"]
-    grid = GridSettings(
-        n1=r.get_int("n1"),
-        n2=r.get_int("n2"),
-        steps=r.get_int("steps"),
-        safety=r.get_float("safety", 0.9),
-        record_every=r.get_int("record_every", 1),
-        space_order=r.get_int("space_order", DEFAULT_SPACE_ORDER),
+    b = named["material"]
+    # Each [material] key is a MaterialSpec field, read as a float.
+    material = b.make(
+        MaterialSpec, **{f.name: b.get(f.name, _parse_float) for f in fields(MaterialSpec)}
     )
-    r.finish()
 
-    r = seen["excitation"]
-    try:
-        excitation = ExcitationSpec(
-            carrier_frequency=r.get_float("frequency"),
-            cycle_count=r.get_int("cycles", 5),
-            amplitude=r.get_float("amplitude", 1.0),
-            source=GridPoint(r.get_int("source_l", 0), r.get_int("source_m", 0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), line=r.lineno) from None
-    r.finish()
-
-    r = seen["detection"]
-    sharing = r.get_str("sharing", SHARED)
-    if sharing not in (SHARED, PER_REGION):
-        raise ConfigError(f"unknown sharing mode {sharing!r}", line=r.lineno)
-    mask_text, mask_line = r._take("mask", "full")
-    detection = DetectionSettings(
-        regions_x=r.get_int("regions_x"),
-        regions_y=r.get_int("regions_y"),
-        window_len=r.get_int("window_len", DEFAULT_WINDOW_LEN),
-        rank=r._convert("rank", _parse_rank, "auto"),
-        ratio=r.get_float("ratio", 0.25),
-        theta=r.get_float("theta", 0.5),
-        mask=_parse_mask(mask_text, sharing, mask_line),
+    b = named["grid"]
+    grid = b.make(
+        GridSettings,
+        n1=b.get("n1", _parse_int),
+        n2=b.get("n2", _parse_int),
+        steps=b.get("steps", _parse_int),
+        safety=b.get("safety", _parse_float, GridSettings.safety),
+        record_every=b.get("record_every", _parse_int, GridSettings.record_every),
+        space_order=b.get("space_order", _parse_int, GridSettings.space_order),
     )
-    r.finish()
 
-    if "probes" in seen:
-        r = seen["probes"]
-        mode = r.get_str("mode", "pair")
-        if mode not in ("pair", "analytic"):
-            raise ConfigError(f"unknown probe mode {mode!r}", line=r.lineno)
-        # Coordinates may stay in the file while mode = analytic; they are
-        # parsed (so typos still surface) but not used.
-        pair = None
-        if any(k in r.entries for k in ("first_l", "first_m", "second_l", "second_m")):
-            try:
-                pair = ProbePair(
-                    GridPoint(r.get_int("first_l"), r.get_int("first_m")),
-                    GridPoint(r.get_int("second_l"), r.get_int("second_m")),
-                )
-            except ValueError as exc:
-                raise ConfigError(str(exc), line=r.lineno) from None
-        probes = ProbeSettings(mode=mode, pair=pair)
-        r.finish()
-    else:
-        probes = ProbeSettings()
+    b = named["excitation"]
+    excitation = b.make(
+        ExcitationSpec,
+        carrier_frequency=b.get("frequency", _parse_float),
+        cycle_count=b.get("cycles", _parse_int, 5),
+        amplitude=b.get("amplitude", _parse_float, 1.0),
+        source=GridPoint(
+            b.get("source_l", _parse_int, 0), b.get("source_m", _parse_int, 0)
+        ),
+    )
 
-    scenario = ScenarioConfig(
+    b = named["detection"]
+    # The sharing key completes the mask line; MaskSettings checks both.
+    mask = b.get("mask", _parse_mask, MaskSettings())
+    mask = b.get("sharing", lambda sharing: replace(mask, sharing=sharing), mask)
+    detection = b.make(
+        DetectionSettings,
+        regions_x=b.get("regions_x", _parse_int),
+        regions_y=b.get("regions_y", _parse_int),
+        window_len=b.get("window_len", _parse_int, DetectionSettings.window_len),
+        rank=b.get("rank", _parse_rank, DetectionSettings.rank),
+        ratio=b.get("ratio", _parse_float, DetectionSettings.ratio),
+        theta=b.get("theta", _parse_float, DetectionSettings.theta),
+        mask=mask,
+    )
+
+    b = named.get("probes", _Block("probes"))
+    mode = b.get("mode", str, ProbeSettings.mode)
+    # Coordinates may stay in the file while mode = analytic; they are
+    # parsed (so typos still surface) but not used.
+    pair = None
+    if any(k in b.entries for k in ("first_l", "first_m", "second_l", "second_m")):
+        pair = b.make(
+            ProbePair,
+            first=GridPoint(b.get("first_l", _parse_int), b.get("first_m", _parse_int)),
+            second=GridPoint(b.get("second_l", _parse_int), b.get("second_m", _parse_int)),
+        )
+    probes = b.make(ProbeSettings, mode=mode, pair=pair)
+
+    b = named[""]
+    scenario = b.make(
+        ScenarioConfig,
         material=material,
         grid=grid,
         excitation=excitation,
-        defects=tuple(defects),
+        defects=tuple(_parse_defect(d) for d in blocks if d.name == "defect"),
         detection=detection,
         probes=probes,
-        seed=seed,
+        seed=b.get("seed", _parse_int, ScenarioConfig.seed),
     )
     _cross_validate(scenario)
     return scenario
 
 
 def _cross_validate(scenario: ScenarioConfig) -> None:
-    grid = scenario.grid
-    if grid.n1 < 2 or grid.n2 < 2:
-        raise ConfigError("grid must be at least 2x2 nodes")
-    if grid.n1 != grid.n2:
-        raise ConfigError(
-            f"the plate is square; n1 and n2 must match, got {grid.n1} and {grid.n2}"
-        )
-    if grid.steps < 1:
-        raise ConfigError("steps must be >= 1")
-    if grid.safety <= 0:
-        raise ConfigError("safety must be positive")
-    if grid.record_every < 1:
-        raise ConfigError("record_every must be >= 1")
-    if grid.space_order not in (2, 4):
-        raise ConfigError(f"space_order must be 2 or 4, got {grid.space_order}")
-    src = scenario.excitation.source
-    if not (0 <= src.l < grid.n1 and 0 <= src.m < grid.n2):
-        raise ConfigError(f"excitation source {src} is off the grid")
-    det = scenario.detection
-    if det.window_len < 1:
-        raise ConfigError(f"window_len must be >= 1, got {det.window_len}")
-    if not 0.0 < det.ratio <= 1.0:
-        raise ConfigError(f"ratio must be in (0, 1], got {det.ratio}")
-    if not 0.0 < det.theta <= 1.0:
-        raise ConfigError(f"theta must be in (0, 1], got {det.theta}")
-    if det.rank != "auto" and (not isinstance(det.rank, int) or det.rank < 1):
-        raise ConfigError(f"rank must be 'auto' or an integer >= 1, got {det.rank!r}")
+    """The rules that join blocks; each settings block checked its own fields."""
     # Partition divisibility against the grid block, then the mask against
     # the partition; the library's errors are wrapped so the failure reads
     # as a config problem.
@@ -531,15 +474,21 @@ def _cross_validate(scenario: ScenarioConfig) -> None:
         scenario.mask()
     except (PartitionError, MaskError, GeometryError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
-    pair = scenario.probe_pair()
-    for point in (pair.first, pair.second):
+    # The velocity source: a pair of distinct probes, or in analytic mode a
+    # finite group velocity from the material and the carrier frequency.
+    try:
+        scenario.detection_config()
+        pair = scenario.probe_pair()
+    except (ArithmeticError, ValueError) as exc:
+        raise ConfigError(f"no usable velocity source: {exc}") from None
+    grid = scenario.grid
+    for what, point in (("excitation source", scenario.excitation.source),
+                        ("probe", pair.first), ("probe", pair.second)):
         if not (0 <= point.l < grid.n1 and 0 <= point.m < grid.n2):
-            raise ConfigError(f"probe {point} is off the grid")
+            raise ConfigError(f"{what} {point} is off the grid")
 
 
 def load_scenario(path) -> ScenarioConfig:
-    from pathlib import Path
-
     return parse_scenario(Path(path).read_text())
 
 
@@ -566,31 +515,15 @@ def scenario_echo(scenario: ScenarioConfig) -> dict[str, str]:
     Used for the cube ``.meta`` sidecar and detection manifests, so two runs
     are comparable (and byte-identical) even when one spelled fewer keys.
     """
-    mat, grid, exc = scenario.material, scenario.grid, scenario.excitation
-    det = scenario.detection
+    exc = scenario.excitation
     out = {
-        "material.youngs_modulus": repr(mat.youngs_modulus),
-        "material.poisson_ratio": repr(mat.poisson_ratio),
-        "material.density": repr(mat.density),
-        "material.thickness": repr(mat.thickness),
-        "material.side_length": repr(mat.side_length),
-        "grid.n1": str(grid.n1),
-        "grid.n2": str(grid.n2),
-        "grid.steps": str(grid.steps),
-        "grid.safety": repr(grid.safety),
-        "grid.record_every": str(grid.record_every),
-        "grid.space_order": str(grid.space_order),
+        **_fields_echo("material", scenario.material),
+        **_fields_echo("grid", scenario.grid),
         "excitation.frequency": repr(exc.carrier_frequency),
         "excitation.cycles": str(exc.cycle_count),
         "excitation.amplitude": repr(exc.amplitude),
         "excitation.source": f"{exc.source.l},{exc.source.m}",
-        "detection.regions_x": str(det.regions_x),
-        "detection.regions_y": str(det.regions_y),
-        "detection.window_len": str(det.window_len),
-        "detection.rank": str(det.rank),
-        "detection.ratio": repr(det.ratio),
-        "detection.theta": repr(det.theta),
-        "detection.mask": _mask_echo(det.mask),
+        **_fields_echo("detection", scenario.detection),
         "probes.mode": scenario.probes.mode,
         "seed": str(scenario.seed),
     }
@@ -609,9 +542,7 @@ def scenario_echo(scenario: ScenarioConfig) -> dict[str, str]:
     return out
 
 
-def _mask_echo(mask: MaskSettings) -> str:
-    if mask.kind == "full":
-        return "full"
-    if mask.kind == "random":
-        return f"random {mask.ratio!r} sharing={mask.sharing}"
-    return f"cross {mask.stride} sharing={mask.sharing}"
+def _fields_echo(block: str, settings) -> dict[str, str]:
+    """``block.field`` for each field: repr of a float, str of anything else."""
+    values = {f"{block}.{f.name}": getattr(settings, f.name) for f in fields(settings)}
+    return {k: repr(v) if isinstance(v, float) else str(v) for k, v in values.items()}

@@ -10,15 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cube import DataCube
-from .saliency import (
-    DEFAULT_DECISION_THRESHOLD,
-    DEFAULT_ENERGY_RATIO,
-    SaliencyMap,
-    saliency_map,
-)
+from .saliency import SaliencyMap, saliency_map
 from .sim import ExcitationSpec
 from .windowing import (
-    DEFAULT_WINDOW_LEN,
     Partition,
     ProbePair,
     RegionalWindowSet,
@@ -36,18 +30,18 @@ class DetectionConfig:
     """
 
     excitation: ExcitationSpec
-    probes: ProbePair | None = None
-    group_velocity: float | None = None
-    window_len: int = DEFAULT_WINDOW_LEN
-    rank: int | str = "auto"
-    energy_ratio: float = DEFAULT_ENERGY_RATIO
-    threshold: float = DEFAULT_DECISION_THRESHOLD
+    probes: ProbePair | None
+    group_velocity: float | None
+    window_len: int
+    rank: int | str
+    energy_ratio: float
+    threshold: float
 
     def __post_init__(self):
         if self.probes is None and self.group_velocity is None:
             raise ValueError("need either probes or an explicit group_velocity")
-        if self.group_velocity is not None and self.group_velocity <= 0:
-            raise ValueError("group_velocity must be positive")
+        if self.group_velocity is not None and not 0 < self.group_velocity < float("inf"):
+            raise ValueError(f"group_velocity {self.group_velocity} is not positive and finite")
 
 
 @dataclass(frozen=True)

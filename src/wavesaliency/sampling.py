@@ -152,6 +152,43 @@ def double_cross_mask(p1: int, p2: int, stride: int = 1) -> Mask:
     return Mask(grid=grid, kind="double_cross", sharing=SHARED, stride=stride)
 
 
+@dataclass(frozen=True)
+class MaskSettings:
+    """Subsampling request: full sampling, seeded random, or double cross."""
+
+    kind: str = "full"           # full | random | cross
+    ratio: float | None = None   # for random
+    stride: int | None = None    # for cross
+    sharing: str = SHARED
+
+    def __post_init__(self):
+        if self.kind not in ("full", "random", "cross"):
+            raise ValueError(f"unknown mask kind {self.kind!r}")
+        if self.sharing not in (SHARED, PER_REGION):
+            raise ValueError(f"unknown sharing mode {self.sharing!r}")
+
+    def __str__(self) -> str:
+        """The text form that manifests and ``.meta`` files echo."""
+        if self.kind == "full":
+            return "full"
+        if self.kind == "random":
+            return f"random {self.ratio!r} sharing={self.sharing}"
+        return f"cross {self.stride} sharing={self.sharing}"
+
+    def build(self, partition: Partition, seed: int) -> Mask | None:
+        """The mask for ``partition``'s regions; None for full sampling."""
+        if self.kind == "full":
+            return None
+        if self.kind == "random":
+            return random_mask(
+                partition.p1, partition.p2, self.ratio, seed, self.sharing
+            )
+        if self.sharing != SHARED:
+            raise MaskError("the double cross is one shared pattern; "
+                            f"sharing = {self.sharing} does not apply")
+        return double_cross_mask(partition.p1, partition.p2, self.stride)
+
+
 # ---------------------------------------------------------------------------
 # Ground truth and scoring
 # ---------------------------------------------------------------------------
@@ -302,6 +339,8 @@ def monte_carlo_sweep(
     the ratio list is ignored and the achieved ratio is reported instead).
     That mask is scored once and its score counts for all ``trials``, so
     the row reads as ``trials`` identical trials with zero standard error.
+    Every mask comes from ``MaskSettings.build``, so a double cross with
+    ``sharing=PER_REGION`` raises MaskError as it does in a scenario file.
     ``origin_false`` counts false flags around the region that holds the
     node ``config.excitation`` drives (see ``sim.effective_source``).
     """
@@ -323,17 +362,17 @@ def monte_carlo_sweep(
             result.flagged, truth, partition, source_corner
         ).as_tuple()
 
-    p1, p2 = partition.p1, partition.p2
     if pattern == "cross":
-        mask = double_cross_mask(p1, p2, stride)
+        settings = MaskSettings("cross", stride=stride, sharing=sharing)
+        mask = settings.build(partition, base_seed)
         scores = [score(mask)] * trials
         return [_average_row(mask.achieved_ratio, scores, trials, base_seed)]
 
     rows: list[SweepRow] = []
     for ratio in ratios:
+        settings = MaskSettings("random", ratio=float(ratio), sharing=sharing)
         scores = [
-            score(random_mask(p1, p2, float(ratio), base_seed + t, sharing))
-            for t in range(trials)
+            score(settings.build(partition, base_seed + t)) for t in range(trials)
         ]
         rows.append(_average_row(float(ratio), scores, trials, base_seed))
     return rows

@@ -5,8 +5,10 @@ files; subprocess tests check the ``python -m`` entry point with the
 thread-count environment override, and that no subcommand imports scipy.
 """
 
+import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 import wavesaliency
+import wavesaliency.config
 from wavesaliency.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGENCE,
@@ -33,6 +36,7 @@ from wavesaliency.config import (
 )
 from wavesaliency.cube import GridPoint, read_cube, write_cube
 from wavesaliency.errors import ConfigError
+from wavesaliency.pipeline import DetectionConfig
 from wavesaliency.sim import analytic_group_velocity
 
 SMALL_CFG = """\
@@ -168,6 +172,17 @@ def test_parse_errors_carry_line_numbers():
         parse_scenario("[grid]\nn1 = 3\nn1 = 5\n")
     with pytest.raises(ConfigError, match="empty key or value"):
         parse_scenario("[grid]\nn1 = \n")
+    # a setting out of range names the line of its block's header
+    lines = SMALL_CFG.split("\n")
+    for block, key, value, message in (
+        ("grid", "steps", "0", "steps must be >= 1"),
+        ("grid", "n2", "33", "the plate is square"),
+        ("detection", "theta", "1.5", "theta must be in"),
+        ("detection", "window_len", "0", "window_len must be >= 1"),
+    ):
+        header = lines.index(f"[{block}]") + 1
+        with pytest.raises(ConfigError, match=f"^line {header}: {message}"):
+            parse_scenario(_edit(SMALL_CFG, **{key: value}))
 
 
 def test_unknown_keys_rejected():
@@ -224,10 +239,17 @@ def test_mask_directives():
     s2 = parse_scenario(_inject(SMALL_CFG, "detection", "mask = cross 2"))
     assert s2.detection.mask.stride == 2
     assert s2.mask().retained_count == 33
-    with pytest.raises(ConfigError, match="needs a ratio"):
-        parse_scenario(_inject(SMALL_CFG, "detection", "mask = random"))
-    with pytest.raises(ConfigError, match="unknown mask kind"):
-        parse_scenario(_inject(SMALL_CFG, "detection", "mask = triangles"))
+    # each error names the line of the bad key, just below the header
+    key_line = SMALL_CFG.split("\n").index("[detection]") + 2
+    for line, message in (("mask = random", "needs a ratio"),
+                          ("mask = triangles", "unknown mask kind"),
+                          ("mask = full 2", "'full' takes no argument"),
+                          ("mask = random half", "'half'"),
+                          ("mask = cross", "needs a stride"),
+                          ("mask = cross 1.5", "'1.5' is not an integer"),
+                          ("sharing = broadcast", "unknown sharing mode")):
+        with pytest.raises(ConfigError, match=f"^line {key_line}: .*{message}"):
+            parse_scenario(_inject(SMALL_CFG, "detection", line))
 
 
 def test_integer_keys_reject_fractions():
@@ -257,6 +279,15 @@ y2 = 0.8
 modulus_scale = 0.5
 density_scale = 2
 """
+
+
+def test_docstring_lists_every_key():
+    # the module docstring is the documented full key list
+    doc = wavesaliency.config.__doc__
+    keys = {ln.split(" = ")[0] for ln in EVERY_KEY_CFG.split("\n") if " = " in ln}
+    assert len(keys) == 39
+    for key in sorted(keys):
+        assert re.search(rf"^    {key} = ", doc, re.MULTILINE), key
 
 
 def _bad_value_table() -> list[tuple[str, str, str]]:
@@ -356,6 +387,12 @@ def test_scenario_echo_is_stable():
     assert echo["grid.n1"] == "65"
     assert echo["material.youngs_modulus"] == repr(71e9)
     assert "defect.0" in echo
+    assert echo["detection.mask"] == "full"
+    for lines, text in (("mask = random 0.2\nsharing = per_region",
+                         "random 0.2 sharing=per_region"),
+                        ("mask = cross 2", "cross 2 sharing=shared")):
+        masked = parse_scenario(_inject(SMALL_CFG, "detection", lines))
+        assert scenario_echo(masked)["detection.mask"] == text
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +535,10 @@ def test_exit_code_config_errors(small_run, tmp_path):
     oblong = tmp_path / "oblong.cfg"
     oblong.write_text(_edit(SMALL_CFG, n2="33"))
     assert main(["simulate", str(oblong), str(tmp_path / "o.wvc")]) == EXIT_CONFIG
+    # on a 3-node side both default probes round to node (1, 1)
+    tiny = tmp_path / "tiny.cfg"
+    tiny.write_text(_edit(SMALL_CFG, n1="3", n2="3", regions_x="2", regions_y="2"))
+    assert main(["simulate", str(tiny), str(tmp_path / "t.wvc")]) == EXIT_CONFIG
     # out-of-range detection settings in the file fail like flag values
     for text in (_edit(SMALL_CFG, ratio="2"), _edit(SMALL_CFG, theta="0"),
                  _edit(SMALL_CFG, rank="0"), _edit(SMALL_CFG, window_len="0"),
@@ -527,6 +568,31 @@ def test_overflowing_plate_coefficients_exit_config(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
     assert len(parse_scenario(overlapping).defects) == 2
+
+
+def test_analytic_velocity_out_of_float_range_exits_config(
+    small_run, tmp_path, capsys
+):
+    # the small scenario takes its velocity from plate theory: a plate whose
+    # stiffness overflows gives no velocity, and an infinite one is no speed
+    _, cube_path = small_run
+    for text in (_edit(SMALL_CFG, thickness="1e120"),
+                 _edit(SMALL_CFG, youngs_modulus="1e308", thickness="10")):
+        cfg = tmp_path / "plate.cfg"
+        cfg.write_text(text)
+        capsys.readouterr()
+        assert main([
+            "detect", str(cube_path), str(cfg), str(tmp_path / "v"),
+        ]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "velocity" in err[0]
+    assert not list(tmp_path.glob("v.*"))
+    excitation = parse_scenario(SMALL_CFG).excitation
+    for speed in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match="group_velocity"):
+            DetectionConfig(excitation=excitation, probes=None, group_velocity=speed,
+                            window_len=11, rank=3, energy_ratio=0.25, threshold=0.5)
 
 
 def test_double_cross_rejects_per_region_sharing(ci_cube_file, tmp_path):

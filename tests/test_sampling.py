@@ -337,6 +337,11 @@ def test_sweep_validation(ci_bench1):
     with pytest.raises(ValueError):
         monte_carlo_sweep(cube, part, config, [0.5], trials=1,
                           base_seed=0, truth=truth, pattern="fancy")
+    # the double cross is one shared pattern, in a sweep as in a file
+    with pytest.raises(MaskError, match="double cross is one shared pattern"):
+        monte_carlo_sweep(cube, part, config, [], trials=1, base_seed=0,
+                          truth=truth, pattern="cross", stride=2,
+                          sharing=PER_REGION)
 
 
 def test_sweep_scores_origin_false_around_the_source():
