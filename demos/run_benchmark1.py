@@ -34,7 +34,9 @@ def main():
     partition = scenario.partition()
     result = run_detection(cube, partition, scenario.detection_config())
     truth = GroundTruth.from_defects(list(scenario.defects), partition)
-    metrics = detection_metrics(result.flagged, truth, partition)
+    metrics = detection_metrics(
+        result.flagged, truth, partition, scenario.excitation.source
+    )
 
     print(f"estimated group velocity {result.group_velocity:.0f} m/s, "
           f"rank {result.saliency.rank_used}")
@@ -53,7 +55,7 @@ def main():
     print()
     print(f"regionally discovered {metrics.regionally_discovered} of "
           f"{len(truth.regions)}; false flags {metrics.false_discoveries} "
-          f"({metrics.origin_false} near the excitation corner)")
+          f"({metrics.origin_false} near the source)")
 
 
 if __name__ == "__main__":

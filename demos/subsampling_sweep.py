@@ -25,7 +25,8 @@ config = scenario.detection_config()
 truth = GroundTruth.from_defects(list(scenario.defects), partition)
 
 full = detection_metrics(
-    run_detection(cube, partition, config).flagged, truth, partition
+    run_detection(cube, partition, config).flagged, truth, partition,
+    scenario.excitation.source,
 )
 print(f"full sampling: {full.regionally_discovered} of {len(truth.regions)} "
       f"defects regionally discovered, {full.false_discoveries} false")

@@ -96,6 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random trials per ratio (default %(default)s)")
     p.add_argument("--pattern", choices=("random", "cross"), default="random",
                    help="mask family (default %(default)s)")
+    # The parser runs before numpy may load, so it cannot read the defaults
+    # of monte_carlo_sweep: --stride and --sharing repeat them here.
     p.add_argument("--stride", type=int, default=1,
                    help="double-cross stride for --pattern cross")
     p.add_argument("--sharing", choices=("shared", "per_region"), default="shared",
@@ -162,7 +164,7 @@ def _cmd_detect(args) -> int:
     from .config import load_scenario, scenario_echo, with_overrides
     from .cube import read_cube, write_meta, write_text
     from .pipeline import run_detection
-    from .saliency import write_saliency_csv, write_saliency_pgm
+    from .saliency import saliency_csv_text, write_saliency_pgm
 
     scenario = with_overrides(
         load_scenario(args.config),
@@ -175,7 +177,7 @@ def _cmd_detect(args) -> int:
         cube, partition, scenario.detection_config(), mask=scenario.mask()
     )
 
-    write_saliency_csv(result.saliency, f"{args.prefix}.csv")
+    write_text(f"{args.prefix}.csv", saliency_csv_text(result.saliency))
     write_saliency_pgm(result.saliency, f"{args.prefix}.pgm")
     flagged = sorted(result.flagged)
     write_text(f"{args.prefix}.flags.txt", "".join(f"{a} {b}\n" for a, b in flagged))
@@ -230,8 +232,8 @@ def _dump_window_cubes(window_set, dx: float, directory) -> int:
 
 def _cmd_sweep(args) -> int:
     from .config import load_scenario, with_overrides
-    from .cube import read_cube
-    from .sampling import GroundTruth, MaskSettings, monte_carlo_sweep, write_sweep_csv
+    from .cube import read_cube, write_text
+    from .sampling import GroundTruth, MaskSettings, monte_carlo_sweep, sweep_csv_text
 
     scenario = with_overrides(load_scenario(args.config), rank=args.rank)
     try:
@@ -265,7 +267,7 @@ def _cmd_sweep(args) -> int:
         stride=args.stride,
         sharing=args.sharing,
     )
-    write_sweep_csv(rows, args.output)
+    write_text(args.output, sweep_csv_text(rows))
     for row in rows:
         print(f"nz={row.nz:g}: regional_correct={row.regional_correct:.3f} "
               f"false={row.false:.3f} (over {row.trials} trial(s))")
@@ -273,11 +275,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    from .cube import read_cube
+    from .cube import read_cube, write_text
     from .spectrum import (
         dft2_magnitude,
         occupied_fraction,
-        write_spectrum_csv,
+        spectrum_csv_text,
         write_spectrum_pgm,
     )
 
@@ -295,7 +297,7 @@ def _cmd_spectrum(args) -> int:
         )
     spec = dft2_magnitude(cube.slice_at(index), cube.dx)
     fraction = occupied_fraction(spec, args.floor_db)
-    write_spectrum_csv(spec, f"{args.prefix}.csv")
+    write_text(f"{args.prefix}.csv", spectrum_csv_text(spec))
     write_spectrum_pgm(spec, f"{args.prefix}.pgm")
     print(f"occupied fraction: {fraction:.6f} at floor {args.floor_db:g} dB, "
           f"snapshot {index}")

@@ -5,7 +5,8 @@ stepping, excitation burst, any number of defects, the detection settings
 and the velocity probes — so a benchmark is a single self-contained,
 diff-friendly text fixture.  Python's configparser is not used because
 defect blocks must be repeatable.  Every number must be finite; an integer
-key also takes a float spelling of an exact integer (``65.0``).
+key also takes a float spelling of an exact integer (``65.0``).  A scenario
+is checked as it is built, block by block and then across blocks.
 
 Every key, with its default; a key marked required shows an example::
 
@@ -41,11 +42,13 @@ Every key, with its default; a key marked required shows an example::
     density_scale = 100
 
     [defect]
-    kind = line_segment          # one cell thick, from (x1, y1) to (x2, y2);
-    x1 = 0.2                     # the scales as for an inclusion
+    kind = line_segment          # one cell thick, from (x1, y1) to (x2, y2)
+    x1 = 0.2
     y1 = 0.5
     x2 = 0.4
     y2 = 0.5
+    modulus_scale = 100
+    density_scale = 100
 
     [detection]
     regions_x = 16               # required
@@ -123,8 +126,7 @@ class GridSettings:
                 raise ValueError(f"{name} must be >= 1")
         if self.safety <= 0:
             raise ValueError("safety must be positive")
-        if self.space_order not in (2, 4):
-            raise ValueError(f"space_order must be 2 or 4, got {self.space_order}")
+        sim.stage_symbol_peak(self.space_order)  # a supported stencil order
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,14 @@ class ProbeSettings:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything one experiment needs, parsed and cross-validated."""
+    """Everything one experiment needs, checked on construction.
+
+    Each settings block checks its own fields; ``__post_init__`` checks the
+    rules that join blocks (the partition and mask against the grid, the
+    velocity source, the source and probes on the grid), so neither
+    ``parse_scenario`` nor ``replace`` (behind ``with_overrides``) can
+    return a scenario that breaks one.
+    """
 
     material: MaterialSpec
     grid: GridSettings
@@ -174,6 +183,26 @@ class ScenarioConfig:
     detection: DetectionSettings
     probes: ProbeSettings
     seed: int = 0
+
+    def __post_init__(self):
+        # Partition divisibility against the grid block, then the mask against
+        # the partition; the library's errors are wrapped so the failure reads
+        # as a config problem.
+        try:
+            self.mask()
+        except (PartitionError, MaskError, GeometryError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
+        # The velocity source: a pair of distinct probes, or in analytic mode a
+        # finite group velocity from the material and the carrier frequency.
+        try:
+            self.detection_config()
+            pair = self.probe_pair()
+        except (ArithmeticError, ValueError) as exc:
+            raise ConfigError(f"no usable velocity source: {exc}") from None
+        for what, point in (("excitation source", self.excitation.source),
+                            ("probe", pair.first), ("probe", pair.second)):
+            if not (0 <= point.l < self.grid.n1 and 0 <= point.m < self.grid.n2):
+                raise ConfigError(f"{what} {point} is off the grid")
 
     def partition(self) -> Partition:
         return Partition(
@@ -216,11 +245,11 @@ class ScenarioConfig:
 def simulate_scenario(scenario: ScenarioConfig) -> DataCube:
     """Run the scenario's plate through ``sim.simulate`` with every grid setting.
 
-    Every argument has passed ``_cross_validate``, so a ValueError or an
-    arithmetic error here comes from the scenario's numbers themselves (a
-    bending stiffness or density out of float range, alone or through
-    overlapping defects, or a burst too long for it) and is raised as a
-    ConfigError.  They are checked here and not at parse time because
+    Every argument has passed the checks of ``ScenarioConfig``, so a
+    ValueError or an arithmetic error here comes from the scenario's numbers
+    themselves (a bending stiffness or density out of float range, alone or
+    through overlapping defects, or a burst too long for it) and is raised
+    as a ConfigError.  They are checked here and not at parse time because
     building the coefficient map costs far more than parsing the file.
     """
     grid = scenario.grid
@@ -245,7 +274,8 @@ def with_overrides(scenario: ScenarioConfig, **changes) -> ScenarioConfig:
 
     Keys are ``DetectionSettings`` fields; a None value keeps the file's
     setting.  A ``rank`` given as text is read as in a file ("auto" or an
-    integer).  The result passes the same checks as a parsed scenario.
+    integer).  ``replace`` builds the result, so it passes the same checks
+    as a parsed scenario.
     """
     changes = {k: v for k, v in changes.items() if v is not None}
     try:
@@ -254,9 +284,7 @@ def with_overrides(scenario: ScenarioConfig, **changes) -> ScenarioConfig:
         detection = replace(scenario.detection, **changes)
     except ValueError as exc:
         raise ConfigError(f"bad detection setting: {exc}") from None
-    out = replace(scenario, detection=detection)
-    _cross_validate(out)
-    return out
+    return replace(scenario, detection=detection)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +415,7 @@ def _parse_defect(b: _Block) -> DefectSpec:
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
-    """Parse and cross-validate a scenario; ConfigError carries the line."""
+    """Parse and check a scenario; a ConfigError carries the line when known."""
     blocks = _read_blocks(text)
     named = {b.name: b for b in blocks if b.name != "defect"}
     for required in ("material", "grid", "excitation", "detection"):
@@ -451,7 +479,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     probes = b.make(ProbeSettings, mode=mode, pair=pair)
 
     b = named[""]
-    scenario = b.make(
+    return b.make(
         ScenarioConfig,
         material=material,
         grid=grid,
@@ -461,31 +489,6 @@ def parse_scenario(text: str) -> ScenarioConfig:
         probes=probes,
         seed=b.get("seed", _parse_int, ScenarioConfig.seed),
     )
-    _cross_validate(scenario)
-    return scenario
-
-
-def _cross_validate(scenario: ScenarioConfig) -> None:
-    """The rules that join blocks; each settings block checked its own fields."""
-    # Partition divisibility against the grid block, then the mask against
-    # the partition; the library's errors are wrapped so the failure reads
-    # as a config problem.
-    try:
-        scenario.mask()
-    except (PartitionError, MaskError, GeometryError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
-    # The velocity source: a pair of distinct probes, or in analytic mode a
-    # finite group velocity from the material and the carrier frequency.
-    try:
-        scenario.detection_config()
-        pair = scenario.probe_pair()
-    except (ArithmeticError, ValueError) as exc:
-        raise ConfigError(f"no usable velocity source: {exc}") from None
-    grid = scenario.grid
-    for what, point in (("excitation source", scenario.excitation.source),
-                        ("probe", pair.first), ("probe", pair.second)):
-        if not (0 <= point.l < grid.n1 and 0 <= point.m < grid.n2):
-            raise ConfigError(f"{what} {point} is off the grid")
 
 
 def load_scenario(path) -> ScenarioConfig:

@@ -207,13 +207,10 @@ def write_meta(path: str | Path, entries: dict) -> None:
     write_text(path, "\n".join(lines) + "\n")
 
 
-def write_text(destination, text: str) -> None:
-    """Write text to a path (created or truncated) or to an open text handle."""
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        destination.write(text)
+def write_text(path: str | Path, text: str) -> None:
+    """Write text to a file, created or truncated, with no newline translation."""
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
 
 
 def write_pgm(path: str | Path, pixels: np.ndarray) -> None:

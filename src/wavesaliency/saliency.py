@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cube import write_pgm, write_text
+from .cube import write_pgm
 from .errors import RankError
 from .windowing import RegionalWindowSet
 
@@ -260,11 +260,6 @@ def saliency_csv_text(sal: SaliencyMap) -> str:
         ) + "\n"
         for a in range(r1)
     )
-
-
-def write_saliency_csv(sal: SaliencyMap, destination) -> None:
-    """Write ``saliency_csv_text`` to a path or an open text handle."""
-    write_text(destination, saliency_csv_text(sal))
 
 
 def write_saliency_pgm(sal: SaliencyMap, path) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cube import DataCube, write_text
+from .cube import DataCube, GridPoint
 from .errors import GeometryError, MaskError
 from .pipeline import DetectionConfig, build_window_set, run_detection
 from .sim import DefectSpec, defect_cells, effective_source
@@ -225,7 +225,7 @@ class DetectionMetrics:
     regionally_discovered counts true anomalies with a flag on themselves or
     an 8-neighbor; regional_false counts flags at Chebyshev distance >= 2
     from every truth region; origin_false counts false flags inside the 3x3
-    region block nearest the excitation corner.
+    region block around the region that holds the driven node.
     """
 
     correct_discoveries: int
@@ -248,17 +248,17 @@ def _chebyshev(p: tuple[int, int], q: tuple[int, int]) -> int:
     return max(abs(p[0] - q[0]), abs(p[1] - q[1]))
 
 
-def origin_block(partition: Partition, source_corner: tuple[int, int]) -> set[tuple[int, int]]:
-    """The 3x3 block of regions nearest the excitation corner."""
+def origin_block(partition: Partition, region: tuple[int, int]) -> set[tuple[int, int]]:
+    """The 3x3 block of regions around ``region``, moved inside the partition."""
 
-    def axis_range(corner: int, count: int) -> range:
-        if not 0 <= corner < count:
-            raise ValueError(f"corner index {corner} outside 0..{count - 1}")
-        lo = min(max(corner - 1, 0), max(count - 3, 0))
+    def axis_range(index: int, count: int) -> range:
+        if not 0 <= index < count:
+            raise ValueError(f"region index {index} outside 0..{count - 1}")
+        lo = min(max(index - 1, 0), max(count - 3, 0))
         return range(lo, min(lo + 3, count))
 
-    xs = axis_range(source_corner[0], partition.regions_x)
-    ys = axis_range(source_corner[1], partition.regions_y)
+    xs = axis_range(region[0], partition.regions_x)
+    ys = axis_range(region[1], partition.regions_y)
     return {(a, b) for a in xs for b in ys}
 
 
@@ -266,9 +266,17 @@ def detection_metrics(
     flagged,
     truth: GroundTruth,
     partition: Partition,
-    source_corner: tuple[int, int] = (0, 0),
+    source: GridPoint,
 ) -> DetectionMetrics:
-    """Score a flagged-region set; see DetectionMetrics for the definitions."""
+    """Score a flagged-region set; see DetectionMetrics for the definitions.
+
+    ``source`` is the excitation's source node.  The origin block surrounds
+    the region that holds the node it drives (``sim.effective_source``).
+    """
+    source.validate(partition.n1, partition.n2)
+    driven = effective_source(source, partition.n1, partition.n2)
+    # The cell whose lowest corner is the driven node lies in its region.
+    block = origin_block(partition, partition.region_of_cell(driven.l, driven.m))
     flagged = {(int(a), int(b)) for a, b in flagged}
     truth.validate(partition)
     for a, b in flagged:
@@ -284,7 +292,6 @@ def detection_metrics(
     regional_false = sum(
         1 for f in flagged if all(_chebyshev(f, t) >= 2 for t in truths)
     )
-    block = origin_block(partition, source_corner)
     origin_false = sum(1 for f in flagged - truths if f in block)
     return DetectionMetrics(
         correct_discoveries=correct,
@@ -341,8 +348,8 @@ def monte_carlo_sweep(
     the row reads as ``trials`` identical trials with zero standard error.
     Every mask comes from ``MaskSettings.build``, so a double cross with
     ``sharing=PER_REGION`` raises MaskError as it does in a scenario file.
-    ``origin_false`` counts false flags around the region that holds the
-    node ``config.excitation`` drives (see ``sim.effective_source``).
+    Trials are scored by ``detection_metrics`` around the source of
+    ``config.excitation``.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -350,16 +357,13 @@ def monte_carlo_sweep(
         raise ValueError(f"unknown mask pattern {pattern!r}")
 
     window_set = build_window_set(cube, partition, config)
-    src = effective_source(config.excitation.source, partition.n1, partition.n2)
-    # The cell whose lowest corner is the driven node lies in its region.
-    source_corner = partition.region_of_cell(src.l, src.m)
 
     def score(mask: Mask) -> tuple[int, int, int, int, int]:
         result = run_detection(
             cube, partition, config, mask=mask, window_set=window_set
         )
         return detection_metrics(
-            result.flagged, truth, partition, source_corner
+            result.flagged, truth, partition, config.excitation.source
         ).as_tuple()
 
     if pattern == "cross":
@@ -412,8 +416,3 @@ def sweep_csv_text(rows: list[SweepRow]) -> str:
         for row in rows
     ]
     return "\n".join(lines) + "\n"
-
-
-def write_sweep_csv(rows: list[SweepRow], destination) -> None:
-    """Write ``sweep_csv_text`` to a path or an open text handle."""
-    write_text(destination, sweep_csv_text(rows))

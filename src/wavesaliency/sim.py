@@ -15,7 +15,8 @@ Time stepping is central-difference (leapfrog).  The spatial Laplacian stages
 are available at second order (the classical 13-point biharmonic stencil) or
 fourth order (default); at the default grid resolution the second-order
 stencil underestimates the group velocity of a 500 kHz packet by ~6%, which
-the fourth-order stages reduce to below 1%.
+the fourth-order stages reduce to below 1%.  ``STAGE_SYMBOL_PEAK`` is the one
+list of supported orders, and sets the stable time step of each.
 
 ``simulate`` is two parts behind one call:
 
@@ -90,7 +91,13 @@ class MaterialSpec:
     def bending_stiffness(self) -> float:
         """Kirchhoff bending stiffness D = E h^3 / (12 (1 - nu^2)) in N*m."""
         e, h, nu = self.youngs_modulus, self.thickness, self.poisson_ratio
-        return e * h**3 / (12.0 * (1.0 - nu * nu))
+        try:
+            return e * h**3 / (12.0 * (1.0 - nu * nu))
+        except OverflowError:
+            raise OverflowError(
+                f"bending stiffness E h^3 / (12 (1 - nu^2)) is out of float "
+                f"range for E = {e!r} Pa and h = {h!r} m"
+            ) from None
 
     @property
     def areal_density(self) -> float:
@@ -210,7 +217,8 @@ def effective_source(source: GridPoint, n1: int, n2: int) -> GridPoint:
 
     A transverse force on a simply supported edge node does no work, so
     ``simulate`` drives the nearest interior node; distances to the source
-    (window timing, the sweep's origin block) are measured from it.
+    (window timing) and the origin block of ``sampling.detection_metrics``
+    are measured from it.
     """
     return GridPoint(
         l=min(max(source.l, 1), n1 - 2),
@@ -273,14 +281,17 @@ def build_material_map(
 # Stability and dispersion
 # ---------------------------------------------------------------------------
 
-def _biharmonic_symbol_max(space_order: int) -> float:
-    # Largest eigenvalue magnitude of the two-stage discrete biharmonic,
-    # in units of 1/dx^4: the squared peak symbol of the Laplacian stage.
-    if space_order == 2:
-        return 8.0**2
-    if space_order == 4:
-        return (32.0 / 3.0) ** 2
-    raise ValueError(f"space_order must be 2 or 4, got {space_order}")
+# The supported stencil orders, each with the peak symbol of its Laplacian
+# stage in units of 1/dx^2 (the stage's largest eigenvalue magnitude).
+STAGE_SYMBOL_PEAK = {2: 8.0, 4: 32.0 / 3.0}
+
+
+def stage_symbol_peak(space_order: int) -> float:
+    """The order's entry of ``STAGE_SYMBOL_PEAK``; ValueError for any other order."""
+    if space_order not in STAGE_SYMBOL_PEAK:
+        orders = " or ".join(map(str, STAGE_SYMBOL_PEAK))
+        raise ValueError(f"space_order must be {orders}, got {space_order}")
+    return STAGE_SYMBOL_PEAK[space_order]
 
 
 def stable_timestep(
@@ -293,7 +304,7 @@ def stable_timestep(
 
     The central-difference scheme is stable for dt <= 2 / omega_max with
     omega_max = sqrt(D / rho_h) * s_max / dx^2, where s_max is the peak
-    symbol of the Laplacian stage (8 at second order, 32/3 at fourth).
+    symbol of the Laplacian stage (``STAGE_SYMBOL_PEAK``).
     Evaluated at the stiffest cell, i.e. the smallest rho_h / D ratio:
 
         dt = safety * (2 / s_max) * dx^2 * sqrt(min_cells rho_h / D)
@@ -306,7 +317,7 @@ def stable_timestep(
     ratio_min = float(
         np.min(material_map.areal_density / material_map.bending_stiffness)
     )
-    s_max = math.sqrt(_biharmonic_symbol_max(space_order))
+    s_max = stage_symbol_peak(space_order)
     return safety * (2.0 / s_max) * dx * dx * math.sqrt(ratio_min)
 
 
@@ -415,8 +426,7 @@ class PlateOperator:
         dx: float,
         space_order: int = DEFAULT_SPACE_ORDER,
     ):
-        if space_order not in (2, 4):
-            raise ValueError(f"space_order must be 2 or 4, got {space_order}")
+        stage_symbol_peak(space_order)
         cl, cm = material_map.cell_shape
         if cl != cm:
             raise ValueError("the plate is square; n1 and n2 must match")
@@ -555,7 +565,7 @@ def simulate(
     n1: int,
     n2: int,
     step_count: int,
-    safety: float = 0.9,
+    safety: float,
     *,
     record_every: int = 1,
     space_order: int = DEFAULT_SPACE_ORDER,
@@ -569,9 +579,9 @@ def simulate(
     Raises:
         DivergenceError: if any |w| exceeds 1e6 times the forcing
             displacement scale, naming the first bad step.
+        ValueError: a bad argument, such as an unsupported space order or
+            (from ``PlateOperator``) a plate that is not square.
     """
-    if n1 != n2:
-        raise ValueError("the plate is square; n1 and n2 must match")
     if step_count < 1:
         raise ValueError("step_count must be at least 1")
     if record_every < 1:

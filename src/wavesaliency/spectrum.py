@@ -13,10 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cube import write_pgm, write_text
+from .cube import write_pgm
 from .errors import NoSignalError
-
-DEFAULT_FLOOR_DB = -20.0
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,7 @@ def dft2_magnitude(snapshot: np.ndarray, dx: float, side_length: float | None = 
     )
 
 
-def occupied_fraction(spectrum: WavenumberSpectrum, floor_db: float = DEFAULT_FLOOR_DB) -> float:
+def occupied_fraction(spectrum: WavenumberSpectrum, floor_db: float) -> float:
     """Fraction of bins whose magnitude strictly exceeds the dB floor.
 
     With the peak normalized to 1, a bin counts as occupied when its
@@ -93,11 +91,6 @@ def spectrum_csv_text(spectrum: WavenumberSpectrum) -> str:
     return "".join(
         ",".join(f"{v:.6e}" for v in row) + "\n" for row in spectrum.values
     )
-
-
-def write_spectrum_csv(spectrum: WavenumberSpectrum, destination) -> None:
-    """Write ``spectrum_csv_text`` to a path or an open text handle."""
-    write_text(destination, spectrum_csv_text(spectrum))
 
 
 def write_spectrum_pgm(

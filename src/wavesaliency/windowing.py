@@ -220,18 +220,17 @@ def estimate_group_velocity(cube: DataCube, probes: ProbePair) -> float:
     return float(probes.separation(cube.dx) / delta_t)
 
 
-def arrival_time(
-    centroid_distance: float,
-    group_velocity: float,
-    excitation: ExcitationSpec,
-) -> float:
+def arrival_time(centroid_distance, group_velocity: float, excitation: ExcitationSpec):
     """Expected envelope-center arrival: transit time plus half the burst.
 
     t_c = d / c_g + N_c / (2 nu)
+
+    ``centroid_distance`` is a distance or an array of them, and the result
+    has its shape.
     """
     if group_velocity <= 0.0:
         raise ValueError("group velocity must be positive")
-    if centroid_distance < 0.0:
+    if np.any(np.asarray(centroid_distance) < 0.0):
         raise ValueError("distance must be non-negative")
     return centroid_distance / group_velocity + excitation.burst_duration / 2.0
 
@@ -289,8 +288,9 @@ def extract_windows(
     the cube's peak amplitude.
 
     All regions are handled at once: the starts are one array in column
-    order, computed with the float operations of ``Partition.centroid`` and
-    ``arrival_time`` (``np.rint`` rounds half to even, as ``round`` does);
+    order, the centroid distances computed with the float operations of
+    ``Partition.centroid`` and timed by ``arrival_time`` (``np.rint`` rounds
+    half to even, as ``round`` does);
     each window offset is one integer gather over all regions from the
     flattened cube; each region's RMS is read from that stack and compared
     with ``cube.peak``; and the columns of regions that overran the record
@@ -299,6 +299,7 @@ def extract_windows(
     Raises:
         PartitionError: partition grid does not match the cube.
         WindowingError: invalid window length, or no region ends up active.
+        ValueError: a group velocity that is not positive.
     """
     if partition.n1 != cube.n1 or partition.n2 != cube.n2:
         raise PartitionError(
@@ -311,8 +312,6 @@ def extract_windows(
         raise WindowingError(
             f"window length {window_len} exceeds the {cube.t_len}-sample record"
         )
-    if group_velocity <= 0.0:
-        raise ValueError("group velocity must be positive")
 
     src = effective_source(excitation.source, cube.n1, cube.n2)
     sx, sy = src.position(cube.dx)
@@ -327,7 +326,7 @@ def extract_windows(
     cx = (l0 + (p1 - 1) / 2.0) * cube.dx
     cy = (m0 + (p2 - 1) / 2.0) * cube.dx
     distance = np.hypot(cx[None, :] - sx, cy[:, None] - sy).ravel()
-    t_c = distance / group_velocity + excitation.burst_duration / 2.0
+    t_c = arrival_time(distance, group_velocity, excitation)
     # a start past 2**62 samples overruns any record; the cap keeps an
     # absurdly slow wave's cast to int64 defined
     start = np.rint(np.minimum(t_c / cube.dt, 2.0**62)).astype(np.int64)

@@ -161,7 +161,9 @@ def test_three_inclusions_found_with_few_false_alarms(bench1):
     part = scenario.partition()
     truth = GroundTruth.from_defects(list(scenario.defects), part)
     result = run_detection(cube, part, scenario.detection_config())
-    metrics = detection_metrics(result.flagged, truth, part)
+    metrics = detection_metrics(
+        result.flagged, truth, part, scenario.excitation.source
+    )
     print(f"truth {sorted(truth.regions)}, flagged {sorted(result.flagged)}, "
           f"metrics {metrics.as_tuple()}")
     assert metrics.regionally_discovered == len(truth.regions) == 3
@@ -207,7 +209,8 @@ def test_detection_survives_heavy_subsampling(ci_bench1):
     truth = GroundTruth.from_defects(list(scenario.defects), part)
 
     full = detection_metrics(
-        run_detection(cube, part, config).flagged, truth, part
+        run_detection(cube, part, config).flagged, truth, part,
+        scenario.excitation.source,
     )
     start = time.perf_counter()
     rows = monte_carlo_sweep(
@@ -270,7 +273,7 @@ def test_scattered_field_occupies_small_spectral_fraction(bench1, tmp_path, caps
     assert int(match.group(3)) == cube.t_len - 1
     # the printed value is the library computation, 6-decimal rounded
     direct = occupied_fraction(
-        dft2_magnitude(cube.slice_at(cube.t_len - 1), cube.dx)
+        dft2_magnitude(cube.slice_at(cube.t_len - 1), cube.dx), -20.0
     )
     assert abs(direct - fraction) < 5e-7
 

@@ -11,6 +11,7 @@ import random
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -288,6 +289,25 @@ def test_docstring_lists_every_key():
     assert len(keys) == 39
     for key in sorted(keys):
         assert re.search(rf"^    {key} = ", doc, re.MULTILINE), key
+
+
+def test_docstring_shows_the_defaults():
+    # the key list parses as a scenario, and leaving out any key that is not
+    # required changes nothing: every default it shows is the default
+    example = textwrap.dedent(wavesaliency.config.__doc__.split("::\n", 1)[1])
+    full = parse_scenario(example)
+    lines = example.split("\n")
+    optional = []
+    for i, line in enumerate(lines):
+        if " = " not in line:
+            continue
+        try:
+            shorter = parse_scenario("\n".join(lines[:i] + lines[i + 1:]))
+        except ConfigError:
+            continue  # a required key
+        assert shorter == full, line
+        optional.append(line.split(" = ")[0])
+    assert len(optional) == 15, optional
 
 
 def _bad_value_table() -> list[tuple[str, str, str]]:
@@ -593,6 +613,24 @@ def test_analytic_velocity_out_of_float_range_exits_config(
         with pytest.raises(ValueError, match="group_velocity"):
             DetectionConfig(excitation=excitation, probes=None, group_velocity=speed,
                             window_len=11, rank=3, energy_ratio=0.25, threshold=0.5)
+
+
+def test_overflowing_bending_stiffness_is_named(ci_cube_file, tmp_path, capsys):
+    # h**3 overflows: simulate (probe pair) and detect (analytic velocity)
+    # each print one error line naming the stiffness and its E and h
+    text = _edit(bundled_config_path("bench1_ci").read_text(), thickness="1e120")
+    pair_cfg, analytic_cfg = tmp_path / "pair.cfg", tmp_path / "analytic.cfg"
+    pair_cfg.write_text(text)
+    analytic_cfg.write_text(_edit(text, mode="analytic"))
+    for argv in (["simulate", str(pair_cfg), str(tmp_path / "h.wvc")],
+                 ["detect", str(ci_cube_file), str(analytic_cfg), str(tmp_path / "h")]):
+        capsys.readouterr()
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "bending stiffness" in err[0], err
+        assert "E = 71000000000.0 Pa and h = 1e+120 m" in err[0], err
+    assert not list(tmp_path.glob("h*"))
 
 
 def test_double_cross_rejects_per_region_sharing(ci_cube_file, tmp_path):

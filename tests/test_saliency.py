@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from wavesaliency.cube import DataCube, GridPoint
+from wavesaliency.cube import DataCube, GridPoint, write_text
 from wavesaliency.errors import MaskError
 from wavesaliency.pipeline import build_window_set
 from wavesaliency.saliency import (
@@ -21,7 +21,6 @@ from wavesaliency.saliency import (
     salient_columns,
     saliency_csv_text,
     saliency_map,
-    write_saliency_csv,
     write_saliency_pgm,
 )
 from wavesaliency.sampling import PER_REGION, Mask, double_cross_mask, random_mask
@@ -658,5 +657,5 @@ def test_csv_file_and_stream_agree(tmp_path):
     ws = _synthetic_window_set(spiked_taus=(5,))
     sal = saliency_map(ws, rank=1, ratio=0.25)
     path = tmp_path / "sal.csv"
-    write_saliency_csv(sal, path)
+    write_text(path, saliency_csv_text(sal))
     assert path.read_text() == saliency_csv_text(sal)

@@ -24,8 +24,8 @@ from wavesaliency.sampling import (
     origin_block,
     random_mask,
     sweep_csv_text,
-    write_sweep_csv,
 )
+from wavesaliency.cube import GridPoint, write_text
 from wavesaliency.sim import DefectSpec
 from wavesaliency.windowing import Partition
 
@@ -180,17 +180,20 @@ def test_ground_truth_validate():
 # ---------------------------------------------------------------------------
 
 PART8 = Partition(129, 129, 8, 8)
+# source nodes that drive a node of region (0, 0) and of region (7, 7)
+NEAR_ORIGIN = GridPoint(0, 0)
+FAR_CORNER = GridPoint(128, 128)
 
 
 def test_metrics_perfect_detection():
     truth = GroundTruth(frozenset({(1, 3), (4, 4), (5, 1)}))
-    m = detection_metrics(truth.regions, truth, PART8)
+    m = detection_metrics(truth.regions, truth, PART8, NEAR_ORIGIN)
     assert m.as_tuple() == (3, 0, 3, 0, 0)
 
 
 def test_metrics_diagonal_neighbor():
     truth = GroundTruth(frozenset({(5, 5)}))
-    m = detection_metrics({(6, 6)}, truth, PART8)
+    m = detection_metrics({(6, 6)}, truth, PART8, NEAR_ORIGIN)
     # missed exactly, but the anomaly counts as regionally discovered and
     # the flag is not a regional false alarm
     assert m.as_tuple() == (0, 1, 1, 0, 0)
@@ -198,19 +201,19 @@ def test_metrics_diagonal_neighbor():
 
 def test_metrics_origin_false_alarm():
     truth = GroundTruth(frozenset({(5, 5)}))
-    m = detection_metrics({(1, 1)}, truth, PART8)
+    m = detection_metrics({(1, 1)}, truth, PART8, NEAR_ORIGIN)
     assert m.as_tuple() == (0, 1, 0, 1, 1)
     # same flag scored against a source at the opposite corner
-    m2 = detection_metrics({(1, 1)}, truth, PART8, source_corner=(7, 7))
+    m2 = detection_metrics({(1, 1)}, truth, PART8, FAR_CORNER)
     assert m2.origin_false == 0
     m3 = detection_metrics({(6, 6)}, GroundTruth(frozenset({(0, 0)})),
-                           PART8, source_corner=(7, 7))
+                           PART8, FAR_CORNER)
     assert m3.origin_false == 1
 
 
 def test_metrics_true_flag_never_origin_false():
     truth = GroundTruth(frozenset({(1, 1)}))
-    m = detection_metrics({(1, 1)}, truth, PART8)
+    m = detection_metrics({(1, 1)}, truth, PART8, NEAR_ORIGIN)
     assert m.as_tuple() == (1, 0, 1, 0, 0)
 
 
@@ -235,7 +238,7 @@ def test_metrics_count_identities(rng):
         flag_pick = rng.choice(len(all_regions), size=n_flag, replace=False)
         truth = GroundTruth(frozenset(all_regions[i] for i in truth_pick))
         flagged = {all_regions[i] for i in flag_pick}
-        m = detection_metrics(flagged, truth, PART8)
+        m = detection_metrics(flagged, truth, PART8, NEAR_ORIGIN)
         assert m.correct_discoveries + m.false_discoveries == len(flagged)
         assert 0 <= m.regionally_discovered <= len(truth.regions)
         assert m.regional_false <= m.false_discoveries
@@ -249,7 +252,7 @@ def test_regional_discovery_monotone_in_flags(rng):
     order = rng.permutation(len(PART8.region_ids()))
     for i in order[:20]:
         flagged.add(PART8.region_ids()[int(i)])
-        m = detection_metrics(flagged, truth, PART8)
+        m = detection_metrics(flagged, truth, PART8, NEAR_ORIGIN)
         assert m.regionally_discovered >= last
         last = m.regionally_discovered
 
@@ -257,9 +260,9 @@ def test_regional_discovery_monotone_in_flags(rng):
 def test_metrics_validation():
     truth = GroundTruth(frozenset({(1, 1)}))
     with pytest.raises(ValueError):
-        detection_metrics({(9, 0)}, truth, PART8)
+        detection_metrics({(9, 0)}, truth, PART8, NEAR_ORIGIN)
     with pytest.raises(ValueError):
-        detection_metrics(set(), GroundTruth(frozenset({(0, 9)})), PART8)
+        detection_metrics(set(), GroundTruth(frozenset({(0, 9)})), PART8, NEAR_ORIGIN)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +280,7 @@ def _sweep_inputs(ci_bench1):
 def test_sweep_full_ratio_matches_unmasked(ci_bench1):
     cube, part, config, truth = _sweep_inputs(ci_bench1)
     base = run_detection(cube, part, config)
-    expect = detection_metrics(base.flagged, truth, part)
+    expect = detection_metrics(base.flagged, truth, part, config.excitation.source)
     rows = monte_carlo_sweep(
         cube, part, config, [1.0], trials=3, base_seed=5, truth=truth
     )
@@ -344,14 +347,40 @@ def test_sweep_validation(ci_bench1):
                           sharing=PER_REGION)
 
 
-def test_sweep_scores_origin_false_around_the_source():
-    # bench1_ci driven from the far corner node: the origin block is the
-    # 3x3 regions around (7, 7), not around region (0, 0)
+@pytest.fixture(scope="module")
+def far_source_bench1():
+    """bench1_ci driven from the far corner node (128, 128), and its cube."""
     text = bundled_config_path("bench1_ci").read_text()
     for key in ("source_l", "source_m"):
         text = text.replace(f"{key} = 0", f"{key} = 128")
     scenario = parse_scenario(text.replace("mode = pair", "mode = analytic"))
-    cube = simulate_scenario(scenario)
+    assert scenario.excitation.source == FAR_CORNER
+    return scenario, simulate_scenario(scenario)
+
+
+def test_metrics_score_origin_false_around_a_moved_source(far_source_bench1):
+    # false flags near region (7, 7) are origin false alarms of this plate;
+    # those near region (0, 0) are not
+    scenario, cube = far_source_bench1
+    part = scenario.partition()
+    truth = GroundTruth.from_defects(list(scenario.defects), part)
+    detected = run_detection(cube, part, scenario.detection_config()).flagged
+    near_source, near_origin = {(7, 7), (6, 5)}, {(0, 0), (1, 2)}
+    flagged = detected | near_source | near_origin
+    assert not (near_source | near_origin) & truth.regions
+    block = {(a, b) for a in range(5, 8) for b in range(5, 8)}
+    m = detection_metrics(flagged, truth, part, scenario.excitation.source)
+    assert m.origin_false == len((flagged - truth.regions) & block)
+    assert m.origin_false >= len(near_source)
+    without_origin_flags = detection_metrics(
+        flagged - near_origin, truth, part, scenario.excitation.source
+    )
+    assert without_origin_flags.origin_false == m.origin_false
+
+
+def test_sweep_scores_origin_false_around_the_source(far_source_bench1):
+    # the sweep scores every trial around region (7, 7), not region (0, 0)
+    scenario, cube = far_source_bench1
     part, config = scenario.partition(), scenario.detection_config()
     truth = GroundTruth.from_defects(list(scenario.defects), part)
     trials = 6
@@ -361,7 +390,7 @@ def test_sweep_scores_origin_false_around_the_source():
         detection_metrics(
             run_detection(cube, part, config,
                           mask=random_mask(17, 17, 0.5, seed=2026 + t)).flagged,
-            truth, part, source_corner=(7, 7),
+            truth, part, FAR_CORNER,
         ).origin_false
         for t in range(trials)
     ]
@@ -414,7 +443,7 @@ def test_sweep_csv_format(tmp_path):
     assert lines[1] == "0.5,3.000000,0.250000,3.000000,0.000000,0.250000,4,123"
     assert lines[2] == "0.07,2.500000,1.000000,2.750000,0.500000,0.500000,4,123"
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(rows, path)
+    write_text(path, text)
     assert path.read_text() == text
 
 

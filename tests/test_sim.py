@@ -16,6 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from wavesaliency.config import GridSettings, bundled_config_path, load_scenario
 from wavesaliency.cube import GridPoint
 from wavesaliency.errors import DivergenceError, GeometryError
 from wavesaliency.sim import (
@@ -41,6 +42,8 @@ ALUMINUM = MaterialSpec(
     thickness=0.005,
     side_length=0.25,
 )
+
+BUNDLED = ("bench1", "bench2", "pristine", "bench1_ci", "pristine_ci")
 
 BURST = ExcitationSpec(
     carrier_frequency=5e5, cycle_count=5, amplitude=1.0, source=GridPoint(0, 0)
@@ -109,6 +112,32 @@ def test_stable_timestep_scaling():
     # second-order stencil tolerates a larger step than fourth-order
     dt2 = stable_timestep(pristine, 1e-3, 0.9, space_order=2)
     assert dt2 > dt
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_stable_timestep_is_the_closed_form(name):
+    # dt = safety (2 / s) dx^2 sqrt(min rho_h / D), s the peak stage symbol
+    s = load_scenario(bundled_config_path(name))
+    g = s.grid
+    dx = s.material.side_length / (g.n1 - 1)
+    mmap = build_material_map(s.material, list(s.defects), g.n1, g.n2)
+    root = math.sqrt(float(np.min(mmap.areal_density / mmap.bending_stiffness)))
+    for order, peak in ((2, 8.0), (4, 32.0 / 3.0)):
+        expected = g.safety * (2.0 / peak) * dx * dx * root
+        assert stable_timestep(mmap, dx, g.safety, order) == expected
+
+
+def test_stencil_orders_are_two_and_four():
+    mmap = build_material_map(ALUMINUM, [], 9, 9)
+    for order in (2, 4):
+        GridSettings(9, 9, 10, space_order=order)
+        stable_timestep(mmap, 1e-3, 0.9, order)
+        PlateOperator(mmap, 1e-3, order)
+    for build in (lambda: GridSettings(9, 9, 10, space_order=3),
+                  lambda: stable_timestep(mmap, 1e-3, 0.9, 3),
+                  lambda: PlateOperator(mmap, 1e-3, 3)):
+        with pytest.raises(ValueError, match="space_order must be 2 or 4, got 3"):
+            build()
 
 
 def test_defect_cells_point_and_line():

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from wavesaliency.cube import write_text
 from wavesaliency.errors import NoSignalError
 from wavesaliency.spectrum import (
     WavenumberSpectrum,
     dft2_magnitude,
     occupied_fraction,
     spectrum_csv_text,
-    write_spectrum_csv,
     write_spectrum_pgm,
 )
 
@@ -150,7 +150,7 @@ def test_csv_round_trip(tmp_path):
     parsed = np.array([[float(v) for v in line.split(",")] for line in lines])
     assert np.allclose(parsed, values, atol=1e-6)
     path = tmp_path / "spec.csv"
-    write_spectrum_csv(spec, path)
+    write_text(path, text)
     assert path.read_text() == text
 
 
