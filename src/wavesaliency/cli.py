@@ -1,13 +1,14 @@
 """Command-line front end: simulate / detect / sweep / spectrum.
 
 Exit codes are stable: 0 success, 2 bad configuration (parse failure, a
-partition that does not divide the grid, a detection setting out of range
-in the file or on the command line, a double-cross mask with per-region
-sharing, plate coefficients or an analytic group velocity out of float
-range, an empty sweep ratio list, a spectrum floor that is not negative,
-or a spectrum compare ratio outside (0, 1]), 3 simulation divergence,
-4 windowing produced no active region, 5 silent input where a signal is
-required.  Any other toolkit error exits 1.
+missing required key such as the rank, a partition that does not divide
+the grid, a detection setting out of range in the file or on the command
+line, per-region sharing with a mask that is not random, plate
+coefficients or an analytic group velocity out of float range, an empty
+sweep ratio list, a spectrum floor that is not negative, or a spectrum
+compare ratio outside (0, 1]), 3 simulation divergence, 4 windowing
+produced no active region, 5 silent input where a signal is required.
+Any other toolkit error exits 1.
 
 Heavy imports happen inside ``main`` so that the ``WAVESALIENCY_THREADS``
 environment variable can pin the BLAS/OpenMP thread pools before numpy is
@@ -78,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cube", help="WVC1 cube path")
     p.add_argument("config", help="scenario config file")
     p.add_argument("prefix", help="output prefix for csv/pgm/flags/manifest")
-    p.add_argument("--rank", help="subspace rank override (integer or 'auto')")
+    p.add_argument("--rank", help="subspace rank override (an integer >= 1)")
     p.add_argument("--tw", type=int, help="window length override (samples)")
     p.add_argument("--ratio", type=float, help="outlier energy ratio override")
     p.add_argument("--theta", type=float, help="decision threshold override")
@@ -102,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="double-cross stride for --pattern cross")
     p.add_argument("--sharing", choices=("shared", "per_region"), default="shared",
                    help="share one mask across regions or draw one per region")
-    p.add_argument("--rank", help="subspace rank override (integer or 'auto')")
+    p.add_argument("--rank", help="subspace rank override (an integer >= 1)")
 
     p = sub.add_parser("spectrum", help="wavenumber spectrum of one snapshot")
     p.add_argument("cube", help="WVC1 cube path")
@@ -164,7 +165,7 @@ def _cmd_detect(args) -> int:
     from .config import load_scenario, scenario_echo, with_overrides
     from .cube import read_cube, write_meta, write_text
     from .pipeline import run_detection
-    from .saliency import saliency_csv_text, write_saliency_pgm
+    from .saliency import saliency_csv_text, snapshot_spectrum, write_saliency_pgm
 
     scenario = with_overrides(
         load_scenario(args.config),
@@ -172,10 +173,8 @@ def _cmd_detect(args) -> int:
     )
     cube = read_cube(args.cube)
     _check_cube_matches(cube, scenario)
-    partition = scenario.partition()
-    result = run_detection(
-        cube, partition, scenario.detection_config(), mask=scenario.mask()
-    )
+    mask = scenario.mask()
+    result = run_detection(cube, scenario.partition(), scenario.detection_config(), mask)
 
     write_text(f"{args.prefix}.csv", saliency_csv_text(result.saliency))
     write_saliency_pgm(result.saliency, f"{args.prefix}.pgm")
@@ -186,8 +185,7 @@ def _cmd_detect(args) -> int:
     manifest = {
         "group_velocity": repr(result.group_velocity),
         "velocity_source": scenario.probes.mode,
-        "rank_requested": echo["detection.rank"],
-        "rank_used": str(result.saliency.rank_used),
+        "rank": echo["detection.rank"],
         "window_len": echo["detection.window_len"],
         "energy_ratio": echo["detection.ratio"],
         "theta": echo["detection.theta"],
@@ -196,7 +194,7 @@ def _cmd_detect(args) -> int:
         "active_regions": str(int(result.saliency.active.sum())),
         "flagged": ";".join(f"{a},{b}" for a, b in flagged),
         "singular_values": " ".join(
-            f"{v:.9e}" for v in result.saliency.singular_values
+            f"{v:.9e}" for v in snapshot_spectrum(result.window_set, mask)
         ),
     }
     write_meta(f"{args.prefix}.manifest", manifest)

@@ -53,8 +53,8 @@ Every key, with its default; a key marked required shows an example::
     [detection]
     regions_x = 16               # required
     regions_y = 16               # required
+    rank = 14                    # required; an integer >= 1
     window_len = 11
-    rank = auto                  # or an integer >= 1
     ratio = 0.25
     theta = 0.5
     mask = full                  # or random <ratio>, or cross <stride 1|2|4>
@@ -135,8 +135,8 @@ class DetectionSettings:
 
     regions_x: int
     regions_y: int
+    rank: int
     window_len: int = DEFAULT_WINDOW_LEN
-    rank: int | str = "auto"
     ratio: float = DEFAULT_ENERGY_RATIO
     theta: float = DEFAULT_DECISION_THRESHOLD
     mask: MaskSettings = field(default_factory=MaskSettings)
@@ -147,10 +147,8 @@ class DetectionSettings:
         for name in ("ratio", "theta"):
             if not 0.0 < getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1], got {getattr(self, name)}")
-        if self.rank != "auto" and (not isinstance(self.rank, int) or self.rank < 1):
-            raise ValueError(
-                f"rank must be 'auto' or an integer >= 1, got {self.rank!r}"
-            )
+        if not isinstance(self.rank, int) or self.rank < 1:
+            raise ValueError(f"rank must be an integer >= 1, got {self.rank!r}")
 
 
 @dataclass(frozen=True)
@@ -273,14 +271,14 @@ def with_overrides(scenario: ScenarioConfig, **changes) -> ScenarioConfig:
     """The scenario with detection settings replaced, checked like a file.
 
     Keys are ``DetectionSettings`` fields; a None value keeps the file's
-    setting.  A ``rank`` given as text is read as in a file ("auto" or an
-    integer).  ``replace`` builds the result, so it passes the same checks
-    as a parsed scenario.
+    setting.  A ``rank`` given as text is read as in a file, as an integer.
+    ``replace`` builds the result, so it passes the same checks as a parsed
+    scenario.
     """
     changes = {k: v for k, v in changes.items() if v is not None}
     try:
         if isinstance(changes.get("rank"), str):
-            changes["rank"] = _parse_rank(changes["rank"])
+            changes["rank"] = _parse_int(changes["rank"])
         detection = replace(scenario.detection, **changes)
     except ValueError as exc:
         raise ConfigError(f"bad detection setting: {exc}") from None
@@ -377,12 +375,6 @@ def _parse_int(text: str) -> int:
     return int(value)
 
 
-def _parse_rank(text: str):
-    if text == "auto":
-        return "auto"
-    return _parse_int(text)
-
-
 def _parse_mask(text: str) -> MaskSettings:
     """``full``, ``random <ratio>`` or ``cross <stride>``, with shared sharing."""
     kind, *args = text.split()
@@ -458,8 +450,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
         DetectionSettings,
         regions_x=b.get("regions_x", _parse_int),
         regions_y=b.get("regions_y", _parse_int),
+        rank=b.get("rank", _parse_int),
         window_len=b.get("window_len", _parse_int, DetectionSettings.window_len),
-        rank=b.get("rank", _parse_rank, DetectionSettings.rank),
         ratio=b.get("ratio", _parse_float, DetectionSettings.ratio),
         theta=b.get("theta", _parse_float, DetectionSettings.theta),
         mask=mask,

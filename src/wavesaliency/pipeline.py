@@ -33,7 +33,7 @@ class DetectionConfig:
     probes: ProbePair | None
     group_velocity: float | None
     window_len: int
-    rank: int | str
+    rank: int
     energy_ratio: float
     threshold: float
 

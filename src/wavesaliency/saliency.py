@@ -20,9 +20,11 @@ above the dust floor.  Squaring X halves its relative precision: eigh
 places the basis to about eps·λ₀/(λ_r − λ_{r+1}), so an offset whose Gram
 eigengap at the rank is at most 1e-8 λ₀ (a rank in the noise floor, or
 above the snapshot's exact rank) is refitted with a thin SVD instead
-(Halko, Martinsson & Tropp 2011, arXiv:0909.4061, §5).  The tau = 0
-spectrum, which picks the rank and sets the dust floor, always comes from a
-full SVD.
+(Halko, Martinsson & Tropp 2011, arXiv:0909.4061, §5).  The rank is an
+input of the model, never chosen from the data.  The dust floor comes from
+λ₀ of the tau = 0 Gram matrix, so scoring takes no full SVD outside that
+fallback; the full tau = 0 spectrum exists only for ``detect``'s manifest
+(``snapshot_spectrum``).
 """
 
 from __future__ import annotations
@@ -39,48 +41,16 @@ from .windowing import RegionalWindowSet
 DEFAULT_ENERGY_RATIO = 0.25
 DEFAULT_DECISION_THRESHOLD = 0.5
 
-# Relative floor below which singular values / residual energies are treated
-# as numerically zero.
-_TINY = 1e-12
+# Residual energies at or below this fraction of the tau = 0 Gram's lambda_0
+# (that is, below (1e-12 s_0)^2) are round-off: such a snapshot is exactly
+# reconstructed.
+_DUST = 1e-24
 
 # An offset whose Gram eigengap at the rank, lambda_r - lambda_(r+1), is at
 # most this fraction of lambda_0 is refitted by SVD.  eigh places the basis
 # to about eps * lambda_0 / gap, so above the floor the residual energies
 # agree with the SVD's to about 1e-8 of the peak; below it they drift apart.
 _GRAM_GAP = 1e-8
-
-
-def knee_rank(singular_values) -> int:
-    """Rank at the knee of a singular-value spectrum (1-based).
-
-    The spectrum is viewed on a log scale (floored at 1e-12 of the largest
-    value), a chord is drawn from the first to the last value, and the knee
-    is the point lying farthest ABOVE the chord.  Points below the chord
-    never win: a cliff just after the knee dips far under the chord and
-    must not drag the pick past the drop.  If no point rises above the
-    chord, the rank is 1.
-    """
-    s = np.asarray(singular_values, dtype=np.float64).ravel()
-    if s.size < 3:
-        raise ValueError(
-            f"degenerate spectrum: need at least 3 singular values, got {s.size}"
-        )
-    if np.any(s < 0.0) or not np.isfinite(s).all():
-        raise ValueError("singular values must be finite and non-negative")
-    s = np.sort(s)[::-1]
-    if s[0] == 0.0:
-        raise ValueError("all-zero spectrum has no knee")
-    y = np.log10(np.maximum(s, s[0] * _TINY))
-    n = s.size
-    x = np.arange(n, dtype=np.float64)
-    # Signed vertical deviation from the chord; positive = above.  The
-    # argmax is shared with the perpendicular distance, which only rescales
-    # by the chord length.
-    chord = y[0] + (y[-1] - y[0]) * x / (n - 1)
-    above = y - chord
-    if np.max(above) <= 0.0:
-        return 1
-    return int(np.argmax(above)) + 1
 
 
 def salient_columns(energies, ratio: float = DEFAULT_ENERGY_RATIO) -> np.ndarray:
@@ -105,8 +75,7 @@ class SaliencyMap:
     """Fraction of window offsets at which each region was an outlier.
 
     ``fractions`` is (regions_x, regions_y) with NaN marking inactive
-    regions.  ``singular_values`` is the tau = 0 spectrum the rank choice
-    was based on.
+    regions.
     """
 
     fractions: np.ndarray = field(repr=False)
@@ -114,10 +83,9 @@ class SaliencyMap:
     rank_used: int
     ratio: float
     window_len: int
-    singular_values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for name in ("fractions", "active", "singular_values"):
+        for name in ("fractions", "active"):
             getattr(self, name).flags.writeable = False
 
     @property
@@ -138,14 +106,23 @@ class SaliencyMap:
         return frozenset((int(a), int(b)) for a, b in np.argwhere(hit))
 
 
-def _gather_snapshots(windows: np.ndarray, cols: np.ndarray, rows) -> np.ndarray:
-    """All offsets' snapshot matrices as one C-contiguous (tau, rows, cols) stack.
+def _gather_snapshots(
+    window_set: RegionalWindowSet, mask, offsets: int | None = None
+) -> np.ndarray:
+    """C-contiguous (tau, rows, cols) stack of the first ``offsets`` snapshots.
 
-    ``rows`` is None (every node), a 1-D index vector shared by all columns,
-    or a (retained, len(cols)) array giving each column its own nodes.
+    ``offsets`` None takes every offset.  Columns are the active regions in region order (a + regions_x * b),
+    rows every node or the mask's retained nodes, flattened x-fastest; a
+    per-region mask gives each column its own nodes.  The mask's rows are
+    resolved once, so a per-region mask draws its patterns once per call.
     """
-    if rows is None:
+    part = window_set.partition
+    ids = window_set.active_region_ids()
+    cols = np.array([window_set.column_index(a, b) for a, b in ids], dtype=np.intp)
+    windows = window_set.windows[:offsets]
+    if mask is None:
         return np.take(windows, cols, axis=2)
+    rows = mask.row_indices(part.p1, part.p2, len(ids))
     if rows.ndim == 1:
         rows = rows[:, None]
     # One take on the (tau, node * region) view: entry (i, j) of every
@@ -154,12 +131,13 @@ def _gather_snapshots(windows: np.ndarray, cols: np.ndarray, rows) -> np.ndarray
     return np.take(flat, rows * windows.shape[2] + cols, axis=1)
 
 
-def _residual_energies(x: np.ndarray, rank: int) -> np.ndarray:
-    """Column energies of x minus its best rank-r approximation.
+def _residual_energies(x: np.ndarray, rank: int) -> tuple[np.ndarray, float]:
+    """Column energies of x minus its best rank-r approximation, and λ₀.
 
-    The basis comes from ``eigh`` of the smaller Gram matrix and the
-    residual is formed explicitly; a Gram spectrum whose gap at the rank has
-    closed falls back to a thin SVD.
+    The basis comes from ``eigh`` of the smaller Gram matrix, whose largest
+    eigenvalue λ₀ (s₀²) is returned too, and the residual is formed
+    explicitly; a Gram spectrum whose gap at the rank has closed falls back
+    to a thin SVD.
     """
     rows, cols = x.shape
     wide = rows <= cols
@@ -174,73 +152,70 @@ def _residual_energies(x: np.ndarray, rank: int) -> np.ndarray:
     else:
         v = vecs[:, -rank:]
         resid = x - (x @ v) @ v.T
-    return np.sum(resid * resid, axis=0)
+    return np.sum(resid * resid, axis=0), float(lam[-1])
 
 
 def saliency_map(
     window_set: RegionalWindowSet,
-    rank: int | str = "auto",
+    rank: int,
     ratio: float = DEFAULT_ENERGY_RATIO,
     mask=None,
 ) -> SaliencyMap:
     """Score every region by how often it escapes the shared low-rank model.
 
-    One rank is used for all window offsets: either the given integer or,
-    for ``rank="auto"``, the knee of the tau = 0 snapshot's singular
-    spectrum.  At each offset, a region is an outlier when its residual
-    energy strictly exceeds ``ratio`` times that offset's peak energy; its
-    saliency is the count of such offsets over the window length.
+    One rank is used for all window offsets.  At each offset, a region is an
+    outlier when its residual energy strictly exceeds ``ratio`` times that
+    offset's peak energy; its saliency is the count of such offsets over the
+    window length.
 
-    A snapshot whose residual energies are all below the square of 1e-12
-    times the leading singular value is treated as exactly reconstructed
-    and contributes no outliers (guards the full-rank edge, where residuals
-    are float dust).
+    A snapshot whose residual energies are all at or below 1e-24 times λ₀ of
+    the tau = 0 Gram matrix (the square of 1e-12 times the leading singular
+    value) is treated as exactly reconstructed and contributes no outliers
+    (guards the full-rank edge, where residuals are float dust).  No full
+    SVD is taken except for offsets whose Gram gap at the rank has closed.
 
-    ``mask`` is None (every node) or a ``sampling.Mask``.  Its rows are
-    resolved once and the snapshots of every offset are gathered in one
-    pass, so a per-region mask draws its patterns once per call.  Columns
-    are the active regions in region order (a + regions_x * b), rows the
-    retained nodes flattened x-fastest.
+    ``mask`` is None (every node) or a ``sampling.Mask``.  The snapshots of
+    every offset are gathered in one pass (``_gather_snapshots``).
 
     Raises:
         RankError: the rank is outside [1, min(snapshot shape)].
         MaskError: the mask was built for another region size.
     """
     part = window_set.partition
-    ids = window_set.active_region_ids()
-    cols = np.array([window_set.column_index(a, b) for a, b in ids], dtype=np.intp)
-    rows = None if mask is None else mask.row_indices(part.p1, part.p2, len(ids))
-    stack = _gather_snapshots(window_set.windows, cols, rows)
-    spectrum = np.linalg.svd(stack[0], compute_uv=False)
-    if rank == "auto":
-        rank_used = knee_rank(spectrum)
-    else:
-        rank_used = int(rank)
+    stack = _gather_snapshots(window_set, mask)
     limit = min(stack.shape[1:])
-    if not 1 <= rank_used <= limit:
+    if not 1 <= rank <= limit:
         raise RankError(
-            f"rank {rank_used} outside [1, {limit}] for a "
+            f"rank {rank} outside [1, {limit}] for a "
             f"{stack.shape[1]} x {stack.shape[2]} snapshot"
         )
 
-    dust = (float(spectrum[0]) * _TINY) ** 2
-    counts = np.zeros(len(ids))
-    for snapshot in stack:
-        energies = _residual_energies(snapshot, rank_used)
+    fits = [_residual_energies(snapshot, rank) for snapshot in stack]
+    dust = fits[0][1] * _DUST
+    counts = np.zeros(stack.shape[2])
+    for energies, _ in fits:
         if float(np.max(energies)) > dust:
             counts += salient_columns(energies, ratio)
 
     fractions = np.full((part.regions_x, part.regions_y), np.nan)
-    for j, (a, b) in enumerate(ids):
+    for j, (a, b) in enumerate(window_set.active_region_ids()):
         fractions[a, b] = counts[j] / window_set.window_len
     return SaliencyMap(
         fractions=fractions,
         active=np.array(window_set.active),
-        rank_used=rank_used,
+        rank_used=rank,
         ratio=ratio,
         window_len=window_set.window_len,
-        singular_values=spectrum,
     )
+
+
+def snapshot_spectrum(window_set: RegionalWindowSet, mask=None) -> np.ndarray:
+    """Singular values of the tau = 0 snapshot that ``saliency_map`` scores.
+
+    Scoring never needs them; ``detect`` writes them to its manifest.
+    """
+    first = _gather_snapshots(window_set, mask, offsets=1)[0]
+    return np.linalg.svd(first, compute_uv=False)
 
 
 # ---------------------------------------------------------------------------

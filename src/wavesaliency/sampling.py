@@ -176,16 +176,20 @@ class MaskSettings:
         return f"cross {self.stride} sharing={self.sharing}"
 
     def build(self, partition: Partition, seed: int) -> Mask | None:
-        """The mask for ``partition``'s regions; None for full sampling."""
+        """The mask for ``partition``'s regions; None for full sampling.
+
+        Only a random mask can be drawn per region.
+        """
+        if self.kind != "random" and self.sharing != SHARED:
+            what = "full sampling" if self.kind == "full" else "the double cross"
+            raise MaskError(f"{what} is one shared pattern; "
+                            f"sharing = {self.sharing} does not apply")
         if self.kind == "full":
             return None
         if self.kind == "random":
             return random_mask(
                 partition.p1, partition.p2, self.ratio, seed, self.sharing
             )
-        if self.sharing != SHARED:
-            raise MaskError("the double cross is one shared pattern; "
-                            f"sharing = {self.sharing} does not apply")
         return double_cross_mask(partition.p1, partition.p2, self.stride)
 
 

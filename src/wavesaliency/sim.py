@@ -92,12 +92,15 @@ class MaterialSpec:
         """Kirchhoff bending stiffness D = E h^3 / (12 (1 - nu^2)) in N*m."""
         e, h, nu = self.youngs_modulus, self.thickness, self.poisson_ratio
         try:
-            return e * h**3 / (12.0 * (1.0 - nu * nu))
+            d = e * h**3 / (12.0 * (1.0 - nu * nu))
         except OverflowError:
+            d = math.inf
+        if not math.isfinite(d):
             raise OverflowError(
                 f"bending stiffness E h^3 / (12 (1 - nu^2)) is out of float "
                 f"range for E = {e!r} Pa and h = {h!r} m"
-            ) from None
+            )
+        return d
 
     @property
     def areal_density(self) -> float:

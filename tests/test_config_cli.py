@@ -34,6 +34,7 @@ from wavesaliency.config import (
     load_scenario,
     parse_scenario,
     scenario_echo,
+    with_overrides,
 )
 from wavesaliency.cube import GridPoint, read_cube, write_cube
 from wavesaliency.errors import ConfigError
@@ -93,6 +94,11 @@ def _edit(cfg: str, **overrides: str) -> str:
     return "\n".join(lines)
 
 
+def _drop(cfg: str, key: str) -> str:
+    """Remove the ``key = value`` lines of a key."""
+    return "\n".join(ln for ln in cfg.split("\n") if not ln.startswith(f"{key} = "))
+
+
 def _inject(cfg: str, block: str, line: str) -> str:
     """Insert a key line at the top of the named block."""
     marker = f"[{block}]\n"
@@ -140,6 +146,7 @@ frequency = 500e3
 [detection]
 regions_x = 8
 regions_y = 8
+rank = 14
 """
     s = parse_scenario(minimal)
     assert s.seed == 0
@@ -149,7 +156,7 @@ regions_y = 8
     assert s.excitation.cycle_count == 5
     assert s.excitation.amplitude == 1.0
     assert s.detection.window_len == 11
-    assert s.detection.rank == "auto"
+    assert s.detection.rank == 14
     assert s.detection.ratio == 0.25
     assert s.detection.theta == 0.5
     assert s.detection.mask.kind == "full"
@@ -195,11 +202,14 @@ def test_missing_required_block():
     no_material = SMALL_CFG.replace("[material]", "[grid2]", 1)
     with pytest.raises(ConfigError, match="unknown block"):
         parse_scenario(no_material)
-    trimmed = "\n".join(
-        ln for ln in SMALL_CFG.split("\n") if not ln.startswith("frequency")
-    )
-    with pytest.raises(ConfigError, match="frequency"):
-        parse_scenario(trimmed)
+    # a missing key names its block's header line
+    for block, key in (("excitation", "frequency"), ("detection", "rank")):
+        trimmed = _drop(SMALL_CFG, key)
+        header = trimmed.split("\n").index(f"[{block}]") + 1
+        with pytest.raises(ConfigError, match=(
+            rf"^line {header}: \[{block}\] is missing required key '{key}'$"
+        )):
+            parse_scenario(trimmed)
     with pytest.raises(ConfigError, match=r"missing required block \[detection\]"):
         parse_scenario(SMALL_CFG.split("[detection]")[0])
 
@@ -307,7 +317,7 @@ def test_docstring_shows_the_defaults():
             continue  # a required key
         assert shorter == full, line
         optional.append(line.split(" = ")[0])
-    assert len(optional) == 15, optional
+    assert len(optional) == 14, optional
 
 
 def _bad_value_table() -> list[tuple[str, str, str]]:
@@ -338,10 +348,13 @@ def test_bad_values_on_every_key_raise_config_error():
 
 
 def test_rank_values():
-    assert parse_scenario(_edit(SMALL_CFG, rank="auto")).detection.rank == "auto"
     assert parse_scenario(_edit(SMALL_CFG, rank="14")).detection.rank == 14
-    with pytest.raises(ConfigError):
-        parse_scenario(_edit(SMALL_CFG, rank="fast"))
+    rank_line = SMALL_CFG.split("\n").index("rank = 3") + 1
+    for value in ("fast", "auto"):
+        with pytest.raises(ConfigError, match=f"^line {rank_line}: bad value for 'rank'"):
+            parse_scenario(_edit(SMALL_CFG, rank=value))
+    with pytest.raises(ConfigError, match="bad detection setting"):
+        with_overrides(parse_scenario(SMALL_CFG), rank="auto")
 
 
 def test_analytic_mode_supplies_velocity():
@@ -469,12 +482,28 @@ def test_detect_emits_all_artifacts(small_run, tmp_path):
     for suffix in (".csv", ".pgm", ".mask.pgm", ".flags.txt", ".manifest"):
         assert (tmp_path / f"out{suffix}").exists(), suffix
     manifest = (tmp_path / "out.manifest").read_text()
-    assert "rank_used = 3" in manifest
+    assert "rank = 3" in manifest
     assert "velocity_source = analytic" in manifest
     assert "singular_values = " in manifest
     for line in (tmp_path / "out.flags.txt").read_text().splitlines():
         a, b = line.split()
         assert 0 <= int(a) < 4 and 0 <= int(b) < 4
+
+
+def test_detect_takes_one_svd_for_its_manifest(small_run, tmp_path, monkeypatch):
+    # scoring fits each offset from its Gram matrix, so with no closed Gram
+    # gap the run's only full SVD is the manifest's tau = 0 spectrum
+    cfg, cube_path = small_run
+    calls = []
+    original = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert main(["detect", str(cube_path), str(cfg), str(tmp_path / "s")]) == EXIT_OK
+    assert calls == [False]
 
 
 def test_detect_window_dump(small_run, tmp_path, capsys):
@@ -517,16 +546,15 @@ def test_detect_overrides(small_run, tmp_path, capsys):
     ])
     assert code == EXIT_OK
     manifest = (tmp_path / "ovr.manifest").read_text()
-    assert "rank_requested = 2" in manifest
-    assert "rank_used = 2" in manifest
+    assert "rank = 2" in manifest
     assert "window_len = 9" in manifest
     assert "energy_ratio = 0.3" in manifest
     assert "theta = 0.9" in manifest
     # out-of-range settings are configuration errors with one message line;
     # rank 500 only fails against the snapshot's size, at detection time
-    for bad in (["--rank", "fast"], ["--rank", "0"], ["--rank", "500"],
-                ["--ratio", "2"], ["--ratio", "0"], ["--theta", "0"],
-                ["--theta", "1.5"], ["--tw", "0"]):
+    for bad in (["--rank", "fast"], ["--rank", "auto"], ["--rank", "0"],
+                ["--rank", "500"], ["--ratio", "2"], ["--ratio", "0"],
+                ["--theta", "0"], ["--theta", "1.5"], ["--tw", "0"]):
         capsys.readouterr()
         assert main([
             "detect", str(cube_path), str(cfg), str(tmp_path / "bad"), *bad,
@@ -561,7 +589,8 @@ def test_exit_code_config_errors(small_run, tmp_path):
     assert main(["simulate", str(tiny), str(tmp_path / "t.wvc")]) == EXIT_CONFIG
     # out-of-range detection settings in the file fail like flag values
     for text in (_edit(SMALL_CFG, ratio="2"), _edit(SMALL_CFG, theta="0"),
-                 _edit(SMALL_CFG, rank="0"), _edit(SMALL_CFG, window_len="0"),
+                 _edit(SMALL_CFG, rank="0"), _drop(SMALL_CFG, "rank"),
+                 _edit(SMALL_CFG, window_len="0"),
                  _inject(SMALL_CFG, "detection", "mask = random 2"),
                  _inject(SMALL_CFG, "detection", "mask = cross 3")):
         bad = tmp_path / "range.cfg"
@@ -616,20 +645,25 @@ def test_analytic_velocity_out_of_float_range_exits_config(
 
 
 def test_overflowing_bending_stiffness_is_named(ci_cube_file, tmp_path, capsys):
-    # h**3 overflows: simulate (probe pair) and detect (analytic velocity)
-    # each print one error line naming the stiffness and its E and h
-    text = _edit(bundled_config_path("bench1_ci").read_text(), thickness="1e120")
-    pair_cfg, analytic_cfg = tmp_path / "pair.cfg", tmp_path / "analytic.cfg"
-    pair_cfg.write_text(text)
-    analytic_cfg.write_text(_edit(text, mode="analytic"))
-    for argv in (["simulate", str(pair_cfg), str(tmp_path / "h.wvc")],
-                 ["detect", str(ci_cube_file), str(analytic_cfg), str(tmp_path / "h")]):
-        capsys.readouterr()
-        assert main(argv) == EXIT_CONFIG
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: "), err
-        assert "bending stiffness" in err[0], err
-        assert "E = 71000000000.0 Pa and h = 1e+120 m" in err[0], err
+    # h**3 overflows (raising), or E h**3 is inf (silently): simulate (probe
+    # pair) and detect (analytic velocity) each print one error line naming
+    # the stiffness and its E and h
+    for plate, named in (({"thickness": "1e120"},
+                          "E = 71000000000.0 Pa and h = 1e+120 m"),
+                         ({"youngs_modulus": "1e308", "thickness": "10"},
+                          "E = 1e+308 Pa and h = 10.0 m")):
+        text = _edit(bundled_config_path("bench1_ci").read_text(), **plate)
+        pair_cfg, analytic_cfg = tmp_path / "pair.cfg", tmp_path / "analytic.cfg"
+        pair_cfg.write_text(text)
+        analytic_cfg.write_text(_edit(text, mode="analytic"))
+        for argv in (["simulate", str(pair_cfg), str(tmp_path / "h.wvc")],
+                     ["detect", str(ci_cube_file), str(analytic_cfg), str(tmp_path / "h")]):
+            capsys.readouterr()
+            assert main(argv) == EXIT_CONFIG
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: "), err
+            assert "bending stiffness" in err[0], err
+            assert named in err[0], err
     assert not list(tmp_path.glob("h*"))
 
 
@@ -637,6 +671,11 @@ def test_double_cross_rejects_per_region_sharing(ci_cube_file, tmp_path):
     text = _inject(SMALL_CFG, "detection", "mask = cross 2\nsharing = per_region")
     with pytest.raises(ConfigError, match="double cross is one shared pattern"):
         parse_scenario(text)
+    # only random masks are drawn per region: full sampling, spelled out or
+    # by default, rejects per-region sharing too
+    for lines in ("mask = full\nsharing = per_region", "sharing = per_region"):
+        with pytest.raises(ConfigError, match="full sampling is one shared pattern"):
+            parse_scenario(_inject(SMALL_CFG, "detection", lines))
     out = tmp_path / "x.csv"
     assert main([
         "sweep", str(ci_cube_file), str(bundled_config_path("bench1_ci")), str(out),
@@ -791,7 +830,7 @@ def test_sweep_is_byte_deterministic(ci_cube_file, tmp_path):
     assert texts[0] == texts[1]
 
 
-def test_sweep_bad_arguments(ci_cube_file, tmp_path):
+def test_sweep_bad_arguments(ci_cube_file, tmp_path, capsys):
     ci_cfg = bundled_config_path("bench1_ci")
     out = tmp_path / "x.csv"
     assert main([
@@ -800,11 +839,14 @@ def test_sweep_bad_arguments(ci_cube_file, tmp_path):
     ]) == EXIT_CONFIG
     for bad in (["--trials", "0"], ["--pattern", "cross", "--stride", "3"],
                 ["--ratios", "0.5,2"], ["--ratios", ","], ["--ratios", ""],
-                ["--rank", "0"], ["--rank", "500"]):
+                ["--rank", "0"], ["--rank", "500"], ["--rank", "auto"]):
+        capsys.readouterr()
         assert main([
             "sweep", str(ci_cube_file), str(ci_cfg), str(out), "--trials", "1",
             *bad,
         ]) == EXIT_CONFIG, bad
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), (bad, err)
     assert not out.exists()
     # the cross pattern ignores the ratio list
     assert main([

@@ -1,9 +1,9 @@
-"""Low-rank splitting, knee detection, outlier scoring, and the saliency map.
+"""Low-rank splitting, outlier scoring, and the saliency map.
 
-Independent oracles: a hand-evaluated chord-distance computation for the
-knee, random rank-r competitors for Frobenius optimality, the projector
-route through scipy for the outlier energies, and the per-snapshot SVD loop
-of ``lowrank_oracle`` for the Gram-eigh counts of ``saliency_map``.
+Independent oracles: random rank-r competitors for Frobenius optimality,
+the projector route through scipy for the outlier energies, and the
+per-snapshot SVD loop of ``lowrank_oracle`` for the Gram-eigh counts of
+``saliency_map``.
 """
 
 import dataclasses
@@ -17,10 +17,10 @@ from wavesaliency.errors import MaskError
 from wavesaliency.pipeline import build_window_set
 from wavesaliency.saliency import (
     SaliencyMap,
-    knee_rank,
     salient_columns,
     saliency_csv_text,
     saliency_map,
+    snapshot_spectrum,
     write_saliency_pgm,
 )
 from wavesaliency.sampling import PER_REGION, Mask, double_cross_mask, random_mask
@@ -176,79 +176,6 @@ def test_frobenius_optimality_quick(rng):
             proj = np.einsum("bir,bjr,kj->bki", q, q, m)
             errs = np.linalg.norm(m[None] - proj, axis=(1, 2))
             assert (errs >= best - 1e-9).all()
-
-
-# ---------------------------------------------------------------------------
-# knee detection
-# ---------------------------------------------------------------------------
-
-def _chord_distance_oracle(values):
-    """Perpendicular distance from log points to the chord, by raw geometry."""
-    s = np.sort(np.asarray(values, dtype=float))[::-1]
-    y = np.log10(np.maximum(s, s[0] * 1e-12))
-    n = len(y)
-    p0 = np.array([0.0, y[0]])
-    p1 = np.array([n - 1.0, y[-1]])
-    direction = (p1 - p0) / np.linalg.norm(p1 - p0)
-    best, best_d = 1, 0.0
-    for i in range(n):
-        p = np.array([float(i), y[i]])
-        off = p - p0
-        perp = off - np.dot(off, direction) * direction
-        # signed: above the chord means positive y component of the residual
-        d = float(np.hypot(*perp) * np.sign(perp[1]))
-        if d > best_d:
-            best, best_d = i + 1, d
-    return best
-
-
-def test_knee_pinned_example():
-    spectrum = [10, 9, 8, 0.1, 0.09, 0.08, 0.07]
-    assert knee_rank(spectrum) == 3
-    assert _chord_distance_oracle(spectrum) == 3
-
-
-def test_knee_matches_geometry_oracle(rng):
-    # well-posed knees only (>= 2 head values): a single head point puts the
-    # elbow on a chord endpoint, where both routes just tie-break noise
-    for _ in range(25):
-        n = int(rng.integers(5, 40))
-        knee = int(rng.integers(2, n - 1))
-        head = 10.0 * 0.9 ** np.arange(knee)
-        tail = head[-1] * 1e-3 * 0.8 ** np.arange(n - knee)
-        spectrum = np.concatenate([head, tail])
-        assert knee_rank(spectrum) == _chord_distance_oracle(spectrum)
-
-
-def test_knee_geometric_decay_defers_to_override():
-    # exactly exponential decay is a straight line in log scale: no knee
-    # exists, some in-range index comes back, and an explicit rank wins
-    k = knee_rank(10.0 * 0.5 ** np.arange(12))
-    assert 1 <= k <= 12
-    ws = _synthetic_window_set(spiked_taus=(0, 1))
-    assert saliency_map(ws, rank=3, ratio=0.25).rank_used == 3
-
-
-def test_knee_input_validation():
-    with pytest.raises(ValueError):
-        knee_rank([5.0, 1.0])
-    with pytest.raises(ValueError):
-        knee_rank([0.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        knee_rank([3.0, -1.0, 0.5])
-    with pytest.raises(ValueError):
-        knee_rank([3.0, np.inf, 0.5])
-
-
-def test_knee_sorts_its_input():
-    assert knee_rank([0.09, 10, 0.1, 9, 8, 0.08, 0.07]) == 3
-
-
-def test_knee_range_property(rng):
-    for _ in range(30):
-        s = np.abs(rng.normal(size=int(rng.integers(3, 25)))) + 1e-6
-        k = knee_rank(s)
-        assert 1 <= k <= s.size
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +390,7 @@ def _assert_matches_oracle(ws, rank, mask):
     counts, spectrum = oracle_counts(ws, rank, 0.25, mask)
     got = np.array([sal.fractions[a, b] for a, b in ws.active_region_ids()])
     assert np.array_equal(got, counts / ws.window_len), (rank, mask)
-    assert np.array_equal(sal.singular_values, spectrum)
+    assert np.array_equal(snapshot_spectrum(ws, mask), spectrum)
     return int(counts.sum())
 
 
@@ -518,8 +445,8 @@ def test_core_falls_back_to_svd_below_the_rank(rng, monkeypatch):
     ws = _low_rank_plus_outlier_set(rng, 17, 4, exact_taus=(2, 5, 8))
     for mask in (None, random_mask(5, 5, 0.4, seed=7)):
         sal, calls = _svd_calls(monkeypatch, ws, 4, mask)
-        # one spectrum at tau = 0, one thin SVD per collapsed offset
-        assert calls == [False, True, True, True]
+        # one thin SVD per collapsed offset, and no other
+        assert calls == [True, True, True]
         counts, _ = oracle_counts(ws, 4, 0.25, mask)
         got = np.array([sal.fractions[a, b] for a, b in ws.active_region_ids()])
         assert np.array_equal(got, counts / ws.window_len)
@@ -537,7 +464,7 @@ def test_core_falls_back_where_the_gap_at_the_rank_closes(rng, monkeypatch):
                  + list(0.05 * 0.8 ** np.arange(10)))
     windows[6] = (u * s) @ v.T
     ws = dataclasses.replace(ws, windows=windows)
-    for rank, expected in ((5, [False, True]), (4, [False])):
+    for rank, expected in ((5, [True]), (4, [])):
         sal, calls = _svd_calls(monkeypatch, ws, rank, None)
         assert calls == expected, rank
         counts, _ = oracle_counts(ws, rank, 0.25)
@@ -545,17 +472,30 @@ def test_core_falls_back_where_the_gap_at_the_rank_closes(rng, monkeypatch):
         assert np.array_equal(got, counts / ws.window_len)
 
 
+def test_core_takes_no_svd_when_no_gap_closes(rng, monkeypatch):
+    # the noisy rank-3 background keeps every offset's Gram gap open at
+    # ranks 1 to 3: the map comes from eigh alone, with no full SVD
+    ws = _low_rank_plus_outlier_set(rng, 17, 4)
+    for mask in (None, random_mask(5, 5, 0.4, seed=7),
+                 random_mask(5, 5, 0.4, seed=7, sharing=PER_REGION)):
+        for rank in (1, 2, 3):
+            sal, calls = _svd_calls(monkeypatch, ws, rank, mask)
+            assert calls == [], (rank, mask)
+            counts, _ = oracle_counts(ws, rank, 0.25, mask)
+            got = np.array([sal.fractions[a, b] for a, b in ws.active_region_ids()])
+            assert np.array_equal(got, counts / ws.window_len)
+
+
 def test_knee_rank_in_the_noise_floor_matches_oracle(bench1):
-    # at the knee of this masked bench1 snapshot the rank sits in the noise
-    # floor (s_r/s_0 about 1e-6, gap 1e-12 of lambda_0) and one column's
-    # energy lies 2e-6 of the peak from the 0.25 cut: the Gram basis would
-    # misplace it, so the count must come from the SVD refit
+    # at rank 84 this masked bench1 snapshot's rank sits in the noise floor
+    # (s_r/s_0 about 1e-6, gap 1e-12 of lambda_0) and one column's energy
+    # lies 2e-6 of the peak from the 0.25 cut: the Gram basis would misplace
+    # it, so the count must come from the SVD refit
     scenario, cube = bench1
     part = scenario.partition()
     ws = build_window_set(cube, part, scenario.detection_config())
     mask = random_mask(part.p1, part.p2, 0.33, seed=5)
-    sal = saliency_map(ws, rank="auto", ratio=0.25, mask=mask)
-    assert sal.rank_used == 84
+    sal = saliency_map(ws, rank=84, ratio=0.25, mask=mask)
     counts, _ = oracle_counts(ws, 84, 0.25, mask)
     got = np.array([sal.fractions[a, b] for a, b in ws.active_region_ids()])
     assert np.array_equal(got, counts / ws.window_len)
