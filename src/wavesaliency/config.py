@@ -276,9 +276,12 @@ def with_overrides(scenario: ScenarioConfig, **changes) -> ScenarioConfig:
     scenario.
     """
     changes = {k: v for k, v in changes.items() if v is not None}
-    try:
-        if isinstance(changes.get("rank"), str):
+    if isinstance(changes.get("rank"), str):
+        try:
             changes["rank"] = _parse_int(changes["rank"])
+        except ValueError as exc:
+            raise ConfigError(f"bad value for 'rank': {exc}") from None
+    try:
         detection = replace(scenario.detection, **changes)
     except ValueError as exc:
         raise ConfigError(f"bad detection setting: {exc}") from None

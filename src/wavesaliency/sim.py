@@ -22,18 +22,24 @@ list of supported orders, and sets the stable time step of each.
 
 * ``PlateOperator`` builds the nodal D and rho_h once and owns three
   ``PaddedField`` buffers, w_curr, w_prev and the D lap(w) stage.  Each is
-  ``(n + 4) x (n + 4)``: the nodes inside two ghost layers.  A Laplacian
-  stage fills the odd-image ghosts in place (``2 * edge - mirror``, rows
-  then columns, as ``np.pad(..., reflect_type="odd")`` does) and evaluates
-  the stencil on one contiguous slice of the flattened buffer that runs
-  through every interior row at full padded width, so each neighbour is a
-  fixed offset.  Values landing in ghost columns are thrown away.
+  ``(n + 4) x (n + 4)``: the nodes inside two ghost layers.  A stage fills
+  the odd-image ghosts in place (``2 * edge - mirror``, rows then columns,
+  as ``np.pad(..., reflect_type="odd")`` does) and evaluates the stencil on
+  one contiguous slice of the flattened buffer that runs through every
+  interior row at full padded width, so each neighbour is a fixed offset.
+  Values landing in ghost columns are thrown away.
 * ``leapfrog`` steps from any initial ``(w_prev, w_curr)`` with an optional
   point-force callback, writing each new state over w_prev; it allocates
   nothing per step.
 
-Every element sees the same floating-point operations in the same order as
-a padded-copy evaluation, so the history is bit-identical to one.
+A stage evaluates only the integer-weight stencil sum: 16 (near) - (far) -
+60 c at order 4, (near) - 4 c at order 2, where "near" and "far" sum the
+four neighbours one and two nodes away.  Its divisor s, 12 dx^2 at order 4
+and dx^2 at order 2, is folded into per-node coefficients: D / s between
+the stages and -dt^2 / (s rho_h) after the second, so a step divides
+nothing.  The history is bit-identical to a padded-copy evaluation of the
+same formula, and within ~1e-14 of its peak of the association that
+divides each stage by s.
 
 Plane-wave dispersion for the continuous model:
 
@@ -412,12 +418,14 @@ class PlateOperator:
 
     Builds the nodal stiffness and density once and owns the ghost-padded
     buffers the time loop steps in: ``w_curr``, ``w_prev`` and ``stage``
-    (D lap w), plus span-length scratch.  Each Laplacian stage fills the
-    odd-image ghosts of its input in place and then evaluates the stencil
-    on the contiguous spans of ``PaddedField``.  Values computed in the
+    (D lap w), plus span-length scratch.  Each stage fills the odd-image
+    ghosts of its input in place and then evaluates the integer-weight
+    stencil sum on the contiguous spans of ``PaddedField``; ``scale`` is
+    the divisor that turns that sum into the Laplacian, kept in ``_d``
+    (D / scale) and in the gain ``leapfrog`` fills.  Values computed in the
     ghost columns inside a span are thrown away: the next ghost fill
     overwrites them before anything reads them.  Every node sees the same
-    operations, in the same order, as the padded-copy formula on
+    operations, in the same order, as the same formula on
     ``np.pad(f, 2, mode="reflect", reflect_type="odd")``, so results are
     bit-identical to it for n >= 3.  Order 2 reads one ghost layer of the
     same buffers.
@@ -435,58 +443,41 @@ class PlateOperator:
             raise ValueError("the plate is square; n1 and n2 must match")
         n = cl + 1
         self.n, self.dx, self.space_order = n, dx, space_order
+        # Centre weight of the stencil sum and its divisor in units of dx^2.
+        self._centre, denominator = {2: (4.0, 1.0), 4: (60.0, 12.0)}[space_order]
+        self.scale = denominator * dx * dx
         # Layout is [m, l] (y index first) so that node views are already
         # in cube payload order.
         self.d_node = _cells_to_nodes(material_map.bending_stiffness.T, harmonic=True)
         self.rho_node = _cells_to_nodes(material_map.areal_density.T, harmonic=False)
 
         (self.w_curr, self.w_prev, self.stage,
-         self._accel, self._d, self._rho) = (PaddedField(n) for _ in range(6))
+         self._rise, self._d, self._rho) = (PaddedField(n) for _ in range(6))
         # Ghost-column entries of the coefficients only meet thrown-away
         # values; edge copies keep that arithmetic finite.
-        self._d.full[...] = np.pad(self.d_node, 2, mode="edge")
+        self._d.full[...] = np.pad(self.d_node, 2, mode="edge") / self.scale
         self._rho.full[...] = np.pad(self.rho_node, 2, mode="edge")
-        self._acc, self._tmp = (np.empty_like(self.stage.span) for _ in range(2))
+        self._gain, self._tmp = (np.empty_like(self.stage.span) for _ in range(2))
 
-    def laplacian_stage(self, src: PaddedField, out: np.ndarray) -> None:
-        """Fill ``src``'s ghosts and write its Laplacian over its span into ``out``."""
+    def stencil_sum(self, src: PaddedField, out: np.ndarray) -> None:
+        """Fill ``src``'s ghosts; write ``scale`` times its Laplacian over its span to ``out``."""
         src.fill_ghosts()
-        at, acc, tmp, dx = src.shift, self._acc, self._tmp, self.dx
-        w = self.n + 4
-        if self.space_order == 2:
-            np.add(at[-w], at[w], out=out)
-            np.add(out, at[-1], out=out)
-            np.add(out, at[1], out=out)
-            np.multiply(at[0], 4.0, out=tmp)
-            np.subtract(out, tmp, out=out)
-            np.divide(out, dx * dx, out=out)
-            return
-        for total, near, far in ((out, w, 2 * w), (acc, 1, 2)):
-            np.multiply(at[-near], 16.0, out=total)
-            np.subtract(total, at[-far], out=total)
-            np.multiply(at[near], 16.0, out=tmp)
-            np.add(total, tmp, out=total)
-            np.subtract(total, at[far], out=total)
-        np.add(out, acc, out=out)
-        np.multiply(at[0], 60.0, out=tmp)
+        at, tmp, w = src.shift, self._tmp, self.n + 4
+        np.add(at[-w], at[w], out=out)
+        np.add(out, at[-1], out=out)
+        np.add(out, at[1], out=out)
+        if self.space_order == 4:
+            np.multiply(out, 16.0, out=out)
+            for far in (-2 * w, 2 * w, -2, 2):
+                np.subtract(out, at[far], out=out)
+        np.multiply(at[0], self._centre, out=tmp)
         np.subtract(out, tmp, out=out)
-        np.divide(out, 12.0 * dx * dx, out=out)
 
     def laplacian(self, field: np.ndarray) -> np.ndarray:
         """Laplacian of one ``(n, n)`` field under odd-image ghosts, as a new array."""
         self.stage.nodes[...] = field
-        self.laplacian_stage(self.stage, self._accel.span)
-        return self._accel.nodes.copy()
-
-    def acceleration(self, w: PaddedField) -> np.ndarray:
-        """-lap(D lap w) / rho_h over ``w``'s span, in a scratch span."""
-        stage, accel = self.stage.span, self._accel.span
-        self.laplacian_stage(w, stage)
-        np.multiply(stage, self._d.span, out=stage)
-        self.laplacian_stage(self.stage, accel)
-        np.negative(accel, out=accel)
-        np.divide(accel, self._rho.span, out=accel)
-        return accel
+        self.stencil_sum(self.stage, self._rise.span)
+        return self._rise.nodes / self.scale
 
 
 # ---------------------------------------------------------------------------
@@ -510,10 +501,16 @@ def leapfrog(
     ``w_prev`` and ``w_curr`` are ``(n, n)`` states in ``[m, l]`` order at
     t = -dt and t = 0.  ``forcing(t)``, when given, is the point force in N
     at node ``source`` (required with it) over the step that starts at
-    time t.  Edges are
-    pinned to zero after every step.  Steps run in the operator's buffers
-    and allocate nothing.  Returns ``step_count // record_every + 1``
-    recorded states, ``w_curr`` first.
+    time t.  Each step is
+
+        w_next = (w + w) - w_prev + g * S(d * S(w)),
+
+    with S the operator's stencil sum, d = D / s, g = -dt^2 / (s rho_h)
+    (filled once per call) and s the operator's ``scale``; the force adds
+    f * (dt^2 / (rho_h dx^2)) at the source, so the step stays exactly
+    linear in f.  Edges are pinned to zero after every step.  Steps run in
+    the operator's buffers and allocate nothing.  Returns
+    ``step_count // record_every + 1`` recorded states, ``w_curr`` first.
 
     Raises:
         DivergenceError: if any |w| is not finite or exceeds ``blow_up``
@@ -527,24 +524,28 @@ def leapfrog(
     for field, state in ((prev, w_prev), (curr, w_curr)):
         field.full.fill(0.0)
         field.nodes[...] = state
+    dt2 = dt * dt
     if forcing is not None:
         source.validate(op.n, op.n)
         src_idx = source.m * (op.n + 4) + source.l  # node (l, m) in a span
-        src_scale = op.rho_node[source.m, source.l] * op.dx * op.dx
-    tmp = op._tmp
-    dt2 = dt * dt
+        src_gain = dt2 / (op.rho_node[source.m, source.l] * op.dx * op.dx)
+    gain, tmp, stage, rise = op._gain, op._tmp, op.stage.span, op._rise.span
+    np.multiply(op._rho.span, op.scale, out=gain)
+    np.divide(-dt2, gain, out=gain)
     for step in range(1, step_count + 1):
-        accel = op.acceleration(curr)
+        op.stencil_sum(curr, stage)
+        np.multiply(stage, op._d.span, out=stage)
+        op.stencil_sum(op.stage, rise)
+        np.multiply(rise, gain, out=rise)
         if forcing is not None:
             f_now = forcing((step - 1) * dt)
             if f_now != 0.0:
-                accel[src_idx] += f_now / src_scale
-        # w_next = (2 w - w_prev) + dt^2 accel, written over w_prev.
+                rise[src_idx] += f_now * src_gain
+        # w_next = (w + w) - w_prev + rise, written over w_prev.
         nxt = prev.span
-        np.multiply(curr.span, 2.0, out=tmp)
+        np.add(curr.span, curr.span, out=tmp)
         np.subtract(tmp, nxt, out=nxt)
-        np.multiply(accel, dt2, out=accel)
-        np.add(nxt, accel, out=nxt)
+        np.add(nxt, rise, out=nxt)
         prev.pin_edges()
         # The span now holds nodes and zeros only; max/min need no
         # temporary, and a NaN still propagates to the peak.
@@ -624,19 +625,27 @@ def total_energy_series(
     material_map: MaterialMap,
     space_order: int = DEFAULT_SPACE_ORDER,
 ) -> np.ndarray:
-    """Kinetic plus strain energy at each interior stored sample.
+    """Staggered energy E^{n+1/2} between each pair of stored samples.
 
-    E(t) = 1/2 sum rho_h v^2 dx^2 + 1/2 sum D (lap w)^2 dx^2, with the
-    velocity from centered differences of the stored slices.  Useful for
-    drift checks on runs recorded at every integrator step.
+    E^{n+1/2} = 1/2 sum rho_h ((w^{n+1} - w^n) / dt)^2 dx^2
+              + 1/2 sum (L w^{n+1}) D (L w^n) dx^2,
+
+    with L the Laplacian under pinned odd-image ghosts, which is symmetric
+    (the ghosts change only its diagonal).  Leapfrog therefore keeps E
+    constant to round-off while no force acts, and while a force f acts at
+    node s, E^{n+1/2} - E^{n-1/2} = f(t_n) (w_s^{n+1} - w_s^{n-1}) / 2
+    (Hairer, Lubich & Wanner, *Geometric Numerical Integration*, 2006).
+    Both hold only for runs recorded at every integrator step.  Returns
+    ``t_len - 1`` values, E^{1/2} first.
     """
     op = PlateOperator(material_map, cube.dx, space_order)
     dx2 = cube.dx * cube.dx
-    out = np.empty(cube.t_len - 2)
-    for t in range(1, cube.t_len - 1):
-        v = (cube.values[t + 1] - cube.values[t - 1]) / (2.0 * cube.dt)
-        lap = op.laplacian(cube.values[t])
+    out = np.empty(cube.t_len - 1)
+    lap_next = op.laplacian(cube.values[0])
+    for t in range(cube.t_len - 1):
+        lap, lap_next = lap_next, op.laplacian(cube.values[t + 1])
+        v = (cube.values[t + 1] - cube.values[t]) / cube.dt
         kinetic = 0.5 * float(np.sum(op.rho_node * v * v)) * dx2
-        strain = 0.5 * float(np.sum(op.d_node * lap * lap)) * dx2
-        out[t - 1] = kinetic + strain
+        strain = 0.5 * float(np.sum(lap_next * op.d_node * lap)) * dx2
+        out[t] = kinetic + strain
     return out

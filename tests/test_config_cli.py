@@ -353,7 +353,7 @@ def test_rank_values():
     for value in ("fast", "auto"):
         with pytest.raises(ConfigError, match=f"^line {rank_line}: bad value for 'rank'"):
             parse_scenario(_edit(SMALL_CFG, rank=value))
-    with pytest.raises(ConfigError, match="bad detection setting"):
+    with pytest.raises(ConfigError, match="^bad value for 'rank': .*'auto'"):
         with_overrides(parse_scenario(SMALL_CFG), rank="auto")
 
 
@@ -848,6 +848,15 @@ def test_sweep_bad_arguments(ci_cube_file, tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), (bad, err)
     assert not out.exists()
+    # a rank that is no integer is named as it is in a config file
+    for command, dest in (("detect", tmp_path / "d"), ("sweep", out)):
+        capsys.readouterr()
+        assert main([
+            command, str(ci_cube_file), str(ci_cfg), str(dest), "--rank", "auto",
+        ]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: bad value for 'rank': could not convert string to float: 'auto'\n"
+        ), command
     # the cross pattern ignores the ratio list
     assert main([
         "sweep", str(ci_cube_file), str(ci_cfg), str(out), "--trials", "1",

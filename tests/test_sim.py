@@ -6,8 +6,11 @@ symmetry/causality/linearity facts the PDE guarantees, and Navier's sine
 modes of the simply supported plate (Timoshenko & Woinowsky-Krieger,
 *Theory of Plates and Shells*, §28), which the odd-image ghosts make exact
 eigenvectors of the discrete operator.  The in-place operator is also held
-bit for bit to the padded-copy formula it replaces, kept here as
-``_padded_laplacian``.
+bit for bit to the same formula on an np.pad copy (``_padded_stencil_sum``),
+and to within 1e-13 of the peak to the association that divides each stage
+by its scale (``_divided_laplacian``).  The staggered energy checks the
+stepper to round-off (Hairer, Lubich & Wanner, *Geometric Numerical
+Integration*, 2nd ed. 2006).
 """
 
 import math
@@ -28,6 +31,7 @@ from wavesaliency.sim import (
     build_material_map,
     burst_force,
     defect_cells,
+    effective_source,
     PlateOperator,
     leapfrog,
     simulate,
@@ -179,13 +183,16 @@ def test_zero_amplitude_gives_zero_cube():
 
 
 def test_linearity_in_amplitude():
-    exc1 = ExcitationSpec(5e5, 5, 1.0, GridPoint(0, 0))
-    exc2 = ExcitationSpec(5e5, 5, 2.0, GridPoint(0, 0))
-    c1 = simulate(ALUMINUM, [], exc1, 33, 33, 400, 0.9)
-    c2 = simulate(ALUMINUM, [], exc2, 33, 33, 400, 0.9)
-    scale = np.max(np.abs(c2.values))
-    assert scale > 0
-    assert np.max(np.abs(c2.values - 2.0 * c1.values)) <= 1e-12 * scale
+    # every operation of a step is linear, and doubling is exact in binary
+    # floating point, so twice the force gives exactly twice the cube
+    defect = DefectSpec("point_inclusion", (0.6, 0.3), 100.0, 100.0)
+    for order in (2, 4):
+        exc1 = ExcitationSpec(5e5, 5, 1.0, GridPoint(9, 21))
+        exc2 = ExcitationSpec(5e5, 5, 2.0, GridPoint(9, 21))
+        c1 = simulate(ALUMINUM, [defect], exc1, 33, 33, 400, 0.9, space_order=order)
+        c2 = simulate(ALUMINUM, [defect], exc2, 33, 33, 400, 0.9, space_order=order)
+        assert np.max(np.abs(c2.values)) > 0
+        assert np.array_equal(c2.values, 2.0 * c1.values)
 
 
 def test_center_source_symmetry():
@@ -229,14 +236,45 @@ def test_energy_drift_after_burst():
     steps = 1600
     cube = simulate(ALUMINUM, [], BURST, n, n, steps, 0.9)
     mm = build_material_map(ALUMINUM, [], n, n)
-    energy = total_energy_series(cube, mm)  # interior samples 1..t_len-2
-    t_idx = np.arange(1, cube.t_len - 1) * cube.dt
+    energy = total_energy_series(cube, mm)  # E at half steps 1/2..t_len-3/2
+    t_idx = (np.arange(cube.t_len - 1) + 0.5) * cube.dt
     after = t_idx > BURST.burst_duration * 1.1
     tail = energy[after]
     assert tail.size > 10
     drift = abs(tail[-1] - tail[0]) / tail[0]
     steps_spanned = np.count_nonzero(after)
     assert drift <= 0.01 * max(1.0, steps_spanned / 1000.0)
+
+
+def _staggered_run(order):
+    """``bench1_ci`` (three inclusions) over 400 steps, every step recorded."""
+    s = load_scenario(bundled_config_path("bench1_ci"))
+    g = s.grid
+    cube = simulate(s.material, list(s.defects), s.excitation, g.n1, g.n2, 400,
+                    g.safety, space_order=order)
+    mmap = build_material_map(s.material, list(s.defects), g.n1, g.n2)
+    return s.excitation, cube, total_energy_series(cube, mmap, order)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_staggered_energy_is_conserved_after_the_burst(order):
+    # K = L D L is symmetric, so leapfrog conserves E^{n+1/2} exactly
+    excitation, cube, energy = _staggered_run(order)
+    quiet = (np.arange(energy.size) - 1) * cube.dt > excitation.burst_duration
+    assert np.count_nonzero(quiet) > 100
+    tail = energy[quiet]
+    assert tail.max() - tail.min() <= 1e-12 * energy.max()
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_staggered_energy_gains_the_work_of_the_force(order):
+    # E^{n+1/2} - E^{n-1/2} = f(t_n) (w_s^{n+1} - w_s^{n-1}) / 2
+    excitation, cube, energy = _staggered_run(order)
+    w_s = cube.history(effective_source(excitation.source, cube.n1, cube.n2))
+    n = np.arange(1, energy.size)
+    work = burst_force(n * cube.dt, excitation) * (w_s[n + 1] - w_s[n - 1]) / 2.0
+    assert np.count_nonzero(work) > 50
+    assert np.max(np.abs(np.diff(energy) - work)) <= 1e-12 * energy.max()
 
 
 def test_divergence_detection_beyond_stability_limit():
@@ -290,13 +328,30 @@ def test_record_every_subsamples_the_history():
 # The plate operator against the padded-copy formula and closed forms
 # ---------------------------------------------------------------------------
 
-def _padded_laplacian(f, dx, order):
-    """Discrete Laplacian with odd-image ghosts, built on an np.pad copy."""
+def _stencil_scale(dx, order):
+    """The divisor that turns the integer-weight stencil sum into the Laplacian."""
+    return dx * dx if order == 2 else 12.0 * dx * dx
+
+
+def _padded_stencil_sum(f, order):
+    """Integer-weight stencil sum under odd-image ghosts, on an np.pad copy."""
     if order == 2:
         p = np.pad(f, 1, mode="reflect", reflect_type="odd")
-        return (
-            p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * f
-        ) / (dx * dx)
+        return p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * f
+    p = np.pad(f, 2, mode="reflect", reflect_type="odd")
+    near = p[1:-3, 2:-2] + p[3:-1, 2:-2] + p[2:-2, 1:-3] + p[2:-2, 3:-1]
+    return (16.0 * near - p[:-4, 2:-2] - p[4:, 2:-2] - p[2:-2, :-4] - p[2:-2, 4:]
+            - 60.0 * f)
+
+
+def _padded_laplacian(f, dx, order):
+    return _padded_stencil_sum(f, order) / _stencil_scale(dx, order)
+
+
+def _divided_laplacian(f, dx, order):
+    """The textbook association: signed weights summed, then divided by the scale."""
+    if order == 2:
+        return _padded_laplacian(f, dx, order)
     p = np.pad(f, 2, mode="reflect", reflect_type="odd")
     c = p[2:-2, 2:-2]
     along_y = -p[:-4, 2:-2] + 16.0 * p[1:-3, 2:-2] + 16.0 * p[3:-1, 2:-2] - p[4:, 2:-2]
@@ -349,24 +404,55 @@ def test_laplacian_bit_identical_to_padded_copy(order, n, rng):
     op, _ = _operator(n, order)
     for _ in range(3):
         f = _zero_edged(rng, n)
-        assert op.laplacian(f).tobytes() == _padded_laplacian(f, op.dx, order).tobytes()
+        got = op.laplacian(f)
+        assert got.tobytes() == _padded_laplacian(f, op.dx, order).tobytes()
+        divided = _divided_laplacian(f, op.dx, order)
+        assert np.max(np.abs(got - divided)) <= 1e-13 * np.max(np.abs(divided))
+
+
+def _pinned(w):
+    w[0, :] = w[-1, :] = w[:, 0] = w[:, -1] = 0.0
+    return w
+
+
+def _reference_step(op, dt, w_prev, w_curr, f=0.0, source=None):
+    """One padded-copy leapfrog step in the stepper's association.
+
+    Stencil sums, D / s between them and the gain -dt^2 / (s rho_h) after
+    them; a nonzero point force f adds f dt^2 / (rho_h dx^2) at ``source``.
+    """
+    order, dx = op.space_order, op.dx
+    scale = _stencil_scale(dx, order)
+    u = _padded_stencil_sum(w_curr, order) * (op.d_node / scale)
+    rise = _padded_stencil_sum(u, order) * (-(dt * dt) / (op.rho_node * scale))
+    if f != 0.0:
+        rise[source.m, source.l] += f * (dt * dt / (op.rho_node[source.m, source.l] * dx * dx))
+    return _pinned((w_curr + w_curr) - w_prev + rise)
+
+
+def _divided_step(op, dt, w_prev, w_curr, f=0.0, source=None):
+    """The same step in the textbook association: each stage divided by s."""
+    order, dx = op.space_order, op.dx
+    u = _divided_laplacian(w_curr, dx, order)
+    accel = -_divided_laplacian(op.d_node * u, dx, order) / op.rho_node
+    if f != 0.0:
+        accel[source.m, source.l] += f / (op.rho_node[source.m, source.l] * dx * dx)
+    return _pinned(2.0 * w_curr - w_prev + (dt * dt) * accel)
 
 
 @pytest.mark.parametrize("order", [2, 4])
 def test_step_bit_identical_to_padded_copy(order, rng):
-    # one step from (w, w) is w + dt^2 accel: both stages, with the stiffness
-    # and density of inclusions, and the pinned edges
+    # one step from (w, w): both stages, with the stiffness and density of
+    # inclusions, and the pinned edges
     n = 33
     defects = [DefectSpec("point_inclusion", (0.3, 0.6), 100.0, 50.0),
                DefectSpec("line_segment", (0.5, 0.2, 0.8, 0.4), 1e-3, 1e-2)]
     op, dt = _operator(n, order, defects)
     w = _zero_edged(rng, n)
     got = leapfrog(op, w, w, dt, 1)[1]
-    u = _padded_laplacian(w, op.dx, order)
-    accel = -_padded_laplacian(op.d_node * u, op.dx, order) / op.rho_node
-    want = 2.0 * w - w + (dt * dt) * accel
-    want[0, :] = want[-1, :] = want[:, 0] = want[:, -1] = 0.0
-    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == _reference_step(op, dt, w, w).tobytes()
+    divided = _divided_step(op, dt, w, w)
+    assert np.max(np.abs(got - divided)) <= 1e-13 * np.max(np.abs(divided))
 
 
 @pytest.mark.parametrize("order", [2, 4])
@@ -407,20 +493,14 @@ def test_observed_spatial_order(order):
     assert observed == pytest.approx([order] * 3, abs=0.05)
 
 
-def _reference_record(op, dt, steps, excitation, source):
-    """The padded-copy leapfrog from rest: two np.pad Laplacians per step."""
-    n, dx = op.n, op.dx
+def _reference_record(op, dt, steps, excitation, source, step=_reference_step):
+    """The padded-copy leapfrog from rest: two np.pad stencils per step."""
+    n = op.n
     w_prev, w_curr = np.zeros((n, n)), np.zeros((n, n))
     out = [w_curr]
-    for step in range(1, steps + 1):
-        u = _padded_laplacian(w_curr, dx, op.space_order)
-        accel = -_padded_laplacian(op.d_node * u, dx, op.space_order) / op.rho_node
-        f_now = burst_force((step - 1) * dt, excitation)
-        if f_now != 0.0:
-            accel[source.m, source.l] += f_now / (op.rho_node[source.m, source.l] * dx * dx)
-        w_next = 2.0 * w_curr - w_prev + (dt * dt) * accel
-        w_next[0, :] = w_next[-1, :] = w_next[:, 0] = w_next[:, -1] = 0.0
-        w_prev, w_curr = w_curr, w_next
+    for k in range(1, steps + 1):
+        f_now = burst_force((k - 1) * dt, excitation)
+        w_prev, w_curr = w_curr, step(op, dt, w_prev, w_curr, f_now, source)
         out.append(w_curr)
     return np.array(out)
 
@@ -435,6 +515,8 @@ def test_simulate_matches_padded_copy_stepper(order):
     assert cube.dt == dt
     want = _reference_record(op, dt, steps, exc, exc.source)
     assert cube.values.tobytes() == want.tobytes()
+    divided = _reference_record(op, dt, steps, exc, exc.source, _divided_step)
+    assert np.max(np.abs(cube.values - divided)) <= 1e-13 * np.max(np.abs(divided))
     assert np.max(np.abs(cube.values)) > 0.0
     assert np.all(cube.values[:, [0, -1], :] == 0.0)
     assert np.all(cube.values[:, :, [0, -1]] == 0.0)
