@@ -218,8 +218,8 @@ def _dump_window_cubes(window_set, dx: float, directory) -> int:
     out.mkdir(parents=True, exist_ok=True)
     part = window_set.partition
     ids = window_set.active_region_ids()
-    for a, b in ids:
-        block = window_set.windows[:, :, window_set.column_index(a, b)]
+    for j, (a, b) in enumerate(ids):
+        block = window_set.windows[:, :, j]
         mini = DataCube(
             part.p1, part.p2, window_set.window_len, dx, window_set.dt,
             block.reshape(window_set.window_len, part.p2, part.p1).copy(),

@@ -140,14 +140,15 @@ def write_cube(cube: DataCube, destination: _Sink) -> int:
     header = _HEADER.pack(
         MAGIC, FORMAT_VERSION, cube.n1, cube.n2, cube.t_len, cube.dx, cube.dt
     )
-    payload = cube.values.tobytes()  # C-order == WVC1 payload order
+    # C-order == WVC1 payload order; a byte view, not a copy
+    payload = memoryview(cube.values).cast("B")
     if isinstance(destination, (str, Path)):
         with open(destination, "wb") as fh:
             return _write_all(fh, header, payload)
     return _write_all(destination, header, payload)
 
 
-def _write_all(fh: BinaryIO, header: bytes, payload: bytes) -> int:
+def _write_all(fh: BinaryIO, header: bytes, payload: memoryview) -> int:
     written = 0
     try:
         fh.write(header)
@@ -178,20 +179,35 @@ def _read_stream(fh: BinaryIO) -> DataCube:
         raise CubeFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
     if version != FORMAT_VERSION:
         raise CubeFormatError(f"unsupported format version {version}")
-    count = n1 * n2 * t_len
-    raw = fh.read(8 * count)
-    if len(raw) != 8 * count:
-        raise CubeFormatError(
-            f"payload length mismatch: header implies {8 * count} bytes, "
-            f"got {len(raw)}"
-        )
+    size = 8 * n1 * n2 * t_len
+    if fh.seekable():
+        # a header that claims more than the stream holds is rejected
+        # before the payload is allocated
+        here = fh.tell()
+        left = fh.seek(0, io.SEEK_END) - here
+        fh.seek(here)
+        if left < size:
+            raise _payload_mismatch(size, left)
+    values = np.empty(size // 8, dtype="<f8")
+    buf = memoryview(values).cast("B")
+    got = 0
+    while got < size:
+        n = fh.readinto(buf[got:])
+        if not n:
+            raise _payload_mismatch(size, got)
+        got += n
     if fh.read(1):
         raise CubeFormatError("trailing bytes after payload")
-    values = np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=True)
     try:
         return DataCube(n1=n1, n2=n2, t_len=t_len, dx=dx, dt=dt, values=values)
     except CubeDataError as exc:
         raise CubeDataError(f"cube file rejected: {exc}") from exc
+
+
+def _payload_mismatch(size: int, got: int) -> CubeFormatError:
+    return CubeFormatError(
+        f"payload length mismatch: header implies {size} bytes, got {got}"
+    )
 
 
 def roundtrip_bytes(cube: DataCube) -> bytes:
@@ -217,7 +233,8 @@ def write_pgm(path: str | Path, pixels: np.ndarray) -> None:
     """ASCII P2 grayscale image of ``pixels[x, y]`` (0-255), one text row per y."""
     width, height = pixels.shape
     lines = ["P2", f"{width} {height}", "255"]
-    lines += [" ".join(str(int(v)) for v in pixels[:, y]) for y in range(height)]
+    lines += [" ".join(map(str, row))
+              for row in pixels.T.astype(int, copy=False).tolist()]
     write_text(path, "\n".join(lines) + "\n")
 
 

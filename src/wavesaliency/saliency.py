@@ -111,24 +111,25 @@ def _gather_snapshots(
 ) -> np.ndarray:
     """C-contiguous (tau, rows, cols) stack of the first ``offsets`` snapshots.
 
-    ``offsets`` None takes every offset.  Columns are the active regions in region order (a + regions_x * b),
-    rows every node or the mask's retained nodes, flattened x-fastest; a
-    per-region mask gives each column its own nodes.  The mask's rows are
+    ``offsets`` None takes every offset.  Columns are the active regions in
+    region order (a + regions_x * b), as the window set stores them; rows
+    every node or the mask's retained nodes, flattened x-fastest; a
+    per-region mask gives each column its own nodes.  Full sampling returns
+    the window set's own read-only array, not a copy.  The mask's rows are
     resolved once, so a per-region mask draws its patterns once per call.
     """
     part = window_set.partition
-    ids = window_set.active_region_ids()
-    cols = np.array([window_set.column_index(a, b) for a, b in ids], dtype=np.intp)
     windows = window_set.windows[:offsets]
     if mask is None:
-        return np.take(windows, cols, axis=2)
-    rows = mask.row_indices(part.p1, part.p2, len(ids))
+        return windows
+    cols = windows.shape[2]
+    rows = mask.row_indices(part.p1, part.p2, cols)
     if rows.ndim == 1:
-        rows = rows[:, None]
-    # One take on the (tau, node * region) view: entry (i, j) of every
-    # offset's snapshot is node rows[i, j] (or rows[i]) of region cols[j].
+        return np.take(windows, rows, axis=1)
+    # One take on the (tau, node * column) view: entry (i, j) of every
+    # offset's snapshot is node rows[i, j] of column j.
     flat = windows.reshape(windows.shape[0], -1)
-    return np.take(flat, rows * windows.shape[2] + cols, axis=1)
+    return np.take(flat, rows * cols + np.arange(cols), axis=1)
 
 
 def _residual_energies(x: np.ndarray, rank: int) -> tuple[np.ndarray, float]:
@@ -198,8 +199,8 @@ def saliency_map(
             counts += salient_columns(energies, ratio)
 
     fractions = np.full((part.regions_x, part.regions_y), np.nan)
-    for j, (a, b) in enumerate(window_set.active_region_ids()):
-        fractions[a, b] = counts[j] / window_set.window_len
+    # the transposes walk (a, b) in column order a + regions_x * b
+    fractions.T[window_set.active.T] = counts / window_set.window_len
     return SaliencyMap(
         fractions=fractions,
         active=np.array(window_set.active),

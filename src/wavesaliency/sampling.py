@@ -87,12 +87,13 @@ class Mask:
             )
         if self.sharing == SHARED:
             return self.flat_indices()
-        k = self.retained_count
+        # permuted(axis=1) shuffles row after row with the draws that one
+        # rng.permutation(p1 * p2) per region would take, so region j's
+        # pattern is the j-th permutation's first k nodes
         rng = np.random.default_rng(self.seed)
-        cols = [
-            np.sort(rng.permutation(p1 * p2)[:k]) for _ in range(region_count)
-        ]
-        return np.stack(cols, axis=1)
+        nodes = np.tile(np.arange(p1 * p2), (region_count, 1))
+        picked = rng.permuted(nodes, axis=1)[:, :self.retained_count]
+        return np.sort(picked, axis=1).T
 
 
 def random_mask(

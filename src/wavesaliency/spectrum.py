@@ -88,9 +88,9 @@ def occupied_fraction(spectrum: WavenumberSpectrum, floor_db: float) -> float:
 
 def spectrum_csv_text(spectrum: WavenumberSpectrum) -> str:
     """Magnitude grid as CSV, one row per kx index, 6 significant digits."""
-    return "".join(
-        ",".join(f"{v:.6e}" for v in row) + "\n" for row in spectrum.values
-    )
+    values = spectrum.values
+    row = ",".join(["%.6e"] * values.shape[1]) + "\n"
+    return "".join(row % tuple(r) for r in values.tolist())
 
 
 def write_spectrum_pgm(

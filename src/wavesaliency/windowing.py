@@ -7,12 +7,14 @@ short time window opening at the moment the excitation burst's envelope
 center is expected to reach the region centroid, computed from an estimated
 group velocity; this aligns the wave "state" seen by every region.  Regions
 whose window overruns the recording, or whose windowed signal is numerically
-silent, are flagged inactive.  The burst envelope used to time probe arrivals
-is the magnitude of the FFT analytic signal (``_analytic_envelope``).
+silent, are flagged inactive and get no window at all: the window set holds
+one column per active region.  The burst envelope used to time probe
+arrivals is the magnitude of the FFT analytic signal (``_analytic_envelope``).
 
 Region (a, b) covers nodes l in [a*(p1-1), a*(p1-1) + p1 - 1] and likewise
-for m; regions are enumerated x-fastest, j = a + regions_x * b.  Inside a
-region, nodes are flattened x-fastest as well: i = local_l + p1 * local_m.
+for m; regions are enumerated x-fastest, j = a + regions_x * b, and the
+active ones keep that order.  Inside a region, nodes are flattened
+x-fastest as well: i = local_l + p1 * local_m.
 """
 
 from __future__ import annotations
@@ -239,12 +241,16 @@ def arrival_time(centroid_distance, group_velocity: float, excitation: Excitatio
 class RegionalWindowSet:
     """Per-region time windows extracted from a cube.
 
-    ``windows`` has shape (window_len, p1 * p2, region_count); column j
-    holds region (a, b) with j = a + regions_x * b, rows flattened
-    x-fastest.  Columns of inactive regions are zero and are never
-    presented as data.  ``arrival_index`` holds each window's first stored
-    sample index (recorded for inactive regions too, where it may lie
-    outside the record).
+    ``windows`` has shape (window_len, p1 * p2, active_count): column j
+    holds the j-th active region in region order (a + regions_x * b), rows
+    flattened x-fastest.  Inactive regions have no column.
+    ``arrival_index`` holds each window's first stored sample index
+    (recorded for inactive regions too, where it may lie outside the
+    record).
+
+    Raises:
+        WindowingError: ``windows`` does not hold one window_len x p1 * p2
+            block per active region.
     """
 
     partition: Partition
@@ -256,6 +262,13 @@ class RegionalWindowSet:
     windows: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        expected = (self.window_len, self.partition.nodes_per_region,
+                    self.active_count)
+        if self.windows.shape != expected:
+            raise WindowingError(
+                f"windows have shape {self.windows.shape}, expected {expected}: "
+                f"one column per active region"
+            )
         for name in ("arrival_index", "active", "windows"):
             getattr(self, name).flags.writeable = False
 
@@ -265,11 +278,8 @@ class RegionalWindowSet:
 
     def active_region_ids(self) -> list[tuple[int, int]]:
         """(a, b) of active regions in column order."""
-        return [(a, b) for (a, b) in self.partition.region_ids()
-                if self.active[a, b]]
-
-    def column_index(self, a: int, b: int) -> int:
-        return a + self.partition.regions_x * b
+        b, a = np.nonzero(self.active.T)
+        return list(zip(a.tolist(), b.tolist()))
 
 
 def extract_windows(
@@ -285,16 +295,17 @@ def extract_windows(
     t_c = |centroid - source| / c_g + T_b / 2 (round to nearest) and runs
     ``window_len`` samples.  A region is active when that range lies fully
     inside the record and its windowed RMS exceeds ``SILENCE_FLOOR`` times
-    the cube's peak amplitude.
+    the cube's peak amplitude; only active regions get a column.
 
     All regions are handled at once: the starts are one array in column
     order, the centroid distances computed with the float operations of
     ``Partition.centroid`` and timed by ``arrival_time`` (``np.rint`` rounds
-    half to even, as ``round`` does);
-    each window offset is one integer gather over all regions from the
-    flattened cube; each region's RMS is read from that stack and compared
-    with ``cube.peak``; and the columns of regions that overran the record
-    or are silent are zeroed.
+    half to even, as ``round`` does).  The cube is read through one
+    read-only strided view in which every region's node block is an
+    indexable axis pair, so each window offset is one gather of the regions
+    whose window fits the record; each of their RMS values is read from that
+    stack and compared with ``cube.peak``, and silent columns, if any, are
+    dropped.
 
     Raises:
         PartitionError: partition grid does not match the cube.
@@ -317,7 +328,6 @@ def extract_windows(
     sx, sy = src.position(cube.dx)
     r1, r2 = partition.regions_x, partition.regions_y
     p1, p2 = partition.p1, partition.p2
-    slab = cube.n1 * cube.n2  # payload samples per stored time
 
     # Region origins and centroids; rows are b, columns a, so ravel() is
     # column order j = a + r1 * b.
@@ -332,25 +342,32 @@ def extract_windows(
     start = np.rint(np.minimum(t_c / cube.dt, 2.0**62)).astype(np.int64)
     fits = (start >= 0) & (start + window_len <= cube.t_len)
 
-    # Flat payload index of (node i, region j) at the window's first sample,
-    # stepped one stored sample per offset: the index stays one plane, not
-    # a stack.  Regions that overran the record read from sample 0 and are
-    # zeroed below, so every index is in range and "clip" only skips the
-    # bounds check and the buffered copy of ``out`` that "raise" makes.
-    origin = (m0[:, None] * cube.n1 + l0[None, :]).ravel()
-    local = (np.arange(p2)[:, None] * cube.n1 + np.arange(p1)[None, :]).ravel()
-    index = local[:, None] + (np.where(fits, start, 0) * slab + origin)
-    payload = cube.values.ravel()
-    windows = np.empty((window_len, p1 * p2, r1 * r2))
+    # The cube as (t, b, local m, a, local l): neighbouring regions share
+    # their boundary nodes, so region b starts p2 - 1 rows after region
+    # b - 1 and region a starts p1 - 1 columns after region a - 1.  Region
+    # (a, b) at sample t is view[t, b, :, a, :].
+    st, sm, sl = cube.values.strides
+    view = np.lib.stride_tricks.as_strided(
+        cube.values,
+        shape=(cube.t_len, r2, p2, r1, p1),
+        strides=(st, (p2 - 1) * sm, sm, (p1 - 1) * sl, sl),
+        writeable=False,
+    )
+    b, a = np.divmod(np.flatnonzero(fits), r1)
+    first = start[fits]
+    nodes = p1 * p2
+    windows = np.empty((window_len, nodes, first.size))
     for tau in range(window_len):
-        np.take(payload, index, out=windows[tau], mode="clip")
-        index += slab
+        block = view[first + tau, b, :, a, :]  # (fitting regions, p2, p1)
+        windows[tau] = block.reshape(first.size, nodes).T
 
     # per-region sum of squares, without a stack-sized temporary
     energy = np.einsum("tij,tij->j", windows, windows)
-    rms = np.sqrt(energy / (window_len * p1 * p2))
-    active = fits & (rms > SILENCE_FLOOR * cube.peak)
-    windows[:, :, ~active] = 0.0
+    loud = np.sqrt(energy / (window_len * nodes)) > SILENCE_FLOOR * cube.peak
+    if not loud.all():
+        windows = np.compress(loud, windows, axis=2)
+    active = fits.copy()
+    active[fits] = loud
 
     if not active.any():
         raise WindowingError(

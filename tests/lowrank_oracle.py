@@ -73,9 +73,8 @@ def assemble_snapshot_matrix(
             f"tau {tau} outside window of length {window_set.window_len}"
         )
     ids = window_set.active_region_ids()
-    cols = [window_set.column_index(a, b) for a, b in ids]
-    full = window_set.windows[tau][:, cols]
-    rows = _rows_from_mask(mask, window_set, len(cols))
+    full = window_set.windows[tau]
+    rows = _rows_from_mask(mask, window_set, len(ids))
     if rows is None:
         picked = full
     else:
@@ -90,10 +89,10 @@ def assemble_snapshot_matrix(
         if rows.ndim == 1:
             picked = full[rows, :]
         elif rows.ndim == 2:
-            if rows.shape[1] != len(cols):
+            if rows.shape[1] != len(ids):
                 raise ValueError(
                     f"per-region row sets cover {rows.shape[1]} regions, "
-                    f"but {len(cols)} are active"
+                    f"but {len(ids)} are active"
                 )
             picked = np.take_along_axis(full, rows, axis=0)
         else:

@@ -22,6 +22,7 @@ import wavesaliency.config
 from wavesaliency.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGENCE,
+    EXIT_ERROR,
     EXIT_NO_SIGNAL,
     EXIT_OK,
     EXIT_WINDOWING,
@@ -665,6 +666,24 @@ def test_overflowing_bending_stiffness_is_named(ci_cube_file, tmp_path, capsys):
             assert "bending stiffness" in err[0], err
             assert named in err[0], err
     assert not list(tmp_path.glob("h*"))
+
+
+def test_cube_claiming_more_than_its_file_is_one_error_line(
+    ci_cube_file, tmp_path, capsys
+):
+    # the header says 4000^3 samples, the file holds 5 of them
+    blob = bytearray(ci_cube_file.read_bytes()[:76])
+    blob[8:20] = np.array([4000, 4000, 4000], dtype="<u4").tobytes()
+    huge = tmp_path / "huge.wvc"
+    huge.write_bytes(bytes(blob))
+    cfg = bundled_config_path("bench1_ci")
+    for argv in (["detect", str(huge), str(cfg), str(tmp_path / "d")],
+                 ["spectrum", str(huge), str(tmp_path / "s")]):
+        capsys.readouterr()
+        assert main(argv) == EXIT_ERROR, argv
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: payload length mismatch: header implies "
+                       "512000000000 bytes, got 40"], (argv, err)
 
 
 def test_double_cross_rejects_per_region_sharing(ci_cube_file, tmp_path):

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,73 @@ def test_read_rejects_truncated_payload(rng):
     blob = roundtrip_bytes(make_cube(rng))
     with pytest.raises(CubeFormatError):
         read_cube(io.BytesIO(blob[:-8]))
+
+
+def _claims_4000_cubed(rng) -> bytes:
+    """A 76-byte WVC1 file (5 samples) whose header claims 4000^3 of them."""
+    blob = bytearray(roundtrip_bytes(make_cube(rng, n1=5, n2=2, t_len=1)))
+    blob = blob[:struct.calcsize("<4sIIIIdd") + 40]
+    struct.pack_into("<III", blob, 8, 4000, 4000, 4000)
+    assert len(blob) == 76
+    return bytes(blob)
+
+
+def test_read_rejects_a_payload_the_stream_cannot_hold(rng, tmp_path):
+    # checked before the payload is allocated: 512 GB is never asked for
+    blob = _claims_4000_cubed(rng)
+    target = tmp_path / "huge.wvc"
+    target.write_bytes(blob)
+    message = "payload length mismatch: header implies 512000000000 bytes, got 40"
+    for source in (target, str(target), io.BytesIO(blob)):
+        with pytest.raises(CubeFormatError, match=message):
+            read_cube(source)
+
+
+class _Trickle(io.RawIOBase):
+    """A stream that cannot seek and fills at most 7 bytes per readinto."""
+
+    def __init__(self, data: bytes):
+        self._data = io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def read(self, size=-1):
+        return self._data.read(size)
+
+    def readinto(self, buffer):
+        chunk = self._data.read(min(7, len(buffer)))
+        buffer[:len(chunk)] = chunk
+        return len(chunk)
+
+
+def test_read_fills_the_payload_from_short_reads(rng):
+    cube = make_cube(rng, n1=6, n2=5, t_len=4)
+    blob = roundtrip_bytes(cube)
+    assert read_cube(_Trickle(blob)) == cube
+    with pytest.raises(CubeFormatError, match="got 952"):
+        read_cube(_Trickle(blob[:-8]))
+    with pytest.raises(CubeFormatError, match="trailing bytes"):
+        read_cube(_Trickle(blob + b"\0"))
+
+
+def test_read_allocates_the_payload_once(rng, tmp_path):
+    # the samples land in their final array: no bytes object, no copy
+    cube = make_cube(rng, n1=64, n2=64, t_len=100)
+    target = tmp_path / "cube.wvc"
+    write_cube(cube, target)
+    blob = target.read_bytes()
+    payload = cube.values.nbytes
+    for source in (lambda: target, lambda: io.BytesIO(blob)):
+        stream = source()
+        tracemalloc.start()
+        try:
+            back = read_cube(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back == cube
+        assert peak <= 1.1 * payload, (peak, payload)
 
 
 def test_read_rejects_nonfinite_payload(rng):

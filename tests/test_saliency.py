@@ -17,6 +17,7 @@ from wavesaliency.errors import MaskError
 from wavesaliency.pipeline import build_window_set
 from wavesaliency.saliency import (
     SaliencyMap,
+    _gather_snapshots,
     salient_columns,
     saliency_csv_text,
     saliency_map,
@@ -90,8 +91,17 @@ def test_snapshot_vectorization_is_x_fastest():
     snap = assemble_snapshot_matrix(ws, 0)
     a, b = 1, 1
     col = snap.values[:, snap.column_labels.index((a, b))]
-    block = ws.windows[0, :, ws.column_index(a, b)]
+    block = ws.windows[0, :, ws.active_region_ids().index((a, b))]
     assert np.array_equal(col, block)
+
+
+def test_full_sampling_scores_the_window_array_in_place():
+    ws = _ramp_windows(n=33, regions=4)
+    stack = _gather_snapshots(ws, None)
+    assert np.shares_memory(stack, ws.windows)
+    assert stack.shape == ws.windows.shape and stack.flags.c_contiguous
+    first = _gather_snapshots(ws, None, offsets=1)
+    assert np.shares_memory(first, ws.windows) and first.shape[0] == 1
 
 
 def test_snapshot_argument_validation():
@@ -305,7 +315,7 @@ def test_map_marks_inactive_with_nan():
         dt=ws.dt,
         arrival_index=np.array(ws.arrival_index),
         active=active,
-        windows=np.array(ws.windows),
+        windows=ws.windows[:, :, [0, 1, 3]],  # region (0, 1) is column 2
     )
     sal = saliency_map(ws2, rank=1, ratio=0.25)
     assert np.isnan(sal.fractions[0, 1])
@@ -567,7 +577,7 @@ def test_csv_marks_inactive_na():
         dt=ws.dt,
         arrival_index=np.array(ws.arrival_index),
         active=active,
-        windows=np.array(ws.windows),
+        windows=ws.windows[:, :, [0, 1, 3]],  # region (0, 1) is column 2
     )
     sal = saliency_map(ws, rank=1, ratio=0.25)
     lines = saliency_csv_text(sal).strip().split("\n")

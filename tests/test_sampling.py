@@ -145,6 +145,29 @@ def test_row_indices_per_region():
     )
 
 
+def _per_region_rows_loop(seed, p1, p2, kept, region_count):
+    """One ``rng.permutation`` per region, as the draws were first written."""
+    rng = np.random.default_rng(seed)
+    cols = [np.sort(rng.permutation(p1 * p2)[:kept]) for _ in range(region_count)]
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("p1, p2, ratio, region_count", [
+    (9, 9, 0.3, 5), (17, 17, 0.2, 205), (5, 7, 0.5, 1), (17, 9, 0.07, 12),
+    (3, 3, 1.0, 4),
+])
+def test_row_indices_per_region_match_one_permutation_per_region(
+    p1, p2, ratio, region_count
+):
+    for seed in range(20):
+        mask = random_mask(p1, p2, ratio, seed=seed, sharing=PER_REGION)
+        rows = mask.row_indices(p1, p2, region_count)
+        want = _per_region_rows_loop(seed, p1, p2, mask.retained_count,
+                                     region_count)
+        assert rows.dtype == want.dtype and rows.shape == want.shape
+        assert np.array_equal(rows, want), (seed, p1, p2, region_count)
+
+
 def test_row_indices_shape_mismatch():
     mask = random_mask(17, 17, 0.3, seed=3)
     with pytest.raises(MaskError):

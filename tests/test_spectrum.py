@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wavesaliency.cube import write_text
+from wavesaliency.cube import write_pgm, write_text
 from wavesaliency.errors import NoSignalError
 from wavesaliency.spectrum import (
     WavenumberSpectrum,
@@ -141,7 +141,11 @@ def test_ci_snapshot_fraction_is_sparse(ci_bench1):
     assert 0.005 <= frac <= 0.2
 
 
-def test_csv_round_trip(tmp_path):
+def _per_value_csv(values) -> str:
+    return "".join(",".join(f"{v:.6e}" for v in row) + "\n" for row in values)
+
+
+def test_csv_round_trip(tmp_path, rng):
     values = np.linspace(0.0, 1.0, 12).reshape(3, 4)
     spec = _spectrum_of(values)
     text = spectrum_csv_text(spec)
@@ -152,6 +156,25 @@ def test_csv_round_trip(tmp_path):
     path = tmp_path / "spec.csv"
     write_text(path, text)
     assert path.read_text() == text
+    # the row format writes each value as f"{v:.6e}" would, over many scales
+    grid = rng.random((9, 7)) * 10.0 ** rng.integers(-300, 300, size=(9, 7))
+    grid[0, :3] = (0.0, 1.0, 5e-324)
+    for values in (grid, grid[:1, :1], grid[:, :1]):
+        assert spectrum_csv_text(_spectrum_of(values)) == _per_value_csv(values)
+
+
+def test_pgm_text_matches_the_per_value_formula(tmp_path, rng):
+    # one text row per y, each pixel written as str(int(v))
+    for pixels in (rng.integers(0, 256, size=(7, 5)),
+                   rng.integers(0, 256, size=(1, 4)),
+                   rng.random((3, 6)) * 255.0, rng.random((4, 2)) > 0.5):
+        out = tmp_path / "any.pgm"
+        write_pgm(out, pixels)
+        width, height = pixels.shape
+        lines = ["P2", f"{width} {height}", "255"]
+        lines += [" ".join(str(int(v)) for v in pixels[:, y])
+                  for y in range(height)]
+        assert out.read_text() == "\n".join(lines) + "\n"
 
 
 def test_pgm_layout(tmp_path):

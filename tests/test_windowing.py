@@ -4,11 +4,12 @@ The velocity oracle is a synthetic cube carrying a pulse translated at an
 exactly known speed; the window-placement oracle is a ramp cube whose sample
 values equal their time index, so window contents reveal their start index.
 The envelope's oracle is ``scipy.signal.hilbert``, which the package itself
-does not import.  ``extract_windows``, which gathers all regions at once, is
-checked bit for bit against ``_reference_windows``, a per-region loop that
-cuts one window at a time.
+does not import.  ``extract_windows``, which gathers all regions at once
+through a strided view of the cube, is checked bit for bit against
+``_reference_windows``, a per-region loop that slices one window at a time.
 """
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -224,7 +225,7 @@ def test_window_starts_match_arrival_times():
         cx, cy = part.centroid(a, b, cube.dx)
         start = int(round(arrival_time(np.hypot(cx - sx, cy - sy), cg, exc) / cube.dt))
         assert ws.arrival_index[a, b] == start
-        col = ws.windows[:, :, ws.column_index(a, b)]
+        col = ws.windows[:, :, ws.active_region_ids().index((a, b))]
         # ramp values betray the samples the window was cut from
         assert np.array_equal(col[:, 0], np.arange(start + 1, start + 12, dtype=float))
         assert (col == col[:, :1]).all()  # spatially uniform input
@@ -249,8 +250,14 @@ def test_far_regions_deactivate_when_record_ends():
     assert not ws.active[3, 3]
     # arrival indices are recorded even for inactive regions
     assert ws.arrival_index[3, 3] + 11 > cube.t_len
-    # the inactive column carries no data
-    assert np.all(ws.windows[:, :, ws.column_index(3, 3)] == 0.0)
+    # an inactive region has no column: column j is the j-th active region
+    ids = ws.active_region_ids()
+    assert (3, 3) not in ids
+    assert ws.windows.shape == (11, 81, len(ids)) and len(ids) < 16
+    for j, (a, b) in enumerate(ids):
+        start = ws.arrival_index[a, b]
+        assert np.array_equal(ws.windows[:, 0, j],
+                              np.arange(start + 1, start + 12, dtype=float))
 
 
 def test_equidistant_regions_share_arrival_index():
@@ -357,10 +364,11 @@ def test_windows_capture_the_wavefront(ci_pristine):
 
 
 def _reference_windows(cube, partition, group_velocity, excitation, window_len):
-    """Per-region window cutting, one region at a time.
+    """Per-region window cutting, one region at a time, by plain slicing.
 
     The loop ``extract_windows`` ran before it gathered every region at once;
-    it returns (windows, arrival_index, active) in the same layout.
+    it returns (windows, arrival_index, active) in the same layout, one
+    column per active region in region order.
     """
     src = effective_source(excitation.source, cube.n1, cube.n2)
     sx, sy = src.position(cube.dx)
@@ -369,7 +377,7 @@ def _reference_windows(cube, partition, group_velocity, excitation, window_len):
 
     arrival = np.zeros((r1, r2), dtype=np.int64)
     active = np.zeros((r1, r2), dtype=bool)
-    windows = np.zeros((window_len, p1 * p2, r1 * r2))
+    columns = []
     peak_all = float(np.max(np.abs(cube.values)))
 
     for b in range(r2):
@@ -390,7 +398,10 @@ def _reference_windows(cube, partition, group_velocity, excitation, window_len):
             if rms <= SILENCE_FLOOR * peak_all:
                 continue
             active[a, b] = True
-            windows[:, :, a + r1 * b] = flat
+            columns.append(flat)
+    windows = np.zeros((window_len, p1 * p2, len(columns)))
+    for j, flat in enumerate(columns):
+        windows[:, :, j] = flat
     return windows, arrival, active
 
 
@@ -409,6 +420,7 @@ def _assert_matches_reference(cube, partition, group_velocity, excitation,
     assert ws.windows.shape == windows.shape
     # bit for bit, signed zeros included
     assert ws.windows.tobytes() == windows.tobytes()
+    assert ws.windows.flags.c_contiguous and not ws.windows.flags.writeable
     return ws
 
 
@@ -469,6 +481,32 @@ def test_gather_matches_reference_on_an_oblong_partition(rng):
     ws = _assert_matches_reference(cube, part, 5000.0, exc, 11)
     assert ws.windows.shape == (11, 9 * 13, 8)
     assert ws.active.shape == (4, 2)
+
+
+def test_gather_matches_reference_with_one_region_across(rng):
+    # regions_x = 1 on a 17 x 41 grid (17 x 9-node regions): region 2 is
+    # silent and region 4 overruns the record, so the gathered stack loses
+    # a column between two kept ones
+    vals = rng.standard_normal((60, 41, 17))
+    vals[:, 16:25, :] = 0.0
+    cube = DataCube(17, 41, 60, L / 32, 1e-6, vals)
+    part = Partition(17, 41, 1, 5)
+    exc = ExcitationSpec(5e5, 5, 1.0, GridPoint(8, 4))
+    ws = _assert_matches_reference(cube, part, 5000.0, exc, 11)
+    assert ws.active_region_ids() == [(0, 0), (0, 1), (0, 3)]
+    assert ws.arrival_index[0, 4] + 11 > cube.t_len
+    assert ws.windows.shape == (11, 17 * 9, 3)
+
+
+def test_window_set_holds_one_column_per_active_region(rng):
+    cube = _noise_cube(rng)
+    part = Partition(33, 33, 4, 4)
+    exc = ExcitationSpec(5e5, 5, 1.0, GridPoint(0, 0))
+    ws = extract_windows(cube, part, 5000.0, exc, 11)
+    assert ws.active_count < part.region_count
+    for columns in (part.region_count, ws.active_count - 1):
+        with pytest.raises(WindowingError, match="one column per active region"):
+            dataclasses.replace(ws, windows=np.zeros((11, 81, columns)))
 
 
 def test_window_set_allocates_a_fraction_of_the_cube(ci_bench1):
