@@ -36,6 +36,7 @@ from .errors import CubeDataError, CubeFormatError
 MAGIC = b"WVC1"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIIIIdd")  # magic, version, n1, n2, t_len, dx, dt
+_CHUNK = 1 << 20  # largest single read from a stream that cannot seek
 
 
 @dataclass(frozen=True)
@@ -169,7 +170,7 @@ def read_cube(source: _Sink) -> DataCube:
 
 
 def _read_stream(fh: BinaryIO) -> DataCube:
-    head = fh.read(_HEADER.size)
+    head = _read_upto(fh, _HEADER.size)
     if len(head) < _HEADER.size:
         raise CubeFormatError(
             f"file too short for WVC1 header ({len(head)} < {_HEADER.size} bytes)"
@@ -188,20 +189,44 @@ def _read_stream(fh: BinaryIO) -> DataCube:
         fh.seek(here)
         if left < size:
             raise _payload_mismatch(size, left)
-    values = np.empty(size // 8, dtype="<f8")
-    buf = memoryview(values).cast("B")
-    got = 0
-    while got < size:
-        n = fh.readinto(buf[got:])
-        if not n:
-            raise _payload_mismatch(size, got)
-        got += n
+        values = np.empty(size // 8, dtype="<f8")
+        buf = memoryview(values).cast("B")
+        got = 0
+        while got < size:
+            n = fh.readinto(buf[got:])
+            if not n:
+                raise _payload_mismatch(size, got)
+            got += n
+    else:
+        # a stream that cannot seek is not sized up front: it is read in
+        # bounded chunks, so a header's claim is never allocated unread
+        data = _read_upto(fh, size)
+        if len(data) < size:
+            raise _payload_mismatch(size, len(data))
+        values = np.frombuffer(data, dtype="<f8")
     if fh.read(1):
         raise CubeFormatError("trailing bytes after payload")
     try:
         return DataCube(n1=n1, n2=n2, t_len=t_len, dx=dx, dt=dt, values=values)
     except CubeDataError as exc:
         raise CubeDataError(f"cube file rejected: {exc}") from exc
+
+
+def _read_upto(fh: BinaryIO, size: int) -> bytes:
+    """``size`` bytes of the stream, fewer only where it ends.
+
+    Short reads are repeated, and no single read asks for more than
+    ``_CHUNK`` bytes, so what is allocated never exceeds what arrived by
+    more than one chunk.
+    """
+    parts = []
+    while size:
+        part = fh.read(min(size, _CHUNK))
+        if not part:
+            break
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)
 
 
 def _payload_mismatch(size: int, got: int) -> CubeFormatError:

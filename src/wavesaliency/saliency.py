@@ -13,18 +13,31 @@ that energy exceeds a fixed ratio of the snapshot's peak energy.
 
 ``saliency_map`` gathers the snapshots of every offset in one stack and
 fits each with the rank-r basis of the smaller Gram matrix: the left basis
-U from ``eigh(X Xᵀ)`` when rows <= regions, else the right basis V from
-``eigh(Xᵀ X)``.  The residual is formed explicitly, X − U(UᵀX) or
-X − (XV)Vᵀ, never as ‖x‖² − ‖Uᵀx‖², whose cancellation error would rise
-above the dust floor.  Squaring X halves its relative precision: eigh
-places the basis to about eps·λ₀/(λ_r − λ_{r+1}), so an offset whose Gram
-eigengap at the rank is at most 1e-8 λ₀ (a rank in the noise floor, or
-above the snapshot's exact rank) is refitted with a thin SVD instead
-(Halko, Martinsson & Tropp 2011, arXiv:0909.4061, §5).  The rank is an
-input of the model, never chosen from the data.  The dust floor comes from
-λ₀ of the tau = 0 Gram matrix, so scoring takes no full SVD outside that
-fallback; the full tau = 0 spectrum exists only for ``detect``'s manifest
-(``snapshot_spectrum``).
+U of X Xᵀ when rows <= regions, else the right basis V of Xᵀ X.  The
+residual is formed explicitly, X − U(UᵀX) or X − (XV)Vᵀ, never as
+‖x‖² − ‖Uᵀx‖², whose cancellation error would rise above the dust floor.
+The basis comes from one of three fits, chosen per offset:
+
+- Gram matrices of order at least ``_KRYLOV_ORDER`` (full-sampling
+  snapshots of the 257-node plates), at a rank whose r + 1 eigenpairs fit
+  in a third of the Krylov basis, are fitted by block Lanczos with
+  Rayleigh–Ritz (``_lanczos_basis``), which reads only the top of the
+  spectrum.  The fit is kept only when a Davis–Kahan bound certifies its
+  basis at least as well placed as ``eigh``'s at the gap floor below;
+  otherwise the offset goes to ``eigh``.
+- Every other offset takes the full ``eigh`` of its Gram matrix.  Squaring
+  X halves its relative precision: eigh places the basis to about
+  eps·λ₀/(λ_r − λ_{r+1}).
+- An ``eigh`` offset whose Gram eigengap at the rank is at most 1e-8 λ₀ (a
+  rank in the noise floor, or above the snapshot's exact rank) is refitted
+  with a thin SVD instead (Halko, Martinsson & Tropp 2011,
+  arXiv:0909.4061, §5).  Only ``eigh``'s eigenvalues take that decision:
+  a Lanczos fit never certifies a gap that small.
+
+The rank is an input of the model, never chosen from the data.  The dust
+floor comes from λ₀ of the tau = 0 Gram matrix, so scoring takes no full
+SVD outside that fallback; the full tau = 0 spectrum exists only for
+``detect``'s manifest (``snapshot_spectrum``).
 """
 
 from __future__ import annotations
@@ -51,6 +64,31 @@ _DUST = 1e-24
 # to about eps * lambda_0 / gap, so above the floor the residual energies
 # agree with the SVD's to about 1e-8 of the peak; below it they drift apart.
 _GRAM_GAP = 1e-8
+
+# Block Lanczos replaces eigh for Gram matrices of at least this order.  On
+# the 11 bench1 snapshots cut to orders 96 / 128 / 144 / 160 / 205 (one BLAS
+# thread, 2-core Xeon), eigh took 1.14 / 1.96 / 2.22 / 2.52 / 4.57 ms per
+# offset and the fit 1.26 / 1.68 / 1.64 / 1.71 / 2.02 ms: the fit overtakes
+# eigh near order 120.  The order is set above 144, the largest Gram of a
+# masked 257-node sweep (0.5 sampling), where the saving is small, so every
+# sweep keeps eigh's maps; at 160 the fit saves a third.
+_KRYLOV_ORDER = 160
+
+# Block width and block count of the Krylov basis (64 columns).  On the 33
+# full-sampling offsets of bench1, bench2 and pristine, 8 x 8 certified
+# every rank up to 22 with Ritz residuals at most 2.2e-14 λ₀, at 1.97 ms per
+# offset; 16 x 5 took 2.41 ms, and 16 x 4 or 12 x 5 left residuals of 4e-8
+# and 5e-10 λ₀, too large to certify.  Ranks whose r + 1 pairs do not fit in
+# a third of the basis go to eigh without trying: certification thins out
+# above rank 22.
+_KRYLOV_BLOCK = 8
+_KRYLOV_STEPS = 8
+
+# A basis whose Gram QᵀQ departs from the identity by more than this (in
+# any entry) is not trusted.  Two Gram–Schmidt passes keep it below 7e-14 on
+# the bundled plates; a Gram matrix of lower rank than the basis breaks down
+# to O(1).
+_ORTH = 1e-12
 
 
 def salient_columns(energies, ratio: float = DEFAULT_ENERGY_RATIO) -> np.ndarray:
@@ -132,28 +170,104 @@ def _gather_snapshots(
     return np.take(flat, rows * cols + np.arange(cols), axis=1)
 
 
-def _residual_energies(x: np.ndarray, rank: int) -> tuple[np.ndarray, float]:
+def _krylov_start(order: int) -> np.ndarray:
+    """The fixed orthonormal start block of the Lanczos fit, (order, block).
+
+    Its entries are the fractional parts of a sine hash, so the fit is
+    deterministic and scale-invariant without loading ``numpy.random``.
+    """
+    i = np.arange(order * _KRYLOV_BLOCK, dtype=np.float64)
+    h = np.sin(i * 12.9898 + 78.233) * 43758.5453
+    return np.linalg.qr((h - np.floor(h) - 0.5).reshape(order, _KRYLOV_BLOCK))[0]
+
+
+def _lanczos_basis(gram: np.ndarray, rank: int, start: np.ndarray):
+    """Certified top-``rank`` eigenvectors of ``gram`` and its λ₀, or None.
+
+    Each block of the basis Q is G times the one before it, made orthogonal
+    to all earlier blocks by two classical Gram–Schmidt passes and then
+    orthonormalized by QR.  Rayleigh–Ritz on Q (m columns) gives Ritz values
+    θ₀ >= θ₁ >= ... and the Ritz vectors V of the top r.  The fit is
+    certified as follows, with λ₀ >= λ₁ >= ... >= 0 the eigenvalues of G:
+
+    - Cauchy interlacing gives θ_i <= λ_i.  Since tr G sums every λ, the
+      eigenvalue λ_r (the (r+1)-th) is at most θ_r + μ, where μ = tr G − Σθ
+      is the Gram mass the basis misses; likewise λ₀ <= θ₀ + μ.  Q departs
+      from orthonormality by at most m·``_ORTH`` in norm (checked), which by
+      Ostrowski's theorem moves each θ by that share of itself: μ takes
+      4·m·``_ORTH``·tr G on top, for that and the rounding of QᵀGQ.
+    - So δ = θ_{r−1} − θ_r − μ is at most the true gap λ_{r−1} − λ_r.  By
+      the Davis–Kahan sin Θ theorem, the angle between V and the true top-r
+      eigenspace is at most ‖GV − VΘ‖_F / δ.
+    - eigh places its basis to about eps·λ₀/gap, that is to eps/1e-8 at its
+      gap floor.  The fit is kept only when δ > 1e-8 (θ₀ + μ), so the true
+      gap clears that floor and the SVD fallback could not apply, and when
+      its angle bound is at most eps/1e-8.  Each residual energy then moves
+      by at most twice that angle times λ₀, as far as eigh's may at the
+      floor.
+
+    Pair r's Ritz value enters only through the bound on λ_r, which the
+    trace supplies, so its residual is not needed.  On the bundled 257-node
+    plates the angle bound stays below 2e-11.
+    """
+    order, width = start.shape
+    m = width * _KRYLOV_STEPS
+    q = np.empty((order, m))
+    gq = np.empty((order, m))
+    q[:, :width] = start
+    for j in range(0, m, width):
+        gq[:, j:j + width] = w = gram @ q[:, j:j + width]
+        if j + width < m:
+            done = q[:, :j + width]
+            for _ in range(2):
+                w -= done @ (done.T @ w)
+            q[:, j + width:j + 2 * width] = np.linalg.qr(w)[0]
+    if np.max(np.abs(q.T @ q - np.eye(m))) > _ORTH:
+        return None
+    theta, y = np.linalg.eigh(q.T @ gq)
+    trace = float(np.trace(gram))
+    missing = trace - float(np.sum(theta)) + 4 * m * _ORTH * trace
+    gap = theta[-rank] - theta[-rank - 1] - missing
+    if not gap > _GRAM_GAP * (theta[-1] + missing):
+        return None
+    y = y[:, -rank:]
+    vecs = q @ y
+    resid = gq @ y - vecs * theta[-rank:]
+    if not np.sqrt(np.sum(resid * resid)) <= np.finfo(np.float64).eps / _GRAM_GAP * gap:
+        return None
+    return vecs, float(theta[-1])
+
+
+def _residual_energies(
+    x: np.ndarray, rank: int, start: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
     """Column energies of x minus its best rank-r approximation, and λ₀.
 
-    The basis comes from ``eigh`` of the smaller Gram matrix, whose largest
-    eigenvalue λ₀ (s₀²) is returned too, and the residual is formed
-    explicitly; a Gram spectrum whose gap at the rank has closed falls back
-    to a thin SVD.
+    The basis comes from the smaller Gram matrix, whose largest eigenvalue
+    λ₀ (s₀²) is returned too, and the residual is formed explicitly.  With a
+    Lanczos ``start`` block (``_krylov_start`` of the Gram order) the basis
+    is the certified block Lanczos fit when there is one; without, or when
+    the fit cannot certify itself, it is ``eigh``'s.  An ``eigh`` spectrum
+    whose gap at the rank has closed falls back to a thin SVD.
     """
     rows, cols = x.shape
     wide = rows <= cols
-    lam, vecs = np.linalg.eigh(x @ x.T if wide else x.T @ x)
-    below = lam[-rank - 1] if rank < lam.size else 0.0
-    if not lam[-rank] - below > _GRAM_GAP * lam[-1]:
-        u, s, vt = np.linalg.svd(x, full_matrices=False)
-        resid = x - (u[:, :rank] * s[:rank]) @ vt[:rank]
-    elif wide:
-        u = vecs[:, -rank:]
-        resid = x - u @ (u.T @ x)
+    gram = x @ x.T if wide else x.T @ x
+    fit = None if start is None else _lanczos_basis(gram, rank, start)
+    if fit is None:
+        lam, vecs = np.linalg.eigh(gram)
+        below = lam[-rank - 1] if rank < lam.size else 0.0
+        if not lam[-rank] - below > _GRAM_GAP * lam[-1]:
+            u, s, vt = np.linalg.svd(x, full_matrices=False)
+            resid = x - (u[:, :rank] * s[:rank]) @ vt[:rank]
+            return np.sum(resid * resid, axis=0), float(lam[-1])
+        fit = vecs[:, -rank:], float(lam[-1])
+    basis, lam0 = fit
+    if wide:
+        resid = x - basis @ (basis.T @ x)
     else:
-        v = vecs[:, -rank:]
-        resid = x - (x @ v) @ v.T
-    return np.sum(resid * resid, axis=0), float(lam[-1])
+        resid = x - (x @ basis) @ basis.T
+    return np.sum(resid * resid, axis=0), lam0
 
 
 def saliency_map(
@@ -191,7 +305,11 @@ def saliency_map(
             f"{stack.shape[1]} x {stack.shape[2]} snapshot"
         )
 
-    fits = [_residual_energies(snapshot, rank) for snapshot in stack]
+    # every offset shares the Gram order, so one start block serves them all
+    start = None
+    if limit >= _KRYLOV_ORDER and rank < _KRYLOV_BLOCK * _KRYLOV_STEPS // 3:
+        start = _krylov_start(limit)
+    fits = [_residual_energies(snapshot, rank, start) for snapshot in stack]
     dust = fits[0][1] * _DUST
     counts = np.zeros(stack.shape[2])
     for energies, _ in fits:

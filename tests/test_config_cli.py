@@ -963,6 +963,29 @@ sys.exit(code)
 """
 
 
+def test_detect_loads_no_numpy_random(ci_cube_file, tmp_path):
+    # the scoring core draws no random numbers (the Lanczos start block is
+    # a fixed sine hash), so a detect child never loads numpy.random
+    probe = (
+        "import runpy, sys\n"
+        "sys.argv = ['wavesaliency', *sys.argv[1:]]\n"
+        "try:\n"
+        "    runpy.run_module('wavesaliency.cli', run_name='__main__')\n"
+        "finally:\n"
+        "    print('numpy.random loaded:', 'numpy.random' in sys.modules)\n"
+    )
+    config = bundled_config_path("bench1_ci")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, "detect", str(ci_cube_file), str(config),
+         str(tmp_path / "d")],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "numpy.random loaded: False"
+
+
 @pytest.mark.parametrize("command", ["simulate", "detect", "sweep", "spectrum"])
 def test_runtime_imports_no_scipy(command, small_run, tmp_path):
     cfg, cube_path = small_run

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from wavesaliency.cube import (
+    _CHUNK,
     DataCube,
     GridPoint,
     meta_path,
@@ -142,6 +143,38 @@ def test_read_fills_the_payload_from_short_reads(rng):
         read_cube(_Trickle(blob[:-8]))
     with pytest.raises(CubeFormatError, match="trailing bytes"):
         read_cube(_Trickle(blob + b"\0"))
+
+
+class _Dribble(_Trickle):
+    """A stream that cannot seek and returns at most 7 bytes per read too."""
+
+    read = io.RawIOBase.read
+
+
+def test_read_assembles_the_header_from_short_reads(rng):
+    cube = make_cube(rng, n1=6, n2=5, t_len=4)
+    blob = roundtrip_bytes(cube)
+    assert read_cube(_Dribble(blob)) == cube
+    with pytest.raises(CubeFormatError, match="trailing bytes"):
+        read_cube(_Dribble(blob + b"\0"))
+    with pytest.raises(CubeFormatError, match=r"header \(35 < 36 bytes\)"):
+        read_cube(_Dribble(blob[:35]))
+
+
+def test_unseekable_read_allocates_what_arrived(rng):
+    # a stream that cannot seek cannot be checked against the header's
+    # claim, so the payload is read in chunks: 512 GB is never asked for
+    blob = _claims_4000_cubed(rng)
+    message = "payload length mismatch: header implies 512000000000 bytes, got 40"
+    for stream in (_Trickle(blob), _Dribble(blob)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CubeFormatError, match=message):
+                read_cube(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _CHUNK + 4096, peak
 
 
 def test_read_allocates_the_payload_once(rng, tmp_path):

@@ -2,8 +2,8 @@
 
 Independent oracles: random rank-r competitors for Frobenius optimality,
 the projector route through scipy for the outlier energies, and the
-per-snapshot SVD loop of ``lowrank_oracle`` for the Gram-eigh counts of
-``saliency_map``.
+per-snapshot SVD loop of ``lowrank_oracle`` for the Gram-eigh and block
+Lanczos counts of ``saliency_map``.
 """
 
 import dataclasses
@@ -13,11 +13,17 @@ import pytest
 import scipy.linalg
 
 from wavesaliency.cube import DataCube, GridPoint, write_text
+from wavesaliency import saliency
 from wavesaliency.errors import MaskError
 from wavesaliency.pipeline import build_window_set
 from wavesaliency.saliency import (
+    _KRYLOV_BLOCK,
+    _KRYLOV_ORDER,
+    _KRYLOV_STEPS,
     SaliencyMap,
     _gather_snapshots,
+    _krylov_start,
+    _residual_energies,
     salient_columns,
     saliency_csv_text,
     saliency_map,
@@ -509,6 +515,218 @@ def test_knee_rank_in_the_noise_floor_matches_oracle(bench1):
     counts, _ = oracle_counts(ws, 84, 0.25, mask)
     got = np.array([sal.fractions[a, b] for a, b in ws.active_region_ids()])
     assert np.array_equal(got, counts / ws.window_len)
+
+
+# ---------------------------------------------------------------------------
+# the block Lanczos fit of large Gram matrices
+# ---------------------------------------------------------------------------
+
+# (p, regions): p x p nodes per region and regions^2 columns, so the Gram
+# order is 196 for the tall snapshot (289 x 196) and 169 for the wide one
+# (169 x 256), both at least _KRYLOV_ORDER
+_LANCZOS_SHAPES = {"tall": (17, 14), "wide": (13, 16)}
+
+
+def _spectrum_set(rng, shape, spectrum, window_len=3):
+    """Seeded windows whose every offset has the given singular values."""
+    p, regions = _LANCZOS_SHAPES[shape]
+    n = (p - 1) * regions + 1
+    rows, cols = p * p, regions * regions
+    assert min(rows, cols) >= _KRYLOV_ORDER
+    windows = np.empty((window_len, rows, cols))
+    for tau in range(window_len):
+        u, _ = np.linalg.qr(rng.normal(size=(rows, len(spectrum))))
+        v, _ = np.linalg.qr(rng.normal(size=(cols, len(spectrum))))
+        windows[tau] = (u * spectrum) @ v.T
+    return RegionalWindowSet(
+        partition=Partition(n, n, regions, regions),
+        window_len=window_len,
+        group_velocity=5000.0,
+        dt=1e-6,
+        arrival_index=np.zeros((regions, regions), dtype=np.int64),
+        active=np.ones((regions, regions), dtype=bool),
+        windows=windows,
+    )
+
+
+def _decaying(order, rate=0.85):
+    return rate ** np.arange(order) + 1e-6
+
+
+def _gram_calls(monkeypatch, ws, rank):
+    """Run saliency_map, recording each eigh's order and each thin SVD."""
+    calls = []
+    eigh, svd = np.linalg.eigh, np.linalg.svd
+
+    def counted_eigh(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    def counted_svd(*args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            calls.append("svd")
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    try:
+        sal = saliency_map(ws, rank=rank, ratio=0.25)
+    finally:
+        monkeypatch.undo()
+    return sal, calls
+
+
+def _lanczos_fits(monkeypatch):
+    """Record (Gram order, certified) for every Lanczos fit saliency_map tries."""
+    fits = []
+    original = saliency._lanczos_basis
+
+    def spy(gram, rank, start):
+        fit = original(gram, rank, start)
+        fits.append((gram.shape[0], fit is not None))
+        return fit
+
+    monkeypatch.setattr(saliency, "_lanczos_basis", spy)
+    return fits
+
+
+def test_lanczos_fit_matches_svd_oracle(rng, monkeypatch):
+    basis = _KRYLOV_BLOCK * _KRYLOV_STEPS
+    fits = _lanczos_fits(monkeypatch)
+    for shape in ("tall", "wide"):
+        p, regions = _LANCZOS_SHAPES[shape]
+        order = min(p * p, regions * regions)
+        ws = _spectrum_set(rng, shape, _decaying(order))
+        start = _krylov_start(order)
+        for rank in (1, 6, 14, basis // 3 - 1):
+            for x in ws.windows:
+                got, lam0 = _residual_energies(x, rank, start)
+                want = outlier_energies(truncated_low_rank(x, rank))
+                assert np.max(np.abs(got - want)) <= 1e-10 * np.max(want)
+                assert np.array_equal(salient_columns(got), salient_columns(want))
+                assert lam0 == pytest.approx((1 + 1e-6) ** 2, rel=1e-12)
+            fits.clear()
+            _assert_matches_oracle(ws, rank, None)
+            assert fits == [(order, True)] * ws.window_len, (shape, rank)
+
+
+def test_lanczos_defers_to_eigh_when_it_cannot_certify(rng, monkeypatch):
+    # calls list each eigh by order: the Lanczos fit's own Rayleigh-Ritz is
+    # the basis size, the full fit is the Gram order.  The cases are turned
+    # away by the Gram mass the basis misses (slow_close, flat), by the Ritz
+    # residual against the gap (sharp_close), by the basis' orthonormality
+    # (rank 3 breaks the basis down) and by the size guard before the fit.
+    basis = _KRYLOV_BLOCK * _KRYLOV_STEPS
+    for shape in ("tall", "wide"):
+        p, regions = _LANCZOS_SHAPES[shape]
+        order = min(p * p, regions * regions)
+        fast = _decaying(order)
+        # at decay 0.92 the rank-12 Ritz residuals are about 1e-11 lambda_0:
+        # certified across the spectrum's own gap (2e-2 lambda_0), not across
+        # a gap of 1e-6 lambda_0 between lambda_12 and lambda_13 (1-based),
+        # whose missing Gram mass already exceeds it
+        slow = _decaying(order, rate=0.92)
+        slow_close = slow.copy()
+        slow_close[12] = np.sqrt(slow[11] ** 2 - 1e-6 * slow[0] ** 2)
+        # at decay 0.7 the basis misses under 1e-9 lambda_0 of mass and the
+        # rank-6 residuals are about 3e-14 lambda_0: certified across the
+        # spectrum's own gap, not across one of 3e-8 lambda_0, where they
+        # bound the angle only to 4e-7 or worse
+        sharp = _decaying(order, rate=0.7)
+        sharp_close = sharp.copy()
+        sharp_close[6] = np.sqrt(sharp[5] ** 2 - 3e-8 * sharp[0] ** 2)
+        cases = (
+            (fast, 14, [basis]),
+            (slow, 12, [basis]),
+            (slow_close, 12, [basis, order]),
+            (sharp, 6, [basis]),
+            (sharp_close, 6, [basis, order]),
+            (np.linspace(1.0, 0.9, order), 6, [basis, order]),
+            (np.array([1.0, 0.5, 0.25]), 2, [order]),
+            (fast, basis // 3, [order]),
+        )
+        for spectrum, rank, per_offset in cases:
+            ws = _spectrum_set(rng, shape, spectrum)
+            sal, calls = _gram_calls(monkeypatch, ws, rank)
+            assert calls == per_offset * ws.window_len, (shape, rank)
+            counts, _ = oracle_counts(ws, rank, 0.25)
+            got = np.array([sal.fractions[a, b] for a, b in ws.active_region_ids()])
+            assert np.array_equal(got, counts / ws.window_len)
+
+
+def test_lanczos_trace_catches_an_eigenvalue_the_basis_misses():
+    # G = diag(A, 2): A's Krylov spaces from a start block with a zero last
+    # row keep that row exactly zero, so no basis holds the top eigenvector
+    # e_last.  The Ritz pairs of A converge and their gap is wide; only the
+    # trace shows the missing eigenvalue 2.
+    order = _KRYLOV_ORDER
+    a = np.diag(0.7 ** np.arange(order - 1))
+    gram = np.zeros((order, order))
+    gram[:-1, :-1] = a
+    gram[-1, -1] = 2.0
+    start = _krylov_start(order)
+    blind = start.copy()
+    blind[-1] = 0.0
+    blind = np.linalg.qr(blind)[0]
+    assert not blind[-1].any()
+    assert saliency._lanczos_basis(gram, 6, blind) is None
+    vecs, lam0 = saliency._lanczos_basis(gram, 6, start)
+    assert lam0 == pytest.approx(2.0, rel=1e-14)
+    assert abs(vecs[-1, -1]) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_svd_fallback_where_the_gap_closes_above_the_lanczos_order(rng, monkeypatch):
+    # s_5 and s_6 agree to 1e-9: the Lanczos fit cannot certify a rank-5
+    # basis, and eigh's spectrum sends the offset on to the thin SVD
+    basis = _KRYLOV_BLOCK * _KRYLOV_STEPS
+    for shape in ("tall", "wide"):
+        p, regions = _LANCZOS_SHAPES[shape]
+        order = min(p * p, regions * regions)
+        spectrum = _decaying(order)
+        spectrum[4] = spectrum[5] * (1 + 1e-9)
+        ws = _spectrum_set(rng, shape, spectrum)
+        for rank, per_offset in ((5, [basis, order, "svd"]), (4, [basis])):
+            sal, calls = _gram_calls(monkeypatch, ws, rank)
+            assert calls == per_offset * ws.window_len, (shape, rank)
+            counts, _ = oracle_counts(ws, rank, 0.25)
+            got = np.array([sal.fractions[a, b] for a, b in ws.active_region_ids()])
+            assert np.array_equal(got, counts / ws.window_len)
+
+
+def test_bench1_full_sampling_is_fitted_by_lanczos_and_sweeps_by_eigh(
+    bench1, monkeypatch
+):
+    # every full-sampling offset (order 205) is certified; a 0.5 sweep
+    # mask (order 144, the largest a sweep draws) never tries the fit
+    scenario, cube = bench1
+    part = scenario.partition()
+    ws = build_window_set(cube, part, scenario.detection_config())
+    fits = _lanczos_fits(monkeypatch)
+    saliency_map(ws, rank=scenario.detection.rank)
+    assert fits == [(205, True)] * ws.window_len
+    fits.clear()
+    mask = random_mask(part.p1, part.p2, 0.5, seed=1)
+    assert mask.retained_count == 144
+    saliency_map(ws, rank=scenario.detection.rank, mask=mask)
+    assert fits == []
+
+
+def test_lanczos_fit_is_deterministic_and_scale_invariant(bench1):
+    scenario, cube = bench1
+    ws = build_window_set(cube, scenario.partition(), scenario.detection_config())
+    order = min(ws.windows.shape[1:])
+    assert order >= _KRYLOV_ORDER
+    start = _krylov_start(order)
+    for x in ws.windows:
+        first, lam0 = _residual_energies(x, 14, start)
+        again, lam0_again = _residual_energies(x, 14, start)
+        assert np.array_equal(first, again) and lam0 == lam0_again
+    sal = saliency_map(ws, rank=14)
+    assert np.array_equal(saliency_map(ws, rank=14).fractions, sal.fractions,
+                          equal_nan=True)
+    scaled = dataclasses.replace(ws, windows=np.array(ws.windows) * 3.7)
+    theta = scenario.detection.theta
+    assert saliency_map(scaled, rank=14).flagged_regions(theta) == sal.flagged_regions(theta)
 
 
 def test_cross_at_full_rank_flags_nothing(ci_bench1):
