@@ -5,7 +5,9 @@ golden files under ``tests/golden/`` hold the sha256 of the saliency CSV,
 of the flagged set (one ``a b`` line per region, as in ``.flags.txt``),
 and of sweep CSVs for shared random masks at 0.5, 0.2 and 0.07,
 per-region masks at 0.2 and the double cross at strides 1 and 2, each
-sweep over 3 trials from the scenario seed.  Beside the hashes they hold a
+sweep over 3 trials from the scenario seed.  For the last snapshot they
+hold the sha256 of the spectrum CSV and PGM texts and the occupied fraction
+at -20 dB.  Beside the hashes they hold a
 summary of the simulated cube itself: each sample's L2 norm, the
 deflection histories at the scenario's two velocity probes and the
 group velocity estimated from them.
@@ -23,6 +25,7 @@ To record a deliberate change of behaviour, rewrite the files with
 
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +34,12 @@ import pytest
 from wavesaliency.pipeline import run_detection
 from wavesaliency.saliency import saliency_csv_text
 from wavesaliency.sampling import GroundTruth, monte_carlo_sweep, sweep_csv_text
+from wavesaliency.spectrum import (
+    dft2_magnitude,
+    occupied_fraction,
+    spectrum_csv_text,
+    write_spectrum_pgm,
+)
 from wavesaliency.windowing import estimate_group_velocity
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -47,7 +56,7 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def fingerprint(scenario, cube) -> dict[str, str]:
+def fingerprint(scenario, cube) -> dict[str, str | float]:
     part, config = scenario.partition(), scenario.detection_config()
     result = run_detection(cube, part, config)
     truth = GroundTruth.from_defects(list(scenario.defects), part)
@@ -60,6 +69,13 @@ def fingerprint(scenario, cube) -> dict[str, str]:
         rows = monte_carlo_sweep(cube, part, config, kw.pop("ratios"), TRIALS,
                                  scenario.seed, truth=truth, **kw)
         out[key] = _sha(sweep_csv_text(rows))
+    spec = dft2_magnitude(cube.slice_at(cube.t_len - 1), cube.dx)
+    out["spectrum_csv"] = _sha(spectrum_csv_text(spec))
+    with tempfile.TemporaryDirectory() as tmp:
+        pgm = Path(tmp) / "spectrum.pgm"
+        write_spectrum_pgm(spec, pgm)
+        out["spectrum_pgm"] = _sha(pgm.read_text())
+    out["spectrum_fraction_20db"] = occupied_fraction(spec, -20.0)
     return out
 
 
