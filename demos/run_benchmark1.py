@@ -39,7 +39,7 @@ def main():
     )
 
     print(f"estimated group velocity {result.group_velocity:.0f} m/s, "
-          f"rank {result.saliency.rank_used}")
+          f"rank {scenario.detection.rank}")
     print()
     # b grows upward so the map matches the plate's orientation
     for b in reversed(range(partition.regions_y)):

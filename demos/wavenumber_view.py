@@ -12,13 +12,13 @@ from wavesaliency.spectrum import dft2_magnitude, occupied_fraction
 
 def last_snapshot(name):
     cube = simulate_scenario(load_scenario(bundled_config_path(name)))
-    return cube.slice_at(cube.t_len - 1), cube.dx
+    return cube.slice_at(cube.t_len - 1)
 
 
 def main():
     for name in ("pristine_ci", "bench1_ci"):
-        snap, dx = last_snapshot(name)
-        spec = dft2_magnitude(snap, dx)
+        snap = last_snapshot(name)
+        spec = dft2_magnitude(snap)
         print(f"{name}: final snapshot {snap.shape[0]}x{snap.shape[1]}")
         for floor_db in (-10.0, -20.0, -40.0):
             frac = occupied_fraction(spec, floor_db)

@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="scenario config file")
     p.add_argument("prefix", help="output prefix for csv/pgm/flags/manifest")
     p.add_argument("--rank", help="subspace rank override (an integer >= 1)")
-    p.add_argument("--tw", type=int, help="window length override (samples)")
+    p.add_argument("--tw", help="window length override (samples, an integer >= 1)")
     p.add_argument("--ratio", type=float, help="outlier energy ratio override")
     p.add_argument("--theta", type=float, help="decision threshold override")
     p.add_argument("--dump-windows", metavar="DIR",
@@ -202,7 +202,7 @@ def _cmd_detect(args) -> int:
         count = _dump_window_cubes(result.window_set, cube.dx, args.dump_windows)
         print(f"dumped {count} region window(s)")
     print(f"group velocity: {result.group_velocity:.1f} m/s "
-          f"({scenario.probes.mode}); rank {result.saliency.rank_used}")
+          f"({scenario.probes.mode}); rank {scenario.detection.rank}")
     print(f"flagged {len(flagged)} region(s): "
           + (" ".join(f"({a},{b})" for a, b in flagged) or "none"))
     return EXIT_OK
@@ -293,7 +293,7 @@ def _cmd_spectrum(args) -> int:
         raise ConfigError(
             f"snapshot {args.snapshot} outside record of {cube.t_len} samples"
         )
-    spec = dft2_magnitude(cube.slice_at(index), cube.dx)
+    spec = dft2_magnitude(cube.slice_at(index))
     fraction = occupied_fraction(spec, args.floor_db)
     write_text(f"{args.prefix}.csv", spectrum_csv_text(spec))
     write_spectrum_pgm(spec, f"{args.prefix}.pgm")

@@ -169,7 +169,8 @@ class ScenarioConfig:
 
     Each settings block checks its own fields; ``__post_init__`` checks the
     rules that join blocks (the partition and mask against the grid, the
-    velocity source, the source and probes on the grid), so neither
+    velocity source, the source and probes on the grid, the rank against
+    the nodes the mask keeps per region), so neither
     ``parse_scenario`` nor ``replace`` (behind ``with_overrides``) can
     return a scenario that breaks one.
     """
@@ -187,9 +188,19 @@ class ScenarioConfig:
         # the partition; the library's errors are wrapped so the failure reads
         # as a config problem.
         try:
-            self.mask()
+            mask = self.mask()
         except (PartitionError, MaskError, GeometryError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
+        # A snapshot has one row per node the mask keeps in a region, and the
+        # rank cannot exceed it; ``saliency_map`` bounds it by the active
+        # region count too, once the cube is read.
+        part = self.partition()
+        rows = part.p1 * part.p2 if mask is None else mask.retained_count
+        if self.detection.rank > rows:
+            raise ConfigError(
+                f"rank {self.detection.rank} exceeds the {rows} node(s) "
+                f"the mask keeps per region"
+            )
         # The velocity source: a pair of distinct probes, or in analytic mode a
         # finite group velocity from the material and the carrier frequency.
         try:
@@ -271,16 +282,17 @@ def with_overrides(scenario: ScenarioConfig, **changes) -> ScenarioConfig:
     """The scenario with detection settings replaced, checked like a file.
 
     Keys are ``DetectionSettings`` fields; a None value keeps the file's
-    setting.  A ``rank`` given as text is read as in a file, as an integer.
-    ``replace`` builds the result, so it passes the same checks as a parsed
-    scenario.
+    setting.  A ``rank`` or ``window_len`` given as text is read as in a
+    file, as an integer.  ``replace`` builds the result, so it passes the
+    same checks as a parsed scenario.
     """
     changes = {k: v for k, v in changes.items() if v is not None}
-    if isinstance(changes.get("rank"), str):
-        try:
-            changes["rank"] = _parse_int(changes["rank"])
-        except ValueError as exc:
-            raise ConfigError(f"bad value for 'rank': {exc}") from None
+    for key in ("rank", "window_len"):
+        if isinstance(changes.get(key), str):
+            try:
+                changes[key] = _parse_int(changes[key])
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key!r}: {exc}") from None
     try:
         detection = replace(scenario.detection, **changes)
     except ValueError as exc:

@@ -113,13 +113,12 @@ class SaliencyMap:
     """Fraction of window offsets at which each region was an outlier.
 
     ``fractions`` is (regions_x, regions_y) with NaN marking inactive
-    regions.
+    regions; ``active`` is the scored window set's own read-only activity
+    grid, and ``window_len`` the number of offsets each fraction counts.
     """
 
     fractions: np.ndarray = field(repr=False)
     active: np.ndarray = field(repr=False)
-    rank_used: int
-    ratio: float
     window_len: int
 
     def __post_init__(self):
@@ -321,9 +320,7 @@ def saliency_map(
     fractions.T[window_set.active.T] = counts / window_set.window_len
     return SaliencyMap(
         fractions=fractions,
-        active=np.array(window_set.active),
-        rank_used=rank,
-        ratio=ratio,
+        active=window_set.active,
         window_len=window_set.window_len,
     )
 

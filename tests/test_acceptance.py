@@ -272,9 +272,7 @@ def test_scattered_field_occupies_small_spectral_fraction(bench1, tmp_path, caps
     assert float(match.group(2)) == -20.0
     assert int(match.group(3)) == cube.t_len - 1
     # the printed value is the library computation, 6-decimal rounded
-    direct = occupied_fraction(
-        dft2_magnitude(cube.slice_at(cube.t_len - 1), cube.dx), -20.0
-    )
+    direct = occupied_fraction(dft2_magnitude(cube.slice_at(cube.t_len - 1)), -20.0)
     assert abs(direct - fraction) < 5e-7
 
 

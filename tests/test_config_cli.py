@@ -356,6 +356,15 @@ def test_rank_values():
             parse_scenario(_edit(SMALL_CFG, rank=value))
     with pytest.raises(ConfigError, match="^bad value for 'rank': .*'auto'"):
         with_overrides(parse_scenario(SMALL_CFG), rank="auto")
+    # a snapshot has one row per node the mask keeps in a region (17 x 17
+    # here), and a rank above that joins blocks, so it names no line
+    assert parse_scenario(_edit(SMALL_CFG, rank="289")).detection.rank == 289
+    with pytest.raises(ConfigError, match="^rank 290 exceeds the 289 node"):
+        parse_scenario(_edit(SMALL_CFG, rank="290"))
+    cross = parse_scenario(_inject(SMALL_CFG, "detection", "mask = cross 2"))
+    assert with_overrides(cross, rank=33).detection.rank == 33
+    with pytest.raises(ConfigError, match="^rank 34 exceeds the 33 node"):
+        with_overrides(cross, rank=34)
 
 
 def test_analytic_mode_supplies_velocity():
@@ -552,7 +561,7 @@ def test_detect_overrides(small_run, tmp_path, capsys):
     assert "energy_ratio = 0.3" in manifest
     assert "theta = 0.9" in manifest
     # out-of-range settings are configuration errors with one message line;
-    # rank 500 only fails against the snapshot's size, at detection time
+    # rank 500 is above the 289 nodes of a region
     for bad in (["--rank", "fast"], ["--rank", "auto"], ["--rank", "0"],
                 ["--rank", "500"], ["--ratio", "2"], ["--ratio", "0"],
                 ["--theta", "0"], ["--theta", "1.5"], ["--tw", "0"]):
@@ -562,6 +571,65 @@ def test_detect_overrides(small_run, tmp_path, capsys):
         ]) == EXIT_CONFIG, bad
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), (bad, err)
+
+
+def test_tw_is_read_like_a_window_len_line(small_run, tmp_path, capsys):
+    cfg, cube_path = small_run
+    assert main([
+        "detect", str(cube_path), str(cfg), str(tmp_path / "f"), "--tw", "9.0",
+    ]) == EXIT_OK
+    assert "window_len = 9" in (tmp_path / "f.manifest").read_text()
+    capsys.readouterr()
+    assert main([
+        "detect", str(cube_path), str(cfg), str(tmp_path / "g"), "--tw", "9.5",
+    ]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: bad value for 'window_len': '9.5' is not an integer\n"
+    )
+    assert not (tmp_path / "g.manifest").exists()
+
+
+def test_rank_above_a_masked_snapshot_fails_before_the_cube_is_read(
+    ci_cube_file, tmp_path, capsys, monkeypatch
+):
+    # bench1_ci regions keep 20 of their 289 nodes at ratio 0.07, so rank 25
+    # fits every mask of the sweep but the last
+    import wavesaliency.cube
+    import wavesaliency.pipeline
+
+    calls = []
+    for module, name in ((wavesaliency.cube, "read_cube"),
+                         (wavesaliency.pipeline, "saliency_map")):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    ci_cfg = bundled_config_path("bench1_ci")
+    out = tmp_path / "s.csv"
+    capsys.readouterr()
+    assert main([
+        "sweep", str(ci_cube_file), str(ci_cfg), str(out),
+        "--ratios", "0.5,0.33,0.2,0.1,0.07", "--rank", "25",
+    ]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: rank 25 exceeds the 20 node(s) the mask keeps per region\n"
+    )
+    cfg = tmp_path / "masked.cfg"
+    cfg.write_text(_edit(ci_cfg.read_text(), mask="random 0.07"))
+    assert main([
+        "detect", str(ci_cube_file), str(cfg), str(tmp_path / "d"), "--rank", "25",
+    ]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: rank 25 exceeds the 20 node")
+    assert calls == [] and not out.exists()
+    # a rank every mask can hold still sweeps
+    assert main([
+        "sweep", str(ci_cube_file), str(ci_cfg), str(out), "--trials", "1",
+        "--ratios", "0.5,0.07", "--rank", "20",
+    ]) == EXIT_OK
+    assert calls[0] == "read_cube" and "saliency_map" in calls
 
 
 def test_exit_code_config_errors(small_run, tmp_path):

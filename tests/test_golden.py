@@ -69,7 +69,7 @@ def fingerprint(scenario, cube) -> dict[str, str | float]:
         rows = monte_carlo_sweep(cube, part, config, kw.pop("ratios"), TRIALS,
                                  scenario.seed, truth=truth, **kw)
         out[key] = _sha(sweep_csv_text(rows))
-    spec = dft2_magnitude(cube.slice_at(cube.t_len - 1), cube.dx)
+    spec = dft2_magnitude(cube.slice_at(cube.t_len - 1))
     out["spectrum_csv"] = _sha(spectrum_csv_text(spec))
     with tempfile.TemporaryDirectory() as tmp:
         pgm = Path(tmp) / "spectrum.pgm"

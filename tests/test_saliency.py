@@ -296,7 +296,9 @@ def test_map_counts_salient_offsets():
     assert sal.fractions[1, 1] == pytest.approx(6 / 11)
     for a, b in ((0, 0), (1, 0), (0, 1)):
         assert sal.fractions[a, b] == 0.0
-    assert sal.rank_used == 1
+    # the map holds the window set's own read-only activity grid, not a copy
+    assert sal.active is ws.active and not sal.active.flags.writeable
+    assert sal.window_len == ws.window_len
     # every value is a multiple of 1/window_len
     counts = sal.fractions * 11
     assert np.allclose(counts, np.round(counts), atol=1e-9)
@@ -361,7 +363,7 @@ def test_map_mask_validation():
         windows=np.ones((ws.window_len, 49, 4)),
     )
     mask = random_mask(5, 5, 0.5, seed=3)
-    assert saliency_map(ws, rank=1, mask=mask).rank_used == 1
+    assert saliency_map(ws, rank=1, mask=mask).shape == (2, 2)
     with pytest.raises(MaskError, match="built for 5x5 regions cannot be applied to 7x7"):
         saliency_map(wide, rank=1, mask=mask)
 
@@ -738,7 +740,6 @@ def test_cross_at_full_rank_flags_nothing(ci_bench1):
     mask = double_cross_mask(part.p1, part.p2, stride=4)
     assert mask.retained_count == 17
     sal = saliency_map(ws, rank=17, mask=mask)
-    assert sal.rank_used == 17
     assert np.all(sal.fractions[sal.active] == 0.0)
     assert sal.flagged_regions(scenario.detection.theta) == frozenset()
 

@@ -6,7 +6,7 @@ import pytest
 from wavesaliency.cube import write_pgm, write_text
 from wavesaliency.errors import NoSignalError
 from wavesaliency.spectrum import (
-    WavenumberSpectrum,
+    PGM_FLOOR_DB,
     dft2_magnitude,
     occupied_fraction,
     spectrum_csv_text,
@@ -15,20 +15,16 @@ from wavesaliency.spectrum import (
 
 
 def _spectrum_of(values):
-    values = np.asarray(values, dtype=float)
-    n1, n2 = values.shape
-    return WavenumberSpectrum(
-        values=values,
-        kx_L=np.arange(n1, dtype=float),
-        ky_L=np.arange(n2, dtype=float),
-    )
+    values = np.array(values, dtype=float)
+    values.flags.writeable = False
+    return values
 
 
 def test_constant_snapshot_is_dc_only():
-    spec = dft2_magnitude(np.full((16, 16), 3.7), dx=1e-3)
+    spec = dft2_magnitude(np.full((16, 16), 3.7))
     center = (8, 8)
-    assert spec.values[center] == 1.0
-    rest = spec.values.copy()
+    assert spec[center] == 1.0
+    rest = spec.copy()
     rest[center] = 0.0
     assert np.max(rest) < 1e-9
 
@@ -37,22 +33,22 @@ def test_pure_tone_gives_conjugate_pair():
     n = 32
     l = np.arange(n)
     snap = np.cos(2 * np.pi * 5 * l / n)[:, None] * np.ones((1, n))
-    spec = dft2_magnitude(snap, dx=1e-3)
-    hot = np.argwhere(spec.values > 0.5)
+    spec = dft2_magnitude(snap)
+    hot = np.argwhere(spec > 0.5)
     assert {tuple(map(int, p)) for p in hot} == {(16 + 5, 16), (16 - 5, 16)}
-    assert spec.values[16 + 5, 16] == pytest.approx(1.0)
-    assert spec.values[16 - 5, 16] == pytest.approx(1.0)
-    assert np.sort(spec.values.ravel())[-3] < 1e-9  # nothing else
+    assert spec[16 + 5, 16] == pytest.approx(1.0)
+    assert spec[16 - 5, 16] == pytest.approx(1.0)
+    assert np.sort(spec.ravel())[-3] < 1e-9  # nothing else
 
 
 def test_real_input_point_symmetry(rng):
     snap = rng.normal(size=(33, 33))
-    spec = dft2_magnitude(snap, dx=1e-3)
+    spec = dft2_magnitude(snap)
     # odd grid: point reflection through the center is a pure flip
-    assert np.max(np.abs(spec.values - spec.values[::-1, ::-1])) < 1e-9
+    assert np.max(np.abs(spec - spec[::-1, ::-1])) < 1e-9
     # even grid: drop the unpaired Nyquist row/column before flipping
-    spec2 = dft2_magnitude(rng.normal(size=(16, 16)), dx=1e-3)
-    core = spec2.values[1:, 1:]
+    spec2 = dft2_magnitude(rng.normal(size=(16, 16)))
+    core = spec2[1:, 1:]
     assert np.max(np.abs(core - core[::-1, ::-1])) < 1e-9
     occupied = core > 10 ** (-20 / 20)
     assert np.array_equal(occupied, occupied[::-1, ::-1])
@@ -64,36 +60,27 @@ def test_parseval_and_normalization(rng):
     lhs = np.sum(np.abs(raw) ** 2)
     rhs = snap.size * np.sum(snap**2)
     assert lhs == pytest.approx(rhs, rel=1e-6)
-    spec = dft2_magnitude(snap, dx=2e-3)
+    spec = dft2_magnitude(snap)
     expected = np.abs(np.fft.fftshift(raw))
-    assert np.allclose(spec.values, expected / expected.max(), atol=1e-12)
-    assert spec.values.max() == 1.0
-    assert spec.values.min() >= 0.0
-
-
-def test_axis_scaling():
-    n, dx = 129, 0.25 / 128
-    spec = dft2_magnitude(np.ones((n, n)) + np.eye(n), dx)
-    assert spec.kx_L[64] == 0.0
-    step = 2 * np.pi * 128 / 129  # 2*pi*L/(n*dx) with L = (n-1)*dx
-    assert spec.kx_L[65] - spec.kx_L[64] == pytest.approx(step, rel=1e-12)
-    assert spec.kx_L[0] == pytest.approx(-64 * step, rel=1e-12)
-    assert np.array_equal(spec.ky_L, spec.kx_L)
-    doubled = dft2_magnitude(np.ones((n, n)) + np.eye(n), dx, side_length=0.5)
-    assert doubled.kx_L[65] == pytest.approx(2 * spec.kx_L[65], rel=1e-12)
+    assert np.allclose(spec, expected / expected.max(), atol=1e-12)
+    assert spec.max() == 1.0
+    assert spec.min() >= 0.0
+    # the spectrum is the plain magnitude array, shaped like the snapshot
+    assert type(spec) is np.ndarray and spec.shape == snap.shape
+    assert not spec.flags.writeable
+    with pytest.raises(ValueError):
+        spec[0, 0] = 2.0
 
 
 def test_dft_input_validation():
     with pytest.raises(ValueError):
-        dft2_magnitude(np.ones(16), dx=1e-3)
+        dft2_magnitude(np.ones(16))
     bad = np.ones((8, 8))
     bad[3, 3] = np.nan
     with pytest.raises(ValueError):
-        dft2_magnitude(bad, dx=1e-3)
-    with pytest.raises(ValueError):
-        dft2_magnitude(np.ones((8, 8)), dx=0.0)
+        dft2_magnitude(bad)
     with pytest.raises(NoSignalError):
-        dft2_magnitude(np.zeros((8, 8)), dx=1e-3)
+        dft2_magnitude(np.zeros((8, 8)))
 
 
 def test_one_bin_fraction_pinned():
@@ -136,7 +123,7 @@ def test_ci_snapshot_fraction_is_sparse(ci_bench1):
     # narrow-band flexural field occupies a thin annulus: a few percent of
     # the plane, nowhere near full occupancy
     _, cube = ci_bench1
-    spec = dft2_magnitude(cube.slice_at(cube.t_len - 1), cube.dx)
+    spec = dft2_magnitude(cube.slice_at(cube.t_len - 1))
     frac = occupied_fraction(spec, -20.0)
     assert 0.005 <= frac <= 0.2
 
@@ -183,15 +170,12 @@ def test_pgm_layout(tmp_path):
     values[0, 0] = 10 ** (-30.0 / 20.0)  # below a -20 floor, above -60
     spec = _spectrum_of(values)
     out = tmp_path / "spec.pgm"
-    write_spectrum_pgm(spec, out, floor_db=-60.0)
+    write_spectrum_pgm(spec, out)
     body = out.read_text().split("\n")
     assert body[:3] == ["P2", "5 3", "255"]
     rows = [line.split() for line in body[3:6]]
     assert len(rows) == 3 and all(len(r) == 5 for r in rows)
     assert rows[1][2] == "255"  # the peak, at row ky=1, column kx=2
+    assert PGM_FLOOR_DB == -60.0
     assert rows[0][0] == "128"  # -30 dB on a -60 dB scale
     assert rows[2][4] == "0"  # exact zero clips to the floor
-    with pytest.raises(ValueError):
-        write_spectrum_pgm(spec, out, floor_db=0.0)
-    with pytest.raises(ValueError):
-        write_spectrum_pgm(spec, out, floor_db=float("nan"))
