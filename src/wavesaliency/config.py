@@ -194,8 +194,7 @@ class ScenarioConfig:
         # A snapshot has one row per node the mask keeps in a region, and the
         # rank cannot exceed it; ``saliency_map`` bounds it by the active
         # region count too, once the cube is read.
-        part = self.partition()
-        rows = part.p1 * part.p2 if mask is None else mask.retained_count
+        rows = self.partition().nodes_per_region if mask is None else mask.retained_count
         if self.detection.rank > rows:
             raise ConfigError(
                 f"rank {self.detection.rank} exceeds the {rows} node(s) "
