@@ -17,17 +17,23 @@ WVC1 layout (all integers and floats little-endian):
     bytes 20-35  dx, dt as float64
     bytes 36-    payload, n1*n2*t_len float64
 
+Cubes are read from and written to file paths that can seek.  ``read_cube``
+checks the header, then compares the payload it implies with the bytes left
+in the file before allocating anything, so a header cannot claim more memory
+than its file holds and a path that cannot seek (a pipe) fails with OSError.
+It rejects trailing bytes and reads the samples straight into their final
+array.
+
 Sidecar metadata (material constants, excitation, run parameters) goes in a
 plain ``key = value`` text file next to the binary, never in the binary.
 """
 
 from __future__ import annotations
 
-import io
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Union
 
 import numpy as np
 
@@ -36,7 +42,6 @@ from .errors import CubeDataError, CubeFormatError
 MAGIC = b"WVC1"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIIIIdd")  # magic, version, n1, n2, t_len, dx, dt
-_CHUNK = 1 << 20  # largest single read from a stream that cannot seek
 
 
 @dataclass(frozen=True)
@@ -128,118 +133,60 @@ class DataCube:
         )
 
 
-_Sink = Union[str, Path, BinaryIO]
-
-
-def write_cube(cube: DataCube, destination: _Sink) -> int:
-    """Write a cube in WVC1 format; returns the number of bytes written.
+def write_cube(cube: DataCube, path: str | Path) -> int:
+    """Write a cube to a WVC1 file; returns the number of bytes written.
 
     The cube constructor already guarantees the invariants, so the payload is
-    emitted as-is; any sink failure surfaces as an OSError carrying the byte
-    offset reached.
+    written as-is, straight from the sample array.  A failed write raises the
+    OSError of the file operation that failed, which may be the close.
     """
     header = _HEADER.pack(
         MAGIC, FORMAT_VERSION, cube.n1, cube.n2, cube.t_len, cube.dx, cube.dt
     )
     # C-order == WVC1 payload order; a byte view, not a copy
     payload = memoryview(cube.values).cast("B")
-    if isinstance(destination, (str, Path)):
-        with open(destination, "wb") as fh:
-            return _write_all(fh, header, payload)
-    return _write_all(destination, header, payload)
-
-
-def _write_all(fh: BinaryIO, header: bytes, payload: memoryview) -> int:
-    written = 0
-    try:
+    with open(path, "wb") as fh:
         fh.write(header)
-        written += len(header)
         fh.write(payload)
-        written += len(payload)
-    except OSError as exc:
-        raise OSError(f"cube write failed at byte offset {written}: {exc}") from exc
-    return written
+    return len(header) + len(payload)
 
 
-def read_cube(source: _Sink) -> DataCube:
-    """Read a WVC1 cube, validating magic, version, length, and finiteness."""
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            return _read_stream(fh)
-    return _read_stream(source)
-
-
-def _read_stream(fh: BinaryIO) -> DataCube:
-    head = _read_upto(fh, _HEADER.size)
-    if len(head) < _HEADER.size:
-        raise CubeFormatError(
-            f"file too short for WVC1 header ({len(head)} < {_HEADER.size} bytes)"
-        )
-    magic, version, n1, n2, t_len, dx, dt = _HEADER.unpack(head)
-    if magic != MAGIC:
-        raise CubeFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise CubeFormatError(f"unsupported format version {version}")
-    size = 8 * n1 * n2 * t_len
-    if fh.seekable():
-        # a header that claims more than the stream holds is rejected
-        # before the payload is allocated
+def read_cube(path: str | Path) -> DataCube:
+    """Read a WVC1 file, validating magic, version, length, and finiteness."""
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise CubeFormatError(
+                f"file too short for WVC1 header ({len(head)} < {_HEADER.size} bytes)"
+            )
+        magic, version, n1, n2, t_len, dx, dt = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise CubeFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        if version != FORMAT_VERSION:
+            raise CubeFormatError(f"unsupported format version {version}")
+        size = 8 * n1 * n2 * t_len
+        # sized before the payload is allocated; a pipe fails this seek
         here = fh.tell()
-        left = fh.seek(0, io.SEEK_END) - here
-        fh.seek(here)
+        left = fh.seek(0, os.SEEK_END) - here
         if left < size:
             raise _payload_mismatch(size, left)
+        if left > size:
+            raise CubeFormatError("trailing bytes after payload")
+        fh.seek(here)
         values = np.empty(size // 8, dtype="<f8")
-        buf = memoryview(values).cast("B")
-        got = 0
-        while got < size:
-            n = fh.readinto(buf[got:])
-            if not n:
-                raise _payload_mismatch(size, got)
-            got += n
-    else:
-        # a stream that cannot seek is not sized up front: it is read in
-        # bounded chunks, so a header's claim is never allocated unread
-        data = _read_upto(fh, size)
-        if len(data) < size:
-            raise _payload_mismatch(size, len(data))
-        values = np.frombuffer(data, dtype="<f8")
-    if fh.read(1):
-        raise CubeFormatError("trailing bytes after payload")
+        got = fh.readinto(memoryview(values).cast("B"))
+        if got != size:
+            raise _payload_mismatch(size, got)
     try:
         return DataCube(n1=n1, n2=n2, t_len=t_len, dx=dx, dt=dt, values=values)
     except CubeDataError as exc:
         raise CubeDataError(f"cube file rejected: {exc}") from exc
 
 
-def _read_upto(fh: BinaryIO, size: int) -> bytes:
-    """``size`` bytes of the stream, fewer only where it ends.
-
-    Short reads are repeated, and no single read asks for more than
-    ``_CHUNK`` bytes, so what is allocated never exceeds what arrived by
-    more than one chunk.
-    """
-    parts = []
-    while size:
-        part = fh.read(min(size, _CHUNK))
-        if not part:
-            break
-        parts.append(part)
-        size -= len(part)
-    return b"".join(parts)
-
-
 def _payload_mismatch(size: int, got: int) -> CubeFormatError:
     return CubeFormatError(
         f"payload length mismatch: header implies {size} bytes, got {got}"
     )
-
-
-def roundtrip_bytes(cube: DataCube) -> bytes:
-    """Serialize to an in-memory WVC1 blob (convenience for tests and tools)."""
-    buf = io.BytesIO()
-    write_cube(cube, buf)
-    return buf.getvalue()
 
 
 def write_meta(path: str | Path, entries: dict) -> None:
@@ -261,18 +208,6 @@ def write_pgm(path: str | Path, pixels: np.ndarray) -> None:
     lines += [" ".join(map(str, row))
               for row in pixels.T.astype(int, copy=False).tolist()]
     write_text(path, "\n".join(lines) + "\n")
-
-
-def read_meta(path: str | Path) -> dict[str, str]:
-    """Parse a sidecar metadata file back into a string-valued dict."""
-    out: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
-    return out
 
 
 def meta_path(cube_path: str | Path) -> Path:

@@ -105,11 +105,6 @@ class Partition:
             raise IndexError(f"cell ({cell_l}, {cell_m}) outside grid")
         return (cell_l // (self.p1 - 1), cell_m // (self.p2 - 1))
 
-    def region_ids(self) -> list[tuple[int, int]]:
-        """All (a, b) pairs in column order (a fastest)."""
-        return [(a, b) for b in range(self.regions_y)
-                for a in range(self.regions_x)]
-
 
 @dataclass(frozen=True)
 class ProbePair:

@@ -3,13 +3,28 @@
 The three full-size benchmark cubes take a few seconds each to simulate, so
 they are built once per session and shared by the unit and acceptance
 tests.  Everything downstream of `simulate` is deterministic, which makes
-cross-test sharing safe.
+cross-test sharing safe.  Two plain helpers sit beside them: the WVC1
+bytes of a cube, and a partition's region ids in column order.
 """
+
+import struct
 
 import numpy as np
 import pytest
 
 from wavesaliency.config import bundled_config_path, load_scenario, simulate_scenario
+
+
+def wvc1_bytes(cube):
+    """The WVC1 file of a cube, encoded from the format's layout alone."""
+    header = struct.pack("<4sIIIIdd", b"WVC1", 1, cube.n1, cube.n2, cube.t_len,
+                         cube.dx, cube.dt)
+    return header + cube.values.astype("<f8").tobytes()
+
+
+def region_ids(part):
+    """Every (a, b) region of a partition in column order (a fastest)."""
+    return [(a, b) for b in range(part.regions_y) for a in range(part.regions_x)]
 
 
 def _run_scenario(name):

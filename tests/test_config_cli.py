@@ -9,6 +9,7 @@ import math
 import os
 import random
 import re
+import stat
 import subprocess
 import sys
 import textwrap
@@ -752,6 +753,50 @@ def test_cube_claiming_more_than_its_file_is_one_error_line(
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: payload length mismatch: header implies "
                        "512000000000 bytes, got 40"], (argv, err)
+
+
+def _assert_one_error_line(returncode: int, stderr: str) -> str:
+    """The child exited 1 with a single ``error:`` line and no traceback."""
+    assert returncode == EXIT_ERROR, stderr
+    assert "Traceback" not in stderr and "MemoryError" not in stderr
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_cube_on_a_pipe_is_one_error_line(ci_cube_file, tmp_path):
+    # a pipe cannot be sized against the header before the payload is
+    # allocated, so it is refused: the 4000^3 samples are never asked for
+    blob = bytearray(ci_cube_file.read_bytes()[:76])
+    blob[8:20] = np.array([4000, 4000, 4000], dtype="<u4").tobytes()
+    proc = subprocess.run(
+        [sys.executable, "-m", "wavesaliency.cli", "spectrum", "/dev/stdin",
+         str(tmp_path / "s")],
+        input=bytes(blob),
+        capture_output=True,
+        env=_child_env(),
+    )
+    _assert_one_error_line(proc.returncode, proc.stderr.decode())
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.skipif(
+    not (os.path.exists("/dev/full") and stat.S_ISCHR(os.stat("/dev/full").st_mode)),
+    reason="no /dev/full character device",
+)
+def test_simulate_to_a_full_device_is_one_error_line(tmp_path):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_CFG)
+    proc = subprocess.run(
+        [sys.executable, "-m", "wavesaliency.cli", "simulate", str(cfg), "/dev/full"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    line = _assert_one_error_line(proc.returncode, proc.stderr)
+    assert "No space left on device" in line
+    assert proc.stdout == ""
 
 
 def test_double_cross_rejects_per_region_sharing(ci_cube_file, tmp_path):

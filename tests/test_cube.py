@@ -1,7 +1,6 @@
 """Cube container and WVC1 serialization."""
 
 import dataclasses
-import io
 import struct
 import tracemalloc
 
@@ -9,17 +8,16 @@ import numpy as np
 import pytest
 
 from wavesaliency.cube import (
-    _CHUNK,
     DataCube,
     GridPoint,
     meta_path,
     read_cube,
-    read_meta,
-    roundtrip_bytes,
     write_cube,
     write_meta,
 )
 from wavesaliency.errors import CubeDataError, CubeFormatError
+
+from conftest import wvc1_bytes
 
 
 def make_cube(rng, n1=None, n2=None, t_len=None):
@@ -65,11 +63,20 @@ def test_cube_rejects_bad_payload(rng):
         DataCube(4, 3, 2, -1e-3, 1e-8, vals)
 
 
-def test_roundtrip_200_random_cubes(rng):
+def _file(tmp_path, blob: bytes):
+    path = tmp_path / "cube.wvc"
+    path.write_bytes(blob)
+    return path
+
+
+def test_roundtrip_200_random_cubes(tmp_path, rng):
     # format/determinism gate: serialization must be bit-exact
+    target = tmp_path / "cube.wvc"
     for _ in range(200):
         cube = make_cube(rng)
-        back = read_cube(io.BytesIO(roundtrip_bytes(cube)))
+        assert write_cube(cube, target) == 36 + cube.values.nbytes
+        assert target.read_bytes() == wvc1_bytes(cube)
+        back = read_cube(target)
         assert back == cube  # float64 payload survives exactly
         assert back.values.dtype == np.float64
 
@@ -77,104 +84,54 @@ def test_roundtrip_200_random_cubes(rng):
 def test_roundtrip_on_disk(tmp_path, rng):
     cube = make_cube(rng, n1=6, n2=5, t_len=4)
     target = tmp_path / "cube.wvc"
-    n = write_cube(cube, target)
+    n = write_cube(cube, str(target))
     assert target.stat().st_size == n
     assert read_cube(target) == cube
+    assert read_cube(str(target)) == cube
     # byte determinism of the writer itself
-    assert target.read_bytes() == roundtrip_bytes(cube)
+    assert target.read_bytes() == wvc1_bytes(cube)
 
 
-def test_read_rejects_bad_magic(rng):
-    blob = bytearray(roundtrip_bytes(make_cube(rng)))
+def test_read_rejects_bad_magic(rng, tmp_path):
+    blob = bytearray(wvc1_bytes(make_cube(rng)))
     blob[:4] = b"XXXX"
-    with pytest.raises(CubeFormatError):
-        read_cube(io.BytesIO(bytes(blob)))
+    with pytest.raises(CubeFormatError, match=r"^bad magic b'XXXX', expected b'WVC1'$"):
+        read_cube(_file(tmp_path, bytes(blob)))
 
 
-def test_read_rejects_truncated_payload(rng):
-    blob = roundtrip_bytes(make_cube(rng))
-    with pytest.raises(CubeFormatError):
-        read_cube(io.BytesIO(blob[:-8]))
+def test_read_rejects_other_versions(rng, tmp_path):
+    blob = bytearray(wvc1_bytes(make_cube(rng)))
+    struct.pack_into("<I", blob, 4, 2)
+    with pytest.raises(CubeFormatError, match="^unsupported format version 2$"):
+        read_cube(_file(tmp_path, bytes(blob)))
 
 
-def _claims_4000_cubed(rng) -> bytes:
-    """A 76-byte WVC1 file (5 samples) whose header claims 4000^3 of them."""
-    blob = bytearray(roundtrip_bytes(make_cube(rng, n1=5, n2=2, t_len=1)))
-    blob = blob[:struct.calcsize("<4sIIIIdd") + 40]
-    struct.pack_into("<III", blob, 8, 4000, 4000, 4000)
-    assert len(blob) == 76
-    return bytes(blob)
+def test_read_rejects_truncated_payload(rng, tmp_path):
+    blob = wvc1_bytes(make_cube(rng, n1=6, n2=5, t_len=4))
+    with pytest.raises(CubeFormatError,
+                       match="^payload length mismatch: header implies 960 bytes, got 952$"):
+        read_cube(_file(tmp_path, blob[:-8]))
+    with pytest.raises(CubeFormatError,
+                       match=r"^file too short for WVC1 header \(35 < 36 bytes\)$"):
+        read_cube(_file(tmp_path, blob[:35]))
+
+
+def test_read_rejects_trailing_bytes(rng, tmp_path):
+    blob = wvc1_bytes(make_cube(rng, n1=6, n2=5, t_len=4))
+    with pytest.raises(CubeFormatError, match="^trailing bytes after payload$"):
+        read_cube(_file(tmp_path, blob + b"\0"))
 
 
 def test_read_rejects_a_payload_the_stream_cannot_hold(rng, tmp_path):
     # checked before the payload is allocated: 512 GB is never asked for
-    blob = _claims_4000_cubed(rng)
-    target = tmp_path / "huge.wvc"
-    target.write_bytes(blob)
+    blob = bytearray(wvc1_bytes(make_cube(rng, n1=5, n2=2, t_len=1))[:76])
+    struct.pack_into("<III", blob, 8, 4000, 4000, 4000)
+    assert len(blob) == 76
+    target = _file(tmp_path, bytes(blob))
     message = "payload length mismatch: header implies 512000000000 bytes, got 40"
-    for source in (target, str(target), io.BytesIO(blob)):
+    for source in (target, str(target)):
         with pytest.raises(CubeFormatError, match=message):
             read_cube(source)
-
-
-class _Trickle(io.RawIOBase):
-    """A stream that cannot seek and fills at most 7 bytes per readinto."""
-
-    def __init__(self, data: bytes):
-        self._data = io.BytesIO(data)
-
-    def readable(self):
-        return True
-
-    def read(self, size=-1):
-        return self._data.read(size)
-
-    def readinto(self, buffer):
-        chunk = self._data.read(min(7, len(buffer)))
-        buffer[:len(chunk)] = chunk
-        return len(chunk)
-
-
-def test_read_fills_the_payload_from_short_reads(rng):
-    cube = make_cube(rng, n1=6, n2=5, t_len=4)
-    blob = roundtrip_bytes(cube)
-    assert read_cube(_Trickle(blob)) == cube
-    with pytest.raises(CubeFormatError, match="got 952"):
-        read_cube(_Trickle(blob[:-8]))
-    with pytest.raises(CubeFormatError, match="trailing bytes"):
-        read_cube(_Trickle(blob + b"\0"))
-
-
-class _Dribble(_Trickle):
-    """A stream that cannot seek and returns at most 7 bytes per read too."""
-
-    read = io.RawIOBase.read
-
-
-def test_read_assembles_the_header_from_short_reads(rng):
-    cube = make_cube(rng, n1=6, n2=5, t_len=4)
-    blob = roundtrip_bytes(cube)
-    assert read_cube(_Dribble(blob)) == cube
-    with pytest.raises(CubeFormatError, match="trailing bytes"):
-        read_cube(_Dribble(blob + b"\0"))
-    with pytest.raises(CubeFormatError, match=r"header \(35 < 36 bytes\)"):
-        read_cube(_Dribble(blob[:35]))
-
-
-def test_unseekable_read_allocates_what_arrived(rng):
-    # a stream that cannot seek cannot be checked against the header's
-    # claim, so the payload is read in chunks: 512 GB is never asked for
-    blob = _claims_4000_cubed(rng)
-    message = "payload length mismatch: header implies 512000000000 bytes, got 40"
-    for stream in (_Trickle(blob), _Dribble(blob)):
-        tracemalloc.start()
-        try:
-            with pytest.raises(CubeFormatError, match=message):
-                read_cube(stream)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= _CHUNK + 4096, peak
 
 
 def test_read_allocates_the_payload_once(rng, tmp_path):
@@ -182,27 +139,24 @@ def test_read_allocates_the_payload_once(rng, tmp_path):
     cube = make_cube(rng, n1=64, n2=64, t_len=100)
     target = tmp_path / "cube.wvc"
     write_cube(cube, target)
-    blob = target.read_bytes()
     payload = cube.values.nbytes
-    for source in (lambda: target, lambda: io.BytesIO(blob)):
-        stream = source()
-        tracemalloc.start()
-        try:
-            back = read_cube(stream)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert back == cube
-        assert peak <= 1.1 * payload, (peak, payload)
+    tracemalloc.start()
+    try:
+        back = read_cube(target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back == cube
+    assert peak <= 1.1 * payload, (peak, payload)
 
 
-def test_read_rejects_nonfinite_payload(rng):
+def test_read_rejects_nonfinite_payload(rng, tmp_path):
     cube = make_cube(rng, n1=3, n2=3, t_len=2)
-    blob = bytearray(roundtrip_bytes(cube))
+    blob = bytearray(wvc1_bytes(cube))
     header = struct.calcsize("<4sIIIIdd")
     blob[header:header + 8] = struct.pack("<d", np.inf)
     with pytest.raises(CubeDataError):
-        read_cube(io.BytesIO(bytes(blob)))
+        read_cube(_file(tmp_path, bytes(blob)))
 
 
 def test_peak_is_max_abs(rng):
@@ -220,19 +174,19 @@ def test_peak_is_max_abs(rng):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", [0, 11, 23])
-def test_nonfinite_sample_rejected_anywhere(bad, where, rng):
+def test_nonfinite_sample_rejected_anywhere(bad, where, rng, tmp_path):
     # first, a middle and the last of 2 x 3 x 4 samples
     vals = rng.normal(size=(2, 3, 4))
     vals.flat[where] = bad
     with pytest.raises(CubeDataError, match="^payload contains non-finite values$"):
         DataCube(4, 3, 2, 1e-3, 1e-8, vals)
-    blob = bytearray(roundtrip_bytes(DataCube(4, 3, 2, 1e-3, 1e-8, np.zeros((2, 3, 4)))))
+    blob = bytearray(wvc1_bytes(DataCube(4, 3, 2, 1e-3, 1e-8, np.zeros((2, 3, 4)))))
     header = struct.calcsize("<4sIIIIdd")
     blob[header + 8 * where:header + 8 * where + 8] = struct.pack("<d", bad)
     with pytest.raises(
         CubeDataError, match="^cube file rejected: payload contains non-finite values$"
     ):
-        read_cube(io.BytesIO(bytes(blob)))
+        read_cube(_file(tmp_path, bytes(blob)))
 
 
 def test_peak_is_derived_not_compared(rng):
@@ -262,9 +216,7 @@ def test_meta_sidecar(tmp_path):
     target = tmp_path / "run.wvc"
     sidecar = meta_path(target)
     assert sidecar.name == "run.wvc.meta"
-    write_meta(sidecar, {"b": "2", "a": "1"})
-    assert read_meta(sidecar) == {"a": "1", "b": "2"}
     # sorted output => deterministic bytes regardless of insertion order
-    text = sidecar.read_text()
-    write_meta(sidecar, {"a": "1", "b": "2"})
-    assert sidecar.read_text() == text
+    for entries in ({"b": "2", "a": "1"}, {"a": "1", "b": "2"}):
+        write_meta(sidecar, entries)
+        assert sidecar.read_bytes() == b"a = 1\nb = 2\n"

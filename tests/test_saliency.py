@@ -38,6 +38,7 @@ from wavesaliency.windowing import (
     extract_windows,
 )
 
+from conftest import region_ids
 from lowrank_oracle import (
     assemble_snapshot_matrix,
     oracle_counts,
@@ -69,7 +70,7 @@ def test_snapshot_shape_main_grid():
     assert ws.active_count == 256
     snap = assemble_snapshot_matrix(ws, 0)
     assert snap.values.shape == (289, 256)
-    assert snap.column_labels == part.region_ids()
+    assert snap.column_labels == region_ids(part)
 
 
 def test_snapshot_masked_row_count():

@@ -29,6 +29,8 @@ from wavesaliency.cube import GridPoint, write_text
 from wavesaliency.sim import DefectSpec
 from wavesaliency.windowing import Partition
 
+from conftest import region_ids
+
 
 # ---------------------------------------------------------------------------
 # masks
@@ -253,7 +255,7 @@ def test_origin_block_geometry():
 
 
 def test_metrics_count_identities(rng):
-    all_regions = PART8.region_ids()
+    all_regions = region_ids(PART8)
     for _ in range(30):
         n_truth = int(rng.integers(1, 6))
         n_flag = int(rng.integers(0, 8))
@@ -272,9 +274,9 @@ def test_regional_discovery_monotone_in_flags(rng):
     truth = GroundTruth(frozenset({(2, 2), (6, 1), (4, 6)}))
     flagged = set()
     last = 0
-    order = rng.permutation(len(PART8.region_ids()))
+    order = rng.permutation(len(region_ids(PART8)))
     for i in order[:20]:
-        flagged.add(PART8.region_ids()[int(i)])
+        flagged.add(region_ids(PART8)[int(i)])
         m = detection_metrics(flagged, truth, PART8, NEAR_ORIGIN)
         assert m.regionally_discovered >= last
         last = m.regionally_discovered

@@ -10,16 +10,25 @@ bit for bit to the same formula on an np.pad copy (``_padded_stencil_sum``),
 and to within 1e-13 of the peak to the association that divides each stage
 by its scale (``_divided_laplacian``).  The staggered energy checks the
 stepper to round-off (Hairer, Lubich & Wanner, *Geometric Numerical
-Integration*, 2nd ed. 2006).
+Integration*, 2nd ed. 2006).  On the pristine plate, the whole forced
+history is held to the discrete Duhamel sum over those modes, which checks
+the stepper, its ghosts, the force gain, the source clamp, the burst timing
+and the record cadence at once.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from wavesaliency.config import GridSettings, bundled_config_path, load_scenario
+from wavesaliency.config import (
+    GridSettings,
+    bundled_config_path,
+    load_scenario,
+    simulate_scenario,
+)
 from wavesaliency.cube import GridPoint
 from wavesaliency.errors import DivergenceError, GeometryError
 from wavesaliency.sim import (
@@ -382,8 +391,8 @@ def _sine_mode(n, p, q):
 def _stage_symbol(theta, order):
     """-dx^2 times the Laplacian stage's eigenvalue along one axis."""
     if order == 2:
-        return 2.0 - 2.0 * math.cos(theta)
-    return (30.0 - 32.0 * math.cos(theta) + 2.0 * math.cos(2.0 * theta)) / 12.0
+        return 2.0 - 2.0 * np.cos(theta)
+    return (30.0 - 32.0 * np.cos(theta) + 2.0 * np.cos(2.0 * theta)) / 12.0
 
 
 @pytest.mark.parametrize("n", [3, 5, 8])
@@ -474,6 +483,66 @@ def test_sine_mode_follows_discrete_cosine(order, p, q):
     assert steps * omega_dt > math.pi  # at least half a period
     want = np.cos(omega_dt * np.arange(steps + 1))[:, None, None] * phi
     assert np.max(np.abs(record - want)) <= 1e-9 * np.max(np.abs(phi))
+
+
+def _duhamel_record(scenario, cube):
+    """The pristine plate's recorded history, summed mode by mode.
+
+    On a homogeneous plate the odd-image ghosts make the stencil diagonal in
+    the sine modes sin(pi k l / (n - 1)), k = 1 .. n - 2, with Laplacian
+    eigenvalue -(s(theta_x) + s(theta_y)) / dx^2 (``_stage_symbol``).  A
+    mode's amplitude then obeys q^{N+1} = 2 cos(phi) q^N - q^{N-1} + g f_N b,
+    with cos(phi) = 1 - dt^2 (D / rho_h) lambda^2 / 2, g = dt^2 / (rho_h dx^2),
+    f_N the force at (N - 1) dt and b the mode's share of the driven node,
+    so from rest q^N = g b sum_{j <= N} f_j sin((N - j + 1) phi) / sin(phi),
+    the discrete Duhamel sum.  The force, the source clamp, D and dt are
+    recomputed here from the scenario and the cube, not taken from ``sim``.
+    """
+    grid, mat, exc = scenario.grid, scenario.material, scenario.excitation
+    n = grid.n1
+    dx = mat.side_length / (n - 1)
+    dt = cube.dt / grid.record_every
+    d = mat.youngs_modulus * mat.thickness**3 / (12.0 * (1.0 - mat.poisson_ratio**2))
+    rho_h = mat.density * mat.thickness
+    k = np.arange(1, n - 1)
+    sym = _stage_symbol(math.pi * k / (n - 1), grid.space_order) / dx**2
+    lam = (sym[:, None] + sym[None, :]).ravel()  # modes (k_y, k_x), flattened
+    phi = np.arccos(1.0 - 0.5 * dt * dt * d / rho_h * lam * lam)
+    basis = np.sin(math.pi * np.outer(np.arange(n), k) / (n - 1))  # [node, k]
+    # a force on the pinned rim does no work: the nearest inner node is driven
+    ls, ms = (min(max(i, 1), n - 2) for i in (exc.source.l, exc.source.m))
+    gb = (dt * dt / (rho_h * dx * dx) * (2.0 / (n - 1)) ** 2
+          * np.outer(basis[ms], basis[ls]).ravel())
+    # the Hann-windowed burst, f_j at t = (j - 1) dt for j = 1 .. J
+    t_b = exc.cycle_count / exc.carrier_frequency
+    t = dt * np.arange(math.floor(t_b / dt) + 1)
+    f = (exc.amplitude * np.sin(math.pi * t / t_b) ** 2
+         * np.sin(2.0 * math.pi * exc.carrier_frequency * t))
+    j = np.arange(1, f.size + 1)
+    steps = grid.record_every * np.arange(cube.t_len)
+    weights = np.where(j <= steps[:, None], f, 0.0)  # (record, j)
+    # sin((N + 1 - j) phi) = sin((N + 1) phi) cos(j phi) - cos((N + 1) phi) sin(j phi)
+    arg = np.outer(steps + 1, phi)
+    q = gb * (np.sin(arg) * (weights @ np.cos(np.outer(j, phi)))
+              - np.cos(arg) * (weights @ np.sin(np.outer(j, phi)))) / np.sin(phi)
+    q = q.reshape(cube.t_len, n - 2, n - 2)
+    return np.einsum("mk,rkq,lq->rml", basis, q, basis, optimize=True)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("source", [(0, 0), (40, 77)], ids=["corner", "inner"])
+def test_pristine_plate_is_the_discrete_duhamel_sum(order, source):
+    # the corner source is clamped to node (1, 1); (40, 77) drives itself
+    base = load_scenario(bundled_config_path("pristine_ci"))
+    assert not base.defects
+    scenario = dataclasses.replace(
+        base,
+        grid=dataclasses.replace(base.grid, space_order=order),
+        excitation=dataclasses.replace(base.excitation, source=GridPoint(*source)),
+    )
+    cube = simulate_scenario(scenario)
+    want = _duhamel_record(scenario, cube)
+    assert np.max(np.abs(cube.values - want)) <= 1e-12 * cube.peak
 
 
 @pytest.mark.parametrize("order", [2, 4])

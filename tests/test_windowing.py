@@ -38,6 +38,8 @@ from wavesaliency.windowing import (
     first_envelope_peak_time,
 )
 
+from conftest import region_ids
+
 L = 0.25
 
 
@@ -66,7 +68,7 @@ def test_partition_rejects_non_divisible():
 def test_partition_tiles_grid_with_shared_edges():
     part = Partition(33, 25, 4, 3)
     cover = np.zeros((part.n2, part.n1), dtype=int)
-    for a, b in part.region_ids():
+    for a, b in region_ids(part):
         l0, m0 = part.node_origin(a, b)
         cover[m0:m0 + part.p2, l0:l0 + part.p1] += 1
     assert cover.min() >= 1  # no gaps
@@ -221,7 +223,7 @@ def test_window_starts_match_arrival_times():
     src = effective_source(exc.source, 33, 33)
     sx, sy = src.l * cube.dx, src.m * cube.dx
     assert ws.active.all()
-    for a, b in part.region_ids():
+    for a, b in region_ids(part):
         cx, cy = part.centroid(a, b, cube.dx)
         start = int(round(arrival_time(np.hypot(cx - sx, cy - sy), cg, exc) / cube.dt))
         assert ws.arrival_index[a, b] == start
@@ -266,7 +268,7 @@ def test_equidistant_regions_share_arrival_index():
     exc = ExcitationSpec(5e5, 5, 1.0, GridPoint(0, 0))
     ws = extract_windows(cube, part, 5000.0, exc, window_len=11)
     # clamped corner source sits on the grid diagonal: (a,b) vs (b,a) tie
-    for a, b in part.region_ids():
+    for a, b in region_ids(part):
         assert ws.arrival_index[a, b] == ws.arrival_index[b, a]
 
 

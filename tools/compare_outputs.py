@@ -1,0 +1,116 @@
+"""Run the CLI of two source trees on the bundled plates and diff the outputs.
+
+Usage::
+
+    python tools/compare_outputs.py OLD_SRC NEW_SRC [--trials N] [--work DIR]
+
+OLD_SRC and NEW_SRC are directories that hold a ``wavesaliency`` package,
+such as the ``src`` of two checkouts.  On each of the five bundled plates,
+each tree runs, with its own copy of the plate's config:
+
+* ``simulate`` (the cube and its ``.meta`` sidecar);
+* ``detect`` (CSV, PGMs, flags, manifest and the ``--dump-windows`` cubes);
+* ``spectrum`` (CSV and PGM);
+* ``sweep`` with random shared masks, random per-region masks, and the
+  double cross at strides 1 and 2, each over ``--trials`` trials.
+
+Every command runs in its tree's own output directory with relative paths
+and one BLAS thread, and its exit code, stdout and stderr are kept as a
+file beside its outputs.  The two directories are then compared file by
+file, byte for byte.  The script lists every file that differs or exists
+on one side only, and exits 1 if there is any; it exits 0 when all files
+are byte-identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+PLATES = ("bench1", "bench2", "pristine", "bench1_ci", "pristine_ci")
+
+
+def commands(plate: str, trials: int) -> dict[str, list[str]]:
+    """CLI argument lists by label, for one plate, in the order they run."""
+    cfg, cube = f"{plate}.cfg", f"{plate}.wvc"
+
+    def sweep(form: str, *extra: str) -> list[str]:
+        return ["sweep", cube, cfg, f"{plate}.sweep_{form}.csv",
+                "--trials", str(trials), *extra]
+
+    return {
+        "simulate": ["simulate", cfg, cube],
+        "detect": ["detect", cube, cfg, f"{plate}.detect",
+                   "--dump-windows", f"{plate}.windows"],
+        "spectrum": ["spectrum", cube, f"{plate}.spectrum"],
+        "sweep_random": sweep("random"),
+        "sweep_per_region": sweep("per_region", "--sharing", "per_region"),
+        "sweep_cross_1": sweep("cross_1", "--pattern", "cross", "--stride", "1"),
+        "sweep_cross_2": sweep("cross_2", "--pattern", "cross", "--stride", "2"),
+    }
+
+
+def run_tree(src: Path, out: Path, trials: int) -> None:
+    """Write every plate's CLI outputs of the tree at ``src`` under ``out``."""
+    env = {**os.environ, "PYTHONPATH": str(src), "WAVESALIENCY_THREADS": "1"}
+    out.mkdir(parents=True)
+    for plate in PLATES:
+        shutil.copyfile(src / "wavesaliency" / "configs" / f"{plate}.cfg",
+                        out / f"{plate}.cfg")
+        for label, argv in commands(plate, trials).items():
+            proc = subprocess.run(
+                [sys.executable, "-m", "wavesaliency.cli", *argv],
+                cwd=out, env=env, capture_output=True, text=True,
+            )
+            (out / f"{plate}.{label}.log").write_text(
+                f"exit {proc.returncode}\n--- stdout\n{proc.stdout}"
+                f"--- stderr\n{proc.stderr}"
+            )
+            print(f"{src}: {plate} {label}: exit {proc.returncode}", flush=True)
+
+
+def differences(old: Path, new: Path) -> tuple[int, list[str]]:
+    """(files compared, one line per file that differs or is one-sided)."""
+    def files(root: Path) -> set[Path]:
+        return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+
+    old_files, new_files = files(old), files(new)
+    lines = [f"only in old: {p}" for p in sorted(old_files - new_files)]
+    lines += [f"only in new: {p}" for p in sorted(new_files - old_files)]
+    lines += [f"differs: {p}" for p in sorted(old_files & new_files)
+              if (old / p).read_bytes() != (new / p).read_bytes()]
+    return len(old_files | new_files), lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("old_src", type=Path, help="directory holding the old package")
+    parser.add_argument("new_src", type=Path, help="directory holding the new package")
+    parser.add_argument("--trials", type=int, default=50,
+                        help="trials per sweep (default %(default)s, the CLI's)")
+    parser.add_argument("--work", type=Path,
+                        help="keep the outputs under this new directory "
+                             "(default: a temporary one, removed at exit)")
+    args = parser.parse_args(argv)
+    for src in (args.old_src, args.new_src):
+        if not (src / "wavesaliency" / "cli.py").is_file():
+            parser.error(f"{src} holds no wavesaliency package")
+    with tempfile.TemporaryDirectory() as tmp:
+        work = args.work or Path(tmp)
+        old, new = work / "old", work / "new"
+        run_tree(args.old_src.resolve(), old, args.trials)
+        run_tree(args.new_src.resolve(), new, args.trials)
+        count, lines = differences(old, new)
+    for line in lines:
+        print(line)
+    print(f"{count} files compared, {len(lines)} differ or are one-sided")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
