@@ -20,7 +20,8 @@ WVC1 layout (all integers and floats little-endian):
 Cubes are read from and written to file paths that can seek.  ``read_cube``
 checks the header, then compares the payload it implies with the bytes left
 in the file before allocating anything, so a header cannot claim more memory
-than its file holds and a path that cannot seek (a pipe) fails with OSError.
+than its file holds and a path that cannot seek (a pipe) fails with an
+OSError that names it.
 It rejects trailing bytes and reads the samples straight into their final
 array.
 
@@ -138,16 +139,23 @@ def write_cube(cube: DataCube, path: str | Path) -> int:
 
     The cube constructor already guarantees the invariants, so the payload is
     written as-is, straight from the sample array.  A failed write raises the
-    OSError of the file operation that failed, which may be the close.
+    OSError of the file operation that failed, which may be the close, with
+    the path as its filename.
     """
     header = _HEADER.pack(
         MAGIC, FORMAT_VERSION, cube.n1, cube.n2, cube.t_len, cube.dx, cube.dt
     )
     # C-order == WVC1 payload order; a byte view, not a copy
     payload = memoryview(cube.values).cast("B")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+    try:
+        with open(path, "wb") as fh:
+            fh.write(header)
+            fh.write(payload)
+    except OSError as exc:
+        # only a failed open names its file
+        if exc.filename is None:
+            exc.filename = os.fspath(path)
+        raise
     return len(header) + len(payload)
 
 
@@ -166,8 +174,12 @@ def read_cube(path: str | Path) -> DataCube:
             raise CubeFormatError(f"unsupported format version {version}")
         size = 8 * n1 * n2 * t_len
         # sized before the payload is allocated; a pipe fails this seek
-        here = fh.tell()
-        left = fh.seek(0, os.SEEK_END) - here
+        try:
+            here = fh.tell()
+            left = fh.seek(0, os.SEEK_END) - here
+        except OSError as exc:
+            raise OSError(exc.errno, f"cubes must be seekable files ({exc.strerror})",
+                          os.fspath(path)) from exc
         if left < size:
             raise _payload_mismatch(size, left)
         if left > size:

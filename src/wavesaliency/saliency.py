@@ -18,13 +18,15 @@ residual is formed explicitly, X − U(UᵀX) or X − (XV)Vᵀ, never as
 ‖x‖² − ‖Uᵀx‖², whose cancellation error would rise above the dust floor.
 The basis comes from one of three fits, chosen per offset:
 
-- Gram matrices of order at least ``_KRYLOV_ORDER`` (full-sampling
-  snapshots of the 257-node plates), at a rank whose r + 1 eigenpairs fit
-  in a third of the Krylov basis, are fitted by block Lanczos with
-  Rayleigh–Ritz (``_lanczos_basis``), which reads only the top of the
-  spectrum.  The fit is kept only when a Davis–Kahan bound certifies its
-  basis at least as well placed as ``eigh``'s at the gap floor below;
-  otherwise the offset goes to ``eigh``.
+- Gram matrices of order at least ``_KRYLOV_ORDER`` (at 257 nodes: full
+  sampling and the 0.5 and 0.33 sweep masks, orders 205, 144 and 95), at a
+  rank whose r + 1 eigenpairs fit in a third of the Krylov basis, are
+  fitted by block Lanczos with Rayleigh–Ritz (``_lanczos_bases``), which
+  reads only the top of the spectrum.  The offsets share one pass per
+  chunk of Grams, so numpy's per-call cost is paid once per chunk, not
+  once per offset.  Each offset's fit is kept only when a Davis–Kahan
+  bound certifies its basis at least as well placed as ``eigh``'s at the
+  gap floor below; otherwise that offset alone goes to ``eigh``.
 - Every other offset takes the full ``eigh`` of its Gram matrix.  Squaring
   X halves its relative precision: eigh places the basis to about
   eps·λ₀/(λ_r − λ_{r+1}).
@@ -65,14 +67,24 @@ _DUST = 1e-24
 # agree with the SVD's to about 1e-8 of the peak; below it they drift apart.
 _GRAM_GAP = 1e-8
 
-# Block Lanczos replaces eigh for Gram matrices of at least this order.  On
-# the 11 bench1 snapshots cut to orders 96 / 128 / 144 / 160 / 205 (one BLAS
-# thread, 2-core Xeon), eigh took 1.14 / 1.96 / 2.22 / 2.52 / 4.57 ms per
-# offset and the fit 1.26 / 1.68 / 1.64 / 1.71 / 2.02 ms: the fit overtakes
-# eigh near order 120.  The order is set above 144, the largest Gram of a
-# masked 257-node sweep (0.5 sampling), where the saving is small, so every
-# sweep keeps eigh's maps; at 160 the fit saves a third.
-_KRYLOV_ORDER = 160
+# Block Lanczos replaces eigh for Gram matrices of at least this order.
+# Scoring one bench1 offset at rank 14 (Gram, fit and residual; 11 offsets
+# per detection, one BLAS thread, 2-core Xeon), masks keeping 70 / 80 / 90 /
+# 95 / 110 / 144 nodes took 0.60 / 0.65 / 0.79 / 0.90 / 1.17 / 1.70 ms on
+# eigh and 0.74 / 0.71 / 0.78 / 0.83 / 0.93 / 1.09 ms in the batched fit:
+# the fit overtakes eigh near order 90.  A 257-node sweep's 0.5 and 0.33
+# masks (orders 144 and 95) take the fit, its 0.2 masks (58) stay on eigh.
+_KRYLOV_ORDER = 90
+
+# Bytes of Gram matrices built and fitted in one Lanczos pass, so that a
+# pass's Grams stay in L2 (2 MiB per core on that Xeon).  Full-sampling
+# bench1 detection (11 Grams of order 205, 336 KiB each) took 25.8 / 23.1 /
+# 25.1 / 26.8 ms at budgets of 0.5 / 1 / 2 / 4 MiB, the last one pass of
+# all 11; at the 0.5 mask (order 144) 1 MiB took 19.1 ms and one pass of
+# all 11, 22.0 ms.  Offsets that go straight to eigh build each Gram just
+# before its eigh instead: building them in such a pass made masked
+# detection on the 129-node bench1_ci 3-14% slower.
+_GRAM_CHUNK = 1 << 20
 
 # Block width and block count of the Krylov basis (64 columns).  On the 33
 # full-sampling offsets of bench1, bench2 and pristine, 8 x 8 certified
@@ -180,19 +192,23 @@ def _krylov_start(order: int) -> np.ndarray:
     return np.linalg.qr((h - np.floor(h) - 0.5).reshape(order, _KRYLOV_BLOCK))[0]
 
 
-def _lanczos_basis(gram: np.ndarray, rank: int, start: np.ndarray):
-    """Certified top-``rank`` eigenvectors of ``gram`` and its λ₀, or None.
+def _lanczos_bases(grams: np.ndarray, rank: int, start: np.ndarray) -> list:
+    """Certified top-``rank`` eigenvectors and λ₀ of each Gram in a stack.
 
-    Each block of the basis Q is G times the one before it, made orthogonal
-    to all earlier blocks by two classical Gram–Schmidt passes and then
+    Returns one entry per Gram: its (eigenvectors, λ₀), or None when the
+    fit cannot certify itself.  All Grams share one pass: each block of
+    their bases Q is G times the one before it, made orthogonal to all
+    earlier blocks by two classical Gram–Schmidt passes and then
     orthonormalized by QR.  Rayleigh–Ritz on Q (m columns) gives Ritz values
-    θ₀ >= θ₁ >= ... and the Ritz vectors V of the top r.  The fit is
-    certified as follows, with λ₀ >= λ₁ >= ... >= 0 the eigenvalues of G:
+    θ₀ >= θ₁ >= ... and the Ritz vectors V of the top r.  Each Gram's fit is
+    certified on its own, with λ₀ >= λ₁ >= ... >= 0 the eigenvalues of G:
 
+    - A Q that departs from orthonormality by more than ``_ORTH`` is turned
+      away before Rayleigh–Ritz.
     - Cauchy interlacing gives θ_i <= λ_i.  Since tr G sums every λ, the
       eigenvalue λ_r (the (r+1)-th) is at most θ_r + μ, where μ = tr G − Σθ
       is the Gram mass the basis misses; likewise λ₀ <= θ₀ + μ.  Q departs
-      from orthonormality by at most m·``_ORTH`` in norm (checked), which by
+      from orthonormality by at most m·``_ORTH`` in norm, which by
       Ostrowski's theorem moves each θ by that share of itself: μ takes
       4·m·``_ORTH``·tr G on top, for that and the rounding of QᵀGQ.
     - So δ = θ_{r−1} − θ_r − μ is at most the true gap λ_{r−1} − λ_r.  By
@@ -207,52 +223,81 @@ def _lanczos_basis(gram: np.ndarray, rank: int, start: np.ndarray):
 
     Pair r's Ritz value enters only through the bound on λ_r, which the
     trace supplies, so its residual is not needed.  On the bundled 257-node
-    plates the angle bound stays below 2e-11.
+    plates the angle bound stays below 2e-11 at full sampling and below
+    5e-11 on the 0.5 and 0.33 masks of seeds 0 to 9.
     """
-    order, width = start.shape
+    count, order, _ = grams.shape
+    width = start.shape[1]
     m = width * _KRYLOV_STEPS
-    q = np.empty((order, m))
-    gq = np.empty((order, m))
-    q[:, :width] = start
+    q = np.empty((count, order, m))
+    gq = np.empty((count, order, m))
+    q[:, :, :width] = start
     for j in range(0, m, width):
-        gq[:, j:j + width] = w = gram @ q[:, j:j + width]
+        gq[:, :, j:j + width] = w = grams @ q[:, :, j:j + width]
         if j + width < m:
-            done = q[:, :j + width]
+            done = q[:, :, :j + width]
             for _ in range(2):
-                w -= done @ (done.T @ w)
-            q[:, j + width:j + 2 * width] = np.linalg.qr(w)[0]
-    if np.max(np.abs(q.T @ q - np.eye(m))) > _ORTH:
-        return None
-    theta, y = np.linalg.eigh(q.T @ gq)
-    trace = float(np.trace(gram))
-    missing = trace - float(np.sum(theta)) + 4 * m * _ORTH * trace
-    gap = theta[-rank] - theta[-rank - 1] - missing
-    if not gap > _GRAM_GAP * (theta[-1] + missing):
-        return None
-    y = y[:, -rank:]
+                w -= done @ (done.mT @ w)
+            q[:, :, j + width:j + 2 * width] = np.linalg.qr(w)[0]
+    keep = np.flatnonzero(np.max(np.abs(q.mT @ q - np.eye(m)), axis=(1, 2)) <= _ORTH)
+    q, gq = q[keep], gq[keep]
+    theta, y = np.linalg.eigh(q.mT @ gq)
+    trace = np.trace(grams, axis1=1, axis2=2)[keep]
+    missing = trace - np.sum(theta, axis=1) + 4 * m * _ORTH * trace
+    gap = theta[:, -rank] - theta[:, -rank - 1] - missing
+    y = y[:, :, -rank:]
     vecs = q @ y
-    resid = gq @ y - vecs * theta[-rank:]
-    if not np.sqrt(np.sum(resid * resid)) <= np.finfo(np.float64).eps / _GRAM_GAP * gap:
-        return None
-    return vecs, float(theta[-1])
+    resid = gq @ y - vecs * theta[:, None, -rank:]
+    angle = np.sqrt(np.sum(resid * resid, axis=(1, 2)))
+    certified = (gap > _GRAM_GAP * (theta[:, -1] + missing)) & (
+        angle <= np.finfo(np.float64).eps / _GRAM_GAP * gap
+    )
+    fits = [None] * count
+    for k in np.flatnonzero(certified):
+        fits[keep[k]] = vecs[k], float(theta[k, -1])
+    return fits
+
+
+def _fitted_grams(stack: np.ndarray, rank: int, start: np.ndarray | None):
+    """Yield each offset's snapshot, Gram matrix and certified Lanczos fit.
+
+    The fit is None where there is none.  Without a Lanczos ``start`` block
+    (``_krylov_start`` of the Gram order) each Gram is built just before its
+    offset is scored, while it is hot in cache.  With one, the Grams are
+    built ``_GRAM_CHUNK`` bytes at a time into one reused buffer, and each
+    chunk is fitted by ``_lanczos_bases`` in one pass; a yielded Gram is
+    overwritten by the next chunk, so it must be used before the next one.
+    """
+    wide = stack.shape[1] <= stack.shape[2]
+    if start is None:
+        for x in stack:
+            yield x, x @ x.T if wide else x.T @ x, None
+        return
+    order = start.shape[0]
+    chunk = max(1, _GRAM_CHUNK // (8 * order * order))
+    grams = np.empty((min(chunk, len(stack)), order, order))
+    for lo in range(0, len(stack), chunk):
+        xs = stack[lo:lo + chunk]
+        g = grams[:len(xs)]
+        if wide:
+            np.matmul(xs, xs.mT, out=g)
+        else:
+            np.matmul(xs.mT, xs, out=g)
+        yield from zip(xs, g, _lanczos_bases(g, rank, start))
 
 
 def _residual_energies(
-    x: np.ndarray, rank: int, start: np.ndarray | None = None
+    x: np.ndarray, gram: np.ndarray, rank: int, fit=None
 ) -> tuple[np.ndarray, float]:
     """Column energies of x minus its best rank-r approximation, and λ₀.
 
-    The basis comes from the smaller Gram matrix, whose largest eigenvalue
-    λ₀ (s₀²) is returned too, and the residual is formed explicitly.  With a
-    Lanczos ``start`` block (``_krylov_start`` of the Gram order) the basis
-    is the certified block Lanczos fit when there is one; without, or when
-    the fit cannot certify itself, it is ``eigh``'s.  An ``eigh`` spectrum
-    whose gap at the rank has closed falls back to a thin SVD.
+    The basis comes from ``gram``, the smaller Gram matrix of x, whose
+    largest eigenvalue λ₀ (s₀²) is returned too, and the residual is formed
+    explicitly.  ``fit`` is a certified Lanczos (basis, λ₀) from
+    ``_fitted_grams``; without one the basis is ``eigh``'s.  An ``eigh``
+    spectrum whose gap at the rank has closed falls back to a thin SVD.
     """
     rows, cols = x.shape
-    wide = rows <= cols
-    gram = x @ x.T if wide else x.T @ x
-    fit = None if start is None else _lanczos_basis(gram, rank, start)
     if fit is None:
         lam, vecs = np.linalg.eigh(gram)
         below = lam[-rank - 1] if rank < lam.size else 0.0
@@ -262,7 +307,7 @@ def _residual_energies(
             return np.sum(resid * resid, axis=0), float(lam[-1])
         fit = vecs[:, -rank:], float(lam[-1])
     basis, lam0 = fit
-    if wide:
+    if rows <= cols:
         resid = x - basis @ (basis.T @ x)
     else:
         resid = x - (x @ basis) @ basis.T
@@ -308,7 +353,10 @@ def saliency_map(
     start = None
     if limit >= _KRYLOV_ORDER and rank < _KRYLOV_BLOCK * _KRYLOV_STEPS // 3:
         start = _krylov_start(limit)
-    fits = [_residual_energies(snapshot, rank, start) for snapshot in stack]
+    fits = [
+        _residual_energies(x, gram, rank, fit)
+        for x, gram, fit in _fitted_grams(stack, rank, start)
+    ]
     dust = fits[0][1] * _DUST
     counts = np.zeros(stack.shape[2])
     for energies, _ in fits:

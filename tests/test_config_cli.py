@@ -777,7 +777,8 @@ def test_cube_on_a_pipe_is_one_error_line(ci_cube_file, tmp_path):
         capture_output=True,
         env=_child_env(),
     )
-    _assert_one_error_line(proc.returncode, proc.stderr.decode())
+    line = _assert_one_error_line(proc.returncode, proc.stderr.decode())
+    assert "/dev/stdin" in line and "cubes must be seekable files" in line, line
     assert not list(tmp_path.iterdir())
 
 
@@ -795,7 +796,7 @@ def test_simulate_to_a_full_device_is_one_error_line(tmp_path):
         env=_child_env(),
     )
     line = _assert_one_error_line(proc.returncode, proc.stderr)
-    assert "No space left on device" in line
+    assert "No space left on device" in line and "/dev/full" in line, line
     assert proc.stdout == ""
 
 

@@ -7,6 +7,8 @@ Lanczos counts of ``saliency_map``.
 """
 
 import dataclasses
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from wavesaliency.saliency import (
     _KRYLOV_ORDER,
     _KRYLOV_STEPS,
     SaliencyMap,
+    _fitted_grams,
     _gather_snapshots,
     _krylov_start,
     _residual_energies,
@@ -556,13 +559,24 @@ def _decaying(order, rate=0.85):
     return rate ** np.arange(order) + 1e-6
 
 
-def _gram_calls(monkeypatch, ws, rank):
-    """Run saliency_map, recording each eigh's order and each thin SVD."""
-    calls = []
-    eigh, svd = np.linalg.eigh, np.linalg.svd
+def _fit_calls(monkeypatch, ws, rank, mask=None):
+    """Run saliency_map, recording how each offset was fitted.
+
+    Returns the map, ``fits`` and ``calls``.  ``fits`` holds (Gram order,
+    certified) for every offset the Lanczos pass tries, in offset order.
+    ``calls`` holds the order of every matrix that eigh factors, a batched
+    (T, n, n) call counting as T matrices, and "svd" for every thin SVD.
+    """
+    fits, calls = [], []
+    lanczos, eigh, svd = saliency._lanczos_bases, np.linalg.eigh, np.linalg.svd
+
+    def spy(grams, rank, start):
+        found = lanczos(grams, rank, start)
+        fits.extend((grams.shape[-1], fit is not None) for fit in found)
+        return found
 
     def counted_eigh(a, *args, **kwargs):
-        calls.append(a.shape[0])
+        calls.extend([a.shape[-1]] * math.prod(a.shape[:-2]))
         return eigh(a, *args, **kwargs)
 
     def counted_svd(*args, **kwargs):
@@ -570,47 +584,45 @@ def _gram_calls(monkeypatch, ws, rank):
             calls.append("svd")
         return svd(*args, **kwargs)
 
+    monkeypatch.setattr(saliency, "_lanczos_bases", spy)
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     try:
-        sal = saliency_map(ws, rank=rank, ratio=0.25)
+        sal = saliency_map(ws, rank=rank, ratio=0.25, mask=mask)
     finally:
         monkeypatch.undo()
-    return sal, calls
+    return sal, fits, calls
 
 
-def _lanczos_fits(monkeypatch):
-    """Record (Gram order, certified) for every Lanczos fit saliency_map tries."""
-    fits = []
-    original = saliency._lanczos_basis
+def _stack_energies(stack, rank, start):
+    """(energies, lambda_0) of every offset, as saliency_map computes them."""
+    return [_residual_energies(x, gram, rank, fit)
+            for x, gram, fit in _fitted_grams(stack, rank, start)]
 
-    def spy(gram, rank, start):
-        fit = original(gram, rank, start)
-        fits.append((gram.shape[0], fit is not None))
-        return fit
 
-    monkeypatch.setattr(saliency, "_lanczos_basis", spy)
-    return fits
+def _assert_counts_match_oracle(sal, ws, rank):
+    counts, _ = oracle_counts(ws, rank, 0.25)
+    got = np.array([sal.fractions[a, b] for a, b in ws.active_region_ids()])
+    assert np.array_equal(got, counts / ws.window_len)
 
 
 def test_lanczos_fit_matches_svd_oracle(rng, monkeypatch):
     basis = _KRYLOV_BLOCK * _KRYLOV_STEPS
-    fits = _lanczos_fits(monkeypatch)
     for shape in ("tall", "wide"):
         p, regions = _LANCZOS_SHAPES[shape]
         order = min(p * p, regions * regions)
         ws = _spectrum_set(rng, shape, _decaying(order))
         start = _krylov_start(order)
         for rank in (1, 6, 14, basis // 3 - 1):
-            for x in ws.windows:
-                got, lam0 = _residual_energies(x, rank, start)
+            for x, (got, top) in zip(ws.windows, _stack_energies(ws.windows, rank, start)):
                 want = outlier_energies(truncated_low_rank(x, rank))
                 assert np.max(np.abs(got - want)) <= 1e-10 * np.max(want)
                 assert np.array_equal(salient_columns(got), salient_columns(want))
-                assert lam0 == pytest.approx((1 + 1e-6) ** 2, rel=1e-12)
-            fits.clear()
-            _assert_matches_oracle(ws, rank, None)
+                assert top == pytest.approx((1 + 1e-6) ** 2, rel=1e-12)
+            sal, fits, calls = _fit_calls(monkeypatch, ws, rank)
             assert fits == [(order, True)] * ws.window_len, (shape, rank)
+            assert calls == [basis] * ws.window_len, (shape, rank)
+            _assert_counts_match_oracle(sal, ws, rank)
 
 
 def test_lanczos_defers_to_eigh_when_it_cannot_certify(rng, monkeypatch):
@@ -618,7 +630,10 @@ def test_lanczos_defers_to_eigh_when_it_cannot_certify(rng, monkeypatch):
     # the basis size, the full fit is the Gram order.  The cases are turned
     # away by the Gram mass the basis misses (slow_close, flat), by the Ritz
     # residual against the gap (sharp_close), by the basis' orthonormality
-    # (rank 3 breaks the basis down) and by the size guard before the fit.
+    # (rank 3 breaks the basis down, so no Rayleigh-Ritz runs) and by the
+    # size guard before the fit (nothing is tried).  A batched pass orders
+    # the calls by kind, not by offset, so they are compared as a multiset;
+    # fits pins the outcome of each offset.
     basis = _KRYLOV_BLOCK * _KRYLOV_STEPS
     for shape in ("tall", "wide"):
         p, regions = _LANCZOS_SHAPES[shape]
@@ -650,11 +665,12 @@ def test_lanczos_defers_to_eigh_when_it_cannot_certify(rng, monkeypatch):
         )
         for spectrum, rank, per_offset in cases:
             ws = _spectrum_set(rng, shape, spectrum)
-            sal, calls = _gram_calls(monkeypatch, ws, rank)
-            assert calls == per_offset * ws.window_len, (shape, rank)
-            counts, _ = oracle_counts(ws, rank, 0.25)
-            got = np.array([sal.fractions[a, b] for a, b in ws.active_region_ids()])
-            assert np.array_equal(got, counts / ws.window_len)
+            sal, fits, calls = _fit_calls(monkeypatch, ws, rank)
+            tried = rank < basis // 3
+            certified = per_offset == [basis]
+            assert fits == [(order, certified)] * ws.window_len * tried, (shape, rank)
+            assert Counter(calls) == Counter(per_offset * ws.window_len), (shape, rank)
+            _assert_counts_match_oracle(sal, ws, rank)
 
 
 def test_lanczos_trace_catches_an_eigenvalue_the_basis_misses():
@@ -672,8 +688,8 @@ def test_lanczos_trace_catches_an_eigenvalue_the_basis_misses():
     blind[-1] = 0.0
     blind = np.linalg.qr(blind)[0]
     assert not blind[-1].any()
-    assert saliency._lanczos_basis(gram, 6, blind) is None
-    vecs, lam0 = saliency._lanczos_basis(gram, 6, start)
+    assert saliency._lanczos_bases(gram[None], 6, blind) == [None]
+    [(vecs, lam0)] = saliency._lanczos_bases(gram[None], 6, start)
     assert lam0 == pytest.approx(2.0, rel=1e-14)
     assert abs(vecs[-1, -1]) == pytest.approx(1.0, rel=1e-12)
 
@@ -689,47 +705,74 @@ def test_svd_fallback_where_the_gap_closes_above_the_lanczos_order(rng, monkeypa
         spectrum[4] = spectrum[5] * (1 + 1e-9)
         ws = _spectrum_set(rng, shape, spectrum)
         for rank, per_offset in ((5, [basis, order, "svd"]), (4, [basis])):
-            sal, calls = _gram_calls(monkeypatch, ws, rank)
-            assert calls == per_offset * ws.window_len, (shape, rank)
-            counts, _ = oracle_counts(ws, rank, 0.25)
-            got = np.array([sal.fractions[a, b] for a, b in ws.active_region_ids()])
-            assert np.array_equal(got, counts / ws.window_len)
+            sal, fits, calls = _fit_calls(monkeypatch, ws, rank)
+            assert fits == [(order, rank == 4)] * ws.window_len, (shape, rank)
+            assert Counter(calls) == Counter(per_offset * ws.window_len), (shape, rank)
+            _assert_counts_match_oracle(sal, ws, rank)
 
 
-def test_bench1_full_sampling_is_fitted_by_lanczos_and_sweeps_by_eigh(
-    bench1, monkeypatch
-):
-    # every full-sampling offset (order 205) is certified; a 0.5 sweep
-    # mask (order 144, the largest a sweep draws) never tries the fit
+def test_a_closed_gap_leaves_the_rest_of_its_pass_certified(rng, monkeypatch):
+    # five tall offsets of order 196 fill two passes of the chunk budget
+    # (3 + 2).  Offset 1's s_5 and s_6 agree to 1e-9: at rank 5 it alone
+    # goes to eigh and on to the thin SVD, and every other offset keeps its
+    # certified Lanczos basis
+    basis = _KRYLOV_BLOCK * _KRYLOV_STEPS
+    p, regions = _LANCZOS_SHAPES["tall"]
+    order = regions * regions
+    assert saliency._GRAM_CHUNK // (8 * order * order) == 3
+    ws = _spectrum_set(rng, "tall", _decaying(order), window_len=5)
+    closed = _decaying(order)
+    closed[4] = closed[5] * (1 + 1e-9)
+    windows = np.array(ws.windows)
+    windows[1] = _spectrum_set(rng, "tall", closed, window_len=1).windows[0]
+    ws = dataclasses.replace(ws, windows=windows)
+    sal, fits, calls = _fit_calls(monkeypatch, ws, 5)
+    assert fits == [(order, tau != 1) for tau in range(5)]
+    assert Counter(calls) == Counter({basis: 5, order: 1, "svd": 1})
+    _assert_counts_match_oracle(sal, ws, 5)
+
+
+def test_bench1_fits_orders_205_144_95_by_lanczos_and_58_by_eigh(bench1, monkeypatch):
+    # full sampling and the 0.5 and 0.33 sweep masks are certified at every
+    # offset; a 0.2 mask keeps 58 nodes, below _KRYLOV_ORDER, and runs on
+    # eigh without trying the fit
     scenario, cube = bench1
     part = scenario.partition()
     ws = build_window_set(cube, part, scenario.detection_config())
-    fits = _lanczos_fits(monkeypatch)
-    saliency_map(ws, rank=scenario.detection.rank)
-    assert fits == [(205, True)] * ws.window_len
-    fits.clear()
-    mask = random_mask(part.p1, part.p2, 0.5, seed=1)
-    assert mask.retained_count == 144
-    saliency_map(ws, rank=scenario.detection.rank, mask=mask)
-    assert fits == []
+    rank = scenario.detection.rank
+    basis = _KRYLOV_BLOCK * _KRYLOV_STEPS
+    for ratio, order, fitted in ((None, 205, True), (0.5, 144, True),
+                                 (0.33, 95, True), (0.2, 58, False)):
+        for seed in (1, 2, 3):
+            mask = None if ratio is None else random_mask(part.p1, part.p2, ratio, seed=seed)
+            _, fits, calls = _fit_calls(monkeypatch, ws, rank, mask)
+            if fitted:
+                assert fits == [(order, True)] * ws.window_len, (ratio, seed)
+                assert calls == [basis] * ws.window_len, (ratio, seed)
+            else:
+                assert fits == [] and calls == [order] * ws.window_len, (ratio, seed)
 
 
 def test_lanczos_fit_is_deterministic_and_scale_invariant(bench1):
     scenario, cube = bench1
-    ws = build_window_set(cube, scenario.partition(), scenario.detection_config())
-    order = min(ws.windows.shape[1:])
-    assert order >= _KRYLOV_ORDER
-    start = _krylov_start(order)
-    for x in ws.windows:
-        first, lam0 = _residual_energies(x, 14, start)
-        again, lam0_again = _residual_energies(x, 14, start)
-        assert np.array_equal(first, again) and lam0 == lam0_again
-    sal = saliency_map(ws, rank=14)
-    assert np.array_equal(saliency_map(ws, rank=14).fractions, sal.fractions,
-                          equal_nan=True)
+    part = scenario.partition()
+    ws = build_window_set(cube, part, scenario.detection_config())
     scaled = dataclasses.replace(ws, windows=np.array(ws.windows) * 3.7)
     theta = scenario.detection.theta
-    assert saliency_map(scaled, rank=14).flagged_regions(theta) == sal.flagged_regions(theta)
+    for mask in (None, random_mask(part.p1, part.p2, 0.5, seed=1)):
+        stack = _gather_snapshots(ws, mask)
+        order = min(stack.shape[1:])
+        assert order >= _KRYLOV_ORDER
+        start = _krylov_start(order)
+        for (first, lam0), (again, lam0_again) in zip(
+            _stack_energies(stack, 14, start), _stack_energies(stack, 14, start)
+        ):
+            assert np.array_equal(first, again) and lam0 == lam0_again
+        sal = saliency_map(ws, rank=14, mask=mask)
+        assert np.array_equal(saliency_map(ws, rank=14, mask=mask).fractions,
+                              sal.fractions, equal_nan=True)
+        assert (saliency_map(scaled, rank=14, mask=mask).flagged_regions(theta)
+                == sal.flagged_regions(theta))
 
 
 def test_cross_at_full_rank_flags_nothing(ci_bench1):

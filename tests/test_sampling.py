@@ -8,6 +8,7 @@ single trials) whose outcomes are forced by construction.
 import numpy as np
 import pytest
 
+from wavesaliency import saliency
 from wavesaliency.config import bundled_config_path, parse_scenario, simulate_scenario
 from wavesaliency.errors import GeometryError, MaskError
 from wavesaliency.pipeline import run_detection
@@ -483,3 +484,32 @@ def _row(nz, c, f, rc, rf, of, trials, seed):
 def test_metrics_tuple_round_trip():
     m = DetectionMetrics(3, 1, 3, 0, 1)
     assert m.as_tuple() == (3, 1, 3, 0, 1)
+
+
+def test_bench1_sweeps_match_the_eigh_reference(bench1, monkeypatch):
+    # at 257 nodes full sampling and the 0.5 and 0.33 masks (Gram orders
+    # 205, 144 and 95) take the batched Lanczos fit; with _KRYLOV_ORDER
+    # above every order each sweep runs on eigh alone, and its CSV must be
+    # byte-identical.  The golden plates have 129 nodes, where no Gram
+    # reaches the Lanczos order.
+    scenario, cube = bench1
+    part, config = scenario.partition(), scenario.detection_config()
+    truth = GroundTruth.from_defects(list(scenario.defects), part)
+    forms = (
+        dict(ratios=[0.5, 0.33, 0.2, 0.1, 0.07]),
+        dict(ratios=[0.2], sharing=PER_REGION),
+        dict(ratios=[], pattern="cross", stride=1),
+        dict(ratios=[], pattern="cross", stride=2),
+    )
+
+    def sweeps():
+        return [
+            sweep_csv_text(monte_carlo_sweep(cube, part, config, trials=3,
+                                             base_seed=scenario.seed, truth=truth,
+                                             **form))
+            for form in forms
+        ]
+
+    fitted = sweeps()
+    monkeypatch.setattr(saliency, "_KRYLOV_ORDER", part.nodes_per_region + 1)
+    assert sweeps() == fitted
