@@ -237,11 +237,12 @@ def _lanczos_bases(grams: np.ndarray, rank: int, start: np.ndarray) -> list:
         if j + width < m:
             done = q[:, :, :j + width]
             for _ in range(2):
-                w -= done @ (done.mT @ w)
+                w -= done @ (np.swapaxes(done, 1, 2) @ w)
             q[:, :, j + width:j + 2 * width] = np.linalg.qr(w)[0]
-    keep = np.flatnonzero(np.max(np.abs(q.mT @ q - np.eye(m)), axis=(1, 2)) <= _ORTH)
+    drift = np.swapaxes(q, 1, 2) @ q - np.eye(m)
+    keep = np.flatnonzero(np.max(np.abs(drift), axis=(1, 2)) <= _ORTH)
     q, gq = q[keep], gq[keep]
-    theta, y = np.linalg.eigh(q.mT @ gq)
+    theta, y = np.linalg.eigh(np.swapaxes(q, 1, 2) @ gq)
     trace = np.trace(grams, axis1=1, axis2=2)[keep]
     missing = trace - np.sum(theta, axis=1) + 4 * m * _ORTH * trace
     gap = theta[:, -rank] - theta[:, -rank - 1] - missing
@@ -264,9 +265,8 @@ def _fitted_grams(stack: np.ndarray, rank: int, start: np.ndarray | None):
     The fit is None where there is none.  Without a Lanczos ``start`` block
     (``_krylov_start`` of the Gram order) each Gram is built just before its
     offset is scored, while it is hot in cache.  With one, the Grams are
-    built ``_GRAM_CHUNK`` bytes at a time into one reused buffer, and each
-    chunk is fitted by ``_lanczos_bases`` in one pass; a yielded Gram is
-    overwritten by the next chunk, so it must be used before the next one.
+    built ``_GRAM_CHUNK`` bytes at a time by one batched product, and each
+    chunk is fitted by ``_lanczos_bases`` in one pass.
     """
     wide = stack.shape[1] <= stack.shape[2]
     if start is None:
@@ -275,15 +275,11 @@ def _fitted_grams(stack: np.ndarray, rank: int, start: np.ndarray | None):
         return
     order = start.shape[0]
     chunk = max(1, _GRAM_CHUNK // (8 * order * order))
-    grams = np.empty((min(chunk, len(stack)), order, order))
     for lo in range(0, len(stack), chunk):
         xs = stack[lo:lo + chunk]
-        g = grams[:len(xs)]
-        if wide:
-            np.matmul(xs, xs.mT, out=g)
-        else:
-            np.matmul(xs.mT, xs, out=g)
-        yield from zip(xs, g, _lanczos_bases(g, rank, start))
+        xt = np.swapaxes(xs, 1, 2)
+        grams = xs @ xt if wide else xt @ xs
+        yield from zip(xs, grams, _lanczos_bases(grams, rank, start))
 
 
 def _residual_energies(

@@ -407,8 +407,13 @@ def _low_rank_plus_outlier_set(rng, n, regions, window_len=11, exact_taus=()):
     )
 
 
-def _assert_matches_oracle(ws, rank, mask):
-    sal = saliency_map(ws, rank=rank, ratio=0.25, mask=mask)
+def _assert_matches_oracle(ws, rank, mask, sal=None):
+    """Hold a map's counts, and the snapshot spectrum, to the SVD oracle.
+
+    ``sal`` is the map to check; without one, it is computed here.
+    """
+    if sal is None:
+        sal = saliency_map(ws, rank=rank, ratio=0.25, mask=mask)
     counts, spectrum = oracle_counts(ws, rank, 0.25, mask)
     got = np.array([sal.fractions[a, b] for a, b in ws.active_region_ids()])
     assert np.array_equal(got, counts / ws.window_len), (rank, mask)
@@ -600,12 +605,6 @@ def _stack_energies(stack, rank, start):
             for x, gram, fit in _fitted_grams(stack, rank, start)]
 
 
-def _assert_counts_match_oracle(sal, ws, rank):
-    counts, _ = oracle_counts(ws, rank, 0.25)
-    got = np.array([sal.fractions[a, b] for a, b in ws.active_region_ids()])
-    assert np.array_equal(got, counts / ws.window_len)
-
-
 def test_lanczos_fit_matches_svd_oracle(rng, monkeypatch):
     basis = _KRYLOV_BLOCK * _KRYLOV_STEPS
     for shape in ("tall", "wide"):
@@ -622,7 +621,7 @@ def test_lanczos_fit_matches_svd_oracle(rng, monkeypatch):
             sal, fits, calls = _fit_calls(monkeypatch, ws, rank)
             assert fits == [(order, True)] * ws.window_len, (shape, rank)
             assert calls == [basis] * ws.window_len, (shape, rank)
-            _assert_counts_match_oracle(sal, ws, rank)
+            _assert_matches_oracle(ws, rank, None, sal)
 
 
 def test_lanczos_defers_to_eigh_when_it_cannot_certify(rng, monkeypatch):
@@ -670,7 +669,7 @@ def test_lanczos_defers_to_eigh_when_it_cannot_certify(rng, monkeypatch):
             certified = per_offset == [basis]
             assert fits == [(order, certified)] * ws.window_len * tried, (shape, rank)
             assert Counter(calls) == Counter(per_offset * ws.window_len), (shape, rank)
-            _assert_counts_match_oracle(sal, ws, rank)
+            _assert_matches_oracle(ws, rank, None, sal)
 
 
 def test_lanczos_trace_catches_an_eigenvalue_the_basis_misses():
@@ -708,7 +707,7 @@ def test_svd_fallback_where_the_gap_closes_above_the_lanczos_order(rng, monkeypa
             sal, fits, calls = _fit_calls(monkeypatch, ws, rank)
             assert fits == [(order, rank == 4)] * ws.window_len, (shape, rank)
             assert Counter(calls) == Counter(per_offset * ws.window_len), (shape, rank)
-            _assert_counts_match_oracle(sal, ws, rank)
+            _assert_matches_oracle(ws, rank, None, sal)
 
 
 def test_a_closed_gap_leaves_the_rest_of_its_pass_certified(rng, monkeypatch):
@@ -729,7 +728,7 @@ def test_a_closed_gap_leaves_the_rest_of_its_pass_certified(rng, monkeypatch):
     sal, fits, calls = _fit_calls(monkeypatch, ws, 5)
     assert fits == [(order, tau != 1) for tau in range(5)]
     assert Counter(calls) == Counter({basis: 5, order: 1, "svd": 1})
-    _assert_counts_match_oracle(sal, ws, 5)
+    _assert_matches_oracle(ws, 5, None, sal)
 
 
 def test_bench1_fits_orders_205_144_95_by_lanczos_and_58_by_eigh(bench1, monkeypatch):
