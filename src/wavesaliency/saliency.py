@@ -22,12 +22,12 @@ The basis comes from one of three fits, chosen per offset:
   sampling and the 0.5 and 0.33 sweep masks, orders 205, 144 and 95), at a
   rank whose r + 1 eigenpairs fit in a third of the Krylov basis, are
   fitted by block Lanczos with Rayleigh–Ritz (``_lanczos_bases``), which
-  reads only the top of the spectrum.  The offsets share one pass per
-  chunk of Grams, so numpy's per-call cost is paid once per chunk, not
-  once per offset.  Each offset's fit is kept only when a Davis–Kahan
-  bound certifies its basis at least as well placed as ``eigh``'s at the
-  gap floor below; otherwise that offset alone goes to ``eigh``.
-- Every other offset takes the full ``eigh`` of its Gram matrix.  Squaring
+  reads only the top of the spectrum and never builds a tall snapshot's
+  Gram.  The offsets share one pass per chunk, so numpy's per-call cost
+  is paid once per chunk.  Each offset's fit is kept only when a
+  Davis–Kahan bound certifies its basis at least as well placed as
+  ``eigh``'s at the gap floor below; else that offset alone goes to ``eigh``.
+- Every other offset builds its Gram matrix and takes its ``eigh``.  Squaring
   X halves its relative precision: eigh places the basis to about
   eps·λ₀/(λ_r − λ_{r+1}).
 - An ``eigh`` offset whose Gram eigengap at the rank is at most 1e-8 λ₀ (a
@@ -44,6 +44,7 @@ SVD outside that fallback; the full tau = 0 spectrum exists only for
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -70,31 +71,29 @@ _GRAM_GAP = 1e-8
 # Block Lanczos replaces eigh for Gram matrices of at least this order.
 # Scoring one bench1 offset at rank 14 (Gram, fit and residual; 11 offsets
 # per detection, one BLAS thread, 2-core Xeon), masks keeping 70 / 80 / 90 /
-# 95 / 110 / 144 nodes took 0.60 / 0.65 / 0.79 / 0.90 / 1.17 / 1.70 ms on
-# eigh and 0.74 / 0.71 / 0.78 / 0.83 / 0.93 / 1.09 ms in the batched fit:
-# the fit overtakes eigh near order 90.  A 257-node sweep's 0.5 and 0.33
-# masks (orders 144 and 95) take the fit, its 0.2 masks (58) stay on eigh.
+# 95 / 110 / 144 nodes took 1.10 / 1.19 / 1.43 / 1.58 / 1.92 / 2.85 ms on
+# eigh and 1.17 / 1.16 / 1.23 / 1.26 / 1.48 / 1.82 ms in the batched fit.
+# They tie near order 80, but no sweep mask has an order from 80 to 89:
+# 0.5 and 0.33 masks (144, 95) take the fit, 0.2 masks (58) stay on eigh.
 _KRYLOV_ORDER = 90
 
-# Bytes of Gram matrices built and fitted in one Lanczos pass, so that a
-# pass's Grams stay in L2 (2 MiB per core on that Xeon).  Full-sampling
-# bench1 detection (11 Grams of order 205, 336 KiB each) took 25.8 / 23.1 /
-# 25.1 / 26.8 ms at budgets of 0.5 / 1 / 2 / 4 MiB, the last one pass of
-# all 11; at the 0.5 mask (order 144) 1 MiB took 19.1 ms and one pass of
-# all 11, 22.0 ms.  Offsets that go straight to eigh build each Gram just
+# Bytes one Lanczos pass holds: per offset Q, GQ and the operand each step
+# reads.  At budgets of 0.5 / 1 / 2 / 4 MiB, bench1 detection took 27.5 /
+# 27.1 / 24.1 / 23.9 ms at full sampling (642 KiB per offset), 21.9 / 17.8 /
+# 18.1 / 20.8 ms at the 0.5 mask (288 KiB) and 15.8 / 13.4 / 13.2 / 12.5 ms
+# at 0.33 (154 KiB).  Offsets that go straight to eigh build each Gram just
 # before its eigh instead: building them in such a pass made masked
 # detection on the 129-node bench1_ci 3-14% slower.
-_GRAM_CHUNK = 1 << 20
+_GRAM_CHUNK = 2 << 20
 
-# Block width and block count of the Krylov basis (64 columns).  On the 33
-# full-sampling offsets of bench1, bench2 and pristine, 8 x 8 certified
-# every rank up to 22 with Ritz residuals at most 2.2e-14 λ₀, at 1.97 ms per
-# offset; 16 x 5 took 2.41 ms, and 16 x 4 or 12 x 5 left residuals of 4e-8
-# and 5e-10 λ₀, too large to certify.  Ranks whose r + 1 pairs do not fit in
-# a third of the basis go to eigh without trying: certification thins out
-# above rank 22.
+# Block width and block count of the Krylov basis (56 columns).  8 x 7
+# certified every offset of bench1, bench2 and pristine at their ranks (14,
+# 14, 8) at full sampling and on the 0.5 and 0.33 masks of seeds 0-49, in
+# 1.92-2.11 ms per full-sampling offset (8 x 8: 2.46-2.58 ms); 8 x 6
+# certified 3 of 11 bench1 and 0 of 11 bench2 offsets.  Ranks whose r + 1
+# pairs do not fit in a third of the basis (18 and up) go to eigh.
 _KRYLOV_BLOCK = 8
-_KRYLOV_STEPS = 8
+_KRYLOV_STEPS = 7
 
 # A basis whose Gram QᵀQ departs from the identity by more than this (in
 # any entry) is not trusted.  Two Gram–Schmidt passes keep it below 7e-14 on
@@ -155,9 +154,8 @@ class SaliencyMap:
         return frozenset((int(a), int(b)) for a, b in np.argwhere(hit))
 
 
-def _gather_snapshots(
-    window_set: RegionalWindowSet, mask, offsets: int | None = None
-) -> np.ndarray:
+def _gather_snapshots(window_set: RegionalWindowSet, mask,
+                      offsets: int | None = None) -> np.ndarray:
     """C-contiguous (tau, rows, cols) stack of the first ``offsets`` snapshots.
 
     ``offsets`` None takes every offset.  Columns are the active regions in
@@ -181,27 +179,39 @@ def _gather_snapshots(
     return np.take(flat, rows * cols + np.arange(cols), axis=1)
 
 
+@functools.cache
 def _krylov_start(order: int) -> np.ndarray:
     """The fixed orthonormal start block of the Lanczos fit, (order, block).
 
     Its entries are the fractional parts of a sine hash, so the fit is
     deterministic and scale-invariant without loading ``numpy.random``.
+    It is built once per order and shared, so it is read-only.
     """
     i = np.arange(order * _KRYLOV_BLOCK, dtype=np.float64)
     h = np.sin(i * 12.9898 + 78.233) * 43758.5453
-    return np.linalg.qr((h - np.floor(h) - 0.5).reshape(order, _KRYLOV_BLOCK))[0]
+    start = np.linalg.qr((h - np.floor(h) - 0.5).reshape(order, _KRYLOV_BLOCK))[0]
+    start.flags.writeable = False
+    return start
 
 
-def _lanczos_bases(grams: np.ndarray, rank: int, start: np.ndarray) -> list:
-    """Certified top-``rank`` eigenvectors and λ₀ of each Gram in a stack.
+def _gram(x: np.ndarray) -> np.ndarray:
+    """The smaller Gram matrix of a snapshot, or of each one in a stack."""
+    xt = np.swapaxes(x, -1, -2)
+    return x @ xt if x.shape[-2] <= x.shape[-1] else xt @ x
 
-    Returns one entry per Gram: its (eigenvectors, λ₀), or None when the
-    fit cannot certify itself.  All Grams share one pass: each block of
-    their bases Q is G times the one before it, made orthogonal to all
-    earlier blocks by two classical Gram–Schmidt passes and then
-    orthonormalized by QR.  Rayleigh–Ritz on Q (m columns) gives Ritz values
-    θ₀ >= θ₁ >= ... and the Ritz vectors V of the top r.  Each Gram's fit is
-    certified on its own, with λ₀ >= λ₁ >= ... >= 0 the eigenvalues of G:
+
+def _lanczos_bases(stack: np.ndarray, rank: int, start: np.ndarray) -> list:
+    """Certified top-``rank`` eigenvectors and λ₀ of each snapshot's Gram G.
+
+    G is the smaller Gram matrix, with tr G = ‖X‖_F²: a wide snapshot's is
+    built, a tall one's applied as Xᵀ(X·).  Returns one entry per snapshot,
+    its (eigenvectors, λ₀), or None when the fit cannot certify itself.
+    All snapshots share one pass: each block of their bases Q is G times
+    the one before it, made orthogonal to all earlier blocks by two
+    classical Gram–Schmidt passes and then orthonormalized by QR.
+    Rayleigh–Ritz on Q (m columns) gives Ritz values θ₀ >= θ₁ >= ... and
+    the Ritz vectors V of the top r.  Each fit is certified on its own,
+    with λ₀ >= λ₁ >= ... >= 0 the eigenvalues of G:
 
     - A Q that departs from orthonormality by more than ``_ORTH`` is turned
       away before Rayleigh–Ritz.
@@ -223,17 +233,22 @@ def _lanczos_bases(grams: np.ndarray, rank: int, start: np.ndarray) -> list:
 
     Pair r's Ritz value enters only through the bound on λ_r, which the
     trace supplies, so its residual is not needed.  On the bundled 257-node
-    plates the angle bound stays below 2e-11 at full sampling and below
-    5e-11 on the 0.5 and 0.33 masks of seeds 0 to 9.
+    plates the angle bound stays below 2e-9 at full sampling and below 4e-9
+    on the 0.5 and 0.33 masks of seeds 0 to 49.
     """
-    count, order, _ = grams.shape
-    width = start.shape[1]
+    count, rows, cols = stack.shape
+    xt = np.swapaxes(stack, 1, 2)
+    grams = _gram(stack) if rows <= cols else None
+    trace = np.einsum("tij,tij->t", stack, stack)
+    order, width = start.shape
     m = width * _KRYLOV_STEPS
     q = np.empty((count, order, m))
     gq = np.empty((count, order, m))
     q[:, :, :width] = start
     for j in range(0, m, width):
-        gq[:, :, j:j + width] = w = grams @ q[:, :, j:j + width]
+        block = q[:, :, j:j + width]
+        w = xt @ (stack @ block) if grams is None else grams @ block
+        gq[:, :, j:j + width] = w
         if j + width < m:
             done = q[:, :, :j + width]
             for _ in range(2):
@@ -241,9 +256,9 @@ def _lanczos_bases(grams: np.ndarray, rank: int, start: np.ndarray) -> list:
             q[:, :, j + width:j + 2 * width] = np.linalg.qr(w)[0]
     drift = np.swapaxes(q, 1, 2) @ q - np.eye(m)
     keep = np.flatnonzero(np.max(np.abs(drift), axis=(1, 2)) <= _ORTH)
-    q, gq = q[keep], gq[keep]
+    if keep.size < count:
+        q, gq, trace = q[keep], gq[keep], trace[keep]
     theta, y = np.linalg.eigh(np.swapaxes(q, 1, 2) @ gq)
-    trace = np.trace(grams, axis1=1, axis2=2)[keep]
     missing = trace - np.sum(theta, axis=1) + 4 * m * _ORTH * trace
     gap = theta[:, -rank] - theta[:, -rank - 1] - missing
     y = y[:, :, -rank:]
@@ -259,55 +274,53 @@ def _lanczos_bases(grams: np.ndarray, rank: int, start: np.ndarray) -> list:
     return fits
 
 
-def _fitted_grams(stack: np.ndarray, rank: int, start: np.ndarray | None):
-    """Yield each offset's snapshot, Gram matrix and certified Lanczos fit.
+def _fitted_grams(stack: np.ndarray, rank: int):
+    """Yield each offset's snapshot and its certified Lanczos fit, or None.
 
-    The fit is None where there is none.  Without a Lanczos ``start`` block
-    (``_krylov_start`` of the Gram order) each Gram is built just before its
-    offset is scored, while it is hot in cache.  With one, the Grams are
-    built ``_GRAM_CHUNK`` bytes at a time by one batched product, and each
-    chunk is fitted by ``_lanczos_bases`` in one pass.
+    Gram orders of at least ``_KRYLOV_ORDER``, at ranks whose r + 1 pairs
+    fit in a third of the basis, are fitted by ``_lanczos_bases`` in passes
+    of ``_GRAM_CHUNK`` bytes, counting per offset Q, GQ and the operand each
+    step reads: a wide snapshot's Gram, a tall snapshot itself.
     """
-    wide = stack.shape[1] <= stack.shape[2]
-    if start is None:
-        for x in stack:
-            yield x, x @ x.T if wide else x.T @ x, None
+    count, rows, cols = stack.shape
+    order, m = min(rows, cols), _KRYLOV_BLOCK * _KRYLOV_STEPS
+    if order < _KRYLOV_ORDER or rank >= m // 3:
+        yield from ((x, None) for x in stack)
         return
-    order = start.shape[0]
-    chunk = max(1, _GRAM_CHUNK // (8 * order * order))
-    for lo in range(0, len(stack), chunk):
+    start = _krylov_start(order)
+    held = 8 * order * (2 * m + (order if rows <= cols else rows))
+    chunk = max(1, _GRAM_CHUNK // held)
+    for lo in range(0, count, chunk):
         xs = stack[lo:lo + chunk]
-        xt = np.swapaxes(xs, 1, 2)
-        grams = xs @ xt if wide else xt @ xs
-        yield from zip(xs, grams, _lanczos_bases(grams, rank, start))
+        yield from zip(xs, _lanczos_bases(xs, rank, start))
 
 
-def _residual_energies(
-    x: np.ndarray, gram: np.ndarray, rank: int, fit=None
-) -> tuple[np.ndarray, float]:
+def _residual_energies(x: np.ndarray, rank: int,
+                       fit=None) -> tuple[np.ndarray, float]:
     """Column energies of x minus its best rank-r approximation, and λ₀.
 
-    The basis comes from ``gram``, the smaller Gram matrix of x, whose
-    largest eigenvalue λ₀ (s₀²) is returned too, and the residual is formed
-    explicitly.  ``fit`` is a certified Lanczos (basis, λ₀) from
-    ``_fitted_grams``; without one the basis is ``eigh``'s.  An ``eigh``
-    spectrum whose gap at the rank has closed falls back to a thin SVD.
+    λ₀ (s₀²) is the largest eigenvalue of x's smaller Gram matrix.  ``fit``
+    is a certified Lanczos (basis, λ₀) from ``_fitted_grams``; without one
+    the Gram matrix is built here and the basis is its ``eigh``'s, or a thin
+    SVD's where the ``eigh`` gap at the rank has closed.
     """
     rows, cols = x.shape
     if fit is None:
-        lam, vecs = np.linalg.eigh(gram)
+        lam, vecs = np.linalg.eigh(_gram(x))
+        lam0 = float(lam[-1])
         below = lam[-rank - 1] if rank < lam.size else 0.0
-        if not lam[-rank] - below > _GRAM_GAP * lam[-1]:
+        if lam[-rank] - below > _GRAM_GAP * lam0:
+            fit = vecs[:, -rank:], lam0
+        else:
             u, s, vt = np.linalg.svd(x, full_matrices=False)
-            resid = x - (u[:, :rank] * s[:rank]) @ vt[:rank]
-            return np.sum(resid * resid, axis=0), float(lam[-1])
-        fit = vecs[:, -rank:], float(lam[-1])
-    basis, lam0 = fit
-    if rows <= cols:
-        resid = x - basis @ (basis.T @ x)
-    else:
-        resid = x - (x @ basis) @ basis.T
-    return np.sum(resid * resid, axis=0), lam0
+            r = (u[:, :rank] * s[:rank]) @ vt[:rank]
+    if fit is not None:
+        basis, lam0 = fit
+        r = basis @ (basis.T @ x) if rows <= cols else (x @ basis) @ basis.T
+    # the rank-r part turns into the residual, then its square, in place
+    np.subtract(x, r, out=r)
+    r *= r
+    return r.sum(axis=0), lam0
 
 
 def saliency_map(
@@ -325,12 +338,9 @@ def saliency_map(
 
     A snapshot whose residual energies are all at or below 1e-24 times λ₀ of
     the tau = 0 Gram matrix (the square of 1e-12 times the leading singular
-    value) is treated as exactly reconstructed and contributes no outliers
-    (guards the full-rank edge, where residuals are float dust).  No full
-    SVD is taken except for offsets whose Gram gap at the rank has closed.
-
-    ``mask`` is None (every node) or a ``sampling.Mask``.  The snapshots of
-    every offset are gathered in one pass (``_gather_snapshots``).
+    value) is exactly reconstructed and contributes no outliers: at the
+    full-rank edge residuals are float dust.  ``mask`` is None (every node)
+    or a ``sampling.Mask``.
 
     Raises:
         RankError: the rank is outside [1, min(snapshot shape)].
@@ -340,19 +350,10 @@ def saliency_map(
     stack = _gather_snapshots(window_set, mask)
     limit = min(stack.shape[1:])
     if not 1 <= rank <= limit:
-        raise RankError(
-            f"rank {rank} outside [1, {limit}] for a "
-            f"{stack.shape[1]} x {stack.shape[2]} snapshot"
-        )
+        raise RankError(f"rank {rank} outside [1, {limit}] for a "
+                        f"{stack.shape[1]} x {stack.shape[2]} snapshot")
 
-    # every offset shares the Gram order, so one start block serves them all
-    start = None
-    if limit >= _KRYLOV_ORDER and rank < _KRYLOV_BLOCK * _KRYLOV_STEPS // 3:
-        start = _krylov_start(limit)
-    fits = [
-        _residual_energies(x, gram, rank, fit)
-        for x, gram, fit in _fitted_grams(stack, rank, start)
-    ]
+    fits = [_residual_energies(x, rank, fit) for x, fit in _fitted_grams(stack, rank)]
     dust = fits[0][1] * _DUST
     counts = np.zeros(stack.shape[2])
     for energies, _ in fits:
@@ -362,11 +363,8 @@ def saliency_map(
     fractions = np.full((part.regions_x, part.regions_y), np.nan)
     # the transposes walk (a, b) in column order a + regions_x * b
     fractions.T[window_set.active.T] = counts / window_set.window_len
-    return SaliencyMap(
-        fractions=fractions,
-        active=window_set.active,
-        window_len=window_set.window_len,
-    )
+    return SaliencyMap(fractions=fractions, active=window_set.active,
+                       window_len=window_set.window_len)
 
 
 def snapshot_spectrum(window_set: RegionalWindowSet, mask=None) -> np.ndarray:

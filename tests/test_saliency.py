@@ -567,18 +567,25 @@ def _decaying(order, rate=0.85):
 def _fit_calls(monkeypatch, ws, rank, mask=None):
     """Run saliency_map, recording how each offset was fitted.
 
-    Returns the map, ``fits`` and ``calls``.  ``fits`` holds (Gram order,
-    certified) for every offset the Lanczos pass tries, in offset order.
-    ``calls`` holds the order of every matrix that eigh factors, a batched
-    (T, n, n) call counting as T matrices, and "svd" for every thin SVD.
+    Returns the map, ``fits``, ``calls`` and ``grams``.  ``fits`` holds
+    (Gram order, certified) for every offset the Lanczos pass tries, in
+    offset order.  ``calls`` holds the order of every matrix that eigh
+    factors, a batched (T, n, n) call counting as T matrices, and "svd" for
+    every thin SVD.  ``grams`` counts the Gram matrices built, a batched
+    build of T counting as T.
     """
-    fits, calls = [], []
-    lanczos, eigh, svd = saliency._lanczos_bases, np.linalg.eigh, np.linalg.svd
+    fits, calls, grams = [], [], []
+    lanczos, gram, eigh, svd = (saliency._lanczos_bases, saliency._gram,
+                                np.linalg.eigh, np.linalg.svd)
 
-    def spy(grams, rank, start):
-        found = lanczos(grams, rank, start)
-        fits.extend((grams.shape[-1], fit is not None) for fit in found)
+    def spy(stack, rank, start):
+        found = lanczos(stack, rank, start)
+        fits.extend((min(stack.shape[1:]), fit is not None) for fit in found)
         return found
+
+    def counted_gram(x):
+        grams.append(math.prod(x.shape[:-2]))
+        return gram(x)
 
     def counted_eigh(a, *args, **kwargs):
         calls.extend([a.shape[-1]] * math.prod(a.shape[:-2]))
@@ -590,19 +597,68 @@ def _fit_calls(monkeypatch, ws, rank, mask=None):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(saliency, "_lanczos_bases", spy)
+    monkeypatch.setattr(saliency, "_gram", counted_gram)
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     try:
         sal = saliency_map(ws, rank=rank, ratio=0.25, mask=mask)
     finally:
         monkeypatch.undo()
-    return sal, fits, calls
+    return sal, fits, calls, sum(grams)
 
 
-def _stack_energies(stack, rank, start):
+def _stack_energies(stack, rank):
     """(energies, lambda_0) of every offset, as saliency_map computes them."""
-    return [_residual_energies(x, gram, rank, fit)
-            for x, gram, fit in _fitted_grams(stack, rank, start)]
+    return [_residual_energies(x, rank, fit) for x, fit in _fitted_grams(stack, rank)]
+
+
+def test_krylov_start_is_built_once_per_order():
+    start = _krylov_start(95)
+    assert _krylov_start(95) is start and not start.flags.writeable
+    assert start.shape == (95, _KRYLOV_BLOCK)
+    assert np.allclose(start.T @ start, np.eye(_KRYLOV_BLOCK), rtol=0, atol=1e-14)
+
+
+def _two_pass_energies(x, low_rank):
+    """Column energies of x − low_rank, each step in its own array."""
+    resid = x - low_rank
+    return np.sum(resid * resid, axis=0)
+
+
+def test_residual_energies_are_bit_identical_to_the_two_pass_formula(rng, monkeypatch):
+    # the residual formed in place in one buffer has the same bits as
+    # x − (rank-r part), squared and summed, on the Lanczos and eigh bases
+    # of tall and wide snapshots and on the SVD fallback at a closed gap
+    svd, svds = np.linalg.svd, []
+
+    def counted_svd(a, *args, **kwargs):
+        svds.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    for shape in ("tall", "wide"):
+        p, regions = _LANCZOS_SHAPES[shape]
+        order = min(p * p, regions * regions)
+        x = _spectrum_set(rng, shape, _decaying(order), window_len=1).windows[0]
+
+        def low_rank(basis):
+            return basis @ (basis.T @ x) if shape == "wide" else (x @ basis) @ basis.T
+
+        [fit] = saliency._lanczos_bases(x[None], 6, _krylov_start(order))
+        got, _ = _residual_energies(x, 6, fit)
+        assert np.array_equal(got, _two_pass_energies(x, low_rank(fit[0])))
+        lam, vecs = np.linalg.eigh(saliency._gram(x))
+        got, lam0 = _residual_energies(x, 6)
+        assert np.array_equal(got, _two_pass_energies(x, low_rank(vecs[:, -6:])))
+        assert lam0 == lam[-1]
+        closed = _decaying(order)
+        closed[4] = closed[5] * (1 + 1e-9)
+        y = _spectrum_set(rng, shape, closed, window_len=1).windows[0]
+        u, s, vt = svd(y, full_matrices=False)
+        got, _ = _residual_energies(y, 5)
+        assert np.array_equal(got, _two_pass_energies(y, (u[:, :5] * s[:5]) @ vt[:5]))
+    # one SVD fallback per shape, and no other
+    assert svds == [(289, 196), (169, 256)]
 
 
 def test_lanczos_fit_matches_svd_oracle(rng, monkeypatch):
@@ -611,16 +667,17 @@ def test_lanczos_fit_matches_svd_oracle(rng, monkeypatch):
         p, regions = _LANCZOS_SHAPES[shape]
         order = min(p * p, regions * regions)
         ws = _spectrum_set(rng, shape, _decaying(order))
-        start = _krylov_start(order)
         for rank in (1, 6, 14, basis // 3 - 1):
-            for x, (got, top) in zip(ws.windows, _stack_energies(ws.windows, rank, start)):
+            for x, (got, top) in zip(ws.windows, _stack_energies(ws.windows, rank)):
                 want = outlier_energies(truncated_low_rank(x, rank))
                 assert np.max(np.abs(got - want)) <= 1e-10 * np.max(want)
                 assert np.array_equal(salient_columns(got), salient_columns(want))
                 assert top == pytest.approx((1 + 1e-6) ** 2, rel=1e-12)
-            sal, fits, calls = _fit_calls(monkeypatch, ws, rank)
+            sal, fits, calls, grams = _fit_calls(monkeypatch, ws, rank)
             assert fits == [(order, True)] * ws.window_len, (shape, rank)
             assert calls == [basis] * ws.window_len, (shape, rank)
+            # a tall snapshot's pass applies its Gram without building it
+            assert grams == ws.window_len * (shape == "wide"), (shape, rank)
             _assert_matches_oracle(ws, rank, None, sal)
 
 
@@ -638,17 +695,18 @@ def test_lanczos_defers_to_eigh_when_it_cannot_certify(rng, monkeypatch):
         p, regions = _LANCZOS_SHAPES[shape]
         order = min(p * p, regions * regions)
         fast = _decaying(order)
-        # at decay 0.92 the rank-12 Ritz residuals are about 1e-11 lambda_0:
-        # certified across the spectrum's own gap (2e-2 lambda_0), not across
-        # a gap of 1e-6 lambda_0 between lambda_12 and lambda_13 (1-based),
-        # whose missing Gram mass already exceeds it
-        slow = _decaying(order, rate=0.92)
+        # at decay 0.89 the rank-12 Ritz residuals are about 2e-12 lambda_0
+        # and the basis misses about 1e-4 lambda_0 of Gram mass: certified
+        # across the spectrum's own gap (1.6e-2 lambda_0), not across a gap
+        # of 1e-6 lambda_0 between lambda_12 and lambda_13 (1-based), which
+        # the missing mass exceeds
+        slow = _decaying(order, rate=0.89)
         slow_close = slow.copy()
         slow_close[12] = np.sqrt(slow[11] ** 2 - 1e-6 * slow[0] ** 2)
         # at decay 0.7 the basis misses under 1e-9 lambda_0 of mass and the
         # rank-6 residuals are about 3e-14 lambda_0: certified across the
         # spectrum's own gap, not across one of 3e-8 lambda_0, where they
-        # bound the angle only to 4e-7 or worse
+        # bound the angle only to 3e-7 or worse
         sharp = _decaying(order, rate=0.7)
         sharp_close = sharp.copy()
         sharp_close[6] = np.sqrt(sharp[5] ** 2 - 3e-8 * sharp[0] ** 2)
@@ -664,11 +722,14 @@ def test_lanczos_defers_to_eigh_when_it_cannot_certify(rng, monkeypatch):
         )
         for spectrum, rank, per_offset in cases:
             ws = _spectrum_set(rng, shape, spectrum)
-            sal, fits, calls = _fit_calls(monkeypatch, ws, rank)
+            sal, fits, calls, grams = _fit_calls(monkeypatch, ws, rank)
             tried = rank < basis // 3
             certified = per_offset == [basis]
             assert fits == [(order, certified)] * ws.window_len * tried, (shape, rank)
             assert Counter(calls) == Counter(per_offset * ws.window_len), (shape, rank)
+            # a wide pass builds each Gram; every eigh builds its own
+            built = (shape == "wide") * tried + (not certified)
+            assert grams == ws.window_len * built, (shape, rank)
             _assert_matches_oracle(ws, rank, None, sal)
 
 
@@ -676,21 +737,23 @@ def test_lanczos_trace_catches_an_eigenvalue_the_basis_misses():
     # G = diag(A, 2): A's Krylov spaces from a start block with a zero last
     # row keep that row exactly zero, so no basis holds the top eigenvector
     # e_last.  The Ritz pairs of A converge and their gap is wide; only the
-    # trace shows the missing eigenvalue 2.
+    # trace shows the missing eigenvalue 2.  The snapshot is diag(sqrt G)
+    # with a zero row (tall, G = XᵀX) or a zero column (wide, G = XXᵀ) added.
     order = _KRYLOV_ORDER
-    a = np.diag(0.7 ** np.arange(order - 1))
-    gram = np.zeros((order, order))
-    gram[:-1, :-1] = a
-    gram[-1, -1] = 2.0
+    diag = np.append(0.7 ** np.arange(order - 1), 2.0)
+    tall = np.zeros((order + 1, order))
+    tall[:-1] = np.diag(np.sqrt(diag))
     start = _krylov_start(order)
     blind = start.copy()
     blind[-1] = 0.0
     blind = np.linalg.qr(blind)[0]
     assert not blind[-1].any()
-    assert saliency._lanczos_bases(gram[None], 6, blind) == [None]
-    [(vecs, lam0)] = saliency._lanczos_bases(gram[None], 6, start)
-    assert lam0 == pytest.approx(2.0, rel=1e-14)
-    assert abs(vecs[-1, -1]) == pytest.approx(1.0, rel=1e-12)
+    for x in (tall, np.ascontiguousarray(tall.T)):
+        assert np.allclose(saliency._gram(x), np.diag(diag), rtol=1e-15, atol=0)
+        assert saliency._lanczos_bases(x[None], 6, blind) == [None]
+        [(vecs, lam0)] = saliency._lanczos_bases(x[None], 6, start)
+        assert lam0 == pytest.approx(2.0, rel=1e-14)
+        assert abs(vecs[-1, -1]) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_svd_fallback_where_the_gap_closes_above_the_lanczos_order(rng, monkeypatch):
@@ -704,52 +767,66 @@ def test_svd_fallback_where_the_gap_closes_above_the_lanczos_order(rng, monkeypa
         spectrum[4] = spectrum[5] * (1 + 1e-9)
         ws = _spectrum_set(rng, shape, spectrum)
         for rank, per_offset in ((5, [basis, order, "svd"]), (4, [basis])):
-            sal, fits, calls = _fit_calls(monkeypatch, ws, rank)
+            sal, fits, calls, grams = _fit_calls(monkeypatch, ws, rank)
             assert fits == [(order, rank == 4)] * ws.window_len, (shape, rank)
             assert Counter(calls) == Counter(per_offset * ws.window_len), (shape, rank)
+            built = (shape == "wide") + (rank == 5)
+            assert grams == ws.window_len * built, (shape, rank)
             _assert_matches_oracle(ws, rank, None, sal)
 
 
 def test_a_closed_gap_leaves_the_rest_of_its_pass_certified(rng, monkeypatch):
     # five tall offsets of order 196 fill two passes of the chunk budget
-    # (3 + 2).  Offset 1's s_5 and s_6 agree to 1e-9: at rank 5 it alone
-    # goes to eigh and on to the thin SVD, and every other offset keeps its
-    # certified Lanczos basis
+    # (3 + 2), at 8 (289 x 196 + 2 x 196 x 56) bytes each.  Offset 1's s_5
+    # and s_6 agree to 1e-9: at rank 5 it alone goes to eigh and on to the
+    # thin SVD, and every other offset keeps its certified Lanczos basis.
+    # Only offset 1 builds a Gram matrix, for its eigh
     basis = _KRYLOV_BLOCK * _KRYLOV_STEPS
     p, regions = _LANCZOS_SHAPES["tall"]
     order = regions * regions
-    assert saliency._GRAM_CHUNK // (8 * order * order) == 3
+    assert saliency._GRAM_CHUNK // (8 * (p * p * order + 2 * order * basis)) == 3
     ws = _spectrum_set(rng, "tall", _decaying(order), window_len=5)
     closed = _decaying(order)
     closed[4] = closed[5] * (1 + 1e-9)
     windows = np.array(ws.windows)
     windows[1] = _spectrum_set(rng, "tall", closed, window_len=1).windows[0]
     ws = dataclasses.replace(ws, windows=windows)
-    sal, fits, calls = _fit_calls(monkeypatch, ws, 5)
+    sal, fits, calls, grams = _fit_calls(monkeypatch, ws, 5)
     assert fits == [(order, tau != 1) for tau in range(5)]
     assert Counter(calls) == Counter({basis: 5, order: 1, "svd": 1})
+    assert grams == 1
     _assert_matches_oracle(ws, 5, None, sal)
 
 
-def test_bench1_fits_orders_205_144_95_by_lanczos_and_58_by_eigh(bench1, monkeypatch):
-    # full sampling and the 0.5 and 0.33 sweep masks are certified at every
-    # offset; a 0.2 mask keeps 58 nodes, below _KRYLOV_ORDER, and runs on
-    # eigh without trying the fit
-    scenario, cube = bench1
+# Gram order at full sampling: the plate's active regions
+_FULL_ORDER = {"bench1": 205, "bench2": 205, "pristine": 203}
+
+
+@pytest.mark.parametrize("plate", ["bench1", "bench2", "pristine"])
+def test_plates_fit_orders_from_90_by_lanczos_and_58_by_eigh(plate, request, monkeypatch):
+    # at the plate's own rank, full sampling (tall) and the 0.5 mask (wide,
+    # order 144) are certified at every offset, and on bench1 so is the 0.33
+    # mask (order 95); a 0.2 mask keeps 58 nodes, below _KRYLOV_ORDER, and
+    # runs on eigh without trying the fit.  A tall pass builds no Gram
+    # matrix; a wide pass, or an eigh, builds one per offset
+    scenario, cube = request.getfixturevalue(plate)
     part = scenario.partition()
     ws = build_window_set(cube, part, scenario.detection_config())
     rank = scenario.detection.rank
     basis = _KRYLOV_BLOCK * _KRYLOV_STEPS
-    for ratio, order, fitted in ((None, 205, True), (0.5, 144, True),
-                                 (0.33, 95, True), (0.2, 58, False)):
-        for seed in (1, 2, 3):
+    cases = [(None, _FULL_ORDER[plate], True), (0.5, 144, True)]
+    if plate == "bench1":
+        cases += [(0.33, 95, True), (0.2, 58, False)]
+    for ratio, order, fitted in cases:
+        for seed in (1, 2, 3) if ratio else (None,):
             mask = None if ratio is None else random_mask(part.p1, part.p2, ratio, seed=seed)
-            _, fits, calls = _fit_calls(monkeypatch, ws, rank, mask)
+            _, fits, calls, grams = _fit_calls(monkeypatch, ws, rank, mask)
             if fitted:
                 assert fits == [(order, True)] * ws.window_len, (ratio, seed)
                 assert calls == [basis] * ws.window_len, (ratio, seed)
             else:
                 assert fits == [] and calls == [order] * ws.window_len, (ratio, seed)
+            assert grams == ws.window_len * (ratio is not None), (ratio, seed)
 
 
 def test_lanczos_fit_is_deterministic_and_scale_invariant(bench1):
@@ -762,9 +839,8 @@ def test_lanczos_fit_is_deterministic_and_scale_invariant(bench1):
         stack = _gather_snapshots(ws, mask)
         order = min(stack.shape[1:])
         assert order >= _KRYLOV_ORDER
-        start = _krylov_start(order)
         for (first, lam0), (again, lam0_again) in zip(
-            _stack_energies(stack, 14, start), _stack_energies(stack, 14, start)
+            _stack_energies(stack, 14), _stack_energies(stack, 14)
         ):
             assert np.array_equal(first, again) and lam0 == lam0_again
         sal = saliency_map(ws, rank=14, mask=mask)
