@@ -53,8 +53,8 @@ def main():
                        else ".")
         print(" ".join(row))
     print()
-    print(f"regionally discovered {metrics.regionally_discovered} of "
-          f"{len(truth.regions)}; false flags {metrics.false_discoveries} "
+    print(f"regionally discovered {metrics.regional_correct} of "
+          f"{len(truth.regions)}; false flags {metrics.false} "
           f"({metrics.origin_false} near the source)")
 
 

@@ -28,8 +28,8 @@ full = detection_metrics(
     run_detection(cube, partition, config).flagged, truth, partition,
     scenario.excitation.source,
 )
-print(f"full sampling: {full.regionally_discovered} of {len(truth.regions)} "
-      f"defects regionally discovered, {full.false_discoveries} false")
+print(f"full sampling: {full.regional_correct} of {len(truth.regions)} "
+      f"defects regionally discovered, {full.false} false")
 
 t0 = time.perf_counter()
 rows = monte_carlo_sweep(

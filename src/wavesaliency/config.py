@@ -10,7 +10,7 @@ is checked as it is built, block by block and then across blocks.
 
 Every key, with its default; a key marked required shows an example::
 
-    seed = 0                     # before any block: seeds the random masks
+    seed = 0                     # before any block: seeds the random masks; >= 0
 
     [material]                   # SI units; every key required
     youngs_modulus = 71e9
@@ -71,7 +71,7 @@ Every key, with its default; a key marked required shows an example::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import sim
@@ -168,9 +168,9 @@ class ScenarioConfig:
     """Everything one experiment needs, checked on construction.
 
     Each settings block checks its own fields; ``__post_init__`` checks the
-    rules that join blocks (the partition and mask against the grid, the
-    velocity source, the source and probes on the grid, the rank against
-    the nodes the mask keeps per region), so neither
+    seed and the rules that join blocks (the partition and mask against the
+    grid, the velocity source, the source and probes on the grid, the rank
+    against the nodes the mask keeps per region), so neither
     ``parse_scenario`` nor ``replace`` (behind ``with_overrides``) can
     return a scenario that breaks one.
     """
@@ -184,6 +184,8 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # Partition divisibility against the grid block, then the mask against
         # the partition; the library's errors are wrapped so the failure reads
         # as a config problem.
@@ -230,20 +232,14 @@ class ScenarioConfig:
 
     def detection_config(self) -> DetectionConfig:
         if self.probes.mode == "analytic":
-            speed = analytic_group_velocity(
+            velocity = analytic_group_velocity(
                 self.material, self.excitation.carrier_frequency
             )
-            probes, velocity = None, speed
         else:
-            probes, velocity = self.probe_pair(), None
+            velocity = self.probe_pair()
+        d = self.detection
         return DetectionConfig(
-            excitation=self.excitation,
-            probes=probes,
-            group_velocity=velocity,
-            window_len=self.detection.window_len,
-            rank=self.detection.rank,
-            energy_ratio=self.detection.ratio,
-            threshold=self.detection.theta,
+            self.excitation, velocity, d.window_len, d.rank, d.ratio, d.theta
         )
 
     def mask(self) -> Mask | None:
@@ -281,15 +277,16 @@ def with_overrides(scenario: ScenarioConfig, **changes) -> ScenarioConfig:
     """The scenario with detection settings replaced, checked like a file.
 
     Keys are ``DetectionSettings`` fields; a None value keeps the file's
-    setting.  A ``rank`` or ``window_len`` given as text is read as in a
-    file, as an integer.  ``replace`` builds the result, so it passes the
-    same checks as a parsed scenario.
+    setting.  A value given as text is read as in a file, by its field's
+    ``int`` or ``float`` annotation.  ``replace`` builds the result, so it
+    passes the same checks as a parsed scenario.
     """
     changes = {k: v for k, v in changes.items() if v is not None}
-    for key in ("rank", "window_len"):
-        if isinstance(changes.get(key), str):
+    types = {f.name: f.type for f in fields(DetectionSettings)}
+    for key, value in changes.items():
+        if isinstance(value, str) and types.get(key) in _PARSERS:
             try:
-                changes[key] = _parse_int(changes[key])
+                changes[key] = _PARSERS[types[key]](value)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key!r}: {exc}") from None
     try:
@@ -311,7 +308,8 @@ class _Block:
     """One ``[block]`` of a file: its unread ``key: (text, line)`` entries.
 
     ``get`` reads a key and ``make`` builds the block's settings, each
-    turning a bad value into a ConfigError at the line it came from.
+    turning a bad value into a ConfigError at the line it came from;
+    ``read`` builds a settings dataclass whose fields are the block's keys.
     """
 
     name: str
@@ -341,6 +339,18 @@ class _Block:
         for key, (_, line) in self.entries.items():
             raise ConfigError(f"unknown key {key!r} in [{self.name}]", line=line)
         return settings
+
+    def read(self, cls, **given):
+        """``make`` of ``cls``, reading each field not ``given`` under its name.
+
+        A field's ``int`` or ``float`` annotation picks its parser, and its
+        default, if it has one, stands in for an absent key.
+        """
+        for f in fields(cls):
+            if f.name not in given:
+                default = _REQUIRED if f.default is MISSING else f.default
+                given[f.name] = self.get(f.name, _PARSERS[f.type], default)
+        return self.make(cls, **given)
 
 
 def _read_blocks(text: str) -> list[_Block]:
@@ -389,6 +399,10 @@ def _parse_int(text: str) -> int:
     return int(value)
 
 
+# The parser of a settings field's text, by its annotation.
+_PARSERS = {"int": _parse_int, "float": _parse_float}
+
+
 def _parse_mask(text: str) -> MaskSettings:
     """``full``, ``random <ratio>`` or ``cross <stride>``, with shared sharing."""
     kind, *args = text.split()
@@ -428,22 +442,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
         if required not in named:
             raise ConfigError(f"missing required block [{required}]")
 
-    b = named["material"]
-    # Each [material] key is a MaterialSpec field, read as a float.
-    material = b.make(
-        MaterialSpec, **{f.name: b.get(f.name, _parse_float) for f in fields(MaterialSpec)}
-    )
-
-    b = named["grid"]
-    grid = b.make(
-        GridSettings,
-        n1=b.get("n1", _parse_int),
-        n2=b.get("n2", _parse_int),
-        steps=b.get("steps", _parse_int),
-        safety=b.get("safety", _parse_float, GridSettings.safety),
-        record_every=b.get("record_every", _parse_int, GridSettings.record_every),
-        space_order=b.get("space_order", _parse_int, GridSettings.space_order),
-    )
+    material = named["material"].read(MaterialSpec)
+    grid = named["grid"].read(GridSettings)
 
     b = named["excitation"]
     excitation = b.make(
@@ -460,16 +460,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     # The sharing key completes the mask line; MaskSettings checks both.
     mask = b.get("mask", _parse_mask, MaskSettings())
     mask = b.get("sharing", lambda sharing: replace(mask, sharing=sharing), mask)
-    detection = b.make(
-        DetectionSettings,
-        regions_x=b.get("regions_x", _parse_int),
-        regions_y=b.get("regions_y", _parse_int),
-        rank=b.get("rank", _parse_int),
-        window_len=b.get("window_len", _parse_int, DetectionSettings.window_len),
-        ratio=b.get("ratio", _parse_float, DetectionSettings.ratio),
-        theta=b.get("theta", _parse_float, DetectionSettings.theta),
-        mask=mask,
-    )
+    detection = b.read(DetectionSettings, mask=mask)
 
     b = named.get("probes", _Block("probes"))
     mode = b.get("mode", str, ProbeSettings.mode)

@@ -23,15 +23,7 @@ class GeometryError(WaveSaliencyError):
 
 
 class DivergenceError(WaveSaliencyError):
-    """The explicit time stepper blew up.
-
-    Attributes:
-        step: first time step at which the amplitude bound was exceeded.
-    """
-
-    def __init__(self, message: str, step: int):
-        super().__init__(message)
-        self.step = step
+    """The explicit time stepper blew up; the message names the first step."""
 
 
 class PartitionError(WaveSaliencyError):
@@ -59,14 +51,7 @@ class MaskError(WaveSaliencyError):
 
 
 class ConfigError(WaveSaliencyError):
-    """Scenario config is syntactically or semantically invalid.
-
-    Attributes:
-        line: 1-based line number in the config file, when known.
-    """
+    """Scenario config is invalid; ``line``, when known, prefixes the message."""
 
     def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+        super().__init__(message if line is None else f"line {line}: {message}")

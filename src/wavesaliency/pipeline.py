@@ -25,23 +25,20 @@ from .windowing import (
 class DetectionConfig:
     """Everything the detection chain needs besides the cube itself.
 
-    ``group_velocity`` overrides probe-based estimation when set (the
-    "analytic" probe mode); otherwise ``probes`` must be given.
+    ``velocity`` is the group velocity in m/s (the "analytic" probe mode),
+    or the probe pair it is estimated from.
     """
 
     excitation: ExcitationSpec
-    probes: ProbePair | None
-    group_velocity: float | None
+    velocity: ProbePair | float
     window_len: int
     rank: int
-    energy_ratio: float
-    threshold: float
+    ratio: float
+    theta: float
 
     def __post_init__(self):
-        if self.probes is None and self.group_velocity is None:
-            raise ValueError("need either probes or an explicit group_velocity")
-        if self.group_velocity is not None and not 0 < self.group_velocity < float("inf"):
-            raise ValueError(f"group_velocity {self.group_velocity} is not positive and finite")
+        if not isinstance(self.velocity, ProbePair) and not 0 < self.velocity < float("inf"):
+            raise ValueError(f"velocity {self.velocity} is not positive and finite")
 
 
 @dataclass(frozen=True)
@@ -62,9 +59,9 @@ def build_window_set(
     The window set does not depend on the mask, so a Monte Carlo sweep
     builds it once and shares it across all of its masked detections.
     """
-    speed = config.group_velocity
-    if speed is None:
-        speed = estimate_group_velocity(cube, config.probes)
+    speed = config.velocity
+    if isinstance(speed, ProbePair):
+        speed = estimate_group_velocity(cube, speed)
     return extract_windows(
         cube, partition, float(speed), config.excitation, config.window_len
     )
@@ -87,12 +84,12 @@ def run_detection(
     sal = saliency_map(
         window_set,
         rank=config.rank,
-        ratio=config.energy_ratio,
+        ratio=config.ratio,
         mask=mask,
     )
     return DetectionResult(
         group_velocity=window_set.group_velocity,
         window_set=window_set,
         saliency=sal,
-        flagged=sal.flagged_regions(config.threshold),
+        flagged=sal.flagged_regions(config.theta),
     )

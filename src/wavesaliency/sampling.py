@@ -14,6 +14,7 @@ shared low-rank subspace meaningful); per-region patterns exist behind the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -222,31 +223,22 @@ class GroundTruth:
                 raise ValueError(f"truth region ({a}, {b}) outside partition")
 
 
-@dataclass(frozen=True)
-class DetectionMetrics:
+class DetectionMetrics(NamedTuple):
     """Scorecard of one flagged set against the ground truth.
 
     correct/false partition the flagged set by exact membership;
-    regionally_discovered counts true anomalies with a flag on themselves or
+    regional_correct counts true anomalies with a flag on themselves or
     an 8-neighbor; regional_false counts flags at Chebyshev distance >= 2
     from every truth region; origin_false counts false flags inside the 3x3
-    region block around the region that holds the driven node.
+    region block around the region that holds the driven node.  The field
+    names are the score columns of ``SweepRow`` and the sweep CSV.
     """
 
-    correct_discoveries: int
-    false_discoveries: int
-    regionally_discovered: int
+    correct: int
+    false: int
+    regional_correct: int
     regional_false: int
     origin_false: int
-
-    def as_tuple(self) -> tuple[int, int, int, int, int]:
-        return (
-            self.correct_discoveries,
-            self.false_discoveries,
-            self.regionally_discovered,
-            self.regional_false,
-            self.origin_false,
-        )
 
 
 def _chebyshev(p: tuple[int, int], q: tuple[int, int]) -> int:
@@ -291,7 +283,7 @@ def detection_metrics(
     truths = truth.regions
     correct = len(flagged & truths)
     false = len(flagged - truths)
-    regionally = sum(
+    regional_correct = sum(
         1 for t in truths if any(_chebyshev(f, t) <= 1 for f in flagged)
     )
     regional_false = sum(
@@ -299,11 +291,7 @@ def detection_metrics(
     )
     origin_false = sum(1 for f in flagged - truths if f in block)
     return DetectionMetrics(
-        correct_discoveries=correct,
-        false_discoveries=false,
-        regionally_discovered=regionally,
-        regional_false=regional_false,
-        origin_false=origin_false,
+        correct, false, regional_correct, regional_false, origin_false
     )
 
 
@@ -313,7 +301,11 @@ def detection_metrics(
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Averaged metrics for one subsampling ratio."""
+    """Averaged metrics for one subsampling ratio.
+
+    The score fields, ``correct`` to ``origin_false``, are those of
+    ``DetectionMetrics``, in its order.
+    """
 
     nz: float
     correct: float
@@ -363,13 +355,13 @@ def monte_carlo_sweep(
 
     window_set = build_window_set(cube, partition, config)
 
-    def score(mask: Mask) -> tuple[int, int, int, int, int]:
+    def score(mask: Mask) -> DetectionMetrics:
         result = run_detection(
             cube, partition, config, mask=mask, window_set=window_set
         )
         return detection_metrics(
             result.flagged, truth, partition, config.excitation.source
-        ).as_tuple()
+        )
 
     if pattern == "cross":
         settings = MaskSettings("cross", stride=stride, sharing=sharing)
@@ -389,35 +381,22 @@ def monte_carlo_sweep(
 
 def _average_row(nz: float, scores, trials: int, seed: int) -> SweepRow:
     arr = np.asarray(scores, dtype=np.float64)
-    means = arr.mean(axis=0)
-    regional = arr[:, 2]
+    means = dict(zip(DetectionMetrics._fields, map(float, arr.mean(axis=0))))
+    regional = arr[:, DetectionMetrics._fields.index("regional_correct")]
     se = float(regional.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    return SweepRow(
-        nz=nz,
-        correct=float(means[0]),
-        false=float(means[1]),
-        regional_correct=float(means[2]),
-        regional_false=float(means[3]),
-        origin_false=float(means[4]),
-        trials=trials,
-        seed=seed,
-        regional_correct_se=se,
-    )
+    return SweepRow(nz, **means, trials=trials, seed=seed, regional_correct_se=se)
 
 
-SWEEP_CSV_HEADER = [
-    "nz", "correct", "false", "regional_correct", "regional_false",
-    "origin_false", "trials", "seed",
-]
+SWEEP_CSV_HEADER = ["nz", *DetectionMetrics._fields, "trials", "seed"]
 
 
 def sweep_csv_text(rows: list[SweepRow]) -> str:
     """One row per ratio, fixed column order, 6-decimal averages."""
     lines = [",".join(SWEEP_CSV_HEADER)]
     lines += [
-        f"{row.nz:g},{row.correct:.6f},{row.false:.6f},"
-        f"{row.regional_correct:.6f},{row.regional_false:.6f},"
-        f"{row.origin_false:.6f},{row.trials},{row.seed}"
+        ",".join([f"{row.nz:g}",
+                  *(f"{getattr(row, name):.6f}" for name in DetectionMetrics._fields),
+                  str(row.trials), str(row.seed)])
         for row in rows
     ]
     return "\n".join(lines) + "\n"

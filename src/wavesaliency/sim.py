@@ -15,8 +15,9 @@ Time stepping is central-difference (leapfrog).  The spatial Laplacian stages
 are available at second order (the classical 13-point biharmonic stencil) or
 fourth order (default); at the default grid resolution the second-order
 stencil underestimates the group velocity of a 500 kHz packet by ~6%, which
-the fourth-order stages reduce to below 1%.  ``STAGE_SYMBOL_PEAK`` is the one
-list of supported orders, and sets the stable time step of each.
+the fourth-order stages reduce to below 1%.  ``STENCILS`` is the one table
+of supported orders: each one's centre weight and divisor, and the peak
+symbol that sets its stable time step.
 
 ``simulate`` is two parts behind one call:
 
@@ -290,17 +291,19 @@ def build_material_map(
 # Stability and dispersion
 # ---------------------------------------------------------------------------
 
-# The supported stencil orders, each with the peak symbol of its Laplacian
-# stage in units of 1/dx^2 (the stage's largest eigenvalue magnitude).
-STAGE_SYMBOL_PEAK = {2: 8.0, 4: 32.0 / 3.0}
+# The supported stencil orders.  Each Laplacian stage is an integer-weight
+# stencil sum over a divisor; the entry holds the sum's centre weight, the
+# divisor in units of dx^2, and the stage's peak symbol in units of 1/dx^2
+# (its largest eigenvalue magnitude).
+STENCILS = {2: (4.0, 1.0, 8.0), 4: (60.0, 12.0, 32.0 / 3.0)}
 
 
 def stage_symbol_peak(space_order: int) -> float:
-    """The order's entry of ``STAGE_SYMBOL_PEAK``; ValueError for any other order."""
-    if space_order not in STAGE_SYMBOL_PEAK:
-        orders = " or ".join(map(str, STAGE_SYMBOL_PEAK))
+    """The order's peak symbol in ``STENCILS``; ValueError for any other order."""
+    if space_order not in STENCILS:
+        orders = " or ".join(map(str, STENCILS))
         raise ValueError(f"space_order must be {orders}, got {space_order}")
-    return STAGE_SYMBOL_PEAK[space_order]
+    return STENCILS[space_order][2]
 
 
 def stable_timestep(
@@ -313,7 +316,7 @@ def stable_timestep(
 
     The central-difference scheme is stable for dt <= 2 / omega_max with
     omega_max = sqrt(D / rho_h) * s_max / dx^2, where s_max is the peak
-    symbol of the Laplacian stage (``STAGE_SYMBOL_PEAK``).
+    symbol of the Laplacian stage (``STENCILS``).
     Evaluated at the stiffest cell, i.e. the smallest rho_h / D ratio:
 
         dt = safety * (2 / s_max) * dx^2 * sqrt(min_cells rho_h / D)
@@ -438,13 +441,12 @@ class PlateOperator:
         space_order: int = DEFAULT_SPACE_ORDER,
     ):
         stage_symbol_peak(space_order)
+        self._centre, denominator, _ = STENCILS[space_order]
         cl, cm = material_map.cell_shape
         if cl != cm:
             raise ValueError("the plate is square; n1 and n2 must match")
         n = cl + 1
         self.n, self.dx, self.space_order = n, dx, space_order
-        # Centre weight of the stencil sum and its divisor in units of dx^2.
-        self._centre, denominator = {2: (4.0, 1.0), 4: (60.0, 12.0)}[space_order]
         self.scale = denominator * dx * dx
         # Layout is [m, l] (y index first) so that node views are already
         # in cube payload order.
@@ -553,8 +555,7 @@ def leapfrog(
         if not math.isfinite(peak) or (blow_up > 0.0 and peak > blow_up):
             raise DivergenceError(
                 f"explicit scheme diverged at step {step} "
-                f"(|w| reached {peak:.3e})",
-                step=step,
+                f"(|w| reached {peak:.3e})"
             )
         prev, curr = curr, prev
         if step % record_every == 0:

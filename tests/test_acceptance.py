@@ -165,8 +165,8 @@ def test_three_inclusions_found_with_few_false_alarms(bench1):
         result.flagged, truth, part, scenario.excitation.source
     )
     print(f"truth {sorted(truth.regions)}, flagged {sorted(result.flagged)}, "
-          f"metrics {metrics.as_tuple()}")
-    assert metrics.regionally_discovered == len(truth.regions) == 3
+          f"metrics {tuple(metrics)}")
+    assert metrics.regional_correct == len(truth.regions) == 3
     # false alarms that are neither near a defect nor in the noisy block
     # around the excitation corner
     block = origin_block(part, (0, 0))
@@ -224,7 +224,7 @@ def test_detection_survives_heavy_subsampling(ci_bench1):
     for row in rows:
         print(f"keep {row.nz:.0%}: regional correct "
               f"{row.regional_correct:.3f} +- {row.regional_correct_se:.3f}")
-    print(f"full sampling: {full.regionally_discovered}, {elapsed:.1f} s")
+    print(f"full sampling: {full.regional_correct}, {elapsed:.1f} s")
 
     # non-increasing as the ratio drops, within twice the combined
     # standard error of each adjacent pair
@@ -232,7 +232,7 @@ def test_detection_survives_heavy_subsampling(ci_bench1):
         slack = 2.0 * math.hypot(hi.regional_correct_se,
                                  lo.regional_correct_se)
         assert lo.regional_correct <= hi.regional_correct + slack
-    assert rows[0].regional_correct >= 0.9 * full.regionally_discovered
+    assert rows[0].regional_correct >= 0.9 * full.regional_correct
     assert elapsed < 900.0
 
 

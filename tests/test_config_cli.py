@@ -13,6 +13,7 @@ import stat
 import subprocess
 import sys
 import textwrap
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,8 @@ from wavesaliency.cli import (
     main,
 )
 from wavesaliency.config import (
+    DetectionSettings,
+    GridSettings,
     bundled_config_path,
     load_scenario,
     parse_scenario,
@@ -41,7 +44,8 @@ from wavesaliency.config import (
 from wavesaliency.cube import GridPoint, read_cube, write_cube
 from wavesaliency.errors import ConfigError
 from wavesaliency.pipeline import DetectionConfig
-from wavesaliency.sim import analytic_group_velocity
+from wavesaliency.sim import MaterialSpec, analytic_group_velocity
+from wavesaliency.windowing import ProbePair
 
 SMALL_CFG = """\
 seed = 7
@@ -272,6 +276,89 @@ def test_integer_keys_reject_fractions():
     assert parse_scenario(_edit(SMALL_CFG, n1="65.0")).grid.n1 == 65
 
 
+# A valid value other than SMALL_CFG's for each field of the settings blocks
+# that are read field by field; n1 and n2 change together (the plate is
+# square).
+FIELD_EDITS = {
+    "youngs_modulus": {"youngs_modulus": "70e9"},
+    "poisson_ratio": {"poisson_ratio": "0.3"},
+    "density": {"density": "2800"},
+    "thickness": {"thickness": "0.004"},
+    "side_length": {"side_length": "0.3"},
+    "n1": {"n1": "129", "n2": "129"},
+    "n2": {"n1": "129", "n2": "129"},
+    "steps": {"steps": "200"},
+    "safety": {"safety": "0.8"},
+    "record_every": {"record_every": "2"},
+    "space_order": {"space_order": "2"},
+    "regions_x": {"regions_x": "2"},
+    "regions_y": {"regions_y": "8"},
+    "rank": {"rank": "5"},
+    "window_len": {"window_len": "9"},
+    "ratio": {"ratio": "0.3"},
+    "theta": {"theta": "0.6"},
+}
+
+SETTINGS_BLOCKS = (("material", MaterialSpec), ("grid", GridSettings),
+                   ("detection", DetectionSettings))
+
+
+def test_settings_fields_are_the_block_keys():
+    # every field is read under its own name, by its annotation's type, and
+    # an absent key takes the dataclass default or is named as required
+    base = EVERY_KEY_CFG
+    read = {f.name for _, cls in SETTINGS_BLOCKS for f in fields(cls)} - {"mask"}
+    assert read == set(FIELD_EDITS)
+    for block, cls in SETTINGS_BLOCKS:
+        for f in fields(cls):
+            if f.name == "mask":
+                continue
+            edit = FIELD_EDITS[f.name]
+            got = getattr(getattr(parse_scenario(_edit(base, **edit)), block), f.name)
+            want = {"int": int, "float": float}[f.type](float(edit[f.name]))
+            assert got == want and type(got) is type(want), f.name
+            if f.default is MISSING:
+                with pytest.raises(ConfigError, match=f"missing required key '{f.name}'"):
+                    parse_scenario(_drop(base, f.name))
+            else:
+                dropped = getattr(parse_scenario(_drop(base, f.name)), block)
+                assert getattr(dropped, f.name) == f.default, f.name
+
+
+def test_int_fields_name_their_line():
+    lines = EVERY_KEY_CFG.split("\n")
+    int_fields = [f.name for _, cls in SETTINGS_BLOCKS for f in fields(cls)
+                  if f.type == "int"]
+    assert int_fields == ["n1", "n2", "steps", "record_every", "space_order",
+                          "regions_x", "regions_y", "rank", "window_len"]
+    for name in int_fields:
+        line = next(i for i, ln in enumerate(lines, 1) if ln.startswith(f"{name} = "))
+        with pytest.raises(
+            ConfigError,
+            match=f"^line {line}: bad value for '{name}': '2.5' is not an integer$",
+        ):
+            parse_scenario(_edit(EVERY_KEY_CFG, **{name: "2.5"}))
+    # an override given as text is read by the same annotation
+    s = with_overrides(parse_scenario(SMALL_CFG), rank="2", window_len="9.0",
+                       ratio="0.3", theta="0.6")
+    assert (s.detection.rank, s.detection.window_len) == (2, 9)
+    assert (s.detection.ratio, s.detection.theta) == (0.3, 0.6)
+    assert type(s.detection.window_len) is int
+    with pytest.raises(ConfigError, match="^bad value for 'theta': 'nan' is not"):
+        with_overrides(s, theta="nan")
+
+
+def test_detection_config_holds_one_velocity():
+    # a speed in m/s, positive and finite, or the probe pair it comes from
+    base = parse_scenario(SMALL_CFG).detection_config()
+    for speed in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^velocity {speed} is not positive"):
+            replace(base, velocity=speed)
+    pair = ProbePair(GridPoint(10, 1), GridPoint(50, 1))
+    assert replace(base, velocity=pair).velocity == pair
+    assert replace(base, velocity=5000.0).velocity == 5000.0
+
+
 # Every key a scenario file can hold, once each (plus a line-segment defect).
 EVERY_KEY_CFG = SMALL_CFG.replace(
     "record_every = 4\n", "record_every = 4\nspace_order = 4\n"
@@ -371,8 +458,8 @@ def test_rank_values():
 def test_analytic_mode_supplies_velocity():
     s = parse_scenario(SMALL_CFG)
     cfg = s.detection_config()
-    assert cfg.probes is None
-    assert cfg.group_velocity == pytest.approx(
+    assert not isinstance(cfg.velocity, ProbePair)
+    assert cfg.velocity == pytest.approx(
         analytic_group_velocity(s.material, 250e3)
     )
     paired = parse_scenario(
@@ -386,8 +473,8 @@ def test_analytic_mode_supplies_velocity():
         )
     )
     cfg2 = explicit.detection_config()
-    assert cfg2.group_velocity is None
-    assert cfg2.probes.first == GridPoint(10, 1)
+    assert isinstance(cfg2.velocity, ProbePair)
+    assert cfg2.velocity.first == GridPoint(10, 1)
 
 
 def test_off_grid_placements_rejected():
@@ -633,6 +720,34 @@ def test_rank_above_a_masked_snapshot_fails_before_the_cube_is_read(
     assert calls[0] == "read_cube" and "saliency_map" in calls
 
 
+def test_negative_seed_fails_before_the_cube_is_read(
+    ci_cube_file, tmp_path, capsys, monkeypatch
+):
+    # with a random mask or full sampling, detect and sweep refuse a negative
+    # seed with one line that names it, and never read the cube
+    import wavesaliency.cube
+
+    reads = []
+    original = wavesaliency.cube.read_cube
+    monkeypatch.setattr(wavesaliency.cube, "read_cube",
+                        lambda *a, **k: reads.append(a) or original(*a, **k))
+    text = bundled_config_path("bench1_ci").read_text()
+    assert re.search(r"^seed = \d+$", text, re.MULTILINE)
+    text = re.sub(r"^seed = \d+$", "seed = -3", text, flags=re.MULTILINE)
+    with pytest.raises(ConfigError, match="^seed must be >= 0, got -3$"):
+        parse_scenario(text)
+    cfg = tmp_path / "seed.cfg"
+    for mask in ("random 0.5", "full"):
+        cfg.write_text(_edit(text, mask=mask))
+        for argv in (["detect", str(ci_cube_file), str(cfg), str(tmp_path / "d")],
+                     ["sweep", str(ci_cube_file), str(cfg), str(tmp_path / "s.csv"),
+                      "--trials", "1"]):
+            capsys.readouterr()
+            assert main(argv) == EXIT_CONFIG, (mask, argv[0])
+            assert capsys.readouterr().err == "error: seed must be >= 0, got -3\n"
+    assert reads == [] and not list(tmp_path.glob("[ds].*"))
+
+
 def test_exit_code_config_errors(small_run, tmp_path):
     cfg, cube_path = small_run
     broken = tmp_path / "broken.cfg"
@@ -709,9 +824,9 @@ def test_analytic_velocity_out_of_float_range_exits_config(
     assert not list(tmp_path.glob("v.*"))
     excitation = parse_scenario(SMALL_CFG).excitation
     for speed in (math.inf, math.nan, 0.0):
-        with pytest.raises(ValueError, match="group_velocity"):
-            DetectionConfig(excitation=excitation, probes=None, group_velocity=speed,
-                            window_len=11, rank=3, energy_ratio=0.25, threshold=0.5)
+        with pytest.raises(ValueError, match="velocity"):
+            DetectionConfig(excitation=excitation, velocity=speed,
+                            window_len=11, rank=3, ratio=0.25, theta=0.5)
 
 
 def test_overflowing_bending_stiffness_is_named(ci_cube_file, tmp_path, capsys):

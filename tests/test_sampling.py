@@ -214,7 +214,7 @@ FAR_CORNER = GridPoint(128, 128)
 def test_metrics_perfect_detection():
     truth = GroundTruth(frozenset({(1, 3), (4, 4), (5, 1)}))
     m = detection_metrics(truth.regions, truth, PART8, NEAR_ORIGIN)
-    assert m.as_tuple() == (3, 0, 3, 0, 0)
+    assert m == (3, 0, 3, 0, 0)
 
 
 def test_metrics_diagonal_neighbor():
@@ -222,13 +222,13 @@ def test_metrics_diagonal_neighbor():
     m = detection_metrics({(6, 6)}, truth, PART8, NEAR_ORIGIN)
     # missed exactly, but the anomaly counts as regionally discovered and
     # the flag is not a regional false alarm
-    assert m.as_tuple() == (0, 1, 1, 0, 0)
+    assert m == (0, 1, 1, 0, 0)
 
 
 def test_metrics_origin_false_alarm():
     truth = GroundTruth(frozenset({(5, 5)}))
     m = detection_metrics({(1, 1)}, truth, PART8, NEAR_ORIGIN)
-    assert m.as_tuple() == (0, 1, 0, 1, 1)
+    assert m == (0, 1, 0, 1, 1)
     # same flag scored against a source at the opposite corner
     m2 = detection_metrics({(1, 1)}, truth, PART8, FAR_CORNER)
     assert m2.origin_false == 0
@@ -240,7 +240,7 @@ def test_metrics_origin_false_alarm():
 def test_metrics_true_flag_never_origin_false():
     truth = GroundTruth(frozenset({(1, 1)}))
     m = detection_metrics({(1, 1)}, truth, PART8, NEAR_ORIGIN)
-    assert m.as_tuple() == (1, 0, 1, 0, 0)
+    assert m == (1, 0, 1, 0, 0)
 
 
 def test_origin_block_geometry():
@@ -265,10 +265,10 @@ def test_metrics_count_identities(rng):
         truth = GroundTruth(frozenset(all_regions[i] for i in truth_pick))
         flagged = {all_regions[i] for i in flag_pick}
         m = detection_metrics(flagged, truth, PART8, NEAR_ORIGIN)
-        assert m.correct_discoveries + m.false_discoveries == len(flagged)
-        assert 0 <= m.regionally_discovered <= len(truth.regions)
-        assert m.regional_false <= m.false_discoveries
-        assert m.origin_false <= m.false_discoveries
+        assert m.correct + m.false == len(flagged)
+        assert 0 <= m.regional_correct <= len(truth.regions)
+        assert m.regional_false <= m.false
+        assert m.origin_false <= m.false
 
 
 def test_regional_discovery_monotone_in_flags(rng):
@@ -279,8 +279,8 @@ def test_regional_discovery_monotone_in_flags(rng):
     for i in order[:20]:
         flagged.add(region_ids(PART8)[int(i)])
         m = detection_metrics(flagged, truth, PART8, NEAR_ORIGIN)
-        assert m.regionally_discovered >= last
-        last = m.regionally_discovered
+        assert m.regional_correct >= last
+        last = m.regional_correct
 
 
 def test_metrics_validation():
@@ -315,7 +315,7 @@ def test_sweep_full_ratio_matches_unmasked(ci_bench1):
     assert row.nz == 1.0 and row.trials == 3 and row.seed == 5
     assert (row.correct, row.false, row.regional_correct,
             row.regional_false, row.origin_false) == tuple(
-        float(v) for v in expect.as_tuple()
+        float(v) for v in expect
     )
     # full sampling leaves nothing to vary across trials
     assert row.regional_correct_se == 0.0
@@ -483,7 +483,22 @@ def _row(nz, c, f, rc, rf, of, trials, seed):
 
 def test_metrics_tuple_round_trip():
     m = DetectionMetrics(3, 1, 3, 0, 1)
-    assert m.as_tuple() == (3, 1, 3, 0, 1)
+    assert tuple(m) == (3, 1, 3, 0, 1)
+    assert m._asdict() == dict(correct=3, false=1, regional_correct=3,
+                               regional_false=0, origin_false=1)
+
+
+def test_score_names_have_one_home():
+    # the five scores are named once, by DetectionMetrics: the sweep row
+    # carries them in its order, and the CSV header reads them from it
+    from dataclasses import fields
+
+    from wavesaliency.sampling import SweepRow
+
+    assert SWEEP_CSV_HEADER == ["nz", *DetectionMetrics._fields, "trials", "seed"]
+    names = [f.name for f in fields(SweepRow)]
+    assert tuple(names[1:6]) == DetectionMetrics._fields
+    assert names[0] == "nz" and names[6:] == ["trials", "seed", "regional_correct_se"]
 
 
 def test_bench1_sweeps_match_the_eigh_reference(bench1, monkeypatch):

@@ -290,7 +290,6 @@ def test_divergence_detection_beyond_stability_limit():
     with pytest.raises(DivergenceError) as info:
         simulate(ALUMINUM, [], BURST, 33, 33, 4000, 1.05)
     # the step the padded-copy stepper reported for this run
-    assert info.value.step == 51
     assert "diverged at step 51 " in str(info.value)
 
 
@@ -302,7 +301,7 @@ def test_nan_initial_state_diverges_at_step_one():
     for blow_up in (math.inf, 1.0, 0.0):
         with pytest.raises(DivergenceError) as info:
             leapfrog(op, np.zeros((n, n)), seeded, dt, 10, blow_up=blow_up)
-        assert info.value.step == 1
+        assert "diverged at step 1 " in str(info.value)
         assert "(|w| reached nan)" in str(info.value)
 
 

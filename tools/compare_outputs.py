@@ -9,7 +9,9 @@ such as the ``src`` of two checkouts.  On each of the five bundled plates,
 each tree runs, with its own copy of the plate's config:
 
 * ``simulate`` (the cube and its ``.meta`` sidecar);
-* ``detect`` (CSV, PGMs, flags, manifest and the ``--dump-windows`` cubes);
+* ``detect`` (CSV, PGMs, flags, manifest and the ``--dump-windows`` cubes),
+  and ``detect`` again with all four overrides given as text (``--rank
+  6.0 --tw 9.0 --ratio 0.3 --theta 0.6``);
 * ``spectrum`` (CSV and PGM);
 * ``sweep`` with random shared masks, random per-region masks, and the
   double cross at strides 1 and 2, each over ``--trials`` trials.
@@ -47,6 +49,9 @@ def commands(plate: str, trials: int) -> dict[str, list[str]]:
         "simulate": ["simulate", cfg, cube],
         "detect": ["detect", cube, cfg, f"{plate}.detect",
                    "--dump-windows", f"{plate}.windows"],
+        "detect_overrides": ["detect", cube, cfg, f"{plate}.detect_overrides",
+                             "--rank", "6.0", "--tw", "9.0",
+                             "--ratio", "0.3", "--theta", "0.6"],
         "spectrum": ["spectrum", cube, f"{plate}.spectrum"],
         "sweep_random": sweep("random"),
         "sweep_per_region": sweep("per_region", "--sharing", "per_region"),
