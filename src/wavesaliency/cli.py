@@ -184,7 +184,7 @@ def _cmd_detect(args) -> int:
     echo = scenario_echo(scenario)
     manifest = {
         "group_velocity": repr(result.group_velocity),
-        "velocity_source": scenario.probes.mode,
+        "velocity_source": echo["probes.mode"],
         "rank": echo["detection.rank"],
         "window_len": echo["detection.window_len"],
         "energy_ratio": echo["detection.ratio"],
@@ -199,7 +199,7 @@ def _cmd_detect(args) -> int:
     }
     write_meta(f"{args.prefix}.manifest", manifest)
     if args.dump_windows:
-        count = _dump_window_cubes(result.window_set, cube.dx, args.dump_windows)
+        count = _dump_window_cubes(result.window_set, cube, args.dump_windows)
         print(f"dumped {count} region window(s)")
     print(f"group velocity: {result.group_velocity:.1f} m/s "
           f"({scenario.probes.mode}); rank {scenario.detection.rank}")
@@ -208,7 +208,7 @@ def _cmd_detect(args) -> int:
     return EXIT_OK
 
 
-def _dump_window_cubes(window_set, dx: float, directory) -> int:
+def _dump_window_cubes(window_set, cube, directory) -> int:
     """One WVC1 mini-cube per active region; returns the file count."""
     from pathlib import Path
 
@@ -221,7 +221,7 @@ def _dump_window_cubes(window_set, dx: float, directory) -> int:
     for j, (a, b) in enumerate(ids):
         block = window_set.windows[:, :, j]
         mini = DataCube(
-            part.p1, part.p2, window_set.window_len, dx, window_set.dt,
+            part.p1, part.p2, window_set.window_len, cube.dx, cube.dt,
             block.reshape(window_set.window_len, part.p2, part.p1).copy(),
         )
         write_cube(mini, out / f"region_{a:02d}_{b:02d}.wvc")

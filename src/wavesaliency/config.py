@@ -64,8 +64,8 @@ Every key, with its default; a key marked required shows an example::
     mode = pair                  # or analytic: the closed-form group velocity
     first_l = 77                 # all four or none; none puts the pair at
     first_m = 1                  # nodes (0.3 (n1 - 1), 1) and (0.7 (n1 - 1), 1),
-    second_l = 179               # as here for n1 = 257
-    second_m = 1
+    second_l = 179               # as here for n1 = 257; in either mode the pair
+    second_m = 1                 # is two distinct nodes on the grid
 """
 
 from __future__ import annotations
@@ -142,12 +142,19 @@ class DetectionSettings:
     mask: MaskSettings = field(default_factory=MaskSettings)
 
     def __post_init__(self):
+        # Each number field holds its annotation's type; a bool is neither.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = {"int": int, "float": (int, float)}.get(f.type)
+            if kind and (isinstance(value, bool) or not isinstance(value, kind)):
+                noun = "an integer" if f.type == "int" else "a number"
+                raise ValueError(f"{f.name} must be {noun}, got {value!r}")
         if self.window_len < 1:
             raise ValueError(f"window_len must be >= 1, got {self.window_len}")
         for name in ("ratio", "theta"):
             if not 0.0 < getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1], got {getattr(self, name)}")
-        if not isinstance(self.rank, int) or self.rank < 1:
+        if self.rank < 1:
             raise ValueError(f"rank must be an integer >= 1, got {self.rank!r}")
 
 
@@ -155,8 +162,8 @@ class DetectionSettings:
 class ProbeSettings:
     """Where the group velocity comes from: a probe pair or plate theory."""
 
-    mode: str = "pair"            # pair | analytic
-    pair: ProbePair | None = None  # None in pair mode = boundary defaults
+    pair: ProbePair     # the file's pair or the defaults, in either mode
+    mode: str = "pair"  # pair | analytic
 
     def __post_init__(self):
         if self.mode not in ("pair", "analytic"):
@@ -202,13 +209,13 @@ class ScenarioConfig:
                 f"rank {self.detection.rank} exceeds the {rows} node(s) "
                 f"the mask keeps per region"
             )
-        # The velocity source: a pair of distinct probes, or in analytic mode a
-        # finite group velocity from the material and the carrier frequency.
+        # In analytic mode, a finite group velocity from the material and the
+        # carrier frequency; in either mode, the probes on the grid.
         try:
             self.detection_config()
-            pair = self.probe_pair()
         except (ArithmeticError, ValueError) as exc:
             raise ConfigError(f"no usable velocity source: {exc}") from None
+        pair = self.probes.pair
         for what, point in (("excitation source", self.excitation.source),
                             ("probe", pair.first), ("probe", pair.second)):
             if not (0 <= point.l < self.grid.n1 and 0 <= point.m < self.grid.n2):
@@ -220,23 +227,13 @@ class ScenarioConfig:
             self.detection.regions_x, self.detection.regions_y,
         )
 
-    def probe_pair(self) -> ProbePair:
-        """The configured pair, or the boundary defaults at 0.3L / 0.7L."""
-        if self.probes.pair is not None:
-            return self.probes.pair
-        lo, hi = DEFAULT_PROBE_FRACTIONS
-        return ProbePair(
-            GridPoint(round(lo * (self.grid.n1 - 1)), 1),
-            GridPoint(round(hi * (self.grid.n1 - 1)), 1),
-        )
-
     def detection_config(self) -> DetectionConfig:
         if self.probes.mode == "analytic":
             velocity = analytic_group_velocity(
                 self.material, self.excitation.carrier_frequency
             )
         else:
-            velocity = self.probe_pair()
+            velocity = self.probes.pair
         d = self.detection
         return DetectionConfig(
             self.excitation, velocity, d.window_len, d.rank, d.ratio, d.theta
@@ -464,15 +461,15 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
     b = named.get("probes", _Block("probes"))
     mode = b.get("mode", str, ProbeSettings.mode)
-    # Coordinates may stay in the file while mode = analytic; they are
-    # parsed (so typos still surface) but not used.
-    pair = None
+    # Coordinates may stay in the file while mode = analytic; they are parsed
+    # and checked (so typos still surface) but not used.  Absent, they default.
     if any(k in b.entries for k in ("first_l", "first_m", "second_l", "second_m")):
-        pair = b.make(
-            ProbePair,
-            first=GridPoint(b.get("first_l", _parse_int), b.get("first_m", _parse_int)),
-            second=GridPoint(b.get("second_l", _parse_int), b.get("second_m", _parse_int)),
-        )
+        first = GridPoint(b.get("first_l", _parse_int), b.get("first_m", _parse_int))
+        second = GridPoint(b.get("second_l", _parse_int), b.get("second_m", _parse_int))
+    else:
+        first, second = (GridPoint(round(f * (grid.n1 - 1)), 1)
+                         for f in DEFAULT_PROBE_FRACTIONS)
+    pair = b.make(ProbePair, first=first, second=second)
     probes = b.make(ProbeSettings, mode=mode, pair=pair)
 
     b = named[""]
@@ -528,7 +525,7 @@ def scenario_echo(scenario: ScenarioConfig) -> dict[str, str]:
         "seed": str(scenario.seed),
     }
     if scenario.probes.mode == "pair":
-        pair = scenario.probe_pair()
+        pair = scenario.probes.pair
         out["probes.pair"] = (
             f"{pair.first.l},{pair.first.m};{pair.second.l},{pair.second.m}"
         )

@@ -37,6 +37,8 @@ class DetectionConfig:
     theta: float
 
     def __post_init__(self):
+        if isinstance(self.velocity, bool):
+            raise ValueError(f"velocity {self.velocity} is a bool, not a speed")
         if not isinstance(self.velocity, ProbePair) and not 0 < self.velocity < float("inf"):
             raise ValueError(f"velocity {self.velocity} is not positive and finite")
 

@@ -12,9 +12,9 @@ one column per active region.  The burst envelope used to time probe
 arrivals is the magnitude of the FFT analytic signal (``_analytic_envelope``).
 
 Region (a, b) covers nodes l in [a*(p1-1), a*(p1-1) + p1 - 1] and likewise
-for m; regions are enumerated x-fastest, j = a + regions_x * b, and the
-active ones keep that order.  Inside a region, nodes are flattened
-x-fastest as well: i = local_l + p1 * local_m.
+for m; only ``extract_windows`` computes origins and centroids.  Regions are
+enumerated x-fastest, j = a + regions_x * b, and the active ones keep that
+order; inside a region, node i = local_l + p1 * local_m (x-fastest too).
 """
 
 from __future__ import annotations
@@ -80,24 +80,8 @@ class Partition:
         return (self.n2 - 1) // self.regions_y + 1
 
     @property
-    def region_count(self) -> int:
-        return self.regions_x * self.regions_y
-
-    @property
     def nodes_per_region(self) -> int:
         return self.p1 * self.p2
-
-    def node_origin(self, a: int, b: int) -> tuple[int, int]:
-        """Lowest (l, m) node of region (a, b)."""
-        if not (0 <= a < self.regions_x and 0 <= b < self.regions_y):
-            raise IndexError(f"region ({a}, {b}) outside partition")
-        return (a * (self.p1 - 1), b * (self.p2 - 1))
-
-    def centroid(self, a: int, b: int, dx: float) -> tuple[float, float]:
-        """Physical (x, y) center of region (a, b) in meters."""
-        l0, m0 = self.node_origin(a, b)
-        return ((l0 + (self.p1 - 1) / 2.0) * dx,
-                (m0 + (self.p2 - 1) / 2.0) * dx)
 
     def region_of_cell(self, cell_l: int, cell_m: int) -> tuple[int, int]:
         """Region containing a material cell (cells never straddle regions)."""
@@ -251,7 +235,6 @@ class RegionalWindowSet:
     partition: Partition
     window_len: int
     group_velocity: float
-    dt: float
     arrival_index: np.ndarray = field(repr=False)
     active: np.ndarray = field(repr=False)
     windows: np.ndarray = field(repr=False)
@@ -292,15 +275,15 @@ def extract_windows(
     inside the record and its windowed RMS exceeds ``SILENCE_FLOOR`` times
     the cube's peak amplitude; only active regions get a column.
 
-    All regions are handled at once: the starts are one array in column
-    order, the centroid distances computed with the float operations of
-    ``Partition.centroid`` and timed by ``arrival_time`` (``np.rint`` rounds
-    half to even, as ``round`` does).  The cube is read through one
-    read-only strided view in which every region's node block is an
-    indexable axis pair, so each window offset is one gather of the regions
-    whose window fits the record; each of their RMS values is read from that
-    stack and compared with ``cube.peak``, and silent columns, if any, are
-    dropped.
+    All regions are handled at once: every origin and centroid (the module
+    docstring's layout) comes from one vectorized pass, the distances are
+    timed by ``arrival_time``, and the starts are one array in column order
+    (``np.rint`` rounds half to even, as ``round`` does).  The cube is read
+    through one read-only strided view in which every region's node block
+    is an indexable axis pair, so each window offset is one gather of the
+    regions whose window fits the record; each of their RMS values is read
+    from that stack and compared with ``cube.peak``, and silent columns, if
+    any, are dropped.
 
     Raises:
         PartitionError: partition grid does not match the cube.
@@ -372,7 +355,6 @@ def extract_windows(
         partition=partition,
         window_len=window_len,
         group_velocity=group_velocity,
-        dt=cube.dt,
         arrival_index=np.ascontiguousarray(start.reshape(r2, r1).T),
         active=np.ascontiguousarray(active.reshape(r2, r1).T),
         windows=windows,

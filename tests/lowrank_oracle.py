@@ -5,7 +5,9 @@ stack and fits each offset's rank-r model through the smaller Gram matrix.
 This module keeps the plain route it replaced: assemble one snapshot matrix
 at a time, split it with a full SVD, and take the column energies of the
 remainder.  ``oracle_counts`` runs that route over a whole window set, so a
-test can compare the detector's counts with it offset by offset.
+test can compare the detector's counts with it offset by offset.  It writes
+out the salient-column rule itself (``_salient``), so a fault in the
+package's ``salient_columns`` cannot pass a comparison with the oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from wavesaliency.saliency import salient_columns
 from wavesaliency.windowing import RegionalWindowSet
 
 # Relative floor below which residual energies are float dust, as in the
@@ -140,6 +141,14 @@ def outlier_energies(split: LowRankSplit) -> np.ndarray:
     return np.sum(c * c, axis=0)
 
 
+def _salient(energies: np.ndarray, ratio: float) -> np.ndarray:
+    """Columns whose energy strictly exceeds ratio * max; none if all are 0."""
+    peak = float(np.max(energies))
+    if peak <= 0.0:
+        return np.zeros(energies.shape, dtype=bool)
+    return energies > ratio * peak
+
+
 def oracle_counts(window_set: RegionalWindowSet, rank: int, ratio: float, mask=None):
     """Salient-offset count per active region, one full SVD per offset.
 
@@ -155,5 +164,5 @@ def oracle_counts(window_set: RegionalWindowSet, rank: int, ratio: float, mask=N
         snap = assemble_snapshot_matrix(window_set, tau, rows)
         energies = outlier_energies(truncated_low_rank(snap.values, rank))
         if float(np.max(energies)) > dust:
-            counts += salient_columns(energies, ratio)
+            counts += _salient(energies, ratio)
     return counts, spectrum

@@ -129,7 +129,7 @@ def test_probe_estimated_speed_tracks_dispersion(pristine):
     analytic = analytic_group_velocity(
         scenario.material, scenario.excitation.carrier_frequency
     )
-    measured = estimate_group_velocity(cube, scenario.probe_pair())
+    measured = estimate_group_velocity(cube, scenario.probes.pair)
     err = (measured - analytic) / analytic
     print(f"full grid: measured {measured:.1f} vs analytic {analytic:.1f} "
           f"m/s ({err:+.2%})")
@@ -143,7 +143,7 @@ def test_probe_estimated_speed_tracks_dispersion(pristine):
     small_analytic = analytic_group_velocity(
         small.material, small.excitation.carrier_frequency
     )
-    small_measured = estimate_group_velocity(small_cube, small.probe_pair())
+    small_measured = estimate_group_velocity(small_cube, small.probes.pair)
     elapsed = time.perf_counter() - start
     small_err = (small_measured - small_analytic) / small_analytic
     print(f"small grid: measured {small_measured:.1f} vs analytic "

@@ -1,0 +1,66 @@
+"""The output comparison tool: its file diff and the runs it makes.
+
+``tools/compare_outputs.py`` is a script, not a package module, so it is
+loaded from its path.  Running it end to end simulates every bundled plate
+twice and is left to the tool itself.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import wavesaliency
+from wavesaliency.config import bundled_config_path, parse_scenario
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
+SRC = Path(wavesaliency.__file__).resolve().parents[1]
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("compare_outputs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+compare_outputs = _load_tool()
+
+
+def test_differences_names_one_sided_and_differing_files(tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    for root in (old, new):
+        (root / "sub").mkdir(parents=True)
+        (root / "same.csv").write_bytes(b"1,2\n")
+    (old / "sub" / "gone.pgm").write_bytes(b"P2\n")
+    (new / "added.manifest").write_bytes(b"rank = 3\n")
+    (old / "sub" / "changed.wvc").write_bytes(b"\x00\x01")
+    (new / "sub" / "changed.wvc").write_bytes(b"\x00\x02")
+    count, lines = compare_outputs.differences(old, new)
+    assert count == 4
+    assert lines == [
+        "only in old: sub/gone.pgm",
+        "only in new: added.manifest",
+        "differs: sub/changed.wvc",
+    ]
+    assert compare_outputs.differences(old, old) == (3, [])
+
+
+def test_commands_include_the_analytic_run():
+    analytic = compare_outputs.ANALYTIC
+    cfg, cube = f"{analytic}.cfg", f"{analytic}.wvc"
+    assert compare_outputs.commands(analytic, 3) == {
+        "simulate": ["simulate", cfg, cube],
+        "detect": ["detect", cube, cfg, f"{analytic}.detect",
+                   "--dump-windows", f"{analytic}.windows"],
+    }
+    for plate in compare_outputs.PLATES:
+        runs = compare_outputs.commands(plate, 3)
+        assert len(runs) == 8 and runs["sweep_random"][-2:] == ["--trials", "3"]
+    # the analytic copy is the tree's own bench1_ci.cfg with one line changed
+    text = compare_outputs.plate_config(SRC, analytic)
+    original = bundled_config_path("bench1_ci").read_text()
+    assert text.count("\n") == original.count("\n")
+    changed = [(a, b) for a, b in zip(original.split("\n"), text.split("\n"))
+               if a != b]
+    assert changed == [("mode = pair", "mode = analytic")]
+    assert parse_scenario(text).probes.mode == "analytic"
+    assert compare_outputs.plate_config(SRC, "bench1_ci") == original

@@ -168,10 +168,10 @@ rank = 14
     assert s.detection.mask.kind == "full"
     assert s.mask() is None
     assert s.defects == ()
-    # default probes: first interior row at 0.3L and 0.7L
-    pair = s.probe_pair()
-    assert pair.first == GridPoint(38, 1)
-    assert pair.second == GridPoint(90, 1)
+    # default probes, stored as the file is read: first interior row at
+    # 0.3L and 0.7L
+    assert s.probes.mode == "pair"
+    assert s.probes.pair == ProbePair(GridPoint(38, 1), GridPoint(90, 1))
 
 
 def test_parse_errors_carry_line_numbers():
@@ -359,6 +359,25 @@ def test_detection_config_holds_one_velocity():
     assert replace(base, velocity=5000.0).velocity == 5000.0
 
 
+def test_python_overrides_hold_their_field_types():
+    # a value from Python is not parsed: an int field takes an int, a float
+    # field an int or a float, and neither takes a bool
+    s = parse_scenario(SMALL_CFG)
+    for key, value, kind in (("window_len", 9.5, "an integer"),
+                             ("rank", True, "an integer"),
+                             ("ratio", True, "a number")):
+        with pytest.raises(ConfigError, match=re.escape(
+            f"bad detection setting: {key} must be {kind}, got {value!r}"
+        )):
+            with_overrides(s, **{key: value})
+    with pytest.raises(ValueError, match="^velocity True is a bool, not a speed$"):
+        replace(s.detection_config(), velocity=True)
+    # an int stands for a float, and the check leaves every value as given
+    given = with_overrides(s, rank=2, window_len=9, ratio=1, theta=0.6)
+    assert (given.detection.rank, given.detection.window_len) == (2, 9)
+    assert (given.detection.ratio, given.detection.theta) == (1, 0.6)
+
+
 # Every key a scenario file can hold, once each (plus a line-segment defect).
 EVERY_KEY_CFG = SMALL_CFG.replace(
     "record_every = 4\n", "record_every = 4\nspace_order = 4\n"
@@ -459,13 +478,16 @@ def test_analytic_mode_supplies_velocity():
     s = parse_scenario(SMALL_CFG)
     cfg = s.detection_config()
     assert not isinstance(cfg.velocity, ProbePair)
+    # the default pair is stored in analytic mode too (0.3 and 0.7 of 64)
+    assert s.probes.pair == ProbePair(GridPoint(19, 1), GridPoint(45, 1))
     assert cfg.velocity == pytest.approx(
         analytic_group_velocity(s.material, 250e3)
     )
     paired = parse_scenario(
         SMALL_CFG + "first_l = 10\nfirst_m = 1\nsecond_l = 50\nsecond_m = 1\n"
     )
-    assert paired.probes.pair is not None  # coordinates parsed even if unused
+    # coordinates parsed even if unused
+    assert paired.probes.pair == ProbePair(GridPoint(10, 1), GridPoint(50, 1))
     explicit = parse_scenario(
         _edit(
             SMALL_CFG + "first_l = 10\nfirst_m = 1\nsecond_l = 50\nsecond_m = 1\n",
@@ -487,6 +509,21 @@ def test_off_grid_placements_rejected():
                 mode="pair",
             )
         )
+
+
+def test_analytic_mode_still_checks_its_probes(tmp_path, capsys):
+    # mode = analytic leaves the pair unused, but off-grid or equal
+    # coordinates are still a configuration error
+    probes = "first_l = {}\nfirst_m = {}\nsecond_l = {}\nsecond_m = {}\n"
+    for coords, message in (((10, 1, 99, 1), "off the grid"),
+                            ((10, 1, 10, 1), "probes must be distinct nodes")):
+        cfg = tmp_path / "probes.cfg"
+        cfg.write_text(SMALL_CFG + probes.format(*coords))
+        with pytest.raises(ConfigError, match=message):
+            load_scenario(cfg)
+        assert main(["simulate", str(cfg), str(tmp_path / "p.wvc")]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "p.wvc").exists()
 
 
 def test_bundled_configs_parse():

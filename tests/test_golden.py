@@ -83,7 +83,7 @@ def fingerprint(scenario, cube) -> dict[str, str | float]:
 
 
 def cube_summary(scenario, cube) -> dict[str, list[float] | float]:
-    pair = scenario.probe_pair()
+    pair = scenario.probes.pair
     return {
         "sample_l2": np.linalg.norm(cube.values, axis=(1, 2)).tolist(),
         "probe_first": cube.history(pair.first).tolist(),

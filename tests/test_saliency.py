@@ -69,7 +69,7 @@ def test_snapshot_shape_main_grid():
     # region: one 289-row column per region
     ws = _ramp_windows(n=257, regions=16, t_len=120)
     part = ws.partition
-    assert part.p1 == 17 and part.region_count == 256
+    assert part.p1 == 17 and part.regions_x * part.regions_y == 256
     assert ws.active_count == 256
     snap = assemble_snapshot_matrix(ws, 0)
     assert snap.values.shape == (289, 256)
@@ -287,7 +287,6 @@ def _synthetic_window_set(spiked_taus, spiked_region=(1, 1), window_len=11):
         partition=part,
         window_len=window_len,
         group_velocity=5000.0,
-        dt=1e-6,
         arrival_index=np.zeros((2, 2), dtype=np.int64),
         active=np.ones((2, 2), dtype=bool),
         windows=windows,
@@ -324,7 +323,6 @@ def test_map_marks_inactive_with_nan():
         partition=ws.partition,
         window_len=ws.window_len,
         group_velocity=ws.group_velocity,
-        dt=ws.dt,
         arrival_index=np.array(ws.arrival_index),
         active=active,
         windows=ws.windows[:, :, [0, 1, 3]],  # region (0, 1) is column 2
@@ -385,7 +383,7 @@ def _low_rank_plus_outlier_set(rng, n, regions, window_len=11, exact_taus=()):
     exact rank 3.
     """
     part = Partition(n, n, regions, regions)
-    nodes, count = part.nodes_per_region, part.region_count
+    nodes, count = part.nodes_per_region, regions * regions
     windows = np.empty((window_len, nodes, count))
     for tau in range(window_len):
         exact = tau in exact_taus
@@ -400,7 +398,6 @@ def _low_rank_plus_outlier_set(rng, n, regions, window_len=11, exact_taus=()):
         partition=part,
         window_len=window_len,
         group_velocity=5000.0,
-        dt=1e-6,
         arrival_index=np.zeros((regions, regions), dtype=np.int64),
         active=np.ones((regions, regions), dtype=bool),
         windows=windows,
@@ -553,7 +550,6 @@ def _spectrum_set(rng, shape, spectrum, window_len=3):
         partition=Partition(n, n, regions, regions),
         window_len=window_len,
         group_velocity=5000.0,
-        dt=1e-6,
         arrival_index=np.zeros((regions, regions), dtype=np.int64),
         active=np.ones((regions, regions), dtype=bool),
         windows=windows,
@@ -882,7 +878,6 @@ def test_map_scale_invariance():
         partition=ws.partition,
         window_len=ws.window_len,
         group_velocity=ws.group_velocity,
-        dt=ws.dt,
         arrival_index=np.array(ws.arrival_index),
         active=np.array(ws.active),
         windows=np.array(ws.windows) * 1e6,
@@ -912,7 +907,6 @@ def test_csv_marks_inactive_na():
         partition=ws.partition,
         window_len=ws.window_len,
         group_velocity=ws.group_velocity,
-        dt=ws.dt,
         arrival_index=np.array(ws.arrival_index),
         active=active,
         windows=ws.windows[:, :, [0, 1, 3]],  # region (0, 1) is column 2

@@ -7,6 +7,9 @@ The envelope's oracle is ``scipy.signal.hilbert``, which the package itself
 does not import.  ``extract_windows``, which gathers all regions at once
 through a strided view of the cube, is checked bit for bit against
 ``_reference_windows``, a per-region loop that slices one window at a time.
+The package computes region origins and centroids only inside
+``extract_windows``; these tests write the layout out themselves
+(``_origin``, ``_centroid``).
 """
 
 import dataclasses
@@ -43,6 +46,17 @@ from conftest import region_ids
 L = 0.25
 
 
+def _origin(part, a, b):
+    """Lowest (l, m) node of region (a, b)."""
+    return a * (part.p1 - 1), b * (part.p2 - 1)
+
+
+def _centroid(part, a, b, dx):
+    """Physical (x, y) center of region (a, b), in the window pass's float ops."""
+    l0, m0 = _origin(part, a, b)
+    return (l0 + (part.p1 - 1) / 2.0) * dx, (m0 + (part.p2 - 1) / 2.0) * dx
+
+
 def test_partition_region_sizes():
     assert Partition(257, 257, 8, 8).p1 == 33
     assert Partition(257, 257, 8, 8).p2 == 33
@@ -50,7 +64,7 @@ def test_partition_region_sizes():
     assert Partition(257, 257, 32, 32).p1 == 9
     part = Partition(257, 129, 8, 4)
     assert (part.p1, part.p2) == (33, 33)
-    assert part.region_count == 32
+    assert part.regions_x * part.regions_y == 32
     assert part.nodes_per_region == 33 * 33
 
 
@@ -69,12 +83,12 @@ def test_partition_tiles_grid_with_shared_edges():
     part = Partition(33, 25, 4, 3)
     cover = np.zeros((part.n2, part.n1), dtype=int)
     for a, b in region_ids(part):
-        l0, m0 = part.node_origin(a, b)
+        l0, m0 = _origin(part, a, b)
         cover[m0:m0 + part.p2, l0:l0 + part.p1] += 1
     assert cover.min() >= 1  # no gaps
     # interior region-boundary lines belong to exactly two regions,
     # their crossings to four, everything else to one
-    assert cover.sum() == part.region_count * part.nodes_per_region
+    assert cover.sum() == len(region_ids(part)) * part.nodes_per_region
     interior_l = [a * (part.p1 - 1) for a in range(1, part.regions_x)]
     interior_m = [b * (part.p2 - 1) for b in range(1, part.regions_y)]
     assert all(cover[12, l] == 2 for l in interior_l)
@@ -84,17 +98,28 @@ def test_partition_tiles_grid_with_shared_edges():
 
 
 def test_region_centroid_examples():
-    part = Partition(257, 257, 8, 8)
-    dx = L / 256
-    assert part.centroid(0, 0, dx) == pytest.approx((L / 16, L / 16))
-    assert part.centroid(7, 7, dx) == pytest.approx(
-        (L - L / 16, L - L / 16)
-    )
-    # diagonal mirror symmetry
-    x, y = part.centroid(2, 5, dx)
-    assert part.centroid(5, 2, dx) == pytest.approx((y, x))
-    with pytest.raises(IndexError):
-        part.centroid(8, 0, dx)
+    # the window pass times region (0, 0) from its centroid (L/8, L/8) and
+    # region (3, 3) from (L - L/8, L - L/8); the corner source is clamped to
+    # node (1, 1), and dt = 1e-7 s resolves a tenth of a node's transit
+    cube = _ramp_cube(t_len=700, dt=1e-7)
+    part = Partition(33, 33, 4, 4)
+    exc = ExcitationSpec(5e5, 5, 1.0, GridPoint(0, 0))
+    ws = extract_windows(cube, part, 5000.0, exc, window_len=11)
+    for (a, b), c in (((0, 0), L / 8), ((3, 3), L - L / 8)):
+        d = np.hypot(c - cube.dx, c - cube.dx)
+        assert ws.arrival_index[a, b] == round(arrival_time(d, 5000.0, exc) / cube.dt)
+    # diagonal mirror symmetry: mirroring the source transposes the starts;
+    # from source node (5, 20), region (0, 3)'s centroid (4, 28) lies
+    # (-1, 8) nodes away
+    starts = [
+        extract_windows(cube, part, 5000.0,
+                        ExcitationSpec(5e5, 5, 1.0, GridPoint(l, m)), 11).arrival_index
+        for l, m in ((5, 20), (20, 5))
+    ]
+    assert not np.array_equal(starts[0], starts[0].T)
+    assert np.array_equal(starts[1], starts[0].T)
+    d = np.hypot(-cube.dx, 8 * cube.dx)
+    assert starts[0][0, 3] == round(arrival_time(d, 5000.0, exc) / cube.dt)
 
 
 def test_region_of_cell_respects_block_edges():
@@ -224,7 +249,7 @@ def test_window_starts_match_arrival_times():
     sx, sy = src.l * cube.dx, src.m * cube.dx
     assert ws.active.all()
     for a, b in region_ids(part):
-        cx, cy = part.centroid(a, b, cube.dx)
+        cx, cy = _centroid(part, a, b, cube.dx)
         start = int(round(arrival_time(np.hypot(cx - sx, cy - sy), cg, exc) / cube.dt))
         assert ws.arrival_index[a, b] == start
         col = ws.windows[:, :, ws.active_region_ids().index((a, b))]
@@ -272,6 +297,23 @@ def test_equidistant_regions_share_arrival_index():
         assert ws.arrival_index[a, b] == ws.arrival_index[b, a]
 
 
+def test_corner_source_starts_are_mirror_symmetric(ci_pristine):
+    # a corner source on a square plate of square regions: (a, b) and
+    # (b, a) sit at one distance from it, and region (0, 0) opens at the
+    # sample of its closed-form arrival, timed from the clamped node (1, 1)
+    scenario, cube = ci_pristine
+    part = scenario.partition()
+    assert scenario.excitation.source == GridPoint(0, 0)
+    assert (part.n1, part.regions_x) == (part.n2, part.regions_y)
+    ws = build_window_set(cube, part, scenario.detection_config())
+    assert 0 < ws.active_count < part.regions_x * part.regions_y
+    for a, b in ws.active_region_ids():
+        assert ws.arrival_index[a, b] == ws.arrival_index[b, a], (a, b)
+    d = np.sqrt(2.0) * ((part.p1 - 1) / 2.0 - 1) * cube.dx
+    t = d / ws.group_velocity + scenario.excitation.burst_duration / 2.0
+    assert ws.arrival_index[0, 0] == round(t / cube.dt)
+
+
 def test_arrivals_monotone_in_distance():
     cube = _ramp_cube()
     part = Partition(33, 33, 4, 4)
@@ -285,7 +327,7 @@ def test_arrivals_monotone_in_distance():
 def test_silent_region_marked_inactive():
     vals = np.ones((120, 33, 33))
     part = Partition(33, 33, 4, 4)
-    l0, m0 = part.node_origin(2, 1)
+    l0, m0 = _origin(part, 2, 1)
     vals[:, m0:m0 + part.p2, l0:l0 + part.p1] = 0.0
     cube = DataCube(33, 33, 120, L / 32, 1e-6, vals)
     exc = ExcitationSpec(5e5, 5, 1.0, GridPoint(0, 0))
@@ -354,7 +396,7 @@ def test_windows_capture_the_wavefront(ci_pristine):
     hits = 0
     active_ids = ws.active_region_ids()
     for a, b in active_ids:
-        l0, m0 = part.node_origin(a, b)
+        l0, m0 = _origin(part, a, b)
         block = cube.values[:, m0:m0 + part.p2, l0:l0 + part.p1]
         rms = np.sqrt(np.mean(block.reshape(cube.t_len, -1) ** 2, axis=1))
         loudest = int(np.argmax(rms))
@@ -384,7 +426,7 @@ def _reference_windows(cube, partition, group_velocity, excitation, window_len):
 
     for b in range(r2):
         for a in range(r1):
-            cx, cy = partition.centroid(a, b, cube.dx)
+            cx, cy = _centroid(partition, a, b, cube.dx)
             t_c = arrival_time(
                 float(np.hypot(cx - sx, cy - sy)), group_velocity, excitation
             )
@@ -392,7 +434,7 @@ def _reference_windows(cube, partition, group_velocity, excitation, window_len):
             arrival[a, b] = start
             if start < 0 or start + window_len > cube.t_len:
                 continue
-            l0, m0 = partition.node_origin(a, b)
+            l0, m0 = _origin(partition, a, b)
             block = cube.values[start:start + window_len,
                                 m0:m0 + p2, l0:l0 + p1]
             flat = block.reshape(window_len, p1 * p2)
@@ -505,8 +547,8 @@ def test_window_set_holds_one_column_per_active_region(rng):
     part = Partition(33, 33, 4, 4)
     exc = ExcitationSpec(5e5, 5, 1.0, GridPoint(0, 0))
     ws = extract_windows(cube, part, 5000.0, exc, 11)
-    assert ws.active_count < part.region_count
-    for columns in (part.region_count, ws.active_count - 1):
+    assert ws.active_count < part.regions_x * part.regions_y
+    for columns in (part.regions_x * part.regions_y, ws.active_count - 1):
         with pytest.raises(WindowingError, match="one column per active region"):
             dataclasses.replace(ws, windows=np.zeros((11, 81, columns)))
 

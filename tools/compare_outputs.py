@@ -16,6 +16,11 @@ each tree runs, with its own copy of the plate's config:
 * ``sweep`` with random shared masks, random per-region masks, and the
   double cross at strides 1 and 2, each over ``--trials`` trials.
 
+Every bundled plate times its windows from a probe pair, so each tree also
+runs ``simulate`` and ``detect --dump-windows`` on a copy of its own
+``bench1_ci.cfg`` with ``mode = analytic`` (the plate ``bench1_ci_analytic``):
+that is the one run whose ``.meta`` and manifest carry the analytic mode.
+
 Every command runs in its tree's own output directory with relative paths
 and one BLAS thread, and its exit code, stdout and stderr are kept as a
 file beside its outputs.  The two directories are then compared file by
@@ -28,13 +33,27 @@ from __future__ import annotations
 
 import argparse
 import os
-import shutil
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 PLATES = ("bench1", "bench2", "pristine", "bench1_ci", "pristine_ci")
+
+# bench1_ci with the group velocity from plate theory instead of its probes
+ANALYTIC = "bench1_ci_analytic"
+
+
+def plate_config(src: Path, plate: str) -> str:
+    """The config text ``plate`` runs with in the tree at ``src``."""
+    if plate != ANALYTIC:
+        return (src / "wavesaliency" / "configs" / f"{plate}.cfg").read_text()
+    text, count = re.subn(r"^mode = pair$", "mode = analytic",
+                          plate_config(src, "bench1_ci"), flags=re.MULTILINE)
+    if count != 1:
+        raise SystemExit(f"{src}: bench1_ci.cfg has no single 'mode = pair' line")
+    return text
 
 
 def commands(plate: str, trials: int) -> dict[str, list[str]]:
@@ -45,7 +64,7 @@ def commands(plate: str, trials: int) -> dict[str, list[str]]:
         return ["sweep", cube, cfg, f"{plate}.sweep_{form}.csv",
                 "--trials", str(trials), *extra]
 
-    return {
+    runs = {
         "simulate": ["simulate", cfg, cube],
         "detect": ["detect", cube, cfg, f"{plate}.detect",
                    "--dump-windows", f"{plate}.windows"],
@@ -58,15 +77,17 @@ def commands(plate: str, trials: int) -> dict[str, list[str]]:
         "sweep_cross_1": sweep("cross_1", "--pattern", "cross", "--stride", "1"),
         "sweep_cross_2": sweep("cross_2", "--pattern", "cross", "--stride", "2"),
     }
+    if plate == ANALYTIC:
+        return {label: runs[label] for label in ("simulate", "detect")}
+    return runs
 
 
 def run_tree(src: Path, out: Path, trials: int) -> None:
     """Write every plate's CLI outputs of the tree at ``src`` under ``out``."""
     env = {**os.environ, "PYTHONPATH": str(src), "WAVESALIENCY_THREADS": "1"}
     out.mkdir(parents=True)
-    for plate in PLATES:
-        shutil.copyfile(src / "wavesaliency" / "configs" / f"{plate}.cfg",
-                        out / f"{plate}.cfg")
+    for plate in (*PLATES, ANALYTIC):
+        (out / f"{plate}.cfg").write_text(plate_config(src, plate))
         for label, argv in commands(plate, trials).items():
             proc = subprocess.run(
                 [sys.executable, "-m", "wavesaliency.cli", *argv],
