@@ -4,11 +4,12 @@ Exit codes are stable: 0 success, 2 bad configuration (parse failure, a
 missing required key such as the rank, a partition that does not divide
 the grid, a detection setting out of range in the file or on the command
 line, per-region sharing with a mask that is not random, plate
-coefficients or an analytic group velocity out of float range, an empty
-sweep ratio list, a spectrum floor that is not negative, or a spectrum
-compare ratio outside (0, 1]), 3 simulation divergence, 4 windowing
-produced no active region, 5 silent input where a signal is required.
-Any other toolkit error exits 1.
+coefficients, a side length's step gains or an analytic group velocity
+out of float range, an empty sweep ratio list, a spectrum floor that is
+not negative, or a spectrum compare ratio outside (0, 1]), 3 simulation
+divergence, 4 windowing produced no active region, 5 silent input where a
+signal is required.  Any other toolkit error, an I/O error or a record
+too large to allocate exits 1.
 
 Heavy imports happen inside ``main`` so that the ``WAVESALIENCY_THREADS``
 environment variable can pin the BLAS/OpenMP thread pools before numpy is
@@ -128,7 +129,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         return _cmd_spectrum(args)
-    except (WaveSaliencyError, OSError) as exc:
+    except (WaveSaliencyError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(
             (code for types, code in _EXIT_CODES if isinstance(exc, types)),

@@ -7,8 +7,12 @@ diagonals, optionally thinned by a stride anchored at the center node.
 
 By default one pattern is shared by every region (columns of the snapshot
 matrix then live in a common coordinate system, which is what makes a
-shared low-rank subspace meaningful); per-region patterns exist behind the
-``sharing`` flag for fidelity experiments.
+shared low-rank subspace meaningful).  Per-region patterns, behind the
+``sharing`` flag, give each column different nodes, so the snapshot is not
+low rank and the mode measures how detection degrades without that
+premise: on the tau = 0 snapshot of ``bench1`` at ratio 0.5, lambda_14 /
+lambda_0 is 0.20 per region against 0.0015 shared, and the mean regional
+false flags over 20 trials are 92.8 of 205 regions against 1.15.
 """
 
 from __future__ import annotations

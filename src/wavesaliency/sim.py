@@ -21,8 +21,9 @@ symbol that sets its stable time step.
 
 ``simulate`` is two parts behind one call:
 
-* ``PlateOperator`` builds the nodal D and rho_h once and owns three
-  ``PaddedField`` buffers, w_curr, w_prev and the D lap(w) stage.  Each is
+* ``PlateOperator`` averages D and rho_h onto the nodes once and owns
+  three ``PaddedField`` buffers, w_curr, w_prev and the D lap(w) stage,
+  beside the padded coefficients and span-length scratch.  Each buffer is
   ``(n + 4) x (n + 4)``: the nodes inside two ghost layers.  A stage fills
   the odd-image ghosts in place (``2 * edge - mirror``, rows then columns,
   as ``np.pad(..., reflect_type="odd")`` does) and evaluates the stencil on
@@ -419,19 +420,19 @@ class PaddedField:
 class PlateOperator:
     """The discrete plate operator -lap(D lap w) / rho_h on one square grid.
 
-    Builds the nodal stiffness and density once and owns the ghost-padded
-    buffers the time loop steps in: ``w_curr``, ``w_prev`` and ``stage``
-    (D lap w), plus span-length scratch.  Each stage fills the odd-image
-    ghosts of its input in place and then evaluates the integer-weight
-    stencil sum on the contiguous spans of ``PaddedField``; ``scale`` is
-    the divisor that turns that sum into the Laplacian, kept in ``_d``
-    (D / scale) and in the gain ``leapfrog`` fills.  Values computed in the
-    ghost columns inside a span are thrown away: the next ghost fill
-    overwrites them before anything reads them.  Every node sees the same
-    operations, in the same order, as the same formula on
-    ``np.pad(f, 2, mode="reflect", reflect_type="odd")``, so results are
-    bit-identical to it for n >= 3.  Order 2 reads one ghost layer of the
-    same buffers.
+    Holds only what ``leapfrog`` reads: the ghost-padded buffers the time
+    loop steps in, ``w_curr``, ``w_prev`` and ``stage`` (D lap w), the
+    nodal stiffness and density padded alike, and span-length scratch.
+    Each stage fills the odd-image ghosts of its input in place and then
+    evaluates the integer-weight stencil sum on the contiguous spans of
+    ``PaddedField``; ``scale`` is the divisor that turns that sum into the
+    Laplacian, kept in ``_d`` (D / scale) and in the gain ``leapfrog``
+    fills.  Values computed in the ghost columns inside a span are thrown
+    away: the next ghost fill overwrites them before anything reads them.
+    Every node sees the same operations, in the same order, as the same
+    formula on ``np.pad(f, 2, mode="reflect", reflect_type="odd")``, so
+    results are bit-identical to it for n >= 3.  Order 2 reads one ghost
+    layer of the same buffers.
     """
 
     def __init__(
@@ -450,16 +451,17 @@ class PlateOperator:
         self.scale = denominator * dx * dx
         # Layout is [m, l] (y index first) so that node views are already
         # in cube payload order.
-        self.d_node = _cells_to_nodes(material_map.bending_stiffness.T, harmonic=True)
-        self.rho_node = _cells_to_nodes(material_map.areal_density.T, harmonic=False)
+        d = _cells_to_nodes(material_map.bending_stiffness.T, harmonic=True)
+        rho_h = _cells_to_nodes(material_map.areal_density.T, harmonic=False)
 
         (self.w_curr, self.w_prev, self.stage,
-         self._rise, self._d, self._rho) = (PaddedField(n) for _ in range(6))
+         self._d, self._rho) = (PaddedField(n) for _ in range(5))
         # Ghost-column entries of the coefficients only meet thrown-away
         # values; edge copies keep that arithmetic finite.
-        self._d.full[...] = np.pad(self.d_node, 2, mode="edge") / self.scale
-        self._rho.full[...] = np.pad(self.rho_node, 2, mode="edge")
-        self._gain, self._tmp = (np.empty_like(self.stage.span) for _ in range(2))
+        self._d.full[...] = np.pad(d, 2, mode="edge") / self.scale
+        self._rho.full[...] = np.pad(rho_h, 2, mode="edge")
+        self._gain, self._tmp, self._rise = (
+            np.empty_like(self.stage.span) for _ in range(3))
 
     def stencil_sum(self, src: PaddedField, out: np.ndarray) -> None:
         """Fill ``src``'s ghosts; write ``scale`` times its Laplacian over its span to ``out``."""
@@ -474,12 +476,6 @@ class PlateOperator:
                 np.subtract(out, at[far], out=out)
         np.multiply(at[0], self._centre, out=tmp)
         np.subtract(out, tmp, out=out)
-
-    def laplacian(self, field: np.ndarray) -> np.ndarray:
-        """Laplacian of one ``(n, n)`` field under odd-image ghosts, as a new array."""
-        self.stage.nodes[...] = field
-        self.stencil_sum(self.stage, self._rise.span)
-        return self._rise.nodes / self.scale
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +526,8 @@ def leapfrog(
     if forcing is not None:
         source.validate(op.n, op.n)
         src_idx = source.m * (op.n + 4) + source.l  # node (l, m) in a span
-        src_gain = dt2 / (op.rho_node[source.m, source.l] * op.dx * op.dx)
-    gain, tmp, stage, rise = op._gain, op._tmp, op.stage.span, op._rise.span
+        src_gain = dt2 / (op._rho.nodes[source.m, source.l] * op.dx * op.dx)
+    gain, tmp, stage, rise = op._gain, op._tmp, op.stage.span, op._rise
     np.multiply(op._rho.span, op.scale, out=gain)
     np.divide(-dt2, gain, out=gain)
     for step in range(1, step_count + 1):
@@ -584,8 +580,10 @@ def simulate(
     Raises:
         DivergenceError: if any |w| exceeds 1e6 times the forcing
             displacement scale, naming the first bad step.
-        ValueError: a bad argument, such as an unsupported space order or
-            (from ``PlateOperator``) a plate that is not square.
+        ValueError: a bad argument, such as an unsupported space order,
+            a side length whose dx^2, dt^2 or step gains are zero or out of
+            float range, or (from ``PlateOperator``) a plate that is not
+            square.
     """
     if step_count < 1:
         raise ValueError("step_count must be at least 1")
@@ -596,6 +594,21 @@ def simulate(
     dx = material.side_length / (n1 - 1)
     mmap = build_material_map(material, defects, n1, n2)
     dt = stable_timestep(mmap, dx, safety, space_order)
+    # A side length near either end of the float range overflows or
+    # flushes dx^2, dt^2 or the per-node gains a step folds in: D / s,
+    # dt^2 / (s rho_h) and dt^2 / (rho_h dx^2), with s the stage divisor.
+    # Each gain is monotone in D or rho_h, so the extreme cells bound it.
+    dx2, dt2 = dx * dx, dt * dt
+    s = STENCILS[space_order][1] * dx2
+    d, rho = mmap.bending_stiffness, mmap.areal_density
+    with np.errstate(all="ignore"):
+        folded = np.array([dx2, dt2, d.min() / s, d.max() / s,
+                           dt2 / (rho.max() * s), dt2 / (rho.min() * dx2)])
+    if not np.all((folded > 0.0) & (folded < math.inf)):
+        raise ValueError(
+            f"dx = {dx:.3e} m and dt = {dt:.3e} s leave dx^2, dt^2 or a step "
+            f"gain zero or out of float range"
+        )
     operator = PlateOperator(mmap, dx, space_order)
 
     source = effective_source(excitation.source, n1, n2)
@@ -619,34 +632,3 @@ def simulate(
         dx=dx, dt=dt * record_every,
         values=record,
     )
-
-
-def total_energy_series(
-    cube: DataCube,
-    material_map: MaterialMap,
-    space_order: int = DEFAULT_SPACE_ORDER,
-) -> np.ndarray:
-    """Staggered energy E^{n+1/2} between each pair of stored samples.
-
-    E^{n+1/2} = 1/2 sum rho_h ((w^{n+1} - w^n) / dt)^2 dx^2
-              + 1/2 sum (L w^{n+1}) D (L w^n) dx^2,
-
-    with L the Laplacian under pinned odd-image ghosts, which is symmetric
-    (the ghosts change only its diagonal).  Leapfrog therefore keeps E
-    constant to round-off while no force acts, and while a force f acts at
-    node s, E^{n+1/2} - E^{n-1/2} = f(t_n) (w_s^{n+1} - w_s^{n-1}) / 2
-    (Hairer, Lubich & Wanner, *Geometric Numerical Integration*, 2006).
-    Both hold only for runs recorded at every integrator step.  Returns
-    ``t_len - 1`` values, E^{1/2} first.
-    """
-    op = PlateOperator(material_map, cube.dx, space_order)
-    dx2 = cube.dx * cube.dx
-    out = np.empty(cube.t_len - 1)
-    lap_next = op.laplacian(cube.values[0])
-    for t in range(cube.t_len - 1):
-        lap, lap_next = lap_next, op.laplacian(cube.values[t + 1])
-        v = (cube.values[t + 1] - cube.values[t]) / cube.dt
-        kinetic = 0.5 * float(np.sum(op.rho_node * v * v)) * dx2
-        strain = 0.5 * float(np.sum(lap_next * op.d_node * lap)) * dx2
-        out[t] = kinetic + strain
-    return out

@@ -13,6 +13,7 @@ import stat
 import subprocess
 import sys
 import textwrap
+import warnings
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
@@ -887,6 +888,42 @@ def test_overflowing_bending_stiffness_is_named(ci_cube_file, tmp_path, capsys):
             assert "bending stiffness" in err[0], err
             assert named in err[0], err
     assert not list(tmp_path.glob("h*"))
+
+
+def test_side_length_out_of_float_range_exits_config(tmp_path, capsys):
+    # at 1e100 dt^2 overflows, at 1e300 dx^2 does, and at 1e-170 and 1e-150
+    # dx^2 or dt^2 flushes to zero: refused before any step, with no
+    # floating-point warning on the way; 1e-50 still runs
+    bench1_ci = bundled_config_path("bench1_ci").read_text()
+    cfg = tmp_path / "plate.cfg"
+    for side, code in (("1e100", EXIT_CONFIG), ("1e300", EXIT_CONFIG),
+                       ("1e-170", EXIT_CONFIG), ("1e-150", EXIT_CONFIG),
+                       ("1e-50", EXIT_OK)):
+        cfg.write_text(_edit(bench1_ci, side_length=side, steps="14"))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", str(cfg), str(tmp_path / "p.wvc")]) == code, side
+        err = capsys.readouterr().err
+        assert "Warning" not in err, (side, err)
+        if code == EXIT_CONFIG:
+            assert err.startswith("error: the plate cannot be simulated: "), err
+            assert err.count("\n") == 1, err
+    assert read_cube(tmp_path / "p.wvc").t_len == 3
+
+
+def test_record_too_large_to_allocate_is_one_error_line(tmp_path, capsys):
+    # 10**12 recorded 129^2 states are 118 PiB, beyond any user address
+    # space, so the allocation fails before a step runs
+    text = _edit(bundled_config_path("bench1_ci").read_text(),
+                 steps=str(10**12), record_every="1")
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(text)
+    assert main(["simulate", str(cfg), str(tmp_path / "l.wvc")]) == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "allocate" in err[0], err
+    assert not list(tmp_path.glob("l.*"))
 
 
 def test_cube_claiming_more_than_its_file_is_one_error_line(

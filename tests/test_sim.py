@@ -8,12 +8,15 @@ modes of the simply supported plate (Timoshenko & Woinowsky-Krieger,
 eigenvectors of the discrete operator.  The in-place operator is also held
 bit for bit to the same formula on an np.pad copy (``_padded_stencil_sum``),
 and to within 1e-13 of the peak to the association that divides each stage
-by its scale (``_divided_laplacian``).  The staggered energy checks the
-stepper to round-off (Hairer, Lubich & Wanner, *Geometric Numerical
-Integration*, 2nd ed. 2006).  On the pristine plate, the whole forced
-history is held to the discrete Duhamel sum over those modes, which checks
-the stepper, its ghosts, the force gain, the source clamp, the burst timing
-and the record cadence at once.
+by its scale (``_divided_laplacian``).  Every reference takes its nodal D
+and rho_h from the test's own cell-to-node loop (``_nodal``), never from
+the operator.  The staggered energy checks the stepper to round-off
+(Hairer, Lubich & Wanner, *Geometric Numerical Integration*, 2nd ed. 2006).
+On a plate with inclusions, every step of the history is held to the
+recurrence with the Laplacian applied in the sine basis; on the pristine
+plate, the whole forced history is held to the discrete Duhamel sum over
+those modes, which checks the stepper, its ghosts, the force gain, the
+source clamp, the burst timing and the record cadence at once.
 """
 
 import dataclasses
@@ -45,7 +48,6 @@ from wavesaliency.sim import (
     leapfrog,
     simulate,
     stable_timestep,
-    total_energy_series,
 )
 
 ALUMINUM = MaterialSpec(
@@ -239,13 +241,67 @@ def test_causality_front_cannot_outrun_group_speed():
         assert np.max(np.abs(h[quiet]), initial=0.0) <= 1e-6 * peak
 
 
+def _nodal(material_map):
+    """Nodal D and rho_h in [m, l] order, averaged from the cells here.
+
+    Each node averages its 1, 2 or 4 adjacent cells: harmonically for D, so
+    a soft cell limits the coupling through its nodes, and arithmetically
+    for rho_h.  A node adds its cells in the operator's order, (m, l),
+    (m, l - 1), (m - 1, l), (m - 1, l - 1), so the means are bit-identical
+    to the operator's.
+    """
+    out = []
+    for cells, harmonic in ((material_map.bending_stiffness.T, True),
+                            (material_map.areal_density.T, False)):
+        cm, cl = cells.shape
+        nodes = np.empty((cm + 1, cl + 1))
+        for m in range(cm + 1):
+            for l in range(cl + 1):
+                total, count = 0.0, 0
+                for a, b in ((m, l), (m, l - 1), (m - 1, l), (m - 1, l - 1)):
+                    if 0 <= a < cm and 0 <= b < cl:
+                        total += 1.0 / cells[a, b] if harmonic else cells[a, b]
+                        count += 1
+                mean = total / count
+                nodes[m, l] = 1.0 / mean if harmonic else mean
+        out.append(nodes)
+    return tuple(out)
+
+
+def _staggered_energy(cube, material_map, order):
+    """Staggered energy E^{n+1/2} between each pair of stored samples.
+
+    E^{n+1/2} = 1/2 sum rho_h ((w^{n+1} - w^n) / dt)^2 dx^2
+              + 1/2 sum (L w^{n+1}) D (L w^n) dx^2,
+
+    with L the Laplacian under pinned odd-image ghosts, which is symmetric
+    (the ghosts change only its diagonal).  Leapfrog therefore keeps E
+    constant to round-off while no force acts, and while a force f acts at
+    node s, E^{n+1/2} - E^{n-1/2} = f(t_n) (w_s^{n+1} - w_s^{n-1}) / 2
+    (Hairer, Lubich & Wanner, *Geometric Numerical Integration*, 2006).
+    Both hold only for runs recorded at every integrator step.  Returns
+    ``t_len - 1`` values, E^{1/2} first.
+    """
+    d, rho = _nodal(material_map)
+    dx2 = cube.dx * cube.dx
+    out = np.empty(cube.t_len - 1)
+    lap_next = _padded_laplacian(cube.values[0], cube.dx, order)
+    for t in range(cube.t_len - 1):
+        lap, lap_next = lap_next, _padded_laplacian(cube.values[t + 1], cube.dx, order)
+        v = (cube.values[t + 1] - cube.values[t]) / cube.dt
+        kinetic = 0.5 * float(np.sum(rho * v * v)) * dx2
+        strain = 0.5 * float(np.sum(lap_next * d * lap)) * dx2
+        out[t] = kinetic + strain
+    return out
+
+
 def test_energy_drift_after_burst():
     # lossless scheme: after the forcing ends, energy drifts < 1% / 1000 steps
     n = 65
     steps = 1600
     cube = simulate(ALUMINUM, [], BURST, n, n, steps, 0.9)
     mm = build_material_map(ALUMINUM, [], n, n)
-    energy = total_energy_series(cube, mm)  # E at half steps 1/2..t_len-3/2
+    energy = _staggered_energy(cube, mm, 4)  # E at half steps 1/2..t_len-3/2
     t_idx = (np.arange(cube.t_len - 1) + 0.5) * cube.dt
     after = t_idx > BURST.burst_duration * 1.1
     tail = energy[after]
@@ -262,7 +318,7 @@ def _staggered_run(order):
     cube = simulate(s.material, list(s.defects), s.excitation, g.n1, g.n2, 400,
                     g.safety, space_order=order)
     mmap = build_material_map(s.material, list(s.defects), g.n1, g.n2)
-    return s.excitation, cube, total_energy_series(cube, mmap, order)
+    return s.excitation, cube, _staggered_energy(cube, mmap, order)
 
 
 @pytest.mark.parametrize("order", [2, 4])
@@ -295,7 +351,7 @@ def test_divergence_detection_beyond_stability_limit():
 
 def test_nan_initial_state_diverges_at_step_one():
     n = 17
-    op, dt = _operator(n, 4)
+    op, dt, _ = _operator(n, 4)
     seeded = np.zeros((n, n))
     seeded[5, 7] = np.nan
     for blow_up in (math.inf, 1.0, 0.0):
@@ -368,9 +424,10 @@ def _divided_laplacian(f, dx, order):
 
 
 def _operator(n, order, defects=()):
+    """An aluminium plate's operator, its stable dt and its material map."""
     dx = ALUMINUM.side_length / (n - 1)
     mm = build_material_map(ALUMINUM, list(defects), n, n)
-    return PlateOperator(mm, dx, order), stable_timestep(mm, dx, 0.9, order)
+    return PlateOperator(mm, dx, order), stable_timestep(mm, dx, 0.9, order), mm
 
 
 def _zero_edged(rng, n):
@@ -396,7 +453,7 @@ def _stage_symbol(theta, order):
 
 @pytest.mark.parametrize("n", [3, 5, 8])
 def test_ghost_fill_equals_np_pad(n, rng):
-    op, _ = _operator(n, 4)
+    op, _, _ = _operator(n, 4)
     field = rng.normal(size=(n, n))  # edges left nonzero on purpose
     buf = op.w_curr
     buf.full[...] = rng.normal(size=buf.full.shape)
@@ -406,61 +463,54 @@ def test_ghost_fill_equals_np_pad(n, rng):
     assert buf.full.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("order", [2, 4])
-@pytest.mark.parametrize("n", [5, 6, 9, 33])
-def test_laplacian_bit_identical_to_padded_copy(order, n, rng):
-    op, _ = _operator(n, order)
-    for _ in range(3):
-        f = _zero_edged(rng, n)
-        got = op.laplacian(f)
-        assert got.tobytes() == _padded_laplacian(f, op.dx, order).tobytes()
-        divided = _divided_laplacian(f, op.dx, order)
-        assert np.max(np.abs(got - divided)) <= 1e-13 * np.max(np.abs(divided))
-
-
 def _pinned(w):
     w[0, :] = w[-1, :] = w[:, 0] = w[:, -1] = 0.0
     return w
 
 
-def _reference_step(op, dt, w_prev, w_curr, f=0.0, source=None):
+def _reference_step(nodes, dx, order, dt, w_prev, w_curr, f=0.0, source=None):
     """One padded-copy leapfrog step in the stepper's association.
 
-    Stencil sums, D / s between them and the gain -dt^2 / (s rho_h) after
-    them; a nonzero point force f adds f dt^2 / (rho_h dx^2) at ``source``.
+    ``nodes`` is ``_nodal``'s (D, rho_h).  Stencil sums, D / s between them
+    and the gain -dt^2 / (s rho_h) after them; a nonzero point force f adds
+    f dt^2 / (rho_h dx^2) at ``source``.
     """
-    order, dx = op.space_order, op.dx
+    d, rho = nodes
     scale = _stencil_scale(dx, order)
-    u = _padded_stencil_sum(w_curr, order) * (op.d_node / scale)
-    rise = _padded_stencil_sum(u, order) * (-(dt * dt) / (op.rho_node * scale))
+    u = _padded_stencil_sum(w_curr, order) * (d / scale)
+    rise = _padded_stencil_sum(u, order) * (-(dt * dt) / (rho * scale))
     if f != 0.0:
-        rise[source.m, source.l] += f * (dt * dt / (op.rho_node[source.m, source.l] * dx * dx))
+        rise[source.m, source.l] += f * (dt * dt / (rho[source.m, source.l] * dx * dx))
     return _pinned((w_curr + w_curr) - w_prev + rise)
 
 
-def _divided_step(op, dt, w_prev, w_curr, f=0.0, source=None):
+def _divided_step(nodes, dx, order, dt, w_prev, w_curr, f=0.0, source=None):
     """The same step in the textbook association: each stage divided by s."""
-    order, dx = op.space_order, op.dx
+    d, rho = nodes
     u = _divided_laplacian(w_curr, dx, order)
-    accel = -_divided_laplacian(op.d_node * u, dx, order) / op.rho_node
+    accel = -_divided_laplacian(d * u, dx, order) / rho
     if f != 0.0:
-        accel[source.m, source.l] += f / (op.rho_node[source.m, source.l] * dx * dx)
+        accel[source.m, source.l] += f / (rho[source.m, source.l] * dx * dx)
     return _pinned(2.0 * w_curr - w_prev + (dt * dt) * accel)
 
 
 @pytest.mark.parametrize("order", [2, 4])
 def test_step_bit_identical_to_padded_copy(order, rng):
     # one step from (w, w): both stages, with the stiffness and density of
-    # inclusions, and the pinned edges
-    n = 33
+    # inclusions, and the pinned edges, on odd and even grids of 5 to 33
+    # nodes
     defects = [DefectSpec("point_inclusion", (0.3, 0.6), 100.0, 50.0),
                DefectSpec("line_segment", (0.5, 0.2, 0.8, 0.4), 1e-3, 1e-2)]
-    op, dt = _operator(n, order, defects)
-    w = _zero_edged(rng, n)
-    got = leapfrog(op, w, w, dt, 1)[1]
-    assert got.tobytes() == _reference_step(op, dt, w, w).tobytes()
-    divided = _divided_step(op, dt, w, w)
-    assert np.max(np.abs(got - divided)) <= 1e-13 * np.max(np.abs(divided))
+    for n in (5, 6, 9, 33):
+        op, dt, mm = _operator(n, order, defects)
+        nodes, dx = _nodal(mm), op.dx
+        for _ in range(3):
+            w = _zero_edged(rng, n)
+            got = leapfrog(op, w, w, dt, 1)[1]
+            want = _reference_step(nodes, dx, order, dt, w, w)
+            assert got.tobytes() == want.tobytes(), n
+            divided = _divided_step(nodes, dx, order, dt, w, w)
+            assert np.max(np.abs(got - divided)) <= 1e-13 * np.max(np.abs(divided)), n
 
 
 @pytest.mark.parametrize("order", [2, 4])
@@ -471,7 +521,7 @@ def test_sine_mode_follows_discrete_cosine(order, p, q):
     # (cos(w_d dt) phi, phi), leapfrog keeps it at cos(w_d t) phi, where
     # cos(w_d dt) = 1 - dt^2 lambda / 2.
     n, steps = 33, 400
-    op, dt = _operator(n, order)
+    op, dt, _ = _operator(n, order)
     phi = _sine_mode(n, p, q)
     s = (_stage_symbol(p * math.pi / (n - 1), order)
          + _stage_symbol(q * math.pi / (n - 1), order)) / op.dx**2
@@ -545,6 +595,50 @@ def test_pristine_plate_is_the_discrete_duhamel_sum(order, source):
 
 
 @pytest.mark.parametrize("order", [2, 4])
+def test_stepper_is_the_sine_basis_recurrence(order):
+    # Under pinned odd-image ghosts the stencil Laplacian of a field with
+    # zero edges is L w = S^-1 (Lambda o (S w S)) S^-1 on the inner nodes,
+    # with S the DST-I matrix (S S = (n - 1) / 2 I) and Lambda the sum of the
+    # two axes' eigenvalues.  The stepper must then satisfy, at every step,
+    # w^{n+1} - 2 w^n + w^{n-1} = -dt^2 / rho_h L(D L w^n)
+    #                             + f(n dt) dt^2 / (rho_h dx^2) at the source,
+    # with D and rho_h from the test's own cell-to-node loop.
+    s = load_scenario(bundled_config_path("bench1_ci"))
+    g, exc = s.grid, s.excitation
+    n = g.n1
+    cube = simulate(s.material, list(s.defects), exc, n, n, g.steps, g.safety,
+                    space_order=order)
+    assert cube.t_len == g.steps + 1
+    d, rho = _nodal(build_material_map(s.material, list(s.defects), n, n))
+    dx, dt = cube.dx, cube.dt
+    k = np.arange(1, n - 1)
+    sine = np.sin(math.pi * np.outer(k, k) / (n - 1))
+    inverse = 2.0 / (n - 1) * sine
+    sym = _stage_symbol(math.pi * k / (n - 1), order) / dx**2
+    eigen = -(sym[:, None] + sym[None, :])  # [k_m, k_l]
+
+    def lap(w):
+        out = np.zeros_like(w)
+        out[..., 1:-1, 1:-1] = inverse @ (eigen * (sine @ w[..., 1:-1, 1:-1] @ sine)) @ inverse
+        return out
+
+    w = np.concatenate([np.zeros((1, n, n)), cube.values])  # w^{-1} = 0
+    ls, ms = (min(max(i, 1), n - 2) for i in (exc.source.l, exc.source.m))
+    worst = largest = 0.0
+    for start in range(0, g.steps, 64):  # steps n = start .. start + 63
+        stop = min(start + 64, g.steps)
+        second = w[start + 2:stop + 2] - 2.0 * w[start + 1:stop + 1] + w[start:stop]
+        want = -(dt * dt) / rho * lap(d * lap(w[start + 1:stop + 1]))
+        force = burst_force(np.arange(start, stop) * dt, exc)
+        want[:, ms, ls] += force * (dt * dt / (rho[ms, ls] * dx * dx))
+        want[:, [0, -1], :] = want[:, :, [0, -1]] = 0.0
+        worst = max(worst, float(np.max(np.abs(second - want))))
+        largest = max(largest, float(np.max(np.abs(second))))
+    assert largest > 0.0
+    assert worst <= 1e-12 * largest, worst / largest
+
+
+@pytest.mark.parametrize("order", [2, 4])
 def test_observed_spatial_order(order):
     # Refinement study (Roache 2002, J. Fluids Eng. 124(1)): the Rayleigh
     # quotient of the discrete Laplacian on a fixed sine mode against the
@@ -553,22 +647,23 @@ def test_observed_spatial_order(order):
     exact = (math.pi / ALUMINUM.side_length) ** 2 * (p * p + q * q)
     errors = []
     for n in (17, 33, 65, 129):
-        op, _ = _operator(n, order)
         phi = _sine_mode(n, p, q)
-        k2 = -np.sum(phi * op.laplacian(phi)) / np.sum(phi * phi)
+        lap = _padded_laplacian(phi, ALUMINUM.side_length / (n - 1), order)
+        k2 = -np.sum(phi * lap) / np.sum(phi * phi)
         errors.append(abs(k2 - exact) / exact)
     observed = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
     assert observed == pytest.approx([order] * 3, abs=0.05)
 
 
-def _reference_record(op, dt, steps, excitation, source, step=_reference_step):
+def _reference_record(nodes, dx, order, dt, steps, excitation, source,
+                      step=_reference_step):
     """The padded-copy leapfrog from rest: two np.pad stencils per step."""
-    n = op.n
-    w_prev, w_curr = np.zeros((n, n)), np.zeros((n, n))
+    w_prev = w_curr = np.zeros(nodes[0].shape)
     out = [w_curr]
     for k in range(1, steps + 1):
         f_now = burst_force((k - 1) * dt, excitation)
-        w_prev, w_curr = w_curr, step(op, dt, w_prev, w_curr, f_now, source)
+        w_prev, w_curr = w_curr, step(nodes, dx, order, dt, w_prev, w_curr,
+                                      f_now, source)
         out.append(w_curr)
     return np.array(out)
 
@@ -577,13 +672,19 @@ def _reference_record(op, dt, steps, excitation, source, step=_reference_step):
 def test_simulate_matches_padded_copy_stepper(order):
     n, steps = 33, 300
     exc = ExcitationSpec(5e5, 5, 1.0, GridPoint(9, 21))
-    defect = DefectSpec("point_inclusion", (0.6, 0.3), 100.0, 100.0)
-    cube = simulate(ALUMINUM, [defect], exc, n, n, steps, 0.9, space_order=order)
-    op, dt = _operator(n, order, [defect])
+    # heavy cells (8, 20) and (9, 21) are two of the driven node's four and
+    # one of each neighbour's, so the force gain reads a density of its own
+    defects = [DefectSpec("point_inclusion", (0.6, 0.3), 100.0, 100.0),
+               DefectSpec("point_inclusion", (8.5 / 32, 20.5 / 32), 1.0, 50.0),
+               DefectSpec("point_inclusion", (9.5 / 32, 21.5 / 32), 1.0, 50.0)]
+    cube = simulate(ALUMINUM, defects, exc, n, n, steps, 0.9, space_order=order)
+    _, dt, mm = _operator(n, order, defects)
     assert cube.dt == dt
-    want = _reference_record(op, dt, steps, exc, exc.source)
+    nodes = _nodal(mm)
+    want = _reference_record(nodes, cube.dx, order, dt, steps, exc, exc.source)
     assert cube.values.tobytes() == want.tobytes()
-    divided = _reference_record(op, dt, steps, exc, exc.source, _divided_step)
+    divided = _reference_record(nodes, cube.dx, order, dt, steps, exc, exc.source,
+                                _divided_step)
     assert np.max(np.abs(cube.values - divided)) <= 1e-13 * np.max(np.abs(divided))
     assert np.max(np.abs(cube.values)) > 0.0
     assert np.all(cube.values[:, [0, -1], :] == 0.0)
@@ -606,7 +707,7 @@ def test_space_order_2_front_is_slower():
 
 def test_leapfrog_allocates_nothing_per_step():
     n = 129
-    op, dt = _operator(n, 4)
+    op, dt, _ = _operator(n, 4)
     rest = np.zeros((n, n))
     source = GridPoint(20, 30)
     peaks = []
