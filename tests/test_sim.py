@@ -44,6 +44,7 @@ from wavesaliency.sim import (
     burst_force,
     defect_cells,
     effective_source,
+    PaddedField,
     PlateOperator,
     leapfrog,
     simulate,
@@ -461,6 +462,23 @@ def test_ghost_fill_equals_np_pad(n, rng):
     buf.fill_ghosts()
     want = np.pad(field, 2, mode="reflect", reflect_type="odd")
     assert buf.full.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("n", [5, 6, 9, 33])
+def test_laplacian_bit_identical_to_padded_copy(order, n, rng):
+    # one in-place stage, stencil sum over the span divided by scale, is the
+    # padded-copy Laplacian bit for bit
+    op, _, _ = _operator(n, order)
+    out = PaddedField(n)
+    for _ in range(3):
+        f = _zero_edged(rng, n)
+        op.stage.nodes[...] = f
+        op.stencil_sum(op.stage, out.span)
+        got = out.nodes / op.scale
+        assert got.tobytes() == _padded_laplacian(f, op.dx, order).tobytes()
+        divided = _divided_laplacian(f, op.dx, order)
+        assert np.max(np.abs(got - divided)) <= 1e-13 * np.max(np.abs(divided))
 
 
 def _pinned(w):
