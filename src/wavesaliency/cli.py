@@ -137,14 +137,6 @@ def main(argv=None) -> int:
         )
 
 
-def _check_cube_matches(cube, scenario) -> None:
-    if (cube.n1, cube.n2) != (scenario.grid.n1, scenario.grid.n2):
-        raise ConfigError(
-            f"cube is {cube.n1}x{cube.n2} nodes but the config grid says "
-            f"{scenario.grid.n1}x{scenario.grid.n2}"
-        )
-
-
 def _cmd_simulate(args) -> int:
     from .config import load_scenario, scenario_echo, simulate_scenario
     from .cube import meta_path, write_cube, write_meta
@@ -173,7 +165,6 @@ def _cmd_detect(args) -> int:
         rank=args.rank, window_len=args.tw, ratio=args.ratio, theta=args.theta,
     )
     cube = read_cube(args.cube)
-    _check_cube_matches(cube, scenario)
     mask = scenario.mask()
     result = run_detection(cube, scenario.partition(), scenario.detection_config(), mask)
 
@@ -251,7 +242,6 @@ def _cmd_sweep(args) -> int:
     for mask in masks:
         with_overrides(scenario, mask=mask)
     cube = read_cube(args.cube)
-    _check_cube_matches(cube, scenario)
     partition = scenario.partition()
     truth = GroundTruth.from_defects(list(scenario.defects), partition)
     rows = monte_carlo_sweep(

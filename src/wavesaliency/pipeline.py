@@ -60,7 +60,10 @@ def build_window_set(
 
     The window set does not depend on the mask, so a Monte Carlo sweep
     builds it once and shares it across all of its masked detections.
+    A cube whose grid is not the partition's raises PartitionError before
+    any probe is read.
     """
+    partition.check_grid(cube)
     speed = config.velocity
     if isinstance(speed, ProbePair):
         speed = estimate_group_velocity(cube, speed)

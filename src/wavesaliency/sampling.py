@@ -348,7 +348,9 @@ def monte_carlo_sweep(
     That mask is scored once and its score counts for all ``trials``, so
     the row reads as ``trials`` identical trials with zero standard error.
     Every mask comes from ``MaskSettings.build``, so a double cross with
-    ``sharing=PER_REGION`` raises MaskError as it does in a scenario file.
+    ``sharing=PER_REGION`` raises MaskError as it does in a scenario file;
+    each ratio's first mask is built before the window set, so a recipe
+    that cannot be drawn fails before any trial is scored.
     Trials are scored by ``detection_metrics`` around the source of
     ``config.excitation``.
     """
@@ -357,6 +359,13 @@ def monte_carlo_sweep(
     if pattern not in ("random", "cross"):
         raise ValueError(f"unknown mask pattern {pattern!r}")
 
+    if pattern == "cross":
+        recipes = [MaskSettings("cross", stride=stride, sharing=sharing)]
+    else:
+        recipes = [MaskSettings("random", ratio=float(r), sharing=sharing)
+                   for r in ratios]
+    # each recipe's first mask, so one that cannot be drawn fails unscored
+    firsts = [settings.build(partition, base_seed) for settings in recipes]
     window_set = build_window_set(cube, partition, config)
 
     def score(mask: Mask) -> DetectionMetrics:
@@ -368,18 +377,16 @@ def monte_carlo_sweep(
         )
 
     if pattern == "cross":
-        settings = MaskSettings("cross", stride=stride, sharing=sharing)
-        mask = settings.build(partition, base_seed)
+        mask = firsts[0]
         scores = [score(mask)] * trials
         return [_average_row(mask.achieved_ratio, scores, trials, base_seed)]
 
     rows: list[SweepRow] = []
-    for ratio in ratios:
-        settings = MaskSettings("random", ratio=float(ratio), sharing=sharing)
-        scores = [
-            score(settings.build(partition, base_seed + t)) for t in range(trials)
+    for settings, first in zip(recipes, firsts):
+        scores = [score(first)] + [
+            score(settings.build(partition, base_seed + t)) for t in range(1, trials)
         ]
-        rows.append(_average_row(float(ratio), scores, trials, base_seed))
+        rows.append(_average_row(settings.ratio, scores, trials, base_seed))
     return rows
 
 

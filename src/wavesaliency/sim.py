@@ -23,7 +23,7 @@ symbol that sets its stable time step.
 
 * ``PlateOperator`` averages D and rho_h onto the nodes once and owns
   three ``PaddedField`` buffers, w_curr, w_prev and the D lap(w) stage,
-  beside the padded coefficients and span-length scratch.  Each buffer is
+  beside every gain a step reads and span-length scratch.  Each buffer is
   ``(n + 4) x (n + 4)``: the nodes inside two ghost layers.  A stage fills
   the odd-image ghosts in place (``2 * edge - mirror``, rows then columns,
   as ``np.pad(..., reflect_type="odd")`` does) and evaluates the stencil on
@@ -422,12 +422,14 @@ class PlateOperator:
 
     Holds only what ``leapfrog`` reads: the ghost-padded buffers the time
     loop steps in, ``w_curr``, ``w_prev`` and ``stage`` (D lap w), the
-    nodal stiffness and density padded alike, and span-length scratch.
-    Each stage fills the odd-image ghosts of its input in place and then
-    evaluates the integer-weight stencil sum on the contiguous spans of
-    ``PaddedField``; ``scale`` is the divisor that turns that sum into the
-    Laplacian, kept in ``_d`` (D / scale) and in the gain ``leapfrog``
-    fills.  Values computed in the ghost columns inside a span are thrown
+    gains below, and span-length scratch.  Each stage fills the odd-image
+    ghosts of its input in place and then evaluates the integer-weight
+    stencil sum on the contiguous spans of ``PaddedField``; ``scale`` is
+    the divisor that turns that sum into the Laplacian, kept in ``_d``
+    (D / scale, padded) and in ``_gain`` (-dt^2 / (scale rho_h) over a
+    span); ``_force_gain`` is dt^2 / (rho_h dx^2) per node.  A plate that
+    leaves any gain zero or out of float range raises ValueError.
+    Values computed in the ghost columns inside a span are thrown
     away: the next ghost fill overwrites them before anything reads them.
     Every node sees the same operations, in the same order, as the same
     formula on ``np.pad(f, 2, mode="reflect", reflect_type="odd")``, so
@@ -439,6 +441,7 @@ class PlateOperator:
         self,
         material_map: MaterialMap,
         dx: float,
+        dt: float,
         space_order: int = DEFAULT_SPACE_ORDER,
     ):
         stage_symbol_peak(space_order)
@@ -447,21 +450,32 @@ class PlateOperator:
         if cl != cm:
             raise ValueError("the plate is square; n1 and n2 must match")
         n = cl + 1
-        self.n, self.dx, self.space_order = n, dx, space_order
+        self.n, self.dx, self.dt, self.space_order = n, dx, dt, space_order
         self.scale = denominator * dx * dx
         # Layout is [m, l] (y index first) so that node views are already
         # in cube payload order.
         d = _cells_to_nodes(material_map.bending_stiffness.T, harmonic=True)
         rho_h = _cells_to_nodes(material_map.areal_density.T, harmonic=False)
 
-        (self.w_curr, self.w_prev, self.stage,
-         self._d, self._rho) = (PaddedField(n) for _ in range(5))
-        # Ghost-column entries of the coefficients only meet thrown-away
-        # values; edge copies keep that arithmetic finite.
-        self._d.full[...] = np.pad(d, 2, mode="edge") / self.scale
-        self._rho.full[...] = np.pad(rho_h, 2, mode="edge")
+        self.w_curr, self.w_prev, self.stage, self._d, rho = (
+            PaddedField(n) for _ in range(5))
         self._gain, self._tmp, self._rise = (
             np.empty_like(self.stage.span) for _ in range(3))
+        dt2 = dt * dt
+        with np.errstate(all="ignore"):
+            # Ghost-column entries of the coefficients only meet thrown-away
+            # values; edge copies keep that arithmetic finite.
+            self._d.full[...] = np.pad(d, 2, mode="edge") / self.scale
+            rho.full[...] = np.pad(rho_h, 2, mode="edge")
+            np.multiply(rho.span, self.scale, out=self._gain)
+            np.divide(-dt2, self._gain, out=self._gain)
+            self._force_gain = dt2 / (rho_h * dx * dx)
+        for gain in (self._d.full, self._gain, self._force_gain):
+            if not (np.isfinite(gain).all() and gain.all()):
+                raise ValueError(
+                    f"dx = {dx:.3e} m and dt = {dt:.3e} s leave dx^2, dt^2 or "
+                    f"a step gain zero or out of float range"
+                )
 
     def stencil_sum(self, src: PaddedField, out: np.ndarray) -> None:
         """Fill ``src``'s ghosts; write ``scale`` times its Laplacian over its span to ``out``."""
@@ -486,7 +500,6 @@ def leapfrog(
     operator: PlateOperator,
     w_prev: np.ndarray,
     w_curr: np.ndarray,
-    dt: float,
     step_count: int,
     forcing: Callable[[float], float] | None = None,
     source: GridPoint | None = None,
@@ -497,16 +510,15 @@ def leapfrog(
     """Central-difference steps from ``(w_prev, w_curr)``; the recorded history.
 
     ``w_prev`` and ``w_curr`` are ``(n, n)`` states in ``[m, l]`` order at
-    t = -dt and t = 0.  ``forcing(t)``, when given, is the point force in N
-    at node ``source`` (required with it) over the step that starts at
-    time t.  Each step is
+    t = -dt and t = 0, dt being the operator's.  ``forcing(t)``, when
+    given, is the point force in N at node ``source`` (required with it)
+    over the step that starts at time t.  Each step is
 
         w_next = (w + w) - w_prev + g * S(d * S(w)),
 
     with S the operator's stencil sum, d = D / s, g = -dt^2 / (s rho_h)
-    (filled once per call) and s the operator's ``scale``; the force adds
-    f * (dt^2 / (rho_h dx^2)) at the source, so the step stays exactly
-    linear in f.  Edges are pinned to zero after every step.  Steps run in
+    and s the operator's ``scale``; the force adds f * (dt^2 / (rho_h
+    dx^2)) at the source, so the step stays exactly linear in f.  Edges are pinned to zero after every step.  Steps run in
     the operator's buffers and allocate nothing.  Returns
     ``step_count // record_every + 1`` recorded states, ``w_curr`` first.
 
@@ -522,21 +534,18 @@ def leapfrog(
     for field, state in ((prev, w_prev), (curr, w_curr)):
         field.full.fill(0.0)
         field.nodes[...] = state
-    dt2 = dt * dt
     if forcing is not None:
         source.validate(op.n, op.n)
         src_idx = source.m * (op.n + 4) + source.l  # node (l, m) in a span
-        src_gain = dt2 / (op._rho.nodes[source.m, source.l] * op.dx * op.dx)
+        src_gain = op._force_gain[source.m, source.l]
     gain, tmp, stage, rise = op._gain, op._tmp, op.stage.span, op._rise
-    np.multiply(op._rho.span, op.scale, out=gain)
-    np.divide(-dt2, gain, out=gain)
     for step in range(1, step_count + 1):
         op.stencil_sum(curr, stage)
         np.multiply(stage, op._d.span, out=stage)
         op.stencil_sum(op.stage, rise)
         np.multiply(rise, gain, out=rise)
         if forcing is not None:
-            f_now = forcing((step - 1) * dt)
+            f_now = forcing((step - 1) * op.dt)
             if f_now != 0.0:
                 rise[src_idx] += f_now * src_gain
         # w_next = (w + w) - w_prev + rise, written over w_prev.
@@ -582,8 +591,8 @@ def simulate(
             displacement scale, naming the first bad step.
         ValueError: a bad argument, such as an unsupported space order,
             a side length whose dx^2, dt^2 or step gains are zero or out of
-            float range, or (from ``PlateOperator``) a plate that is not
-            square.
+            float range, or (both from ``PlateOperator``) a plate that is
+            not square.
     """
     if step_count < 1:
         raise ValueError("step_count must be at least 1")
@@ -594,22 +603,7 @@ def simulate(
     dx = material.side_length / (n1 - 1)
     mmap = build_material_map(material, defects, n1, n2)
     dt = stable_timestep(mmap, dx, safety, space_order)
-    # A side length near either end of the float range overflows or
-    # flushes dx^2, dt^2 or the per-node gains a step folds in: D / s,
-    # dt^2 / (s rho_h) and dt^2 / (rho_h dx^2), with s the stage divisor.
-    # Each gain is monotone in D or rho_h, so the extreme cells bound it.
-    dx2, dt2 = dx * dx, dt * dt
-    s = STENCILS[space_order][1] * dx2
-    d, rho = mmap.bending_stiffness, mmap.areal_density
-    with np.errstate(all="ignore"):
-        folded = np.array([dx2, dt2, d.min() / s, d.max() / s,
-                           dt2 / (rho.max() * s), dt2 / (rho.min() * dx2)])
-    if not np.all((folded > 0.0) & (folded < math.inf)):
-        raise ValueError(
-            f"dx = {dx:.3e} m and dt = {dt:.3e} s leave dx^2, dt^2 or a step "
-            f"gain zero or out of float range"
-        )
-    operator = PlateOperator(mmap, dx, space_order)
+    operator = PlateOperator(mmap, dx, dt, space_order)
 
     source = effective_source(excitation.source, n1, n2)
 
@@ -623,7 +617,7 @@ def simulate(
 
     rest = np.zeros((n2, n1))
     record = leapfrog(
-        operator, rest, rest, dt, step_count,
+        operator, rest, rest, step_count,
         lambda t: burst_force(t, excitation), source,
         record_every=record_every, blow_up=blow_up,
     )

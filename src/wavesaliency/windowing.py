@@ -83,6 +83,14 @@ class Partition:
     def nodes_per_region(self) -> int:
         return self.p1 * self.p2
 
+    def check_grid(self, cube: DataCube) -> None:
+        """Raise PartitionError unless ``cube`` has this partition's grid."""
+        if (self.n1, self.n2) != (cube.n1, cube.n2):
+            raise PartitionError(
+                f"partition is for {self.n1} x {self.n2} nodes, "
+                f"cube has {cube.n1} x {cube.n2}"
+            )
+
     def region_of_cell(self, cell_l: int, cell_m: int) -> tuple[int, int]:
         """Region containing a material cell (cells never straddle regions)."""
         if not (0 <= cell_l < self.n1 - 1 and 0 <= cell_m < self.n2 - 1):
@@ -290,11 +298,7 @@ def extract_windows(
         WindowingError: invalid window length, or no region ends up active.
         ValueError: a group velocity that is not positive.
     """
-    if partition.n1 != cube.n1 or partition.n2 != cube.n2:
-        raise PartitionError(
-            f"partition is for {partition.n1} x {partition.n2} nodes, "
-            f"cube has {cube.n1} x {cube.n2}"
-        )
+    partition.check_grid(cube)
     if window_len < 1:
         raise WindowingError(f"window length must be >= 1, got {window_len}")
     if window_len > cube.t_len:

@@ -786,7 +786,7 @@ def test_negative_seed_fails_before_the_cube_is_read(
     assert reads == [] and not list(tmp_path.glob("[ds].*"))
 
 
-def test_exit_code_config_errors(small_run, tmp_path):
+def test_exit_code_config_errors(small_run, tmp_path, capsys):
     cfg, cube_path = small_run
     broken = tmp_path / "broken.cfg"
     broken.write_text("[material\n")
@@ -794,12 +794,17 @@ def test_exit_code_config_errors(small_run, tmp_path):
     undivisible = tmp_path / "regions.cfg"
     undivisible.write_text(_edit(SMALL_CFG, regions_x="10"))
     assert main(["simulate", str(undivisible), str(tmp_path / "y.wvc")]) == EXIT_CONFIG
-    # cube/config grid mismatch is a configuration problem too
+    # cube/config grid mismatch is a configuration problem too, refused by
+    # detect and sweep before the config's probes are looked up in the cube
     other = tmp_path / "other.cfg"
     other.write_text(_edit(SMALL_CFG, n1="129", n2="129", regions_x="8", regions_y="8"))
-    assert main([
-        "detect", str(cube_path), str(other), str(tmp_path / "mm")
-    ]) == EXIT_CONFIG
+    for argv in (["detect", str(cube_path), str(other), str(tmp_path / "mm")],
+                 ["sweep", str(cube_path), str(other), str(tmp_path / "mm.csv"),
+                  "--trials", "1"]):
+        capsys.readouterr()
+        assert main(argv) == EXIT_CONFIG, argv[0]
+        assert capsys.readouterr().err == (
+            "error: partition is for 129 x 129 nodes, cube has 65 x 65\n")
     missing = tmp_path / "nope.cfg"
     assert main(["simulate", str(missing), str(tmp_path / "z.wvc")]) == 1
     # the simulator's plate is square

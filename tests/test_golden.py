@@ -1,23 +1,31 @@
 """Behaviour fingerprint: exact hashes of detection and sweep outputs.
 
-For the two fast bundled plates, ``bench1_ci`` and ``pristine_ci``, the
-golden files under ``tests/golden/`` hold the sha256 of the saliency CSV,
-of the flagged set (one ``a b`` line per region, as in ``.flags.txt``),
-and of sweep CSVs for shared random masks at 0.5, 0.2 and 0.07,
-per-region masks at 0.2 and the double cross at strides 1 and 2, each
-sweep over 3 trials from the scenario seed.  For the last snapshot they
-hold the sha256 of the spectrum CSV and PGM texts and the occupied fraction
-at -20 dB.  Beside the hashes they hold a
-summary of the simulated cube itself: each sample's L2 norm, the
-deflection histories at the scenario's two velocity probes and the
+For every bundled plate the golden files under ``tests/golden/`` hold
+the sha256 of the saliency CSV, of the flagged set (one ``a b`` line per
+region, as in ``.flags.txt``) and of sweep CSVs, each sweep over 3 trials
+from the scenario seed.  On the two fast plates, ``bench1_ci`` and
+``pristine_ci``, the sweeps are shared random masks at 0.5, 0.2 and 0.07,
+per-region masks at 0.2 and the double cross at strides 1 and 2, and for
+the last snapshot the files also hold the sha256 of the spectrum CSV and
+PGM texts and the occupied fraction at -20 dB.  On the 257-node plates,
+``bench1``, ``bench2`` and ``pristine``, the sweeps are shared random
+masks at 0.5, 0.33 and 0.2 and per-region masks at 0.5: their full
+sampling takes the Gram-free tall fit, the shared 0.5 and 0.33 masks the
+batched Lanczos fit and 0.2 ``eigh``, and the per-region masks fail the
+Lanczos certificate and fall back to ``eigh``.  Beside the hashes the
+files hold a summary of the simulated cube itself: each sample's L2 norm,
+the deflection histories at the scenario's two velocity probes and the
 group velocity estimated from them.
 
 Exact equality is a fair gate for rewrites that only reorder floating-point
-work: on both plates the flags, the saliency fractions and the sweep CSV
-did not move under 1e-10 relative noise on the cube, so a rewrite that
-changes a hash changed behaviour, not rounding.  The cube summary is held
-to 1e-12 of each series' peak and the velocity to 1e-9 relative, the
-velocity having moved by about 5e-7 m/s under that noise.
+work: on every plate the flags, the saliency CSV and the sweep CSVs did
+not move under 1e-10 relative noise on the cube, so a rewrite that
+changes one of those hashes changed behaviour, not rounding.  The CI
+plates' spectrum CSV does move under that noise (its 7-digit magnitudes
+can round the other way), so a change of that hash alone may be
+rounding.  The cube summary is held to 1e-12 of each series' peak and
+the velocity to 1e-9 relative, the velocity having moved by at most
+3.2e-10 relative under that noise.
 
 ``PYTHONPATH=src python tests/test_golden.py [KEY ...]`` writes the keys a
 file lacks and rewrites the keys named on its command line; every other
@@ -47,11 +55,24 @@ from wavesaliency.windowing import estimate_group_velocity
 
 GOLDEN = Path(__file__).parent / "golden"
 TRIALS = 3
-SWEEPS = {
+CI_SWEEPS = {
     "sweep_random": dict(ratios=[0.5, 0.2, 0.07]),
     "sweep_per_region": dict(ratios=[0.2], sharing="per_region"),
     "sweep_cross_1": dict(ratios=[], pattern="cross", stride=1),
     "sweep_cross_2": dict(ratios=[], pattern="cross", stride=2),
+}
+FULL_SWEEPS = {
+    "sweep_random": dict(ratios=[0.5, 0.33, 0.2]),
+    "sweep_per_region": dict(ratios=[0.5], sharing="per_region"),
+}
+# golden file: the session fixture of its plate, and whether it pins the
+# CI sweeps and the spectrum (True) or the 257-node sweeps (False)
+PLATES = {
+    "bench1_ci": ("ci_bench1", True),
+    "pristine_ci": ("ci_pristine", True),
+    "bench1": ("bench1", False),
+    "bench2": ("bench2", False),
+    "pristine": ("pristine", False),
 }
 
 
@@ -59,7 +80,7 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def fingerprint(scenario, cube) -> dict[str, str | float]:
+def fingerprint(scenario, cube, ci: bool) -> dict[str, str | float]:
     part, config = scenario.partition(), scenario.detection_config()
     result = run_detection(cube, part, config)
     truth = GroundTruth.from_defects(list(scenario.defects), part)
@@ -67,11 +88,13 @@ def fingerprint(scenario, cube) -> dict[str, str | float]:
         "saliency_csv": _sha(saliency_csv_text(result.saliency)),
         "flagged": _sha("".join(f"{a} {b}\n" for a, b in sorted(result.flagged))),
     }
-    for key, kw in SWEEPS.items():
+    for key, kw in (CI_SWEEPS if ci else FULL_SWEEPS).items():
         kw = dict(kw)
         rows = monte_carlo_sweep(cube, part, config, kw.pop("ratios"), TRIALS,
                                  scenario.seed, truth=truth, **kw)
         out[key] = _sha(sweep_csv_text(rows))
+    if not ci:
+        return out
     spec = dft2_magnitude(cube.slice_at(cube.t_len - 1))
     out["spectrum_csv"] = _sha(spectrum_csv_text(spec))
     with tempfile.TemporaryDirectory() as tmp:
@@ -92,14 +115,14 @@ def cube_summary(scenario, cube) -> dict[str, list[float] | float]:
     }
 
 
-@pytest.mark.parametrize("fixture, name", [("ci_bench1", "bench1_ci"),
-                                           ("ci_pristine", "pristine_ci")])
+@pytest.mark.parametrize("fixture, name", [(fixture, name) for name, (fixture, _)
+                                           in PLATES.items()])
 def test_fingerprint_matches_golden(fixture, name, request):
     scenario, cube = request.getfixturevalue(fixture)
     want = json.loads((GOLDEN / f"{name}.json").read_text())
     summary = cube_summary(scenario, cube)
     hashes = {key: value for key, value in want.items() if key not in summary}
-    assert fingerprint(scenario, cube) == hashes
+    assert fingerprint(scenario, cube, PLATES[name][1]) == hashes
     for key in ("sample_l2", "probe_first", "probe_second"):
         expect = np.array(want[key])
         np.testing.assert_allclose(summary[key], expect, rtol=0.0,
@@ -113,11 +136,11 @@ if __name__ == "__main__":
     from conftest import _run_scenario
 
     named = set(sys.argv[1:])
-    for name in ("bench1_ci", "pristine_ci"):
+    for name, (_, ci) in PLATES.items():
         path = GOLDEN / f"{name}.json"
         old = json.loads(path.read_text()) if path.exists() else {}
         run = _run_scenario(name)
-        new = {**fingerprint(*run), **cube_summary(*run)}
+        new = {**fingerprint(*run, ci), **cube_summary(*run)}
         if named - new.keys():
             sys.exit(f"not a golden key: {', '.join(sorted(named - new.keys()))}")
         kept = {key: old[key] if key in old and key not in named else value

@@ -373,6 +373,26 @@ def test_sweep_validation(ci_bench1):
                           sharing=PER_REGION)
 
 
+def test_sweep_refuses_a_bad_recipe_before_scoring(ci_bench1, monkeypatch):
+    # 0.01 keeps 3 of 289 nodes: refused before the 0.5 trials are scored,
+    # and a per-region double cross before the window set is built
+    import wavesaliency.sampling as sampling
+
+    cube, part, config, truth = _sweep_inputs(ci_bench1)
+    masks = _record_detections(monkeypatch)
+    with pytest.raises(MaskError, match="keeps only 3 of 289"):
+        monte_carlo_sweep(cube, part, config, [0.5, 0.01], trials=50,
+                          base_seed=0, truth=truth)
+    assert masks == []
+    built = []
+    monkeypatch.setattr(sampling, "build_window_set",
+                        lambda *args: built.append(args))
+    with pytest.raises(MaskError, match="double cross is one shared pattern"):
+        monte_carlo_sweep(cube, part, config, [], trials=1, base_seed=0,
+                          truth=truth, pattern="cross", sharing=PER_REGION)
+    assert built == []
+
+
 @pytest.fixture(scope="module")
 def far_source_bench1():
     """bench1_ci driven from the far corner node (128, 128), and its cube."""

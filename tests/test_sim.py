@@ -148,10 +148,10 @@ def test_stencil_orders_are_two_and_four():
     for order in (2, 4):
         GridSettings(9, 9, 10, space_order=order)
         stable_timestep(mmap, 1e-3, 0.9, order)
-        PlateOperator(mmap, 1e-3, order)
+        PlateOperator(mmap, 1e-3, 1e-7, order)
     for build in (lambda: GridSettings(9, 9, 10, space_order=3),
                   lambda: stable_timestep(mmap, 1e-3, 0.9, 3),
-                  lambda: PlateOperator(mmap, 1e-3, 3)):
+                  lambda: PlateOperator(mmap, 1e-3, 1e-7, 3)):
         with pytest.raises(ValueError, match="space_order must be 2 or 4, got 3"):
             build()
 
@@ -357,7 +357,7 @@ def test_nan_initial_state_diverges_at_step_one():
     seeded[5, 7] = np.nan
     for blow_up in (math.inf, 1.0, 0.0):
         with pytest.raises(DivergenceError) as info:
-            leapfrog(op, np.zeros((n, n)), seeded, dt, 10, blow_up=blow_up)
+            leapfrog(op, np.zeros((n, n)), seeded, 10, blow_up=blow_up)
         assert "diverged at step 1 " in str(info.value)
         assert "(|w| reached nan)" in str(info.value)
 
@@ -428,7 +428,8 @@ def _operator(n, order, defects=()):
     """An aluminium plate's operator, its stable dt and its material map."""
     dx = ALUMINUM.side_length / (n - 1)
     mm = build_material_map(ALUMINUM, list(defects), n, n)
-    return PlateOperator(mm, dx, order), stable_timestep(mm, dx, 0.9, order), mm
+    dt = stable_timestep(mm, dx, 0.9, order)
+    return PlateOperator(mm, dx, dt, order), dt, mm
 
 
 def _zero_edged(rng, n):
@@ -524,7 +525,7 @@ def test_step_bit_identical_to_padded_copy(order, rng):
         nodes, dx = _nodal(mm), op.dx
         for _ in range(3):
             w = _zero_edged(rng, n)
-            got = leapfrog(op, w, w, dt, 1)[1]
+            got = leapfrog(op, w, w, 1)[1]
             want = _reference_step(nodes, dx, order, dt, w, w)
             assert got.tobytes() == want.tobytes(), n
             divided = _divided_step(nodes, dx, order, dt, w, w)
@@ -545,7 +546,7 @@ def test_sine_mode_follows_discrete_cosine(order, p, q):
          + _stage_symbol(q * math.pi / (n - 1), order)) / op.dx**2
     lam = ALUMINUM.bending_stiffness / ALUMINUM.areal_density * s * s
     cos_step = 1.0 - dt * dt * lam / 2.0
-    record = leapfrog(op, cos_step * phi, phi, dt, steps)
+    record = leapfrog(op, cos_step * phi, phi, steps)
     omega_dt = math.acos(cos_step)
     assert steps * omega_dt > math.pi  # at least half a period
     want = np.cos(omega_dt * np.arange(steps + 1))[:, None, None] * phi
@@ -734,7 +735,7 @@ def test_leapfrog_allocates_nothing_per_step():
         for steps in (20, 400):
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            leapfrog(op, rest, rest, dt, steps, lambda t: burst_force(t, BURST),
+            leapfrog(op, rest, rest, steps, lambda t: burst_force(t, BURST),
                      source, record_every=steps)
             peaks.append(tracemalloc.get_traced_memory()[1] - before)
     finally:

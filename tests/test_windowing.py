@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 import scipy.signal
 
+from wavesaliency.config import bundled_config_path, load_scenario
 from wavesaliency.cube import DataCube, GridPoint
 from wavesaliency.errors import (
     NoSignalError,
@@ -27,7 +28,7 @@ from wavesaliency.errors import (
     VelocityEstimateError,
     WindowingError,
 )
-from wavesaliency.pipeline import build_window_set
+from wavesaliency.pipeline import build_window_set, run_detection
 from wavesaliency.sim import ExcitationSpec, analytic_group_velocity
 from wavesaliency.windowing import (
     SILENCE_FLOOR,
@@ -370,6 +371,19 @@ def test_window_length_validation():
         extract_windows(cube, part, 5000.0, exc, window_len=9)
     with pytest.raises(PartitionError):
         extract_windows(_ramp_cube(n=17), part, 5000.0, exc, window_len=3)
+
+
+def test_cube_of_another_grid_fails_before_any_probe_is_read(ci_pristine):
+    # the 257-node pristine plate's probes lie outside the 129-node cube;
+    # the grid check comes first, in the window set and in a detection
+    _, cube = ci_pristine
+    scenario = load_scenario(bundled_config_path("pristine"))
+    part, config = scenario.partition(), scenario.detection_config()
+    assert isinstance(config.velocity, ProbePair)
+    message = "^partition is for 257 x 257 nodes, cube has 129 x 129$"
+    for run in (build_window_set, run_detection):
+        with pytest.raises(PartitionError, match=message):
+            run(cube, part, config)
 
 
 def test_extraction_is_deterministic():
