@@ -223,7 +223,7 @@ def _dump_window_cubes(window_set, cube, directory) -> int:
 def _cmd_sweep(args) -> int:
     from .config import load_scenario, with_overrides
     from .cube import read_cube, write_text
-    from .sampling import GroundTruth, MaskSettings, monte_carlo_sweep, sweep_csv_text
+    from .sampling import GroundTruth, monte_carlo_sweep, sweep_csv_text, sweep_recipes
 
     scenario = with_overrides(load_scenario(args.config), rank=args.rank)
     try:
@@ -233,14 +233,11 @@ def _cmd_sweep(args) -> int:
     if args.trials < 1:
         raise ConfigError("--trials must be >= 1")
     # Every mask the sweep will draw passes the checks of a file's mask line.
-    if args.pattern == "cross":
-        masks = [MaskSettings("cross", stride=args.stride, sharing=args.sharing)]
-    else:
-        masks = [MaskSettings("random", ratio=r, sharing=args.sharing) for r in ratios]
-    if not masks:
+    recipes = sweep_recipes(ratios, args.pattern, args.stride, args.sharing)
+    if not recipes:
         raise ConfigError(f"--ratios {args.ratios!r} names no ratio")
-    for mask in masks:
-        with_overrides(scenario, mask=mask)
+    for recipe in recipes:
+        with_overrides(scenario, mask=recipe)
     cube = read_cube(args.cube)
     partition = scenario.partition()
     truth = GroundTruth.from_defects(list(scenario.defects), partition)

@@ -103,20 +103,17 @@ _ORTH = 1e-12
 
 
 def salient_columns(energies, ratio: float = DEFAULT_ENERGY_RATIO) -> np.ndarray:
-    """Columns whose energy strictly exceeds ratio * max energy.
+    """Entries whose energy strictly exceeds ratio * the peak p of their last-axis row.
 
-    The comparison is strict, so at ratio 1.0 even the maximum itself is
-    not selected, and an all-zero energy vector selects nothing.
+    At ratio 1.0 even the maximum itself is not selected, and a row with
+    p <= 0 selects nothing, since there every energy e <= p <= ratio * p.
     """
     e = np.asarray(energies, dtype=np.float64)
     if e.size == 0:
         raise ValueError("empty energy list")
     if not 0.0 < ratio <= 1.0:
         raise ValueError(f"ratio must be in (0, 1], got {ratio}")
-    peak = float(np.max(e))
-    if peak <= 0.0:
-        return np.zeros(e.shape, dtype=bool)
-    return e > ratio * peak
+    return e > ratio * np.max(e, axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -154,19 +151,18 @@ class SaliencyMap:
         return frozenset((int(a), int(b)) for a, b in np.argwhere(hit))
 
 
-def _gather_snapshots(window_set: RegionalWindowSet, mask,
-                      offsets: int | None = None) -> np.ndarray:
-    """C-contiguous (tau, rows, cols) stack of the first ``offsets`` snapshots.
+def _gather_snapshots(window_set: RegionalWindowSet, mask) -> np.ndarray:
+    """C-contiguous (tau, rows, cols) stack of every offset's snapshot.
 
-    ``offsets`` None takes every offset.  Columns are the active regions in
-    region order (a + regions_x * b), as the window set stores them; rows
-    every node or the mask's retained nodes, flattened x-fastest; a
-    per-region mask gives each column its own nodes.  Full sampling returns
-    the window set's own read-only array, not a copy.  The mask's rows are
-    resolved once, so a per-region mask draws its patterns once per call.
+    Columns are the active regions in region order (a + regions_x * b), as
+    the window set stores them; rows every node or the mask's retained
+    nodes, flattened x-fastest; a per-region mask gives each column its own
+    nodes.  Full sampling returns the window set's own read-only array, not
+    a copy.  The mask's rows are resolved once, so a per-region mask draws
+    its patterns once per call.
     """
     part = window_set.partition
-    windows = window_set.windows[:offsets]
+    windows = window_set.windows
     if mask is None:
         return windows
     cols = windows.shape[2]
@@ -331,14 +327,14 @@ def saliency_map(
 ) -> SaliencyMap:
     """Score every region by how often it escapes the shared low-rank model.
 
-    One rank is used for all window offsets.  At each offset, a region is an
-    outlier when its residual energy strictly exceeds ``ratio`` times that
-    offset's peak energy; its saliency is the count of such offsets over the
-    window length.
+    One rank is used for all window offsets.  Every decision is read from
+    one (offset, active region) matrix of residual energies: an entry is an
+    outlier when it strictly exceeds ``ratio`` times its offset's peak, and
+    a region's saliency is its count of outliers over the window length.
 
-    A snapshot whose residual energies are all at or below 1e-24 times λ₀ of
-    the tau = 0 Gram matrix (the square of 1e-12 times the leading singular
-    value) is exactly reconstructed and contributes no outliers: at the
+    An offset whose peak is at or below 1e-24 times λ₀ of the tau = 0 Gram
+    matrix (the square of 1e-12 times the leading singular value) is exactly
+    reconstructed, and a mask over offsets drops its outliers: at the
     full-rank edge residuals are float dust.  ``mask`` is None (every node)
     or a ``sampling.Mask``.
 
@@ -354,11 +350,10 @@ def saliency_map(
                         f"{stack.shape[1]} x {stack.shape[2]} snapshot")
 
     fits = [_residual_energies(x, rank, fit) for x, fit in _fitted_grams(stack, rank)]
-    dust = fits[0][1] * _DUST
-    counts = np.zeros(stack.shape[2])
-    for energies, _ in fits:
-        if float(np.max(energies)) > dust:
-            counts += salient_columns(energies, ratio)
+    # the live offsets are those whose peak clears offset 0's dust floor
+    energies = np.stack([e for e, _ in fits])
+    live = np.max(energies, axis=1) > fits[0][1] * _DUST
+    counts = np.count_nonzero(salient_columns(energies, ratio) & live[:, None], axis=0)
 
     fractions = np.full((part.regions_x, part.regions_y), np.nan)
     # the transposes walk (a, b) in column order a + regions_x * b
@@ -372,7 +367,7 @@ def snapshot_spectrum(window_set: RegionalWindowSet, mask=None) -> np.ndarray:
 
     Scoring never needs them; ``detect`` writes them to its manifest.
     """
-    first = _gather_snapshots(window_set, mask, offsets=1)[0]
+    first = _gather_snapshots(window_set, mask)[0]
     return np.linalg.svd(first, compute_uv=False)
 
 

@@ -18,6 +18,7 @@ false flags over 20 trials are 92.8 of 205 regions against 1.15.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -172,6 +173,12 @@ class MaskSettings:
             raise ValueError(f"unknown mask kind {self.kind!r}")
         if self.sharing not in (SHARED, PER_REGION):
             raise ValueError(f"unknown sharing mode {self.sharing!r}")
+        if self.kind != "full":
+            name, want, noun = (("ratio", Real, "a real ratio") if self.kind == "random"
+                                else ("stride", Integral, "an integer stride"))
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, want):
+                raise ValueError(f"mask {self.kind!r} needs {noun}, got {value!r}")
 
     def __str__(self) -> str:
         """The text form that manifests and ``.meta`` files echo."""
@@ -303,6 +310,15 @@ def detection_metrics(
 # Monte Carlo sweep
 # ---------------------------------------------------------------------------
 
+def sweep_recipes(ratios, pattern: str, stride: int, sharing: str) -> list[MaskSettings]:
+    """A sweep's random recipe at each of ``ratios``, or its one double cross."""
+    if pattern == "cross":
+        return [MaskSettings("cross", stride=stride, sharing=sharing)]
+    if pattern != "random":
+        raise ValueError(f"unknown mask pattern {pattern!r}")
+    return [MaskSettings("random", ratio=float(r), sharing=sharing) for r in ratios]
+
+
 @dataclass(frozen=True)
 class SweepRow:
     """Averaged metrics for one subsampling ratio.
@@ -337,33 +353,24 @@ def monte_carlo_sweep(
     stride: int = 1,
     sharing: str = SHARED,
 ) -> list[SweepRow]:
-    """Average detection metrics over seeded random masks, per ratio.
+    """Average detection metrics over the masks of ``sweep_recipes``, per recipe.
 
     The window set is built once and every trial is one masked detection
-    on it.  Trial t of every ratio uses seed ``base_seed + t``, so a
-    parallel implementation partitioned over trials would reproduce the
-    exact same table.  ``pattern="cross"`` replaces the random masks with
-    the single deterministic double-cross at ``stride`` (one output row;
-    the ratio list is ignored and the achieved ratio is reported instead).
-    That mask is scored once and its score counts for all ``trials``, so
-    the row reads as ``trials`` identical trials with zero standard error.
+    on it.  Trial t of every random recipe uses seed ``base_seed + t``, so
+    a parallel implementation partitioned over trials would reproduce the
+    exact same table.  A cross recipe is one fixed mask: it is scored once
+    and its score counts for all ``trials``, so its row reads as ``trials``
+    identical trials with zero standard error, at the achieved ratio.
     Every mask comes from ``MaskSettings.build``, so a double cross with
     ``sharing=PER_REGION`` raises MaskError as it does in a scenario file;
-    each ratio's first mask is built before the window set, so a recipe
+    each recipe's first mask is built before the window set, so a recipe
     that cannot be drawn fails before any trial is scored.
     Trials are scored by ``detection_metrics`` around the source of
     ``config.excitation``.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if pattern not in ("random", "cross"):
-        raise ValueError(f"unknown mask pattern {pattern!r}")
-
-    if pattern == "cross":
-        recipes = [MaskSettings("cross", stride=stride, sharing=sharing)]
-    else:
-        recipes = [MaskSettings("random", ratio=float(r), sharing=sharing)
-                   for r in ratios]
+    recipes = sweep_recipes(ratios, pattern, stride, sharing)
     # each recipe's first mask, so one that cannot be drawn fails unscored
     firsts = [settings.build(partition, base_seed) for settings in recipes]
     window_set = build_window_set(cube, partition, config)
@@ -376,17 +383,16 @@ def monte_carlo_sweep(
             result.flagged, truth, partition, config.excitation.source
         )
 
-    if pattern == "cross":
-        mask = firsts[0]
-        scores = [score(mask)] * trials
-        return [_average_row(mask.achieved_ratio, scores, trials, base_seed)]
-
     rows: list[SweepRow] = []
     for settings, first in zip(recipes, firsts):
-        scores = [score(first)] + [
-            score(settings.build(partition, base_seed + t)) for t in range(1, trials)
-        ]
-        rows.append(_average_row(settings.ratio, scores, trials, base_seed))
+        if settings.kind == "cross":     # one fixed mask, counted for every trial
+            nz, scores = first.achieved_ratio, [score(first)] * trials
+        else:
+            nz = settings.ratio
+            scores = [score(first)] + [
+                score(settings.build(partition, base_seed + t)) for t in range(1, trials)
+            ]
+        rows.append(_average_row(nz, scores, trials, base_seed))
     return rows
 
 

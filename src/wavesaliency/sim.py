@@ -327,9 +327,12 @@ def stable_timestep(
     """
     if safety <= 0.0:
         raise ValueError(f"safety must be positive, got {safety}")
-    ratio_min = float(
-        np.min(material_map.areal_density / material_map.bending_stiffness)
-    )
+    # a cell whose D is near the bottom of float range overflows to inf,
+    # which the minimum passes over; PlateOperator refuses its zero gain
+    with np.errstate(over="ignore"):
+        ratio_min = float(
+            np.min(material_map.areal_density / material_map.bending_stiffness)
+        )
     s_max = stage_symbol_peak(space_order)
     return safety * (2.0 / s_max) * dx * dx * math.sqrt(ratio_min)
 
@@ -452,17 +455,17 @@ class PlateOperator:
         n = cl + 1
         self.n, self.dx, self.dt, self.space_order = n, dx, dt, space_order
         self.scale = denominator * dx * dx
-        # Layout is [m, l] (y index first) so that node views are already
-        # in cube payload order.
-        d = _cells_to_nodes(material_map.bending_stiffness.T, harmonic=True)
-        rho_h = _cells_to_nodes(material_map.areal_density.T, harmonic=False)
-
         self.w_curr, self.w_prev, self.stage, self._d, rho = (
             PaddedField(n) for _ in range(5))
         self._gain, self._tmp, self._rise = (
             np.empty_like(self.stage.span) for _ in range(3))
         dt2 = dt * dt
         with np.errstate(all="ignore"):
+            # Layout is [m, l] (y index first) so that node views are already
+            # in cube payload order.  A cell value that leaves float range
+            # here becomes a zero or infinite gain, refused below.
+            d = _cells_to_nodes(material_map.bending_stiffness.T, harmonic=True)
+            rho_h = _cells_to_nodes(material_map.areal_density.T, harmonic=False)
             # Ghost-column entries of the coefficients only meet thrown-away
             # values; edge copies keep that arithmetic finite.
             self._d.full[...] = np.pad(d, 2, mode="edge") / self.scale
@@ -539,32 +542,35 @@ def leapfrog(
         src_idx = source.m * (op.n + 4) + source.l  # node (l, m) in a span
         src_gain = op._force_gain[source.m, source.l]
     gain, tmp, stage, rise = op._gain, op._tmp, op.stage.span, op._rise
-    for step in range(1, step_count + 1):
-        op.stencil_sum(curr, stage)
-        np.multiply(stage, op._d.span, out=stage)
-        op.stencil_sum(op.stage, rise)
-        np.multiply(rise, gain, out=rise)
-        if forcing is not None:
-            f_now = forcing((step - 1) * op.dt)
-            if f_now != 0.0:
-                rise[src_idx] += f_now * src_gain
-        # w_next = (w + w) - w_prev + rise, written over w_prev.
-        nxt = prev.span
-        np.add(curr.span, curr.span, out=tmp)
-        np.subtract(tmp, nxt, out=nxt)
-        np.add(nxt, rise, out=nxt)
-        prev.pin_edges()
-        # The span now holds nodes and zeros only; max/min need no
-        # temporary, and a NaN still propagates to the peak.
-        peak = max(float(nxt.max()), -float(nxt.min()))
-        if not math.isfinite(peak) or (blow_up > 0.0 and peak > blow_up):
-            raise DivergenceError(
-                f"explicit scheme diverged at step {step} "
-                f"(|w| reached {peak:.3e})"
-            )
-        prev, curr = curr, prev
-        if step % record_every == 0:
-            record[step // record_every] = curr.nodes
+    # an overflow or NaN in a step is the divergence the loop checks for
+    # itself, so numpy's own warning is silenced once, outside the loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, step_count + 1):
+            op.stencil_sum(curr, stage)
+            np.multiply(stage, op._d.span, out=stage)
+            op.stencil_sum(op.stage, rise)
+            np.multiply(rise, gain, out=rise)
+            if forcing is not None:
+                f_now = forcing((step - 1) * op.dt)
+                if f_now != 0.0:
+                    rise[src_idx] += f_now * src_gain
+            # w_next = (w + w) - w_prev + rise, written over w_prev.
+            nxt = prev.span
+            np.add(curr.span, curr.span, out=tmp)
+            np.subtract(tmp, nxt, out=nxt)
+            np.add(nxt, rise, out=nxt)
+            prev.pin_edges()
+            # The span now holds nodes and zeros only; max/min need no
+            # temporary, and a NaN still propagates to the peak.
+            peak = max(float(nxt.max()), -float(nxt.min()))
+            if not math.isfinite(peak) or (blow_up > 0.0 and peak > blow_up):
+                raise DivergenceError(
+                    f"explicit scheme diverged at step {step} "
+                    f"(|w| reached {peak:.3e})"
+                )
+            prev, curr = curr, prev
+            if step % record_every == 0:
+                record[step // record_every] = curr.nodes
     return record
 
 
@@ -592,7 +598,8 @@ def simulate(
         ValueError: a bad argument, such as an unsupported space order,
             a side length whose dx^2, dt^2 or step gains are zero or out of
             float range, or (both from ``PlateOperator``) a plate that is
-            not square.
+            not square, or a burst N_c/nu whose square is out of float
+            range.
     """
     if step_count < 1:
         raise ValueError("step_count must be at least 1")
@@ -609,11 +616,15 @@ def simulate(
 
     # Displacement scale of the driven lumped mass under the peak force held
     # for the whole burst; honest responses sit far below 1e6 times this.
+    t_b = excitation.burst_duration
+    if not 0.0 < t_b * t_b < math.inf:
+        raise ValueError(
+            f"the burst lasts N_c/nu = {excitation.cycle_count:g} / "
+            f"{excitation.carrier_frequency:g} Hz = {t_b:.3e} s, whose square "
+            f"is out of float range"
+        )
     rho_min = float(np.min(mmap.areal_density))
-    blow_up = (
-        1e6 * abs(excitation.amplitude) * excitation.burst_duration**2
-        / (rho_min * dx * dx)
-    )
+    blow_up = 1e6 * abs(excitation.amplitude) * t_b**2 / (rho_min * dx * dx)
 
     rest = np.zeros((n2, n1))
     record = leapfrog(

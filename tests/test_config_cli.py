@@ -917,6 +917,31 @@ def test_side_length_out_of_float_range_exits_config(tmp_path, capsys):
     assert read_cube(tmp_path / "p.wvc").t_len == 3
 
 
+def test_plate_values_out_of_float_range_exit_with_no_warning(tmp_path, capsys):
+    # one value of bench1_ci changed: a near-zero stiffness overflows the
+    # node averages and dt, a huge force overflows inside the step loop,
+    # and a burst N_c/nu whose square leaves float range is named as such;
+    # each prints one error line and no floating-point warning
+    bench1_ci = bundled_config_path("bench1_ci").read_text()
+    cfg = tmp_path / "plate.cfg"
+    for change, code, named in (
+        ({"modulus_scale": "1e-320"}, EXIT_CONFIG, "step gain zero"),
+        ({"amplitude": "1e308"}, EXIT_DIVERGENCE, "diverged at step"),
+        ({"cycles": "1e308"}, EXIT_CONFIG, "N_c/nu = 1e+308 / 250000 Hz"),
+        ({"frequency": "1e-300"}, EXIT_CONFIG, "N_c/nu = 5 / 1e-300 Hz"),
+        ({"frequency": "1e300"}, EXIT_CONFIG, "N_c/nu = 5 / 1e+300 Hz"),
+    ):
+        cfg.write_text(_edit(bench1_ci, **change))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", str(cfg), str(tmp_path / "p.wvc")]) == code, change
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), (change, err)
+        assert named in err[0], (change, err)
+    assert not (tmp_path / "p.wvc").exists()
+
+
 def test_record_too_large_to_allocate_is_one_error_line(tmp_path, capsys):
     # 10**12 recorded 129^2 states are 118 PiB, beyond any user address
     # space, so the allocation fails before a step runs

@@ -19,12 +19,14 @@ from wavesaliency.sampling import (
     DetectionMetrics,
     GroundTruth,
     Mask,
+    MaskSettings,
     detection_metrics,
     double_cross_mask,
     monte_carlo_sweep,
     origin_block,
     random_mask,
     sweep_csv_text,
+    sweep_recipes,
 )
 from wavesaliency.cube import GridPoint, write_text
 from wavesaliency.sim import DefectSpec
@@ -371,6 +373,27 @@ def test_sweep_validation(ci_bench1):
         monte_carlo_sweep(cube, part, config, [], trials=1, base_seed=0,
                           truth=truth, pattern="cross", stride=2,
                           sharing=PER_REGION)
+
+
+def test_sweep_recipes_are_built_in_one_place():
+    assert sweep_recipes([0.5, 1], "random", 4, PER_REGION) == [
+        MaskSettings("random", ratio=0.5, sharing=PER_REGION),
+        MaskSettings("random", ratio=1.0, sharing=PER_REGION),
+    ]
+    # the cross ignores the ratio list
+    assert sweep_recipes([0.5, 0.2], "cross", 2, SHARED) == [MaskSettings("cross", stride=2)]
+
+
+def test_mask_recipe_missing_its_argument_is_refused_where_made():
+    # a random recipe needs a real ratio and a cross an integer stride;
+    # a bool is neither
+    for kind, arg in (("random", {}), ("random", {"ratio": True}),
+                      ("random", {"ratio": "0.5"}), ("cross", {}),
+                      ("cross", {"stride": False}), ("cross", {"stride": 2.0})):
+        with pytest.raises(ValueError, match=f"mask '{kind}' needs"):
+            MaskSettings(kind, **arg)
+    assert MaskSettings("random", ratio=np.float64(0.5)).ratio == 0.5
+    assert MaskSettings("cross", stride=np.int64(2)).stride == 2
 
 
 def test_sweep_refuses_a_bad_recipe_before_scoring(ci_bench1, monkeypatch):
