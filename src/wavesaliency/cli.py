@@ -82,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("prefix", help="output prefix for csv/pgm/flags/manifest")
     p.add_argument("--rank", help="subspace rank override (an integer >= 1)")
     p.add_argument("--tw", help="window length override (samples, an integer >= 1)")
-    p.add_argument("--ratio", type=float, help="outlier energy ratio override")
-    p.add_argument("--theta", type=float, help="decision threshold override")
+    p.add_argument("--ratio", help="outlier energy ratio override")
+    p.add_argument("--theta", help="decision threshold override")
     p.add_argument("--dump-windows", metavar="DIR",
                    help="debug: also write every active region's aligned "
                         "window as a small WVC1 cube under DIR")

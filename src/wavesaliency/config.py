@@ -5,8 +5,10 @@ stepping, excitation burst, any number of defects, the detection settings
 and the velocity probes — so a benchmark is a single self-contained,
 diff-friendly text fixture.  Python's configparser is not used because
 defect blocks must be repeatable.  Every number must be finite; an integer
-key also takes a float spelling of an exact integer (``65.0``).  A scenario
-is checked as it is built, block by block and then across blocks.
+key also takes a float spelling of an exact integer (``65.0``).  From Python,
+a setting takes any integral or real number type, numpy scalars included,
+and holds it as a plain ``int`` or ``float``.  A scenario is checked as it
+is built, block by block and then across blocks.
 
 Every key, with its default; a key marked required shows an example::
 
@@ -72,6 +74,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
+from numbers import Integral, Real
 from pathlib import Path
 
 from . import sim
@@ -103,6 +106,18 @@ _DEFECT_GEOMETRY_KEYS = {
 }
 
 
+def _hold_plain_numbers(settings) -> None:
+    """Hold each ``int`` or ``float`` field, given any Integral or Real, as that type."""
+    for f in fields(settings):
+        if f.type in ("int", "float"):
+            value = getattr(settings, f.name)
+            want, plain = (Integral, int) if f.type == "int" else (Real, float)
+            if isinstance(value, bool) or not isinstance(value, want):
+                noun = "an integer" if f.type == "int" else "a number"
+                raise ValueError(f"{f.name} must be {noun}, got {value!r}")
+            object.__setattr__(settings, f.name, plain(value))
+
+
 @dataclass(frozen=True)
 class GridSettings:
     """Spatial grid and time stepping of one scenario."""
@@ -115,6 +130,7 @@ class GridSettings:
     space_order: int = DEFAULT_SPACE_ORDER
 
     def __post_init__(self):
+        _hold_plain_numbers(self)
         if self.n1 < 2 or self.n2 < 2:
             raise ValueError("grid must be at least 2x2 nodes")
         if self.n1 != self.n2:
@@ -142,13 +158,7 @@ class DetectionSettings:
     mask: MaskSettings = field(default_factory=MaskSettings)
 
     def __post_init__(self):
-        # Each number field holds its annotation's type; a bool is neither.
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kind = {"int": int, "float": (int, float)}.get(f.type)
-            if kind and (isinstance(value, bool) or not isinstance(value, kind)):
-                noun = "an integer" if f.type == "int" else "a number"
-                raise ValueError(f"{f.name} must be {noun}, got {value!r}")
+        _hold_plain_numbers(self)
         if self.window_len < 1:
             raise ValueError(f"window_len must be >= 1, got {self.window_len}")
         for name in ("ratio", "theta"):
@@ -191,12 +201,13 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        # Partition divisibility against the grid block, then the mask against
-        # the partition; the library's errors are wrapped so the failure reads
-        # as a config problem.
+        # The seed, partition divisibility against the grid block, then the
+        # mask against the partition; the library's errors are wrapped so the
+        # failure reads as a config problem.
         try:
+            _hold_plain_numbers(self)
+            if self.seed < 0:
+                raise ValueError(f"seed must be >= 0, got {self.seed}")
             mask = self.mask()
         except (PartitionError, MaskError, GeometryError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
@@ -288,7 +299,7 @@ def with_overrides(scenario: ScenarioConfig, **changes) -> ScenarioConfig:
                 raise ConfigError(f"bad value for {key!r}: {exc}") from None
     try:
         detection = replace(scenario.detection, **changes)
-    except ValueError as exc:
+    except (OverflowError, ValueError) as exc:  # OverflowError: an int past float range
         raise ConfigError(f"bad detection setting: {exc}") from None
     return replace(scenario, detection=detection)
 
@@ -516,9 +527,9 @@ def scenario_echo(scenario: ScenarioConfig) -> dict[str, str]:
     out = {
         **_fields_echo("material", scenario.material),
         **_fields_echo("grid", scenario.grid),
-        "excitation.frequency": repr(exc.carrier_frequency),
+        "excitation.frequency": repr(float(exc.carrier_frequency)),
         "excitation.cycles": str(exc.cycle_count),
-        "excitation.amplitude": repr(exc.amplitude),
+        "excitation.amplitude": repr(float(exc.amplitude)),
         "excitation.source": f"{exc.source.l},{exc.source.m}",
         **_fields_echo("detection", scenario.detection),
         "probes.mode": scenario.probes.mode,
@@ -530,16 +541,17 @@ def scenario_echo(scenario: ScenarioConfig) -> dict[str, str]:
             f"{pair.first.l},{pair.first.m};{pair.second.l},{pair.second.m}"
         )
     for i, defect in enumerate(scenario.defects):
-        geometry = ",".join(repr(g) for g in defect.geometry)
+        geometry = ",".join(repr(float(g)) for g in defect.geometry)
         out[f"defect.{i}"] = (
             f"{defect.kind} [{geometry}] "
-            f"modulus_scale={defect.modulus_scale!r} "
-            f"density_scale={defect.density_scale!r}"
+            f"modulus_scale={float(defect.modulus_scale)!r} "
+            f"density_scale={float(defect.density_scale)!r}"
         )
     return out
 
 
 def _fields_echo(block: str, settings) -> dict[str, str]:
-    """``block.field`` for each field: repr of a float, str of anything else."""
-    values = {f"{block}.{f.name}": getattr(settings, f.name) for f in fields(settings)}
-    return {k: repr(v) if isinstance(v, float) else str(v) for k, v in values.items()}
+    """``block.field`` for each field, by its annotation: the repr of a float
+    field's value as a float, the str of any other field's value."""
+    values = {f"{block}.{f.name}": (getattr(settings, f.name), f.type) for f in fields(settings)}
+    return {k: repr(float(v)) if t == "float" else str(v) for k, (v, t) in values.items()}

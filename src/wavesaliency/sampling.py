@@ -179,6 +179,7 @@ class MaskSettings:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, want):
                 raise ValueError(f"mask {self.kind!r} needs {noun}, got {value!r}")
+            object.__setattr__(self, name, float(value) if want is Real else int(value))
 
     def __str__(self) -> str:
         """The text form that manifests and ``.meta`` files echo."""
@@ -316,7 +317,7 @@ def sweep_recipes(ratios, pattern: str, stride: int, sharing: str) -> list[MaskS
         return [MaskSettings("cross", stride=stride, sharing=sharing)]
     if pattern != "random":
         raise ValueError(f"unknown mask pattern {pattern!r}")
-    return [MaskSettings("random", ratio=float(r), sharing=sharing) for r in ratios]
+    return [MaskSettings("random", ratio=r, sharing=sharing) for r in ratios]
 
 
 @dataclass(frozen=True)

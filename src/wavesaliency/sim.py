@@ -186,23 +186,6 @@ class MaterialMap:
     bending_stiffness: np.ndarray
     areal_density: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        d = np.asarray(self.bending_stiffness, dtype=np.float64)
-        r = np.asarray(self.areal_density, dtype=np.float64)
-        if d.shape != r.shape or d.ndim != 2:
-            raise ValueError("coefficient grids must be 2-D and congruent")
-        for name, arr in (("bending_stiffness", d), ("areal_density", r)):
-            if not np.isfinite(arr).all() or (arr <= 0.0).any():
-                raise ValueError(f"{name} must be strictly positive and finite")
-        d.flags.writeable = False
-        r.flags.writeable = False
-        object.__setattr__(self, "bending_stiffness", d)
-        object.__setattr__(self, "areal_density", r)
-
-    @property
-    def cell_shape(self) -> tuple[int, int]:
-        return self.bending_stiffness.shape
-
 
 # ---------------------------------------------------------------------------
 # Excitation
@@ -279,12 +262,15 @@ def build_material_map(
         raise ValueError("grid must be at least 2 x 2 nodes")
     d = np.full((n1 - 1, n2 - 1), base.bending_stiffness)
     rho_h = np.full((n1 - 1, n2 - 1), base.areal_density)
-    # A product that overflows fails MaterialMap's finiteness check instead.
+    # A product that overflows fails the finiteness check below instead.
     with np.errstate(over="ignore"):
         for defect in defects:
             for cl, cm in defect_cells(defect, n1, n2):
                 d[cl, cm] *= defect.modulus_scale
                 rho_h[cl, cm] *= defect.density_scale
+    for name, arr in (("bending_stiffness", d), ("areal_density", rho_h)):
+        if not np.isfinite(arr).all() or (arr <= 0.0).any():
+            raise ValueError(f"{name} must be strictly positive and finite")
     return MaterialMap(bending_stiffness=d, areal_density=rho_h)
 
 
@@ -449,7 +435,7 @@ class PlateOperator:
     ):
         stage_symbol_peak(space_order)
         self._centre, denominator, _ = STENCILS[space_order]
-        cl, cm = material_map.cell_shape
+        cl, cm = material_map.bending_stiffness.shape
         if cl != cm:
             raise ValueError("the plate is square; n1 and n2 must match")
         n = cl + 1

@@ -14,7 +14,8 @@ import subprocess
 import sys
 import textwrap
 import warnings
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, fields, is_dataclass, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,7 @@ from wavesaliency.config import (
 from wavesaliency.cube import GridPoint, read_cube, write_cube
 from wavesaliency.errors import ConfigError
 from wavesaliency.pipeline import DetectionConfig
+from wavesaliency.sampling import MaskSettings
 from wavesaliency.sim import MaterialSpec, analytic_group_velocity
 from wavesaliency.windowing import ProbePair
 
@@ -361,8 +363,8 @@ def test_detection_config_holds_one_velocity():
 
 
 def test_python_overrides_hold_their_field_types():
-    # a value from Python is not parsed: an int field takes an int, a float
-    # field an int or a float, and neither takes a bool
+    # a value from Python is not parsed: an int field takes an integral
+    # number, a float field a real one, and neither takes a bool
     s = parse_scenario(SMALL_CFG)
     for key, value, kind in (("window_len", 9.5, "an integer"),
                              ("rank", True, "an integer"),
@@ -373,7 +375,7 @@ def test_python_overrides_hold_their_field_types():
             with_overrides(s, **{key: value})
     with pytest.raises(ValueError, match="^velocity True is a bool, not a speed$"):
         replace(s.detection_config(), velocity=True)
-    # an int stands for a float, and the check leaves every value as given
+    # an int stands for a float
     given = with_overrides(s, rank=2, window_len=9, ratio=1, theta=0.6)
     assert (given.detection.rank, given.detection.window_len) == (2, 9)
     assert (given.detection.ratio, given.detection.theta) == (1, 0.6)
@@ -564,6 +566,77 @@ def test_scenario_echo_is_stable():
         assert scenario_echo(masked)["detection.mask"] == text
 
 
+BUNDLED = ("bench1", "bench2", "pristine", "bench1_ci", "pristine_ci")
+
+
+def _retyped(value, as_int, as_float):
+    """``value`` rebuilt with each int passed through ``as_int`` and each
+    float through ``as_float``, every dataclass by ``replace``."""
+    if is_dataclass(value):
+        return replace(value, **{f.name: _retyped(getattr(value, f.name), as_int, as_float)
+                                 for f in fields(value)})
+    if isinstance(value, tuple):
+        return tuple(_retyped(v, as_int, as_float) for v in value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return value
+    return as_int(value) if isinstance(value, int) else as_float(value)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_scenario_echo_is_the_file_text_from_any_number_type(name):
+    # the same scenario from numpy scalars, or with its integral floats
+    # given as ints, echoes what its file does
+    s = load_scenario(bundled_config_path(name))
+    masks = (s.detection.mask, MaskSettings("random", ratio=1.0),
+             MaskSettings("random", ratio=0.33, sharing="per_region"),
+             MaskSettings("cross", stride=2))
+    for as_int, as_float in ((np.int64, np.float64),
+                             (int, lambda v: int(v) if v.is_integer() else v)):
+        rebuilt = _retyped(s, as_int, as_float)
+        assert type(rebuilt.material.density) is not float  # the plate keeps them
+        assert scenario_echo(rebuilt) == scenario_echo(s)
+        for mask in masks:
+            assert str(_retyped(mask, as_int, as_float)) == str(mask)
+
+
+# (name, build, kind, error): ``build(v)`` makes settings with the
+# number v in one field and returns the value that field holds.
+NUMBER_FIELDS = (
+    ("GridSettings.n1", lambda v: GridSettings(v, v, 10).n1, int, ValueError),
+    ("GridSettings.steps", lambda v: GridSettings(9, 9, v).steps, int, ValueError),
+    ("GridSettings.safety", lambda v: GridSettings(9, 9, 10, safety=v).safety,
+     float, ValueError),
+    ("DetectionSettings.rank", lambda v: DetectionSettings(4, 4, v).rank, int, ValueError),
+    ("DetectionSettings.ratio", lambda v: DetectionSettings(4, 4, 3, ratio=v).ratio,
+     float, ValueError),
+    ("seed", lambda v: replace(parse_scenario(SMALL_CFG), seed=v).seed, int, ConfigError),
+    ("MaskSettings.ratio", lambda v: MaskSettings("random", ratio=v).ratio,
+     float, ValueError),
+    ("MaskSettings.stride", lambda v: MaskSettings("cross", stride=v).stride,
+     int, ValueError),
+)
+
+
+@pytest.mark.parametrize("name, build, kind, error", NUMBER_FIELDS,
+                         ids=[row[0] for row in NUMBER_FIELDS])
+def test_settings_numbers_hold_plain_python_numbers(name, build, kind, error):
+    # an int field takes any integral number and a float field any real
+    # one, numpy scalars included, and holds the plain number; a bool is
+    # neither, an int field takes no float, and neither takes text
+    if kind is int:
+        given = (2, np.int64(2), np.int32(2), np.uint8(2))
+        refused = (True, np.True_, 2.0, np.float64(2.0), Fraction(2, 1), "2", None)
+    else:
+        given = (1, np.int64(1), 0.5, np.float64(0.5), np.float32(0.5), Fraction(1, 2))
+        refused = (True, np.True_, "0.5", None, 0.5j)
+    for value in given:
+        held = build(value)
+        assert held == value and type(held) is kind, (name, value)
+    for value in refused:
+        with pytest.raises(error):
+            build(value)
+
+
 # ---------------------------------------------------------------------------
 # CLI commands (in-process)
 # ---------------------------------------------------------------------------
@@ -713,6 +786,20 @@ def test_tw_is_read_like_a_window_len_line(small_run, tmp_path, capsys):
         "error: bad value for 'window_len': '9.5' is not an integer\n"
     )
     assert not (tmp_path / "g.manifest").exists()
+
+
+def test_ratio_and_theta_are_read_like_their_file_lines(small_run, tmp_path, capsys):
+    # like --rank and --tw, text that is no number is one error line
+    cfg, cube_path = small_run
+    for flag in ("ratio", "theta"):
+        capsys.readouterr()
+        assert main([
+            "detect", str(cube_path), str(cfg), str(tmp_path / "r"), f"--{flag}", "abc",
+        ]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith(f"error: bad value for '{flag}': "), err
+    assert not list(tmp_path.iterdir())
 
 
 def test_rank_above_a_masked_snapshot_fails_before_the_cube_is_read(
