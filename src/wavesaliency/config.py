@@ -6,9 +6,9 @@ and the velocity probes — so a benchmark is a single self-contained,
 diff-friendly text fixture.  Python's configparser is not used because
 defect blocks must be repeatable.  Every number must be finite; an integer
 key also takes a float spelling of an exact integer (``65.0``).  From Python,
-a setting takes any integral or real number type, numpy scalars included,
-and holds it as a plain ``int`` or ``float``.  A scenario is checked as it
-is built, block by block and then across blocks.
+every record, plate specs and grid points too, holds each number as a plain,
+finite ``int`` or ``float``, made from any integral or real type but a bool.
+A scenario is checked as it is built, block by block and then across blocks.
 
 Every key, with its default; a key marked required shows an example::
 
@@ -74,11 +74,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
-from numbers import Integral, Real
 from pathlib import Path
 
 from . import sim
-from .cube import DataCube, GridPoint
+from .cube import DataCube, GridPoint, hold_plain_numbers
 from .errors import ConfigError, GeometryError, MaskError, PartitionError
 from .pipeline import DetectionConfig
 from .saliency import DEFAULT_DECISION_THRESHOLD, DEFAULT_ENERGY_RATIO
@@ -106,18 +105,6 @@ _DEFECT_GEOMETRY_KEYS = {
 }
 
 
-def _hold_plain_numbers(settings) -> None:
-    """Hold each ``int`` or ``float`` field, given any Integral or Real, as that type."""
-    for f in fields(settings):
-        if f.type in ("int", "float"):
-            value = getattr(settings, f.name)
-            want, plain = (Integral, int) if f.type == "int" else (Real, float)
-            if isinstance(value, bool) or not isinstance(value, want):
-                noun = "an integer" if f.type == "int" else "a number"
-                raise ValueError(f"{f.name} must be {noun}, got {value!r}")
-            object.__setattr__(settings, f.name, plain(value))
-
-
 @dataclass(frozen=True)
 class GridSettings:
     """Spatial grid and time stepping of one scenario."""
@@ -130,7 +117,7 @@ class GridSettings:
     space_order: int = DEFAULT_SPACE_ORDER
 
     def __post_init__(self):
-        _hold_plain_numbers(self)
+        hold_plain_numbers(self)
         if self.n1 < 2 or self.n2 < 2:
             raise ValueError("grid must be at least 2x2 nodes")
         if self.n1 != self.n2:
@@ -158,7 +145,7 @@ class DetectionSettings:
     mask: MaskSettings = field(default_factory=MaskSettings)
 
     def __post_init__(self):
-        _hold_plain_numbers(self)
+        hold_plain_numbers(self)
         if self.window_len < 1:
             raise ValueError(f"window_len must be >= 1, got {self.window_len}")
         for name in ("ratio", "theta"):
@@ -205,7 +192,7 @@ class ScenarioConfig:
         # mask against the partition; the library's errors are wrapped so the
         # failure reads as a config problem.
         try:
-            _hold_plain_numbers(self)
+            hold_plain_numbers(self)
             if self.seed < 0:
                 raise ValueError(f"seed must be >= 0, got {self.seed}")
             mask = self.mask()
@@ -299,7 +286,7 @@ def with_overrides(scenario: ScenarioConfig, **changes) -> ScenarioConfig:
                 raise ConfigError(f"bad value for {key!r}: {exc}") from None
     try:
         detection = replace(scenario.detection, **changes)
-    except (OverflowError, ValueError) as exc:  # OverflowError: an int past float range
+    except ValueError as exc:
         raise ConfigError(f"bad detection setting: {exc}") from None
     return replace(scenario, detection=detection)
 
@@ -430,9 +417,7 @@ def _parse_mask(text: str) -> MaskSettings:
 def _parse_defect(b: _Block) -> DefectSpec:
     kind = b.get("kind", str)
     # An unknown kind reads no geometry and fails DefectSpec's own check.
-    geometry = tuple(
-        b.get(key, _parse_float) for key in _DEFECT_GEOMETRY_KEYS.get(kind, ())
-    )
+    geometry = [b.get(key, _parse_float) for key in _DEFECT_GEOMETRY_KEYS.get(kind, ())]
     return b.make(
         DefectSpec,
         kind=kind,
@@ -527,9 +512,9 @@ def scenario_echo(scenario: ScenarioConfig) -> dict[str, str]:
     out = {
         **_fields_echo("material", scenario.material),
         **_fields_echo("grid", scenario.grid),
-        "excitation.frequency": repr(float(exc.carrier_frequency)),
+        "excitation.frequency": str(exc.carrier_frequency),
         "excitation.cycles": str(exc.cycle_count),
-        "excitation.amplitude": repr(float(exc.amplitude)),
+        "excitation.amplitude": str(exc.amplitude),
         "excitation.source": f"{exc.source.l},{exc.source.m}",
         **_fields_echo("detection", scenario.detection),
         "probes.mode": scenario.probes.mode,
@@ -541,17 +526,13 @@ def scenario_echo(scenario: ScenarioConfig) -> dict[str, str]:
             f"{pair.first.l},{pair.first.m};{pair.second.l},{pair.second.m}"
         )
     for i, defect in enumerate(scenario.defects):
-        geometry = ",".join(repr(float(g)) for g in defect.geometry)
         out[f"defect.{i}"] = (
-            f"{defect.kind} [{geometry}] "
-            f"modulus_scale={float(defect.modulus_scale)!r} "
-            f"density_scale={float(defect.density_scale)!r}"
+            f"{defect.kind} [{','.join(map(str, defect.geometry))}] "
+            f"modulus_scale={defect.modulus_scale} density_scale={defect.density_scale}"
         )
     return out
 
 
 def _fields_echo(block: str, settings) -> dict[str, str]:
-    """``block.field`` for each field, by its annotation: the repr of a float
-    field's value as a float, the str of any other field's value."""
-    values = {f"{block}.{f.name}": (getattr(settings, f.name), f.type) for f in fields(settings)}
-    return {k: repr(float(v)) if t == "float" else str(v) for k, (v, t) in values.items()}
+    """``block.field`` for each field: the ``str`` of its value."""
+    return {f"{block}.{f.name}": str(getattr(settings, f.name)) for f in fields(settings)}

@@ -31,9 +31,12 @@ plain ``key = value`` text file next to the binary, never in the binary.
 
 from __future__ import annotations
 
+import contextlib
+import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -45,12 +48,32 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIIIIdd")  # magic, version, n1, n2, t_len, dx, dt
 
 
+def plain_number(name: str, value, kind: str):
+    """``value`` as a plain ``int`` from an Integral or a finite ``float`` from a Real; no bool."""
+    if isinstance(value, Integral if kind == "int" else Real) and not isinstance(value, bool):
+        if kind == "int":
+            return int(value)
+        with contextlib.suppress(OverflowError):  # a Real past float range
+            if math.isfinite(number := float(value)):
+                return number
+    noun = "an integer" if kind == "int" else "a number"
+    raise ValueError(f"{name} must be {noun}, got {value!r}")
+
+
+def hold_plain_numbers(self) -> None:
+    """Hold each ``int`` or ``float`` field of a frozen record as its ``plain_number``."""
+    for f in fields(self):
+        if f.type in ("int", "float"):
+            object.__setattr__(self, f.name, plain_number(f.name, getattr(self, f.name), f.type))
+
+
 @dataclass(frozen=True)
 class GridPoint:
-    """A node of the measurement grid, x index ``l`` and y index ``m``."""
+    """A node of the measurement grid, x index ``l`` and y index ``m``, plain ints."""
 
     l: int
     m: int
+    __post_init__ = hold_plain_numbers
 
     def validate(self, n1: int, n2: int) -> None:
         if not (0 <= self.l < n1 and 0 <= self.m < n2):

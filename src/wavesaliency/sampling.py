@@ -18,12 +18,11 @@ false flags over 20 trials are 92.8 of 205 regions against 1.15.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
 
-from .cube import DataCube, GridPoint
+from .cube import DataCube, GridPoint, plain_number
 from .errors import GeometryError, MaskError
 from .pipeline import DetectionConfig, build_window_set, run_detection
 from .sim import DefectSpec, defect_cells, effective_source
@@ -174,19 +173,20 @@ class MaskSettings:
         if self.sharing not in (SHARED, PER_REGION):
             raise ValueError(f"unknown sharing mode {self.sharing!r}")
         if self.kind != "full":
-            name, want, noun = (("ratio", Real, "a real ratio") if self.kind == "random"
-                                else ("stride", Integral, "an integer stride"))
+            name, kind, noun = (("ratio", "float", "a real ratio") if self.kind == "random"
+                                else ("stride", "int", "an integer stride"))
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, want):
-                raise ValueError(f"mask {self.kind!r} needs {noun}, got {value!r}")
-            object.__setattr__(self, name, float(value) if want is Real else int(value))
+            try:
+                object.__setattr__(self, name, plain_number(name, value, kind))
+            except ValueError:
+                raise ValueError(f"mask {self.kind!r} needs {noun}, got {value!r}") from None
 
     def __str__(self) -> str:
         """The text form that manifests and ``.meta`` files echo."""
         if self.kind == "full":
             return "full"
         if self.kind == "random":
-            return f"random {self.ratio!r} sharing={self.sharing}"
+            return f"random {self.ratio} sharing={self.sharing}"
         return f"cross {self.stride} sharing={self.sharing}"
 
     def build(self, partition: Partition, seed: int) -> Mask | None:

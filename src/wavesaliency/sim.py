@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cube import DataCube, GridPoint
+from .cube import DataCube, GridPoint, hold_plain_numbers, plain_number
 from .errors import DivergenceError, GeometryError
 
 DEFAULT_SPACE_ORDER = 4
@@ -70,7 +70,7 @@ DEFAULT_SPACE_ORDER = 4
 
 @dataclass(frozen=True)
 class MaterialSpec:
-    """Homogeneous plate material and geometry.
+    """Homogeneous plate material and geometry, each a plain, finite float.
 
     Attributes:
         youngs_modulus: E in Pa.
@@ -87,6 +87,7 @@ class MaterialSpec:
     side_length: float
 
     def __post_init__(self):
+        hold_plain_numbers(self)
         for name in ("youngs_modulus", "density", "thickness", "side_length"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")
@@ -118,21 +119,22 @@ class MaterialSpec:
 
 @dataclass(frozen=True)
 class ExcitationSpec:
-    """Narrow-band out-of-plane point burst.
+    """Narrow-band out-of-plane point burst, its numbers plain and finite.
 
     Attributes:
         carrier_frequency: carrier in Hz.
-        cycle_count: number of carrier cycles inside the burst envelope.
+        cycle_count: number of carrier cycles in the burst envelope, an int.
         amplitude: peak force scale in N.
         source: grid node receiving the force.
     """
 
     carrier_frequency: float
-    cycle_count: float
+    cycle_count: int
     amplitude: float
     source: GridPoint
 
     def __post_init__(self):
+        hold_plain_numbers(self)
         if self.carrier_frequency <= 0.0:
             raise ValueError("carrier_frequency must be positive")
         if self.cycle_count < 1:
@@ -149,9 +151,9 @@ class DefectSpec:
     """A localized material alteration, in plate-fraction coordinates.
 
     ``geometry`` is ``(x, y)`` for a point inclusion or ``(xa, ya, xb, yb)``
-    for a one-cell-thick line segment; all coordinates are fractions of the
-    side length in [0, 1].  ``modulus_scale`` multiplies E and
-    ``density_scale`` multiplies rho inside every affected cell.
+    for a one-cell-thick line segment, in [0, 1] of the side length and held
+    as a tuple.  ``modulus_scale`` multiplies E and ``density_scale`` rho
+    inside every affected cell.  Each number is a plain, finite float.
     """
 
     kind: str
@@ -160,6 +162,7 @@ class DefectSpec:
     density_scale: float
 
     def __post_init__(self):
+        hold_plain_numbers(self)
         if self.kind not in ("point_inclusion", "line_segment"):
             raise ValueError(f"unknown defect kind {self.kind!r}")
         want = 2 if self.kind == "point_inclusion" else 4
@@ -167,6 +170,8 @@ class DefectSpec:
             raise ValueError(
                 f"{self.kind} needs {want} geometry values, got {len(self.geometry)}"
             )
+        geometry = tuple(plain_number("geometry", g, "float") for g in self.geometry)
+        object.__setattr__(self, "geometry", geometry)
         if any(not 0.0 <= g <= 1.0 for g in self.geometry):
             raise GeometryError(
                 f"defect geometry {self.geometry} outside the unit square"

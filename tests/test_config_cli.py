@@ -47,7 +47,7 @@ from wavesaliency.cube import GridPoint, read_cube, write_cube
 from wavesaliency.errors import ConfigError
 from wavesaliency.pipeline import DetectionConfig
 from wavesaliency.sampling import MaskSettings
-from wavesaliency.sim import MaterialSpec, analytic_group_velocity
+from wavesaliency.sim import DefectSpec, ExcitationSpec, MaterialSpec, analytic_group_velocity
 from wavesaliency.windowing import ProbePair
 
 SMALL_CFG = """\
@@ -593,7 +593,7 @@ def test_scenario_echo_is_the_file_text_from_any_number_type(name):
     for as_int, as_float in ((np.int64, np.float64),
                              (int, lambda v: int(v) if v.is_integer() else v)):
         rebuilt = _retyped(s, as_int, as_float)
-        assert type(rebuilt.material.density) is not float  # the plate keeps them
+        assert type(rebuilt.material.density) is float  # the plate holds plain numbers too
         assert scenario_echo(rebuilt) == scenario_echo(s)
         for mask in masks:
             assert str(_retyped(mask, as_int, as_float)) == str(mask)
@@ -614,6 +614,19 @@ NUMBER_FIELDS = (
      float, ValueError),
     ("MaskSettings.stride", lambda v: MaskSettings("cross", stride=v).stride,
      int, ValueError),
+    ("GridPoint.l", lambda v: GridPoint(v, 0).l, int, ValueError),
+    ("MaterialSpec.density", lambda v: MaterialSpec(71e9, 0.33, v, 0.005, 0.25).density,
+     float, ValueError),
+    ("ExcitationSpec.cycle_count",
+     lambda v: ExcitationSpec(5e5, v, 1.0, GridPoint(0, 0)).cycle_count, int, ValueError),
+    ("ExcitationSpec.amplitude",
+     lambda v: ExcitationSpec(5e5, 5, v, GridPoint(0, 0)).amplitude, float, ValueError),
+    ("DefectSpec.modulus_scale",
+     lambda v: DefectSpec("point_inclusion", (0.2, 0.4), v, 100.0).modulus_scale,
+     float, ValueError),
+    ("DefectSpec.geometry",
+     lambda v: DefectSpec("point_inclusion", (v, 0.4), 100.0, 100.0).geometry[0],
+     float, ValueError),
 )
 
 
@@ -635,6 +648,44 @@ def test_settings_numbers_hold_plain_python_numbers(name, build, kind, error):
     for value in refused:
         with pytest.raises(error):
             build(value)
+
+
+def test_every_float_field_refuses_nan_and_infinity():
+    # a non-finite float, or a real number past float range, is refused with
+    # a ValueError where its record is made: not as a divergence at step 1,
+    # nor as an OverflowError
+    s = parse_scenario(_inject(SMALL_CFG, "detection", "mask = random 0.5"))
+    records = (s.material, s.grid, s.excitation, s.defects[0], s.detection)
+    float_fields = [(r, f.name) for r in records for f in fields(r) if f.type == "float"]
+    assert len(float_fields) == 12
+    for bad in (math.nan, math.inf, -math.inf, np.float64("nan"), np.float32("inf"),
+                10**400, Fraction(10**400, 3)):
+        for record, name in float_fields:
+            with pytest.raises(ValueError):
+                replace(record, **{name: bad})
+        with pytest.raises(ValueError):
+            replace(s.defects[0], geometry=(bad, 0.5))
+        with pytest.raises(ValueError, match="mask 'random' needs"):
+            replace(s.detection.mask, ratio=bad)
+        with pytest.raises(ConfigError, match="bad detection setting"):
+            with_overrides(s, theta=bad)
+    # finiteness is a float rule: an int field takes any Python int
+    assert GridPoint(10**400, 0).l == 10**400
+
+
+def test_defect_geometry_is_a_tuple_of_plain_floats():
+    as_list = DefectSpec("point_inclusion", [0.2, np.float64(0.4)], 100, 100)
+    as_tuple = DefectSpec("point_inclusion", (0.2, 0.4), 100.0, 100.0)
+    assert as_list == as_tuple and hash(as_list) == hash(as_tuple)
+    assert all(type(g) is float for g in as_list.geometry)
+    assert type(as_list.geometry) is tuple
+    with pytest.raises(ValueError, match="geometry must be a number"):
+        DefectSpec("point_inclusion", ("0.2", 0.4), 100, 100)
+
+
+def test_plate_material_refuses_text():
+    with pytest.raises(ValueError, match="density must be a number, got '2700'"):
+        MaterialSpec(71e9, 0.33, "2700", 0.005, 0.25)
 
 
 # ---------------------------------------------------------------------------
