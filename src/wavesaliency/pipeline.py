@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cube import DataCube
+from .cube import DataCube, hold_plain_numbers
 from .saliency import SaliencyMap, saliency_map
 from .sim import ExcitationSpec
 from .windowing import (
@@ -37,6 +37,7 @@ class DetectionConfig:
     theta: float
 
     def __post_init__(self):
+        hold_plain_numbers(self)
         if isinstance(self.velocity, bool):
             raise ValueError(f"velocity {self.velocity} is a bool, not a speed")
         if not isinstance(self.velocity, ProbePair) and not 0 < self.velocity < float("inf"):

@@ -11,7 +11,7 @@ the squared norm of its column of the residual left after subtracting the
 rank-r part, and its saliency is the fraction of window offsets at which
 that energy exceeds a fixed ratio of the snapshot's peak energy.
 
-``saliency_map`` gathers the snapshots of every offset in one stack and
+``score_offsets`` gathers the snapshots of every offset in one stack and
 fits each with the rank-r basis of the smaller Gram matrix: the left basis
 U of X Xᵀ when rows <= regions, else the right basis V of Xᵀ X.  The
 residual is formed explicitly, X − U(UᵀX) or X − (XV)Vᵀ, never as
@@ -40,6 +40,10 @@ The rank is an input of the model, never chosen from the data.  The dust
 floor comes from λ₀ of the tau = 0 Gram matrix, so scoring takes no full
 SVD outside that fallback; the full tau = 0 spectrum exists only for
 ``detect``'s manifest (``snapshot_spectrum``).
+
+``score_offsets`` returns one read-only ``OffsetScores`` (``energies``,
+``live``, ``lam0``, fit ``paths``, ``refused`` Lanczos fits); ``saliency_map``
+decides from it and keeps it, read as ``run_detection(...).saliency.scores``.
 """
 
 from __future__ import annotations
@@ -117,17 +121,39 @@ def salient_columns(energies, ratio: float = DEFAULT_ENERGY_RATIO) -> np.ndarray
 
 
 @dataclass(frozen=True)
+class OffsetScores:
+    """What ``score_offsets`` found at each window offset; arrays read-only.
+
+    ``energies`` is (offsets, active regions) in region order; ``live`` marks
+    the offsets whose peak clears offset 0's dust floor; ``lam0`` is each
+    offset's λ₀; ``paths`` names its fit, ``"lanczos"``, ``"eigh"`` or
+    ``"svd"``; ``refused`` marks a Lanczos fit tried and turned away.
+    """
+
+    energies: np.ndarray = field(repr=False)
+    live: np.ndarray = field(repr=False)
+    lam0: np.ndarray = field(repr=False)
+    paths: tuple[str, ...]
+    refused: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        for name in ("energies", "live", "lam0", "refused"):
+            getattr(self, name).flags.writeable = False
+
+
+@dataclass(frozen=True)
 class SaliencyMap:
     """Fraction of window offsets at which each region was an outlier.
 
     ``fractions`` is (regions_x, regions_y) with NaN marking inactive
     regions; ``active`` is the scored window set's own read-only activity
-    grid, and ``window_len`` the number of offsets each fraction counts.
+    grid, ``window_len`` the offsets each fraction counts, ``scores`` their record.
     """
 
     fractions: np.ndarray = field(repr=False)
     active: np.ndarray = field(repr=False)
     window_len: int
+    scores: OffsetScores = field(repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("fractions", "active"):
@@ -270,37 +296,16 @@ def _lanczos_bases(stack: np.ndarray, rank: int, start: np.ndarray) -> list:
     return fits
 
 
-def _fitted_grams(stack: np.ndarray, rank: int):
-    """Yield each offset's snapshot and its certified Lanczos fit, or None.
-
-    Gram orders of at least ``_KRYLOV_ORDER``, at ranks whose r + 1 pairs
-    fit in a third of the basis, are fitted by ``_lanczos_bases`` in passes
-    of ``_GRAM_CHUNK`` bytes, counting per offset Q, GQ and the operand each
-    step reads: a wide snapshot's Gram, a tall snapshot itself.
-    """
-    count, rows, cols = stack.shape
-    order, m = min(rows, cols), _KRYLOV_BLOCK * _KRYLOV_STEPS
-    if order < _KRYLOV_ORDER or rank >= m // 3:
-        yield from ((x, None) for x in stack)
-        return
-    start = _krylov_start(order)
-    held = 8 * order * (2 * m + (order if rows <= cols else rows))
-    chunk = max(1, _GRAM_CHUNK // held)
-    for lo in range(0, count, chunk):
-        xs = stack[lo:lo + chunk]
-        yield from zip(xs, _lanczos_bases(xs, rank, start))
-
-
-def _residual_energies(x: np.ndarray, rank: int,
-                       fit=None) -> tuple[np.ndarray, float]:
-    """Column energies of x minus its best rank-r approximation, and λ₀.
+def _residual_energies(x: np.ndarray, rank: int, fit=None) -> tuple[np.ndarray, float, str]:
+    """Column energies of x minus its best rank-r approximation, λ₀ and the fit path.
 
     λ₀ (s₀²) is the largest eigenvalue of x's smaller Gram matrix.  ``fit``
-    is a certified Lanczos (basis, λ₀) from ``_fitted_grams``; without one
+    is a certified Lanczos (basis, λ₀) from ``_lanczos_bases``; without one
     the Gram matrix is built here and the basis is its ``eigh``'s, or a thin
     SVD's where the ``eigh`` gap at the rank has closed.
     """
     rows, cols = x.shape
+    path = "lanczos" if fit is not None else "eigh"
     if fit is None:
         lam, vecs = np.linalg.eigh(_gram(x))
         lam0 = float(lam[-1])
@@ -308,6 +313,7 @@ def _residual_energies(x: np.ndarray, rank: int,
         if lam[-rank] - below > _GRAM_GAP * lam0:
             fit = vecs[:, -rank:], lam0
         else:
+            path = "svd"
             u, s, vt = np.linalg.svd(x, full_matrices=False)
             r = (u[:, :rank] * s[:rank]) @ vt[:rank]
     if fit is not None:
@@ -316,7 +322,34 @@ def _residual_energies(x: np.ndarray, rank: int,
     # the rank-r part turns into the residual, then its square, in place
     np.subtract(x, r, out=r)
     r *= r
-    return r.sum(axis=0), lam0
+    return r.sum(axis=0), lam0, path
+
+
+def score_offsets(window_set: RegionalWindowSet, rank: int, mask=None) -> OffsetScores:
+    """Fit every window offset's snapshot at ``rank`` and score its columns.
+
+    Gram orders of at least ``_KRYLOV_ORDER``, at ranks whose r + 1 pairs
+    fit in a third of the basis, try ``_lanczos_bases`` in passes of
+    ``_GRAM_CHUNK`` bytes.  ``mask`` and the errors are ``saliency_map``'s.
+    """
+    stack = _gather_snapshots(window_set, mask)
+    count, rows, cols = stack.shape
+    order, m = min(rows, cols), _KRYLOV_BLOCK * _KRYLOV_STEPS
+    if not 1 <= rank <= order:
+        raise RankError(f"rank {rank} outside [1, {order}] for a "
+                        f"{rows} x {cols} snapshot")
+    tried = order >= _KRYLOV_ORDER and rank < m // 3
+    held = 8 * order * (2 * m + (order if rows <= cols else rows))
+    chunk = max(1, _GRAM_CHUNK // held) if tried else count
+    energies, lam0, paths = np.empty((count, cols)), np.empty(count), [""] * count
+    for lo in range(0, count, chunk):
+        xs = stack[lo:lo + chunk]
+        fits = _lanczos_bases(xs, rank, _krylov_start(order)) if tried else [None] * len(xs)
+        for k, (x, fit) in enumerate(zip(xs, fits), lo):
+            energies[k], lam0[k], paths[k] = _residual_energies(x, rank, fit)
+    live = np.max(energies, axis=1) > lam0[0] * _DUST
+    refused = np.array([tried and path != "lanczos" for path in paths])
+    return OffsetScores(energies, live, lam0, tuple(paths), refused)
 
 
 def saliency_map(
@@ -328,38 +361,24 @@ def saliency_map(
     """Score every region by how often it escapes the shared low-rank model.
 
     One rank is used for all window offsets.  Every decision is read from
-    one (offset, active region) matrix of residual energies: an entry is an
-    outlier when it strictly exceeds ``ratio`` times its offset's peak, and
-    a region's saliency is its count of outliers over the window length.
-
-    An offset whose peak is at or below 1e-24 times λ₀ of the tau = 0 Gram
-    matrix (the square of 1e-12 times the leading singular value) is exactly
-    reconstructed, and a mask over offsets drops its outliers: at the
-    full-rank edge residuals are float dust.  ``mask`` is None (every node)
-    or a ``sampling.Mask``.
+    ``score_offsets``' record: an energy is an outlier when it strictly
+    exceeds ``ratio`` times its offset's peak and that offset is ``live``
+    (its peak is not float dust), and a region's saliency is its count of
+    outliers over the window length.  ``mask`` is None (every node) or a
+    ``sampling.Mask``.
 
     Raises:
         RankError: the rank is outside [1, min(snapshot shape)].
         MaskError: the mask was built for another region size.
     """
     part = window_set.partition
-    stack = _gather_snapshots(window_set, mask)
-    limit = min(stack.shape[1:])
-    if not 1 <= rank <= limit:
-        raise RankError(f"rank {rank} outside [1, {limit}] for a "
-                        f"{stack.shape[1]} x {stack.shape[2]} snapshot")
-
-    fits = [_residual_energies(x, rank, fit) for x, fit in _fitted_grams(stack, rank)]
-    # the live offsets are those whose peak clears offset 0's dust floor
-    energies = np.stack([e for e, _ in fits])
-    live = np.max(energies, axis=1) > fits[0][1] * _DUST
-    counts = np.count_nonzero(salient_columns(energies, ratio) & live[:, None], axis=0)
-
+    scores = score_offsets(window_set, rank, mask)
+    hits = salient_columns(scores.energies, ratio) & scores.live[:, None]
     fractions = np.full((part.regions_x, part.regions_y), np.nan)
     # the transposes walk (a, b) in column order a + regions_x * b
-    fractions.T[window_set.active.T] = counts / window_set.window_len
+    fractions.T[window_set.active.T] = np.count_nonzero(hits, axis=0) / window_set.window_len
     return SaliencyMap(fractions=fractions, active=window_set.active,
-                       window_len=window_set.window_len)
+                       window_len=window_set.window_len, scores=scores)
 
 
 def snapshot_spectrum(window_set: RegionalWindowSet, mask=None) -> np.ndarray:

@@ -517,9 +517,8 @@ def leapfrog(
     ``step_count // record_every + 1`` recorded states, ``w_curr`` first.
 
     Raises:
-        DivergenceError: if any |w| is not finite or exceeds ``blow_up``
-            (a ``blow_up`` of 0 checks finiteness only), naming the first
-            bad step.
+        DivergenceError: if any |w| is not finite or exceeds ``blow_up``,
+            naming the first bad step.
     """
     op = operator
     record = np.zeros((step_count // record_every + 1, op.n, op.n))
@@ -554,7 +553,7 @@ def leapfrog(
             # The span now holds nodes and zeros only; max/min need no
             # temporary, and a NaN still propagates to the peak.
             peak = max(float(nxt.max()), -float(nxt.min()))
-            if not math.isfinite(peak) or (blow_up > 0.0 and peak > blow_up):
+            if not math.isfinite(peak) or peak > blow_up:
                 raise DivergenceError(
                     f"explicit scheme diverged at step {step} "
                     f"(|w| reached {peak:.3e})"

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cube import DataCube, GridPoint
+from .cube import DataCube, GridPoint, hold_plain_numbers
 from .errors import (
     NoSignalError,
     PartitionError,
@@ -55,6 +55,7 @@ class Partition:
     regions_y: int
 
     def __post_init__(self):
+        hold_plain_numbers(self)
         for n, r, axis in ((self.n1, self.regions_x, "x"),
                            (self.n2, self.regions_y, "y")):
             if r < 1:

@@ -64,3 +64,21 @@ def test_commands_include_the_analytic_run():
     assert changed == [("mode = pair", "mode = analytic")]
     assert parse_scenario(text).probes.mode == "analytic"
     assert compare_outputs.plate_config(SRC, "bench1_ci") == original
+
+
+def test_commands_include_the_masked_detections_on_bench1s_cube():
+    # two edited copies of bench1.cfg, detected on bench1's own cube with no
+    # second simulate: a shared and a per-region random 0.5 mask
+    original = bundled_config_path("bench1").read_text()
+    before, after = original.split("\nmask = full\n")
+    for plate, sharing, lines in (
+        ("bench1_random", "shared", "mask = random 0.5"),
+        ("bench1_per_region", "per_region", "mask = random 0.5\nsharing = per_region"),
+    ):
+        assert compare_outputs.commands(plate, 3) == {
+            "detect": ["detect", "bench1.wvc", f"{plate}.cfg", f"{plate}.detect"],
+        }
+        text = compare_outputs.plate_config(SRC, plate)
+        assert text == f"{before}\n{lines}\n{after}"
+        mask = parse_scenario(text).detection.mask
+        assert (mask.kind, mask.ratio, mask.sharing) == ("random", 0.5, sharing)

@@ -48,7 +48,7 @@ from wavesaliency.errors import ConfigError
 from wavesaliency.pipeline import DetectionConfig
 from wavesaliency.sampling import MaskSettings
 from wavesaliency.sim import DefectSpec, ExcitationSpec, MaterialSpec, analytic_group_velocity
-from wavesaliency.windowing import ProbePair
+from wavesaliency.windowing import Partition, ProbePair
 
 SMALL_CFG = """\
 seed = 7
@@ -360,6 +360,24 @@ def test_detection_config_holds_one_velocity():
     pair = ProbePair(GridPoint(10, 1), GridPoint(50, 1))
     assert replace(base, velocity=pair).velocity == pair
     assert replace(base, velocity=5000.0).velocity == 5000.0
+
+
+def test_detection_config_and_partition_hold_plain_numbers():
+    # built in Python, not parsed: a number of the wrong kind is refused by
+    # the field it was given for, and a numpy number is held as a plain one
+    base = parse_scenario(SMALL_CFG).detection_config()
+    for key, value, kind in (("window_len", 9.5, "an integer"),
+                             ("rank", True, "an integer"),
+                             ("theta", math.nan, "a number")):
+        with pytest.raises(ValueError, match=re.escape(f"{key} must be {kind}, got {value!r}")):
+            replace(base, **{key: value})
+    with pytest.raises(ValueError, match=r"^n1 must be an integer, got 129\.0$"):
+        Partition(129.0, 129.0, 8, 8)
+    held = replace(base, window_len=np.int64(9), rank=np.int32(2), ratio=np.float32(0.5))
+    assert [type(v) for v in (held.window_len, held.rank, held.ratio)] == [int, int, float]
+    part = Partition(np.int64(129), np.uint16(129), np.int8(8), 8)
+    assert part == Partition(129, 129, 8, 8)
+    assert {type(v) for v in (part.n1, part.n2, part.regions_x, part.p1)} == {int}
 
 
 def test_python_overrides_hold_their_field_types():

@@ -6,6 +6,7 @@ per-snapshot SVD loop of ``lowrank_oracle`` for the Gram-eigh and block
 Lanczos counts of ``saliency_map``.
 """
 
+import contextlib
 import dataclasses
 import math
 from collections import Counter
@@ -17,19 +18,18 @@ import scipy.linalg
 from wavesaliency.cube import DataCube, GridPoint, write_text
 from wavesaliency import saliency
 from wavesaliency.errors import MaskError
-from wavesaliency.pipeline import build_window_set
+from wavesaliency.pipeline import build_window_set, run_detection
 from wavesaliency.saliency import (
     _KRYLOV_BLOCK,
     _KRYLOV_ORDER,
     _KRYLOV_STEPS,
-    SaliencyMap,
-    _fitted_grams,
     _gather_snapshots,
     _krylov_start,
     _residual_energies,
     salient_columns,
     saliency_csv_text,
     saliency_map,
+    score_offsets,
     snapshot_spectrum,
     write_saliency_pgm,
 )
@@ -305,6 +305,26 @@ def test_map_counts_salient_offsets():
     assert np.allclose(counts, np.round(counts), atol=1e-9)
 
 
+def test_map_is_the_ratio_decision_on_its_read_only_scores():
+    # each region's count is read from the map's own record: its energies
+    # above ratio times their offset's peak, at the live offsets only.  The
+    # unspiked offsets are exactly rank 1, so their peaks are float dust
+    ws = _synthetic_window_set(spiked_taus=(0, 2, 3, 5, 7, 10))
+    for ratio in (0.25, 0.9):
+        sal = saliency_map(ws, rank=1, ratio=ratio)
+        scores = sal.scores
+        assert scores.energies.shape == (ws.window_len, ws.active_count)
+        assert scores.live.tolist() == [tau in (0, 2, 3, 5, 7, 10) for tau in range(11)]
+        peak = np.max(scores.energies, axis=1, keepdims=True)
+        counts = np.sum((scores.energies > ratio * peak) & scores.live[:, None], axis=0)
+        got = [sal.fractions[a, b] for a, b in ws.active_region_ids()]
+        assert got == (counts / ws.window_len).tolist(), ratio
+        assert scores.paths == ("eigh",) * ws.window_len and not scores.refused.any()
+        for name in ("energies", "live", "lam0", "refused"):
+            assert not getattr(scores, name).flags.writeable, name
+        assert "scores" not in repr(sal)
+
+
 def test_map_clean_background_flags_nothing():
     ws = _synthetic_window_set(spiked_taus=())
     sal = saliency_map(ws, rank=1, ratio=0.25)
@@ -444,37 +464,24 @@ def test_core_counts_match_svd_oracle(rng):
     assert flagged > 0
 
 
-def _svd_calls(monkeypatch, ws, rank, mask):
-    """Run saliency_map, recording compute_uv of every np.linalg.svd call."""
-    calls = []
-    original = np.linalg.svd
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("compute_uv", True))
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    try:
-        sal = saliency_map(ws, rank=rank, ratio=0.25, mask=mask)
-    finally:
-        monkeypatch.undo()
-    return sal, calls
+def _offsets(sal, path):
+    """The window offsets whose fit took ``path``."""
+    return [tau for tau, taken in enumerate(sal.scores.paths) if taken == path]
 
 
-def test_core_falls_back_to_svd_below_the_rank(rng, monkeypatch):
+def test_core_falls_back_to_svd_below_the_rank(rng):
     # offsets 2, 5 and 8 have exact rank 3, so a rank-4 fit finds no fourth
     # direction in the Gram spectrum and must refit those offsets by SVD
     ws = _low_rank_plus_outlier_set(rng, 17, 4, exact_taus=(2, 5, 8))
     for mask in (None, random_mask(5, 5, 0.4, seed=7)):
-        sal, calls = _svd_calls(monkeypatch, ws, 4, mask)
-        # one thin SVD per collapsed offset, and no other
-        assert calls == [True, True, True]
-        counts, _ = oracle_counts(ws, 4, 0.25, mask)
-        got = np.array([sal.fractions[a, b] for a, b in ws.active_region_ids()])
-        assert np.array_equal(got, counts / ws.window_len)
+        sal = saliency_map(ws, rank=4, ratio=0.25, mask=mask)
+        # one thin SVD per collapsed offset; every other offset takes eigh
+        assert _offsets(sal, "svd") == [2, 5, 8]
+        assert len(_offsets(sal, "eigh")) == ws.window_len - 3
+        _assert_matches_oracle(ws, 4, mask, sal)
 
 
-def test_core_falls_back_where_the_gap_at_the_rank_closes(rng, monkeypatch):
+def test_core_falls_back_where_the_gap_at_the_rank_closes(rng):
     # offset 6 has s_5/s_0 = 0.1, far above any small-eigenvalue floor, but
     # s_5 and s_6 agree to 1e-9: the Gram basis cannot tell them apart, so a
     # rank-5 fit of that offset goes to SVD, and a rank-4 fit does not
@@ -486,26 +493,22 @@ def test_core_falls_back_where_the_gap_at_the_rank_closes(rng, monkeypatch):
                  + list(0.05 * 0.8 ** np.arange(10)))
     windows[6] = (u * s) @ v.T
     ws = dataclasses.replace(ws, windows=windows)
-    for rank, expected in ((5, [True]), (4, [])):
-        sal, calls = _svd_calls(monkeypatch, ws, rank, None)
-        assert calls == expected, rank
-        counts, _ = oracle_counts(ws, rank, 0.25)
-        got = np.array([sal.fractions[a, b] for a, b in ws.active_region_ids()])
-        assert np.array_equal(got, counts / ws.window_len)
+    for rank, expected in ((5, [6]), (4, [])):
+        sal = saliency_map(ws, rank=rank, ratio=0.25)
+        assert _offsets(sal, "svd") == expected, rank
+        _assert_matches_oracle(ws, rank, None, sal)
 
 
-def test_core_takes_no_svd_when_no_gap_closes(rng, monkeypatch):
+def test_core_takes_no_svd_when_no_gap_closes(rng):
     # the noisy rank-3 background keeps every offset's Gram gap open at
     # ranks 1 to 3: the map comes from eigh alone, with no full SVD
     ws = _low_rank_plus_outlier_set(rng, 17, 4)
     for mask in (None, random_mask(5, 5, 0.4, seed=7),
                  random_mask(5, 5, 0.4, seed=7, sharing=PER_REGION)):
         for rank in (1, 2, 3):
-            sal, calls = _svd_calls(monkeypatch, ws, rank, mask)
-            assert calls == [], (rank, mask)
-            counts, _ = oracle_counts(ws, rank, 0.25, mask)
-            got = np.array([sal.fractions[a, b] for a, b in ws.active_region_ids()])
-            assert np.array_equal(got, counts / ws.window_len)
+            sal = saliency_map(ws, rank=rank, ratio=0.25, mask=mask)
+            assert sal.scores.paths == ("eigh",) * ws.window_len, (rank, mask)
+            _assert_matches_oracle(ws, rank, mask, sal)
 
 
 def test_knee_rank_in_the_noise_floor_matches_oracle(bench1):
@@ -558,52 +561,29 @@ def _decaying(order, rate=0.85):
     return rate ** np.arange(order) + 1e-6
 
 
-def _fit_calls(monkeypatch, ws, rank, mask=None):
-    """Run saliency_map, recording how each offset was fitted.
+@contextlib.contextmanager
+def _gram_builds():
+    """Count the Gram matrices built inside, a batched build of T as T.
 
-    Returns the map, ``fits``, ``calls`` and ``grams``.  ``fits`` holds
-    (Gram order, certified) for every offset the Lanczos pass tries, in
-    offset order.  ``calls`` holds the order of every matrix that eigh
-    factors, a batched (T, n, n) call counting as T matrices, and "svd" for
-    every thin SVD.  ``grams`` counts the Gram matrices built, a batched
-    build of T counting as T.
+    A map's record holds each offset's fit path, not the Grams it built.
     """
-    fits, calls, grams = [], [], []
-    lanczos, gram, eigh, svd = (saliency._lanczos_bases, saliency._gram,
-                                np.linalg.eigh, np.linalg.svd)
+    built = []
+    gram = saliency._gram
 
-    def spy(stack, rank, start):
-        found = lanczos(stack, rank, start)
-        fits.extend((min(stack.shape[1:]), fit is not None) for fit in found)
-        return found
-
-    def counted_gram(x):
-        grams.append(math.prod(x.shape[:-2]))
+    def counted(x):
+        built.append(math.prod(x.shape[:-2]))
         return gram(x)
 
-    def counted_eigh(a, *args, **kwargs):
-        calls.extend([a.shape[-1]] * math.prod(a.shape[:-2]))
-        return eigh(a, *args, **kwargs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(saliency, "_gram", counted)
+        yield built
 
-    def counted_svd(*args, **kwargs):
-        if kwargs.get("compute_uv", True):
-            calls.append("svd")
-        return svd(*args, **kwargs)
 
-    monkeypatch.setattr(saliency, "_lanczos_bases", spy)
-    monkeypatch.setattr(saliency, "_gram", counted_gram)
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    try:
+def _map_and_grams(ws, rank, mask=None):
+    """The map of ``ws`` at ``rank`` and the number of Grams it built."""
+    with _gram_builds() as built:
         sal = saliency_map(ws, rank=rank, ratio=0.25, mask=mask)
-    finally:
-        monkeypatch.undo()
-    return sal, fits, calls, sum(grams)
-
-
-def _stack_energies(stack, rank):
-    """(energies, lambda_0) of every offset, as saliency_map computes them."""
-    return [_residual_energies(x, rank, fit) for x, fit in _fitted_grams(stack, rank)]
+    return sal, sum(built)
 
 
 def test_krylov_start_is_built_once_per_order():
@@ -619,17 +599,10 @@ def _two_pass_energies(x, low_rank):
     return np.sum(resid * resid, axis=0)
 
 
-def test_residual_energies_are_bit_identical_to_the_two_pass_formula(rng, monkeypatch):
+def test_residual_energies_are_bit_identical_to_the_two_pass_formula(rng):
     # the residual formed in place in one buffer has the same bits as
     # x − (rank-r part), squared and summed, on the Lanczos and eigh bases
     # of tall and wide snapshots and on the SVD fallback at a closed gap
-    svd, svds = np.linalg.svd, []
-
-    def counted_svd(a, *args, **kwargs):
-        svds.append(a.shape)
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     for shape in ("tall", "wide"):
         p, regions = _LANCZOS_SHAPES[shape]
         order = min(p * p, regions * regions)
@@ -639,52 +612,60 @@ def test_residual_energies_are_bit_identical_to_the_two_pass_formula(rng, monkey
             return basis @ (basis.T @ x) if shape == "wide" else (x @ basis) @ basis.T
 
         [fit] = saliency._lanczos_bases(x[None], 6, _krylov_start(order))
-        got, _ = _residual_energies(x, 6, fit)
+        got, _, path = _residual_energies(x, 6, fit)
+        assert path == "lanczos"
         assert np.array_equal(got, _two_pass_energies(x, low_rank(fit[0])))
         lam, vecs = np.linalg.eigh(saliency._gram(x))
-        got, lam0 = _residual_energies(x, 6)
+        got, lam0, path = _residual_energies(x, 6)
+        assert path == "eigh"
         assert np.array_equal(got, _two_pass_energies(x, low_rank(vecs[:, -6:])))
         assert lam0 == lam[-1]
         closed = _decaying(order)
         closed[4] = closed[5] * (1 + 1e-9)
         y = _spectrum_set(rng, shape, closed, window_len=1).windows[0]
-        u, s, vt = svd(y, full_matrices=False)
-        got, _ = _residual_energies(y, 5)
+        u, s, vt = np.linalg.svd(y, full_matrices=False)
+        got, _, path = _residual_energies(y, 5)
+        assert path == "svd"
         assert np.array_equal(got, _two_pass_energies(y, (u[:, :5] * s[:5]) @ vt[:5]))
-    # one SVD fallback per shape, and no other
-    assert svds == [(289, 196), (169, 256)]
 
 
-def test_lanczos_fit_matches_svd_oracle(rng, monkeypatch):
+def test_lanczos_fit_matches_svd_oracle(rng):
     basis = _KRYLOV_BLOCK * _KRYLOV_STEPS
     for shape in ("tall", "wide"):
         p, regions = _LANCZOS_SHAPES[shape]
         order = min(p * p, regions * regions)
         ws = _spectrum_set(rng, shape, _decaying(order))
         for rank in (1, 6, 14, basis // 3 - 1):
-            for x, (got, top) in zip(ws.windows, _stack_energies(ws.windows, rank)):
+            sal, grams = _map_and_grams(ws, rank)
+            scores = sal.scores
+            for x, got, top in zip(ws.windows, scores.energies, scores.lam0):
                 want = outlier_energies(truncated_low_rank(x, rank))
                 assert np.max(np.abs(got - want)) <= 1e-10 * np.max(want)
                 assert np.array_equal(salient_columns(got), salient_columns(want))
                 assert top == pytest.approx((1 + 1e-6) ** 2, rel=1e-12)
-            sal, fits, calls, grams = _fit_calls(monkeypatch, ws, rank)
-            assert fits == [(order, True)] * ws.window_len, (shape, rank)
-            assert calls == [basis] * ws.window_len, (shape, rank)
+            assert scores.paths == ("lanczos",) * ws.window_len, (shape, rank)
+            assert not scores.refused.any(), (shape, rank)
             # a tall snapshot's pass applies its Gram without building it
             assert grams == ws.window_len * (shape == "wide"), (shape, rank)
             _assert_matches_oracle(ws, rank, None, sal)
 
 
-def test_lanczos_defers_to_eigh_when_it_cannot_certify(rng, monkeypatch):
+def test_lanczos_defers_to_eigh_when_it_cannot_certify(rng):
     # calls list each eigh by order: the Lanczos fit's own Rayleigh-Ritz is
     # the basis size, the full fit is the Gram order.  The cases are turned
     # away by the Gram mass the basis misses (slow_close, flat), by the Ritz
     # residual against the gap (sharp_close), by the basis' orthonormality
     # (rank 3 breaks the basis down, so no Rayleigh-Ritz runs) and by the
-    # size guard before the fit (nothing is tried).  A batched pass orders
-    # the calls by kind, not by offset, so they are compared as a multiset;
-    # fits pins the outcome of each offset.
+    # size guard before the fit (nothing is tried).  The record pins each
+    # offset's outcome; only an eigh spy sees whether Rayleigh-Ritz ran, and
+    # a batched pass orders its calls by kind, so they form a multiset.
     basis = _KRYLOV_BLOCK * _KRYLOV_STEPS
+    eigh = np.linalg.eigh
+
+    def counted_eigh(a, *args, **kwargs):
+        calls.extend([a.shape[-1]] * math.prod(a.shape[:-2]))
+        return eigh(a, *args, **kwargs)
+
     for shape in ("tall", "wide"):
         p, regions = _LANCZOS_SHAPES[shape]
         order = min(p * p, regions * regions)
@@ -716,10 +697,16 @@ def test_lanczos_defers_to_eigh_when_it_cannot_certify(rng, monkeypatch):
         )
         for spectrum, rank, per_offset in cases:
             ws = _spectrum_set(rng, shape, spectrum)
-            sal, fits, calls, grams = _fit_calls(monkeypatch, ws, rank)
+            calls = []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(np.linalg, "eigh", counted_eigh)
+                sal, grams = _map_and_grams(ws, rank)
             tried = rank < basis // 3
             certified = per_offset == [basis]
-            assert fits == [(order, certified)] * ws.window_len * tried, (shape, rank)
+            path = "lanczos" if certified else "eigh"
+            assert sal.scores.paths == (path,) * ws.window_len, (shape, rank)
+            refused = sal.scores.refused.tolist()
+            assert refused == [tried and not certified] * ws.window_len, (shape, rank)
             assert Counter(calls) == Counter(per_offset * ws.window_len), (shape, rank)
             # a wide pass builds each Gram; every eigh builds its own
             built = (shape == "wide") * tried + (not certified)
@@ -750,26 +737,26 @@ def test_lanczos_trace_catches_an_eigenvalue_the_basis_misses():
         assert abs(vecs[-1, -1]) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_svd_fallback_where_the_gap_closes_above_the_lanczos_order(rng, monkeypatch):
+def test_svd_fallback_where_the_gap_closes_above_the_lanczos_order(rng):
     # s_5 and s_6 agree to 1e-9: the Lanczos fit cannot certify a rank-5
     # basis, and eigh's spectrum sends the offset on to the thin SVD
-    basis = _KRYLOV_BLOCK * _KRYLOV_STEPS
     for shape in ("tall", "wide"):
         p, regions = _LANCZOS_SHAPES[shape]
         order = min(p * p, regions * regions)
         spectrum = _decaying(order)
         spectrum[4] = spectrum[5] * (1 + 1e-9)
         ws = _spectrum_set(rng, shape, spectrum)
-        for rank, per_offset in ((5, [basis, order, "svd"]), (4, [basis])):
-            sal, fits, calls, grams = _fit_calls(monkeypatch, ws, rank)
-            assert fits == [(order, rank == 4)] * ws.window_len, (shape, rank)
-            assert Counter(calls) == Counter(per_offset * ws.window_len), (shape, rank)
+        for rank, path in ((5, "svd"), (4, "lanczos")):
+            sal, grams = _map_and_grams(ws, rank)
+            assert sal.scores.paths == (path,) * ws.window_len, (shape, rank)
+            refused = sal.scores.refused.tolist()
+            assert refused == [rank == 5] * ws.window_len, (shape, rank)
             built = (shape == "wide") + (rank == 5)
             assert grams == ws.window_len * built, (shape, rank)
             _assert_matches_oracle(ws, rank, None, sal)
 
 
-def test_a_closed_gap_leaves_the_rest_of_its_pass_certified(rng, monkeypatch):
+def test_a_closed_gap_leaves_the_rest_of_its_pass_certified(rng):
     # five tall offsets of order 196 fill two passes of the chunk budget
     # (3 + 2), at 8 (289 x 196 + 2 x 196 x 56) bytes each.  Offset 1's s_5
     # and s_6 agree to 1e-9: at rank 5 it alone goes to eigh and on to the
@@ -785,9 +772,9 @@ def test_a_closed_gap_leaves_the_rest_of_its_pass_certified(rng, monkeypatch):
     windows = np.array(ws.windows)
     windows[1] = _spectrum_set(rng, "tall", closed, window_len=1).windows[0]
     ws = dataclasses.replace(ws, windows=windows)
-    sal, fits, calls, grams = _fit_calls(monkeypatch, ws, 5)
-    assert fits == [(order, tau != 1) for tau in range(5)]
-    assert Counter(calls) == Counter({basis: 5, order: 1, "svd": 1})
+    sal, grams = _map_and_grams(ws, 5)
+    assert sal.scores.paths == ("lanczos", "svd", "lanczos", "lanczos", "lanczos")
+    assert sal.scores.refused.tolist() == [tau == 1 for tau in range(5)]
     assert grams == 1
     _assert_matches_oracle(ws, 5, None, sal)
 
@@ -797,30 +784,40 @@ _FULL_ORDER = {"bench1": 205, "bench2": 205, "pristine": 203}
 
 
 @pytest.mark.parametrize("plate", ["bench1", "bench2", "pristine"])
-def test_plates_fit_orders_from_90_by_lanczos_and_58_by_eigh(plate, request, monkeypatch):
+def test_plates_fit_orders_from_90_by_lanczos_and_58_by_eigh(plate, request):
     # at the plate's own rank, full sampling (tall) and the 0.5 mask (wide,
     # order 144) are certified at every offset, and on bench1 so is the 0.33
     # mask (order 95); a 0.2 mask keeps 58 nodes, below _KRYLOV_ORDER, and
-    # runs on eigh without trying the fit.  A tall pass builds no Gram
-    # matrix; a wide pass, or an eigh, builds one per offset
+    # runs on eigh without trying the fit.  Per-region 0.5 and 0.33 masks
+    # try the fit at every offset and never certify it: their columns hold
+    # different nodes, so the snapshot is not low rank.  A tall pass builds
+    # no Gram matrix; a wide pass, or an eigh, builds one per offset.  The
+    # runs go through run_detection, whose result carries the map's record
     scenario, cube = request.getfixturevalue(plate)
     part = scenario.partition()
-    ws = build_window_set(cube, part, scenario.detection_config())
-    rank = scenario.detection.rank
-    basis = _KRYLOV_BLOCK * _KRYLOV_STEPS
-    cases = [(None, _FULL_ORDER[plate], True), (0.5, 144, True)]
+    config = scenario.detection_config()
+    ws = build_window_set(cube, part, config)
+    cases = [(None, None, _FULL_ORDER[plate], "lanczos"), (0.5, "shared", 144, "lanczos")]
     if plate == "bench1":
-        cases += [(0.33, 95, True), (0.2, 58, False)]
-    for ratio, order, fitted in cases:
+        cases += [(0.33, "shared", 95, "lanczos"), (0.2, "shared", 58, "eigh"),
+                  (0.5, PER_REGION, 144, "refused"), (0.33, PER_REGION, 95, "refused")]
+    for ratio, sharing, order, path in cases:
         for seed in (1, 2, 3) if ratio else (None,):
-            mask = None if ratio is None else random_mask(part.p1, part.p2, ratio, seed=seed)
-            _, fits, calls, grams = _fit_calls(monkeypatch, ws, rank, mask)
-            if fitted:
-                assert fits == [(order, True)] * ws.window_len, (ratio, seed)
-                assert calls == [basis] * ws.window_len, (ratio, seed)
+            mask = None if ratio is None else random_mask(
+                part.p1, part.p2, ratio, seed=seed, sharing=sharing)
+            rows = part.nodes_per_region if mask is None else mask.retained_count
+            assert min(rows, ws.active_count) == order
+            with _gram_builds() as built:
+                scores = run_detection(cube, part, config, mask, ws).saliency.scores
+            where = (ratio, sharing, seed)
+            if path == "refused":
+                assert scores.refused.all() and "lanczos" not in scores.paths, where
             else:
-                assert fits == [] and calls == [order] * ws.window_len, (ratio, seed)
-            assert grams == ws.window_len * (ratio is not None), (ratio, seed)
+                assert scores.paths == (path,) * ws.window_len, where
+                assert not scores.refused.any(), where
+            # a refused wide pass builds each Gram, and its eigh builds it again
+            wide = ratio is not None
+            assert sum(built) == ws.window_len * (wide + (path == "refused")), where
 
 
 def test_lanczos_fit_is_deterministic_and_scale_invariant(bench1):
@@ -830,13 +827,10 @@ def test_lanczos_fit_is_deterministic_and_scale_invariant(bench1):
     scaled = dataclasses.replace(ws, windows=np.array(ws.windows) * 3.7)
     theta = scenario.detection.theta
     for mask in (None, random_mask(part.p1, part.p2, 0.5, seed=1)):
-        stack = _gather_snapshots(ws, mask)
-        order = min(stack.shape[1:])
-        assert order >= _KRYLOV_ORDER
-        for (first, lam0), (again, lam0_again) in zip(
-            _stack_energies(stack, 14), _stack_energies(stack, 14)
-        ):
-            assert np.array_equal(first, again) and lam0 == lam0_again
+        first, again = score_offsets(ws, 14, mask), score_offsets(ws, 14, mask)
+        assert first.paths == ("lanczos",) * ws.window_len
+        assert np.array_equal(first.energies, again.energies)
+        assert np.array_equal(first.lam0, again.lam0)
         sal = saliency_map(ws, rank=14, mask=mask)
         assert np.array_equal(saliency_map(ws, rank=14, mask=mask).fractions,
                               sal.fractions, equal_nan=True)

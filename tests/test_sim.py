@@ -355,7 +355,7 @@ def test_nan_initial_state_diverges_at_step_one():
     op, dt, _ = _operator(n, 4)
     seeded = np.zeros((n, n))
     seeded[5, 7] = np.nan
-    for blow_up in (math.inf, 1.0, 0.0):
+    for blow_up in (math.inf, 1.0):
         with pytest.raises(DivergenceError) as info:
             leapfrog(op, np.zeros((n, n)), seeded, 10, blow_up=blow_up)
         assert "diverged at step 1 " in str(info.value)

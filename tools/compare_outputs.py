@@ -20,6 +20,11 @@ Every bundled plate times its windows from a probe pair, so each tree also
 runs ``simulate`` and ``detect --dump-windows`` on a copy of its own
 ``bench1_ci.cfg`` with ``mode = analytic`` (the plate ``bench1_ci_analytic``):
 that is the one run whose ``.meta`` and manifest carry the analytic mode.
+Every bundled plate detects at ``mask = full`` too, so each tree runs
+``detect`` on ``bench1``'s cube with copies of its ``bench1.cfg`` that read
+``mask = random 0.5`` (``bench1_random``), once more with ``sharing =
+per_region`` (``bench1_per_region``): the masked detections whose CSV,
+flags and manifest spectrum are compared.
 
 Every command runs in its tree's own output directory with relative paths
 and one BLAS thread, and its exit code, stdout and stderr are kept as a
@@ -44,15 +49,25 @@ PLATES = ("bench1", "bench2", "pristine", "bench1_ci", "pristine_ci")
 # bench1_ci with the group velocity from plate theory instead of its probes
 ANALYTIC = "bench1_ci_analytic"
 
+# Plates that are a bundled plate's config with one line replaced, as
+# (bundled plate, line, replacement); the masked ones detect on its cube.
+EDITED = {
+    ANALYTIC: ("bench1_ci", "mode = pair", "mode = analytic"),
+    "bench1_random": ("bench1", "mask = full", "mask = random 0.5"),
+    "bench1_per_region": ("bench1", "mask = full",
+                          "mask = random 0.5\nsharing = per_region"),
+}
+
 
 def plate_config(src: Path, plate: str) -> str:
     """The config text ``plate`` runs with in the tree at ``src``."""
-    if plate != ANALYTIC:
+    if plate not in EDITED:
         return (src / "wavesaliency" / "configs" / f"{plate}.cfg").read_text()
-    text, count = re.subn(r"^mode = pair$", "mode = analytic",
-                          plate_config(src, "bench1_ci"), flags=re.MULTILINE)
+    base, line, replacement = EDITED[plate]
+    text, count = re.subn(f"^{re.escape(line)}$", replacement, plate_config(src, base),
+                          flags=re.MULTILINE)
     if count != 1:
-        raise SystemExit(f"{src}: bench1_ci.cfg has no single 'mode = pair' line")
+        raise SystemExit(f"{src}: {base}.cfg has no single '{line}' line")
     return text
 
 
@@ -79,6 +94,8 @@ def commands(plate: str, trials: int) -> dict[str, list[str]]:
     }
     if plate == ANALYTIC:
         return {label: runs[label] for label in ("simulate", "detect")}
+    if plate in EDITED:
+        return {"detect": ["detect", f"{EDITED[plate][0]}.wvc", cfg, f"{plate}.detect"]}
     return runs
 
 
@@ -86,7 +103,7 @@ def run_tree(src: Path, out: Path, trials: int) -> None:
     """Write every plate's CLI outputs of the tree at ``src`` under ``out``."""
     env = {**os.environ, "PYTHONPATH": str(src), "WAVESALIENCY_THREADS": "1"}
     out.mkdir(parents=True)
-    for plate in (*PLATES, ANALYTIC):
+    for plate in (*PLATES, *EDITED):
         (out / f"{plate}.cfg").write_text(plate_config(src, plate))
         for label, argv in commands(plate, trials).items():
             proc = subprocess.run(
