@@ -5,10 +5,11 @@ missing required key such as the rank, a partition that does not divide
 the grid, a detection setting out of range in the file or on the command
 line, per-region sharing with a mask that is not random, plate
 coefficients, a side length's step gains or an analytic group velocity
-out of float range, an empty sweep ratio list, a spectrum floor that is
-not negative, or a spectrum compare ratio outside (0, 1]), 3 simulation
-divergence, 4 windowing produced no active region, 5 silent input where a
-signal is required.  Any other toolkit error, an I/O error or a record
+out of float range, a sweep ratio list that is empty or holds an entry
+that is not a finite number, a spectrum floor that is not negative, or a
+spectrum compare ratio outside (0, 1]), 3 simulation divergence, 4
+windowing produced no active region, 5 silent input where a signal is
+required.  Any other toolkit error, an I/O error or a record
 too large to allocate exits 1.
 
 Heavy imports happen inside ``main`` so that the ``WAVESALIENCY_THREADS``
@@ -221,15 +222,15 @@ def _dump_window_cubes(window_set, cube, directory) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .config import load_scenario, with_overrides
+    from .config import _parse_float, load_scenario, with_overrides
     from .cube import read_cube, write_text
     from .sampling import GroundTruth, monte_carlo_sweep, sweep_csv_text, sweep_recipes
 
     scenario = with_overrides(load_scenario(args.config), rank=args.rank)
     try:
-        ratios = [float(r) for r in args.ratios.split(",") if r.strip()]
-    except ValueError:
-        raise ConfigError(f"bad --ratios list {args.ratios!r}") from None
+        ratios = [_parse_float(r) for r in args.ratios.split(",") if r.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad --ratios list {args.ratios!r}: {exc}") from None
     if args.trials < 1:
         raise ConfigError("--trials must be >= 1")
     # Every mask the sweep will draw passes the checks of a file's mask line.

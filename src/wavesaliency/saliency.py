@@ -12,11 +12,11 @@ rank-r part, and its saliency is the fraction of window offsets at which
 that energy exceeds a fixed ratio of the snapshot's peak energy.
 
 ``score_offsets`` gathers the snapshots of every offset in one stack and
-fits each with the rank-r basis of the smaller Gram matrix: the left basis
-U of X Xᵀ when rows <= regions, else the right basis V of Xᵀ X.  The
-residual is formed explicitly, X − U(UᵀX) or X − (XV)Vᵀ, never as
-‖x‖² − ‖Uᵀx‖², whose cancellation error would rise above the dust floor.
-The basis comes from one of three fits, chosen per offset:
+fits each with a rank-r basis on its smaller side: the left basis U when
+rows <= regions, else the right basis V.  One projection forms every
+residual explicitly, X − U(UᵀX) or X − (XV)Vᵀ, never as ‖x‖² − ‖Uᵀx‖²,
+whose cancellation error would rise above the dust floor.  The basis comes
+from one of three fits, chosen per offset in ``score_offsets``' loop:
 
 - Gram matrices of order at least ``_KRYLOV_ORDER`` (at 257 nodes: full
   sampling and the 0.5 and 0.33 sweep masks, orders 205, 144 and 95), at a
@@ -31,10 +31,11 @@ The basis comes from one of three fits, chosen per offset:
   X halves its relative precision: eigh places the basis to about
   eps·λ₀/(λ_r − λ_{r+1}).
 - An ``eigh`` offset whose Gram eigengap at the rank is at most 1e-8 λ₀ (a
-  rank in the noise floor, or above the snapshot's exact rank) is refitted
-  with a thin SVD instead (Halko, Martinsson & Tropp 2011,
-  arXiv:0909.4061, §5).  Only ``eigh``'s eigenvalues take that decision:
-  a Lanczos fit never certifies a gap that small.
+  rank in the noise floor, or above the snapshot's exact rank) takes
+  instead the leading singular vectors of a thin SVD on the same side
+  (Halko, Martinsson & Tropp 2011, arXiv:0909.4061, §5); λ₀ stays
+  ``eigh``'s.  Only ``eigh``'s eigenvalues take that decision: a Lanczos
+  fit never certifies a gap that small.
 
 The rank is an input of the model, never chosen from the data.  The dust
 floor comes from λ₀ of the tau = 0 Gram matrix, so scoring takes no full
@@ -56,7 +57,7 @@ import numpy as np
 
 from .cube import write_pgm
 from .errors import RankError
-from .windowing import RegionalWindowSet
+from .windowing import Partition, RegionalWindowSet
 
 DEFAULT_ENERGY_RATIO = 0.25
 DEFAULT_DECISION_THRESHOLD = 0.5
@@ -177,18 +178,16 @@ class SaliencyMap:
         return frozenset((int(a), int(b)) for a, b in np.argwhere(hit))
 
 
-def _gather_snapshots(window_set: RegionalWindowSet, mask) -> np.ndarray:
-    """C-contiguous (tau, rows, cols) stack of every offset's snapshot.
+def _gather_snapshots(windows: np.ndarray, part: Partition, mask) -> np.ndarray:
+    """C-contiguous (tau, rows, cols) stack of the snapshots of ``windows``.
 
-    Columns are the active regions in region order (a + regions_x * b), as
-    the window set stores them; rows every node or the mask's retained
-    nodes, flattened x-fastest; a per-region mask gives each column its own
-    nodes.  Full sampling returns the window set's own read-only array, not
-    a copy.  The mask's rows are resolved once, so a per-region mask draws
-    its patterns once per call.
+    ``windows`` is a window set's (tau, nodes, active regions) array, or its
+    leading offsets.  Columns are the active regions in region order
+    (a + regions_x * b); rows every node or the mask's retained nodes,
+    flattened x-fastest; a per-region mask gives each column its own nodes.
+    Full sampling returns ``windows`` itself, not a copy.  The mask's rows
+    are resolved once, so a per-region mask draws its patterns once per call.
     """
-    part = window_set.partition
-    windows = window_set.windows
     if mask is None:
         return windows
     cols = windows.shape[2]
@@ -296,35 +295,6 @@ def _lanczos_bases(stack: np.ndarray, rank: int, start: np.ndarray) -> list:
     return fits
 
 
-def _residual_energies(x: np.ndarray, rank: int, fit=None) -> tuple[np.ndarray, float, str]:
-    """Column energies of x minus its best rank-r approximation, λ₀ and the fit path.
-
-    λ₀ (s₀²) is the largest eigenvalue of x's smaller Gram matrix.  ``fit``
-    is a certified Lanczos (basis, λ₀) from ``_lanczos_bases``; without one
-    the Gram matrix is built here and the basis is its ``eigh``'s, or a thin
-    SVD's where the ``eigh`` gap at the rank has closed.
-    """
-    rows, cols = x.shape
-    path = "lanczos" if fit is not None else "eigh"
-    if fit is None:
-        lam, vecs = np.linalg.eigh(_gram(x))
-        lam0 = float(lam[-1])
-        below = lam[-rank - 1] if rank < lam.size else 0.0
-        if lam[-rank] - below > _GRAM_GAP * lam0:
-            fit = vecs[:, -rank:], lam0
-        else:
-            path = "svd"
-            u, s, vt = np.linalg.svd(x, full_matrices=False)
-            r = (u[:, :rank] * s[:rank]) @ vt[:rank]
-    if fit is not None:
-        basis, lam0 = fit
-        r = basis @ (basis.T @ x) if rows <= cols else (x @ basis) @ basis.T
-    # the rank-r part turns into the residual, then its square, in place
-    np.subtract(x, r, out=r)
-    r *= r
-    return r.sum(axis=0), lam0, path
-
-
 def score_offsets(window_set: RegionalWindowSet, rank: int, mask=None) -> OffsetScores:
     """Fit every window offset's snapshot at ``rank`` and score its columns.
 
@@ -332,21 +302,37 @@ def score_offsets(window_set: RegionalWindowSet, rank: int, mask=None) -> Offset
     fit in a third of the basis, try ``_lanczos_bases`` in passes of
     ``_GRAM_CHUNK`` bytes.  ``mask`` and the errors are ``saliency_map``'s.
     """
-    stack = _gather_snapshots(window_set, mask)
+    stack = _gather_snapshots(window_set.windows, window_set.partition, mask)
     count, rows, cols = stack.shape
     order, m = min(rows, cols), _KRYLOV_BLOCK * _KRYLOV_STEPS
     if not 1 <= rank <= order:
         raise RankError(f"rank {rank} outside [1, {order}] for a "
                         f"{rows} x {cols} snapshot")
+    wide = rows <= cols
     tried = order >= _KRYLOV_ORDER and rank < m // 3
-    held = 8 * order * (2 * m + (order if rows <= cols else rows))
+    held = 8 * order * (2 * m + (order if wide else rows))
     chunk = max(1, _GRAM_CHUNK // held) if tried else count
     energies, lam0, paths = np.empty((count, cols)), np.empty(count), [""] * count
     for lo in range(0, count, chunk):
         xs = stack[lo:lo + chunk]
         fits = _lanczos_bases(xs, rank, _krylov_start(order)) if tried else [None] * len(xs)
         for k, (x, fit) in enumerate(zip(xs, fits), lo):
-            energies[k], lam0[k], paths[k] = _residual_energies(x, rank, fit)
+            if fit is not None:
+                basis, lam0[k] = fit
+                paths[k] = "lanczos"
+            else:
+                lam, vecs = np.linalg.eigh(_gram(x))
+                lam0[k] = lam[-1]
+                below = lam[-rank - 1] if rank < order else 0.0
+                basis, paths[k] = vecs[:, -rank:], "eigh"
+                if lam[-rank] - below <= _GRAM_GAP * lam[-1]:
+                    u, _, vt = np.linalg.svd(x, full_matrices=False)
+                    basis, paths[k] = u[:, :rank] if wide else vt[:rank].T, "svd"
+            # the projection turns into the residual, then its square, in place
+            r = basis @ (basis.T @ x) if wide else (x @ basis) @ basis.T
+            np.subtract(x, r, out=r)
+            r *= r
+            energies[k] = r.sum(axis=0)
     live = np.max(energies, axis=1) > lam0[0] * _DUST
     refused = np.array([tried and path != "lanczos" for path in paths])
     return OffsetScores(energies, live, lam0, tuple(paths), refused)
@@ -386,8 +372,8 @@ def snapshot_spectrum(window_set: RegionalWindowSet, mask=None) -> np.ndarray:
 
     Scoring never needs them; ``detect`` writes them to its manifest.
     """
-    first = _gather_snapshots(window_set, mask)[0]
-    return np.linalg.svd(first, compute_uv=False)
+    first = _gather_snapshots(window_set.windows[:1], window_set.partition, mask)
+    return np.linalg.svd(first[0], compute_uv=False)
 
 
 # ---------------------------------------------------------------------------

@@ -1373,6 +1373,22 @@ def test_sweep_bad_arguments(ci_cube_file, tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 2
 
 
+def test_sweep_ratios_that_are_not_finite_exit_2(ci_cube_file, tmp_path, capsys):
+    # each --ratios entry is read like a scenario file's number
+    ci_cfg = bundled_config_path("bench1_ci")
+    out = tmp_path / "x.csv"
+    for ratios in ("nan", "inf", "1e999", "0.5,nan"):
+        capsys.readouterr()
+        assert main([
+            "sweep", str(ci_cube_file), str(ci_cfg), str(out), "--trials", "1",
+            "--ratios", ratios,
+        ]) == EXIT_CONFIG, ratios
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: bad --ratios list"), (ratios, err)
+        assert "is not a finite number" in err[0], (ratios, err)
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # thread override and module entry point
 # ---------------------------------------------------------------------------

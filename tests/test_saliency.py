@@ -25,7 +25,6 @@ from wavesaliency.saliency import (
     _KRYLOV_STEPS,
     _gather_snapshots,
     _krylov_start,
-    _residual_energies,
     salient_columns,
     saliency_csv_text,
     saliency_map,
@@ -107,9 +106,33 @@ def test_snapshot_vectorization_is_x_fastest():
 
 def test_full_sampling_scores_the_window_array_in_place():
     ws = _ramp_windows(n=33, regions=4)
-    stack = _gather_snapshots(ws, None)
+    stack = _gather_snapshots(ws.windows, ws.partition, None)
     assert np.shares_memory(stack, ws.windows)
     assert stack.shape == ws.windows.shape and stack.flags.c_contiguous
+
+
+def test_snapshot_spectrum_gathers_only_the_first_offset(rng):
+    # the spectrum is the SVD of offset 0's snapshot as score_offsets
+    # gathers it, under full sampling, a shared mask and a per-region mask
+    # (the same seed draws the same patterns), and it gathers no other offset
+    ws = _ramp_windows(n=33, regions=4)
+    ws = dataclasses.replace(ws, windows=rng.normal(size=ws.windows.shape))
+    p = ws.partition.p1
+    gather = saliency._gather_snapshots
+    for mask in (None, random_mask(p, p, 0.5, seed=2),
+                 random_mask(p, p, 0.5, seed=2, sharing=PER_REGION)):
+        first = gather(ws.windows, ws.partition, mask)[0]
+        gathered = []
+
+        def counted(windows, part, mask):
+            gathered.append(len(windows))
+            return gather(windows, part, mask)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(saliency, "_gather_snapshots", counted)
+            got = snapshot_spectrum(ws, mask)
+        assert gathered == [1], mask
+        assert np.array_equal(got, np.linalg.svd(first, compute_uv=False)), mask
 
 
 def test_snapshot_argument_validation():
@@ -600,33 +623,36 @@ def _two_pass_energies(x, low_rank):
 
 
 def test_residual_energies_are_bit_identical_to_the_two_pass_formula(rng):
-    # the residual formed in place in one buffer has the same bits as
-    # x − (rank-r part), squared and summed, on the Lanczos and eigh bases
-    # of tall and wide snapshots and on the SVD fallback at a closed gap
+    # score_offsets forms each residual in place in one buffer; its bits are
+    # those of x − (the projection on the basis the offset's path chose),
+    # squared and summed.  One-offset window sets reach each path: the
+    # Lanczos fit at rank 6, eigh at a rank too large to try the fit, and
+    # the thin SVD's leading singular vectors on the snapshot's smaller side
+    # where s_5 and s_6 agree to 1e-9.  λ₀ is the fit's own, or eigh's.
+    basis_size = _KRYLOV_BLOCK * _KRYLOV_STEPS
     for shape in ("tall", "wide"):
         p, regions = _LANCZOS_SHAPES[shape]
         order = min(p * p, regions * regions)
-        x = _spectrum_set(rng, shape, _decaying(order), window_len=1).windows[0]
-
-        def low_rank(basis):
-            return basis @ (basis.T @ x) if shape == "wide" else (x @ basis) @ basis.T
-
-        [fit] = saliency._lanczos_bases(x[None], 6, _krylov_start(order))
-        got, _, path = _residual_energies(x, 6, fit)
-        assert path == "lanczos"
-        assert np.array_equal(got, _two_pass_energies(x, low_rank(fit[0])))
-        lam, vecs = np.linalg.eigh(saliency._gram(x))
-        got, lam0, path = _residual_energies(x, 6)
-        assert path == "eigh"
-        assert np.array_equal(got, _two_pass_energies(x, low_rank(vecs[:, -6:])))
-        assert lam0 == lam[-1]
         closed = _decaying(order)
         closed[4] = closed[5] * (1 + 1e-9)
-        y = _spectrum_set(rng, shape, closed, window_len=1).windows[0]
-        u, s, vt = np.linalg.svd(y, full_matrices=False)
-        got, _, path = _residual_energies(y, 5)
-        assert path == "svd"
-        assert np.array_equal(got, _two_pass_energies(y, (u[:, :5] * s[:5]) @ vt[:5]))
+        cases = ((_decaying(order), 6, "lanczos"),
+                 (_decaying(order), basis_size // 3, "eigh"), (closed, 5, "svd"))
+        for spectrum, rank, path in cases:
+            ws = _spectrum_set(rng, shape, spectrum, window_len=1)
+            x = ws.windows[0]
+            scores = score_offsets(ws, rank)
+            assert scores.paths == (path,), (shape, rank)
+            if path == "lanczos":
+                [(basis, lam0)] = saliency._lanczos_bases(x[None], rank, _krylov_start(order))
+            else:
+                lam, vecs = np.linalg.eigh(saliency._gram(x))
+                basis, lam0 = vecs[:, -rank:], lam[-1]
+            if path == "svd":
+                u, _, vt = np.linalg.svd(x, full_matrices=False)
+                basis = u[:, :rank] if shape == "wide" else vt[:rank].T
+            low_rank = basis @ (basis.T @ x) if shape == "wide" else (x @ basis) @ basis.T
+            assert np.array_equal(scores.energies[0], _two_pass_energies(x, low_rank))
+            assert scores.lam0[0] == lam0, (shape, path)
 
 
 def test_lanczos_fit_matches_svd_oracle(rng):
