@@ -10,8 +10,12 @@ the three inclusions exactly.  Prints an ASCII saliency map: '#' flagged,
 import argparse
 import time
 
-from wavesaliency.config import bundled_config_path, load_scenario, simulate_scenario
-from wavesaliency.pipeline import run_detection
+from wavesaliency.config import (
+    bundled_config_path,
+    detect_scenario,
+    load_scenario,
+    simulate_scenario,
+)
 from wavesaliency.sampling import GroundTruth, detection_metrics
 
 
@@ -31,8 +35,8 @@ def main():
     print(f"simulated {cube.t_len} stored snapshots "
           f"in {time.perf_counter() - t0:.1f} s")
 
+    result = detect_scenario(scenario, cube)
     partition = scenario.partition()
-    result = run_detection(cube, partition, scenario.detection_config())
     truth = GroundTruth.from_defects(list(scenario.defects), partition)
     metrics = detection_metrics(
         result.flagged, truth, partition, scenario.excitation.source

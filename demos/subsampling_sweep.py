@@ -7,13 +7,14 @@
 
 import time
 
-from wavesaliency.config import bundled_config_path, load_scenario, simulate_scenario
-from wavesaliency.pipeline import run_detection
-from wavesaliency.sampling import (
-    GroundTruth,
-    detection_metrics,
-    monte_carlo_sweep,
+from wavesaliency.config import (
+    bundled_config_path,
+    detect_scenario,
+    load_scenario,
+    simulate_scenario,
+    sweep_scenario,
 )
+from wavesaliency.sampling import GroundTruth, detection_metrics
 
 RATIOS = [0.5, 0.33, 0.2, 0.1, 0.07]
 TRIALS = 50
@@ -21,20 +22,17 @@ TRIALS = 50
 scenario = load_scenario(bundled_config_path("bench1_ci"))
 cube = simulate_scenario(scenario)
 partition = scenario.partition()
-config = scenario.detection_config()
 truth = GroundTruth.from_defects(list(scenario.defects), partition)
 
 full = detection_metrics(
-    run_detection(cube, partition, config).flagged, truth, partition,
+    detect_scenario(scenario, cube).flagged, truth, partition,
     scenario.excitation.source,
 )
 print(f"full sampling: {full.regional_correct} of {len(truth.regions)} "
       f"defects regionally discovered, {full.false} false")
 
 t0 = time.perf_counter()
-rows = monte_carlo_sweep(
-    cube, partition, config, RATIOS, TRIALS, scenario.seed, truth=truth
-)
+rows = sweep_scenario(scenario, cube, RATIOS, TRIALS)
 print(f"\n{TRIALS} random masks per ratio "
       f"({time.perf_counter() - t0:.1f} s):")
 print("  keep   regional correct   false")
@@ -44,11 +42,7 @@ for row in rows:
 
 print("\ndouble-cross patterns (deterministic, one run each):")
 for stride in (1, 2, 4):
-    crows = monte_carlo_sweep(
-        cube, partition, config, [], 1, scenario.seed,
-        truth=truth, pattern="cross", stride=stride,
-    )
-    row = crows[0]
+    [row] = sweep_scenario(scenario, cube, [], 1, pattern="cross", stride=stride)
     print(f"  stride {stride} (keep {row.nz:5.1%}):   "
           f"{row.regional_correct:.0f} regionally correct, "
           f"{row.false:.0f} false")

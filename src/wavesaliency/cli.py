@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", choices=("random", "cross"), default="random",
                    help="mask family (default %(default)s)")
     # The parser runs before numpy may load, so it cannot read the defaults
-    # of monte_carlo_sweep: --stride and --sharing repeat them here.
+    # of sweep_scenario: --stride and --sharing repeat them here.
     p.add_argument("--stride", type=int, default=1,
                    help="double-cross stride for --pattern cross")
     p.add_argument("--sharing", choices=("shared", "per_region"), default="shared",
@@ -156,9 +156,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    from .config import load_scenario, scenario_echo, with_overrides
+    from .config import detect_scenario, load_scenario, scenario_echo, with_overrides
     from .cube import read_cube, write_meta, write_text
-    from .pipeline import run_detection
     from .saliency import saliency_csv_text, snapshot_spectrum, write_saliency_pgm
 
     scenario = with_overrides(
@@ -166,8 +165,7 @@ def _cmd_detect(args) -> int:
         rank=args.rank, window_len=args.tw, ratio=args.ratio, theta=args.theta,
     )
     cube = read_cube(args.cube)
-    mask = scenario.mask()
-    result = run_detection(cube, scenario.partition(), scenario.detection_config(), mask)
+    result = detect_scenario(scenario, cube)
 
     write_text(f"{args.prefix}.csv", saliency_csv_text(result.saliency))
     write_saliency_pgm(result.saliency, f"{args.prefix}.pgm")
@@ -187,7 +185,7 @@ def _cmd_detect(args) -> int:
         "active_regions": str(int(result.saliency.active.sum())),
         "flagged": ";".join(f"{a},{b}" for a, b in flagged),
         "singular_values": " ".join(
-            f"{v:.9e}" for v in snapshot_spectrum(result.window_set, mask)
+            f"{v:.9e}" for v in snapshot_spectrum(result.window_set, result.saliency.scores)
         ),
     }
     write_meta(f"{args.prefix}.manifest", manifest)
@@ -222,9 +220,9 @@ def _dump_window_cubes(window_set, cube, directory) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .config import _parse_float, load_scenario, with_overrides
+    from .config import _parse_float, load_scenario, sweep_scenario, with_overrides
     from .cube import read_cube, write_text
-    from .sampling import GroundTruth, monte_carlo_sweep, sweep_csv_text, sweep_recipes
+    from .sampling import sweep_csv_text, sweep_recipes
 
     scenario = with_overrides(load_scenario(args.config), rank=args.rank)
     try:
@@ -239,21 +237,8 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"--ratios {args.ratios!r} names no ratio")
     for recipe in recipes:
         with_overrides(scenario, mask=recipe)
-    cube = read_cube(args.cube)
-    partition = scenario.partition()
-    truth = GroundTruth.from_defects(list(scenario.defects), partition)
-    rows = monte_carlo_sweep(
-        cube,
-        partition,
-        scenario.detection_config(),
-        ratios,
-        args.trials,
-        scenario.seed,
-        truth=truth,
-        pattern=args.pattern,
-        stride=args.stride,
-        sharing=args.sharing,
-    )
+    rows = sweep_scenario(scenario, read_cube(args.cube), ratios, args.trials,
+                          pattern=args.pattern, stride=args.stride, sharing=args.sharing)
     write_text(args.output, sweep_csv_text(rows))
     for row in rows:
         print(f"nz={row.nz:g}: regional_correct={row.regional_correct:.3f} "

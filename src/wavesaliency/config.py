@@ -76,12 +76,12 @@ import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
-from . import sim
+from . import pipeline, sampling, sim
 from .cube import DataCube, GridPoint, hold_plain_numbers
 from .errors import ConfigError, GeometryError, MaskError, PartitionError
-from .pipeline import DetectionConfig
+from .pipeline import DetectionConfig, DetectionResult
 from .saliency import DEFAULT_DECISION_THRESHOLD, DEFAULT_ENERGY_RATIO
-from .sampling import Mask, MaskSettings
+from .sampling import SHARED, Mask, MaskSettings, SweepRow
 from .sim import (
     DEFAULT_SPACE_ORDER,
     DefectSpec,
@@ -97,12 +97,6 @@ _KNOWN_BLOCKS = ("material", "grid", "excitation", "defect", "detection", "probe
 # ride the first interior node row (m = 1): the simply supported edge itself
 # never moves.
 DEFAULT_PROBE_FRACTIONS = (0.3, 0.7)
-
-# Geometry keys of each defect kind, in ``DefectSpec.geometry`` order.
-_DEFECT_GEOMETRY_KEYS = {
-    "point_inclusion": ("x", "y"),
-    "line_segment": ("x1", "y1", "x2", "y2"),
-}
 
 
 @dataclass(frozen=True)
@@ -268,6 +262,38 @@ def simulate_scenario(scenario: ScenarioConfig) -> DataCube:
         raise ConfigError(f"the plate cannot be simulated: {exc}") from None
 
 
+# The two runs below look ``run_detection`` and ``monte_carlo_sweep`` up on
+# their modules at each call, so a wrapper set on a module sees the call.
+
+def detect_scenario(scenario: ScenarioConfig, cube: DataCube) -> DetectionResult:
+    """Detect on ``cube`` with the scenario's partition, detection config and mask.
+
+    This is ``run_detection``, which itself leaves the mask to its caller
+    and samples every node without one.
+    """
+    return pipeline.run_detection(
+        cube, scenario.partition(), scenario.detection_config(), scenario.mask()
+    )
+
+
+def sweep_scenario(scenario: ScenarioConfig, cube: DataCube, ratios, trials: int, *,
+                   pattern: str = "random", stride: int = 1,
+                   sharing: str = SHARED) -> list[SweepRow]:
+    """``monte_carlo_sweep`` of ``cube`` from the scenario's seed.
+
+    Every trial is a detection with the scenario's partition and detection
+    config, scored against the regions its defects alter
+    (``GroundTruth.from_defects``).  The keywords pick the masks, as in
+    ``sampling.sweep_recipes``.
+    """
+    partition = scenario.partition()
+    return sampling.monte_carlo_sweep(
+        cube, partition, scenario.detection_config(), ratios, trials, scenario.seed,
+        truth=sampling.GroundTruth.from_defects(list(scenario.defects), partition),
+        pattern=pattern, stride=stride, sharing=sharing,
+    )
+
+
 def with_overrides(scenario: ScenarioConfig, **changes) -> ScenarioConfig:
     """The scenario with detection settings replaced, checked like a file.
 
@@ -417,7 +443,7 @@ def _parse_mask(text: str) -> MaskSettings:
 def _parse_defect(b: _Block) -> DefectSpec:
     kind = b.get("kind", str)
     # An unknown kind reads no geometry and fails DefectSpec's own check.
-    geometry = [b.get(key, _parse_float) for key in _DEFECT_GEOMETRY_KEYS.get(kind, ())]
+    geometry = [b.get(key, _parse_float) for key in sim.DEFECT_GEOMETRY_KEYS.get(kind, ())]
     return b.make(
         DefectSpec,
         kind=kind,

@@ -42,9 +42,12 @@ floor comes from λ₀ of the tau = 0 Gram matrix, so scoring takes no full
 SVD outside that fallback; the full tau = 0 spectrum exists only for
 ``detect``'s manifest (``snapshot_spectrum``).
 
-``score_offsets`` returns one read-only ``OffsetScores`` (``energies``,
-``live``, ``lam0``, fit ``paths``, ``refused`` Lanczos fits); ``saliency_map``
-decides from it and keeps it, read as ``run_detection(...).saliency.scores``.
+``score_offsets`` resolves the mask to snapshot ``rows`` once and returns
+one read-only ``OffsetScores`` (``energies``, ``live``, ``lam0``, fit
+``paths``, ``refused`` Lanczos fits, ``rows``; no snapshot, Gram matrix or
+basis); ``saliency_map`` decides from it and keeps it, read as
+``run_detection(...).saliency.scores``, and ``snapshot_spectrum`` gathers
+offset 0 again from its ``rows``.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ import numpy as np
 
 from .cube import write_pgm
 from .errors import RankError
-from .windowing import Partition, RegionalWindowSet
+from .windowing import RegionalWindowSet
 
 DEFAULT_ENERGY_RATIO = 0.25
 DEFAULT_DECISION_THRESHOLD = 0.5
@@ -128,7 +131,8 @@ class OffsetScores:
     ``energies`` is (offsets, active regions) in region order; ``live`` marks
     the offsets whose peak clears offset 0's dust floor; ``lam0`` is each
     offset's λ₀; ``paths`` names its fit, ``"lanczos"``, ``"eigh"`` or
-    ``"svd"``; ``refused`` marks a Lanczos fit tried and turned away.
+    ``"svd"``; ``refused`` marks a Lanczos fit tried and turned away;
+    ``rows`` are the mask's ``row_indices``, None under full sampling.
     """
 
     energies: np.ndarray = field(repr=False)
@@ -136,10 +140,12 @@ class OffsetScores:
     lam0: np.ndarray = field(repr=False)
     paths: tuple[str, ...]
     refused: np.ndarray = field(repr=False)
+    rows: np.ndarray | None = field(repr=False)
 
     def __post_init__(self):
-        for name in ("energies", "live", "lam0", "refused"):
-            getattr(self, name).flags.writeable = False
+        for name in ("energies", "live", "lam0", "refused", "rows"):
+            if getattr(self, name) is not None:
+                getattr(self, name).flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -178,20 +184,19 @@ class SaliencyMap:
         return frozenset((int(a), int(b)) for a, b in np.argwhere(hit))
 
 
-def _gather_snapshots(windows: np.ndarray, part: Partition, mask) -> np.ndarray:
+def _gather_snapshots(windows: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
     """C-contiguous (tau, rows, cols) stack of the snapshots of ``windows``.
 
     ``windows`` is a window set's (tau, nodes, active regions) array, or its
     leading offsets.  Columns are the active regions in region order
-    (a + regions_x * b); rows every node or the mask's retained nodes,
-    flattened x-fastest; a per-region mask gives each column its own nodes.
-    Full sampling returns ``windows`` itself, not a copy.  The mask's rows
-    are resolved once, so a per-region mask draws its patterns once per call.
+    (a + regions_x * b); rows every node (``rows`` None) or the nodes a
+    mask's ``row_indices`` keep, flattened x-fastest: one index vector for
+    every column, or one column of indices per column.  Full sampling
+    returns ``windows`` itself, not a copy.
     """
-    if mask is None:
+    if rows is None:
         return windows
     cols = windows.shape[2]
-    rows = mask.row_indices(part.p1, part.p2, cols)
     if rows.ndim == 1:
         return np.take(windows, rows, axis=1)
     # One take on the (tau, node * column) view: entry (i, j) of every
@@ -300,9 +305,12 @@ def score_offsets(window_set: RegionalWindowSet, rank: int, mask=None) -> Offset
 
     Gram orders of at least ``_KRYLOV_ORDER``, at ranks whose r + 1 pairs
     fit in a third of the basis, try ``_lanczos_bases`` in passes of
-    ``_GRAM_CHUNK`` bytes.  ``mask`` and the errors are ``saliency_map``'s.
+    ``_GRAM_CHUNK`` bytes.  ``mask`` and the errors are ``saliency_map``'s;
+    its rows are drawn once and kept as the record's ``rows``.
     """
-    stack = _gather_snapshots(window_set.windows, window_set.partition, mask)
+    windows, part = window_set.windows, window_set.partition
+    picked = None if mask is None else mask.row_indices(part.p1, part.p2, windows.shape[2])
+    stack = _gather_snapshots(windows, picked)
     count, rows, cols = stack.shape
     order, m = min(rows, cols), _KRYLOV_BLOCK * _KRYLOV_STEPS
     if not 1 <= rank <= order:
@@ -335,7 +343,7 @@ def score_offsets(window_set: RegionalWindowSet, rank: int, mask=None) -> Offset
             energies[k] = r.sum(axis=0)
     live = np.max(energies, axis=1) > lam0[0] * _DUST
     refused = np.array([tried and path != "lanczos" for path in paths])
-    return OffsetScores(energies, live, lam0, tuple(paths), refused)
+    return OffsetScores(energies, live, lam0, tuple(paths), refused, picked)
 
 
 def saliency_map(
@@ -367,12 +375,13 @@ def saliency_map(
                        window_len=window_set.window_len, scores=scores)
 
 
-def snapshot_spectrum(window_set: RegionalWindowSet, mask=None) -> np.ndarray:
-    """Singular values of the tau = 0 snapshot that ``saliency_map`` scores.
+def snapshot_spectrum(window_set: RegionalWindowSet, scores: OffsetScores) -> np.ndarray:
+    """Singular values of the tau = 0 snapshot that ``scores`` fitted.
 
-    Scoring never needs them; ``detect`` writes them to its manifest.
+    Scoring never needs them; ``detect`` writes them to its manifest.  The
+    snapshot is gathered from ``scores.rows``, so no mask is drawn again.
     """
-    first = _gather_snapshots(window_set.windows[:1], window_set.partition, mask)
+    first = _gather_snapshots(window_set.windows[:1], scores.rows)
     return np.linalg.svd(first[0], compute_uv=False)
 
 

@@ -146,6 +146,14 @@ class ExcitationSpec:
         return self.cycle_count / self.carrier_frequency
 
 
+# Geometry keys of each defect kind, in ``DefectSpec.geometry`` order: the
+# keys of a scenario file's ``[defect]`` block.
+DEFECT_GEOMETRY_KEYS = {
+    "point_inclusion": ("x", "y"),
+    "line_segment": ("x1", "y1", "x2", "y2"),
+}
+
+
 @dataclass(frozen=True)
 class DefectSpec:
     """A localized material alteration, in plate-fraction coordinates.
@@ -163,9 +171,9 @@ class DefectSpec:
 
     def __post_init__(self):
         hold_plain_numbers(self)
-        if self.kind not in ("point_inclusion", "line_segment"):
+        if self.kind not in DEFECT_GEOMETRY_KEYS:
             raise ValueError(f"unknown defect kind {self.kind!r}")
-        want = 2 if self.kind == "point_inclusion" else 4
+        want = len(DEFECT_GEOMETRY_KEYS[self.kind])
         if len(self.geometry) != want:
             raise ValueError(
                 f"{self.kind} needs {want} geometry values, got {len(self.geometry)}"
@@ -345,23 +353,22 @@ def analytic_group_velocity(material: MaterialSpec, frequency: float) -> float:
 # Spatial operators
 # ---------------------------------------------------------------------------
 
-def _cells_to_nodes(cells: np.ndarray, harmonic: bool) -> np.ndarray:
+def _cells_to_nodes(cells: np.ndarray) -> np.ndarray:
     """Average per-cell values onto nodes (cells indexed [m, l] here).
 
-    Each node averages its 1, 2, or 4 adjacent cells.  Harmonic averaging is
-    used for the stiffness so that a soft cell limits the coupling through
-    shared nodes; arithmetic averaging (mass lumping) for the density.
+    Each node takes the arithmetic mean of its 1, 2, or 4 adjacent cells:
+    mass lumping for the density.  The stiffness is averaged harmonically,
+    as ``1 / _cells_to_nodes(1 / cells)``, so that a soft cell limits the
+    coupling through shared nodes.
     """
-    src = 1.0 / cells if harmonic else cells
     nm, nl = cells.shape[0] + 1, cells.shape[1] + 1
     acc = np.zeros((nm, nl))
     cnt = np.zeros((nm, nl))
     for da in (0, 1):
         for db in (0, 1):
-            acc[da:da + cells.shape[0], db:db + cells.shape[1]] += src
+            acc[da:da + cells.shape[0], db:db + cells.shape[1]] += cells
             cnt[da:da + cells.shape[0], db:db + cells.shape[1]] += 1.0
-    avg = acc / cnt
-    return 1.0 / avg if harmonic else avg
+    return acc / cnt
 
 
 class PaddedField:
@@ -455,8 +462,8 @@ class PlateOperator:
             # Layout is [m, l] (y index first) so that node views are already
             # in cube payload order.  A cell value that leaves float range
             # here becomes a zero or infinite gain, refused below.
-            d = _cells_to_nodes(material_map.bending_stiffness.T, harmonic=True)
-            rho_h = _cells_to_nodes(material_map.areal_density.T, harmonic=False)
+            d = 1.0 / _cells_to_nodes(1.0 / material_map.bending_stiffness.T)
+            rho_h = _cells_to_nodes(material_map.areal_density.T)
             # Ghost-column entries of the coefficients only meet thrown-away
             # values; edge copies keep that arithmetic finite.
             self._d.full[...] = np.pad(d, 2, mode="edge") / self.scale

@@ -19,14 +19,18 @@ import scipy.linalg
 
 from wavesaliency.cli import EXIT_OK, main
 from wavesaliency.cube import DataCube, read_cube, write_cube
-from wavesaliency.config import bundled_config_path, load_scenario, simulate_scenario
+from wavesaliency.config import (
+    bundled_config_path,
+    detect_scenario,
+    load_scenario,
+    simulate_scenario,
+    sweep_scenario,
+)
 from wavesaliency.errors import PartitionError
-from wavesaliency.pipeline import run_detection
 from wavesaliency.sampling import (
     GroundTruth,
     detection_metrics,
     double_cross_mask,
-    monte_carlo_sweep,
     origin_block,
 )
 from wavesaliency.sim import (
@@ -160,7 +164,7 @@ def test_three_inclusions_found_with_few_false_alarms(bench1):
     scenario, cube = bench1
     part = scenario.partition()
     truth = GroundTruth.from_defects(list(scenario.defects), part)
-    result = run_detection(cube, part, scenario.detection_config())
+    result = detect_scenario(scenario, cube)
     metrics = detection_metrics(
         result.flagged, truth, part, scenario.excitation.source
     )
@@ -190,7 +194,7 @@ def test_line_defect_tips_and_path_flagged(bench2):
     cells = sorted(defect_cells(scenario.defects[0], part.n1, part.n2))
     tips = {part.region_of_cell(*cells[0]), part.region_of_cell(*cells[-1])}
     path = {part.region_of_cell(*c) for c in cells}
-    result = run_detection(cube, part, scenario.detection_config())
+    result = detect_scenario(scenario, cube)
     covered = path & result.flagged
     print(f"tips {sorted(tips)}, path {sorted(path)}, "
           f"flagged {sorted(result.flagged)}")
@@ -205,21 +209,14 @@ def test_line_defect_tips_and_path_flagged(bench2):
 def test_detection_survives_heavy_subsampling(ci_bench1):
     scenario, cube = ci_bench1
     part = scenario.partition()
-    config = scenario.detection_config()
     truth = GroundTruth.from_defects(list(scenario.defects), part)
 
     full = detection_metrics(
-        run_detection(cube, part, config).flagged, truth, part,
+        detect_scenario(scenario, cube).flagged, truth, part,
         scenario.excitation.source,
     )
     start = time.perf_counter()
-    rows = monte_carlo_sweep(
-        cube, part, config,
-        [0.5, 0.33, 0.2, 0.1, 0.07],
-        trials=50,
-        base_seed=scenario.seed,
-        truth=truth,
-    )
+    rows = sweep_scenario(scenario, cube, [0.5, 0.33, 0.2, 0.1, 0.07], trials=50)
     elapsed = time.perf_counter() - start
     for row in rows:
         print(f"keep {row.nz:.0%}: regional correct "

@@ -5,10 +5,12 @@ loaded from its path.  Running it end to end simulates every bundled plate
 twice and is left to the tool itself.
 """
 
+import argparse
 import importlib.util
 from pathlib import Path
 
 import wavesaliency
+from wavesaliency.cli import build_parser
 from wavesaliency.config import bundled_config_path, parse_scenario
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
@@ -82,3 +84,23 @@ def test_commands_include_the_masked_detections_on_bench1s_cube():
         assert text == f"{before}\n{lines}\n{after}"
         mask = parse_scenario(text).detection.mask
         assert (mask.kind, mask.ratio, mask.sharing) == ("random", 0.5, sharing)
+
+
+def test_help_of_the_cli_and_each_subcommand_is_recorded(tmp_path):
+    # the CLI's own subcommands, each with its --help, plus the top-level one
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert compare_outputs.SUBCOMMANDS == tuple(sub.choices)
+    assert compare_outputs.HELP == {
+        "help": ["--help"],
+        **{f"help_{cmd}": [cmd, "--help"] for cmd in sub.choices},
+    }
+    # run on this tree, each is one log with exit 0 and its usage line
+    compare_outputs.run_commands(SRC, tmp_path, "cli", compare_outputs.HELP)
+    logs = sorted(p.name for p in tmp_path.iterdir())
+    assert logs == sorted(f"cli.{label}.log" for label in compare_outputs.HELP)
+    for label, argv in compare_outputs.HELP.items():
+        text = (tmp_path / f"cli.{label}.log").read_text()
+        usage = " ".join(["usage: wavesaliency", *argv[:-1]])
+        assert text.startswith(f"exit 0\n--- stdout\n{usage} "), text
+        assert text.endswith("--- stderr\n"), text

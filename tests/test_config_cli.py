@@ -38,6 +38,7 @@ from wavesaliency.config import (
     DetectionSettings,
     GridSettings,
     bundled_config_path,
+    detect_scenario,
     load_scenario,
     parse_scenario,
     scenario_echo,
@@ -46,7 +47,8 @@ from wavesaliency.config import (
 from wavesaliency.cube import GridPoint, read_cube, write_cube
 from wavesaliency.errors import ConfigError
 from wavesaliency.pipeline import DetectionConfig
-from wavesaliency.sampling import MaskSettings
+from wavesaliency.saliency import saliency_csv_text, snapshot_spectrum
+from wavesaliency.sampling import Mask, MaskSettings
 from wavesaliency.sim import DefectSpec, ExcitationSpec, MaterialSpec, analytic_group_velocity
 from wavesaliency.windowing import Partition, ProbePair
 
@@ -782,6 +784,38 @@ def test_detect_takes_one_svd_for_its_manifest(small_run, tmp_path, monkeypatch)
     monkeypatch.setattr(np.linalg, "svd", counted)
     assert main(["detect", str(cube_path), str(cfg), str(tmp_path / "s")]) == EXIT_OK
     assert calls == [False]
+
+
+@pytest.mark.parametrize("sharing", ["shared", "per_region"])
+def test_masked_detect_draws_its_rows_once_and_is_detect_scenario(
+    sharing, ci_bench1, ci_cube_file, tmp_path, monkeypatch
+):
+    # bench1_ci at mask = random 0.5: the CLI draws the mask's rows once, for
+    # scoring, and the manifest's spectrum reuses them; its outputs are
+    # detect_scenario's and snapshot_spectrum's, run here in process
+    _, cube = ci_bench1
+    line = "mask = random 0.5" + ("\nsharing = per_region" if sharing == "per_region" else "")
+    text = bundled_config_path("bench1_ci").read_text().replace("mask = full", line)
+    cfg = tmp_path / "masked.cfg"
+    cfg.write_text(text)
+    draw, drawn = Mask.row_indices, []
+
+    def counted(self, *args):
+        drawn.append(self.sharing)
+        return draw(self, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Mask, "row_indices", counted)
+        assert main(["detect", str(ci_cube_file), str(cfg), str(tmp_path / "m")]) == EXIT_OK
+    assert drawn == [sharing]
+    result = detect_scenario(parse_scenario(text), cube)
+    assert (tmp_path / "m.csv").read_text() == saliency_csv_text(result.saliency)
+    flags = "".join(f"{a} {b}\n" for a, b in sorted(result.flagged))
+    assert (tmp_path / "m.flags.txt").read_text() == flags
+    spectrum = snapshot_spectrum(result.window_set, result.saliency.scores)
+    manifest = (tmp_path / "m.manifest").read_text().splitlines()
+    assert f"mask = random 0.5 sharing={sharing}" in manifest
+    assert "singular_values = " + " ".join(f"{v:.9e}" for v in spectrum) in manifest
 
 
 def test_detect_window_dump(small_run, tmp_path, capsys):

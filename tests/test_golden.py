@@ -42,9 +42,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavesaliency.pipeline import run_detection
+from wavesaliency.config import detect_scenario, sweep_scenario
 from wavesaliency.saliency import saliency_csv_text
-from wavesaliency.sampling import GroundTruth, monte_carlo_sweep, sweep_csv_text
+from wavesaliency.sampling import sweep_csv_text
 from wavesaliency.spectrum import (
     dft2_magnitude,
     occupied_fraction,
@@ -81,17 +81,14 @@ def _sha(text: str) -> str:
 
 
 def fingerprint(scenario, cube, ci: bool) -> dict[str, str | float]:
-    part, config = scenario.partition(), scenario.detection_config()
-    result = run_detection(cube, part, config)
-    truth = GroundTruth.from_defects(list(scenario.defects), part)
+    result = detect_scenario(scenario, cube)
     out = {
         "saliency_csv": _sha(saliency_csv_text(result.saliency)),
         "flagged": _sha("".join(f"{a} {b}\n" for a, b in sorted(result.flagged))),
     }
     for key, kw in (CI_SWEEPS if ci else FULL_SWEEPS).items():
         kw = dict(kw)
-        rows = monte_carlo_sweep(cube, part, config, kw.pop("ratios"), TRIALS,
-                                 scenario.seed, truth=truth, **kw)
+        rows = sweep_scenario(scenario, cube, kw.pop("ratios"), TRIALS, **kw)
         out[key] = _sha(sweep_csv_text(rows))
     if not ci:
         return out

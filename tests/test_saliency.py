@@ -106,32 +106,45 @@ def test_snapshot_vectorization_is_x_fastest():
 
 def test_full_sampling_scores_the_window_array_in_place():
     ws = _ramp_windows(n=33, regions=4)
-    stack = _gather_snapshots(ws.windows, ws.partition, None)
+    stack = _gather_snapshots(ws.windows, None)
     assert np.shares_memory(stack, ws.windows)
     assert stack.shape == ws.windows.shape and stack.flags.c_contiguous
 
 
 def test_snapshot_spectrum_gathers_only_the_first_offset(rng):
     # the spectrum is the SVD of offset 0's snapshot as score_offsets
-    # gathers it, under full sampling, a shared mask and a per-region mask
-    # (the same seed draws the same patterns), and it gathers no other offset
+    # gathers it, under full sampling, a shared mask and a per-region mask;
+    # the record keeps the mask's rows, drawn once and read-only, and the
+    # spectrum gathers offset 0 alone from them without drawing again
     ws = _ramp_windows(n=33, regions=4)
     ws = dataclasses.replace(ws, windows=rng.normal(size=ws.windows.shape))
-    p = ws.partition.p1
-    gather = saliency._gather_snapshots
+    p, cols = ws.partition.p1, ws.windows.shape[2]
+    gather, draw = saliency._gather_snapshots, Mask.row_indices
     for mask in (None, random_mask(p, p, 0.5, seed=2),
                  random_mask(p, p, 0.5, seed=2, sharing=PER_REGION)):
-        first = gather(ws.windows, ws.partition, mask)[0]
-        gathered = []
+        drawn, gathered = [], []
 
-        def counted(windows, part, mask):
+        def spied(self, *args):
+            drawn.append(args)
+            return draw(self, *args)
+
+        def counted(windows, rows):
             gathered.append(len(windows))
-            return gather(windows, part, mask)
+            return gather(windows, rows)
 
         with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Mask, "row_indices", spied)
+            scores = score_offsets(ws, 2, mask)
             patch.setattr(saliency, "_gather_snapshots", counted)
-            got = snapshot_spectrum(ws, mask)
+            got = snapshot_spectrum(ws, scores)
         assert gathered == [1], mask
+        if mask is None:
+            assert scores.rows is None and drawn == []
+        else:
+            assert drawn == [(p, p, cols)]
+            assert np.array_equal(scores.rows, mask.row_indices(p, p, cols))
+            assert not scores.rows.flags.writeable
+        first = gather(ws.windows, scores.rows)[0]
         assert np.array_equal(got, np.linalg.svd(first, compute_uv=False)), mask
 
 
@@ -455,7 +468,7 @@ def _assert_matches_oracle(ws, rank, mask, sal=None):
     counts, spectrum = oracle_counts(ws, rank, 0.25, mask)
     got = np.array([sal.fractions[a, b] for a, b in ws.active_region_ids()])
     assert np.array_equal(got, counts / ws.window_len), (rank, mask)
-    assert np.array_equal(snapshot_spectrum(ws, mask), spectrum)
+    assert np.array_equal(snapshot_spectrum(ws, sal.scores), spectrum)
     return int(counts.sum())
 
 

@@ -26,6 +26,10 @@ Every bundled plate detects at ``mask = full`` too, so each tree runs
 per_region`` (``bench1_per_region``): the masked detections whose CSV,
 flags and manifest spectrum are compared.
 
+Once per tree, it also records ``wavesaliency --help`` and each
+subcommand's ``--help``, so a changed command, option, default or help
+line shows as a differing file.
+
 Every command runs in its tree's own output directory with relative paths
 and one BLAS thread, and its exit code, stdout and stderr are kept as a
 file beside its outputs.  The two directories are then compared file by
@@ -57,6 +61,11 @@ EDITED = {
     "bench1_per_region": ("bench1", "mask = full",
                           "mask = random 0.5\nsharing = per_region"),
 }
+
+
+# The help texts each tree records once, by label.
+SUBCOMMANDS = ("simulate", "detect", "sweep", "spectrum")
+HELP = {"help": ["--help"], **{f"help_{cmd}": [cmd, "--help"] for cmd in SUBCOMMANDS}}
 
 
 def plate_config(src: Path, plate: str) -> str:
@@ -99,22 +108,31 @@ def commands(plate: str, trials: int) -> dict[str, list[str]]:
     return runs
 
 
-def run_tree(src: Path, out: Path, trials: int) -> None:
-    """Write every plate's CLI outputs of the tree at ``src`` under ``out``."""
+def run_commands(src: Path, out: Path, name: str, runs: dict[str, list[str]]) -> None:
+    """Run the CLI of the tree at ``src`` in ``out`` on each argument list.
+
+    Each run's exit code, stdout and stderr go to ``<name>.<label>.log``.
+    """
     env = {**os.environ, "PYTHONPATH": str(src), "WAVESALIENCY_THREADS": "1"}
+    for label, argv in runs.items():
+        proc = subprocess.run(
+            [sys.executable, "-m", "wavesaliency.cli", *argv],
+            cwd=out, env=env, capture_output=True, text=True,
+        )
+        (out / f"{name}.{label}.log").write_text(
+            f"exit {proc.returncode}\n--- stdout\n{proc.stdout}"
+            f"--- stderr\n{proc.stderr}"
+        )
+        print(f"{src}: {name} {label}: exit {proc.returncode}", flush=True)
+
+
+def run_tree(src: Path, out: Path, trials: int) -> None:
+    """Write the help texts and every plate's CLI outputs of the tree at ``src``."""
     out.mkdir(parents=True)
+    run_commands(src, out, "cli", HELP)
     for plate in (*PLATES, *EDITED):
         (out / f"{plate}.cfg").write_text(plate_config(src, plate))
-        for label, argv in commands(plate, trials).items():
-            proc = subprocess.run(
-                [sys.executable, "-m", "wavesaliency.cli", *argv],
-                cwd=out, env=env, capture_output=True, text=True,
-            )
-            (out / f"{plate}.{label}.log").write_text(
-                f"exit {proc.returncode}\n--- stdout\n{proc.stdout}"
-                f"--- stderr\n{proc.stderr}"
-            )
-            print(f"{src}: {plate} {label}: exit {proc.returncode}", flush=True)
+        run_commands(src, out, plate, commands(plate, trials))
 
 
 def differences(old: Path, new: Path) -> tuple[int, list[str]]:
