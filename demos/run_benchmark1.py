@@ -14,9 +14,9 @@ from wavesaliency.config import (
     bundled_config_path,
     detect_scenario,
     load_scenario,
+    score_scenario,
     simulate_scenario,
 )
-from wavesaliency.sampling import GroundTruth, detection_metrics
 
 
 def main():
@@ -36,19 +36,16 @@ def main():
           f"in {time.perf_counter() - t0:.1f} s")
 
     result = detect_scenario(scenario, cube)
-    partition = scenario.partition()
-    truth = GroundTruth.from_defects(list(scenario.defects), partition)
-    metrics = detection_metrics(
-        result.flagged, truth, partition, scenario.excitation.source
-    )
+    truth = scenario.truth()
+    metrics = score_scenario(scenario, result.flagged)
 
     print(f"estimated group velocity {result.group_velocity:.0f} m/s, "
           f"rank {scenario.detection.rank}")
     print()
     # b grows upward so the map matches the plate's orientation
-    for b in reversed(range(partition.regions_y)):
+    for b in reversed(range(scenario.detection.regions_y)):
         row = []
-        for a in range(partition.regions_x):
+        for a in range(scenario.detection.regions_x):
             flagged = (a, b) in result.flagged
             true = (a, b) in truth.regions
             row.append("X" if flagged and true

@@ -11,25 +11,21 @@ from wavesaliency.config import (
     bundled_config_path,
     detect_scenario,
     load_scenario,
+    score_scenario,
     simulate_scenario,
     sweep_scenario,
 )
-from wavesaliency.sampling import GroundTruth, detection_metrics
 
 RATIOS = [0.5, 0.33, 0.2, 0.1, 0.07]
 TRIALS = 50
 
 scenario = load_scenario(bundled_config_path("bench1_ci"))
 cube = simulate_scenario(scenario)
-partition = scenario.partition()
-truth = GroundTruth.from_defects(list(scenario.defects), partition)
 
-full = detection_metrics(
-    detect_scenario(scenario, cube).flagged, truth, partition,
-    scenario.excitation.source,
-)
-print(f"full sampling: {full.regional_correct} of {len(truth.regions)} "
-      f"defects regionally discovered, {full.false} false")
+full = score_scenario(scenario, detect_scenario(scenario, cube).flagged)
+print(f"full sampling: {full.regional_correct} of "
+      f"{len(scenario.truth().regions)} defects regionally discovered, "
+      f"{full.false} false")
 
 t0 = time.perf_counter()
 rows = sweep_scenario(scenario, cube, RATIOS, TRIALS)

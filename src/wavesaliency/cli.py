@@ -8,9 +8,11 @@ coefficients, a side length's step gains or an analytic group velocity
 out of float range, a sweep ratio list that is empty or holds an entry
 that is not a finite number, a spectrum floor that is not negative, or a
 spectrum compare ratio outside (0, 1]), 3 simulation divergence, 4
-windowing produced no active region, 5 silent input where a signal is
-required.  Any other toolkit error, an I/O error or a record
-too large to allocate exits 1.
+windowing produced no active region or a window longer than the record
+(``detect --tw 200`` on ``bench1_ci``'s 96-sample cube: "window length
+200 exceeds the 96-sample record"), 5 silent input where a signal is
+required.  Any other toolkit error, an I/O error or a record too large
+to allocate exits 1.
 
 Heavy imports happen inside ``main`` so that the ``WAVESALIENCY_THREADS``
 environment variable can pin the BLAS/OpenMP thread pools before numpy is

@@ -81,7 +81,7 @@ from .cube import DataCube, GridPoint, hold_plain_numbers
 from .errors import ConfigError, GeometryError, MaskError, PartitionError
 from .pipeline import DetectionConfig, DetectionResult
 from .saliency import DEFAULT_DECISION_THRESHOLD, DEFAULT_ENERGY_RATIO
-from .sampling import SHARED, Mask, MaskSettings, SweepRow
+from .sampling import SHARED, DetectionMetrics, GroundTruth, Mask, MaskSettings, SweepRow
 from .sim import (
     DEFAULT_SPACE_ORDER,
     DefectSpec,
@@ -140,6 +140,8 @@ class DetectionSettings:
 
     def __post_init__(self):
         hold_plain_numbers(self)
+        if not isinstance(self.mask, MaskSettings):
+            raise ValueError(f"mask must be a MaskSettings, got {self.mask!r}")
         if self.window_len < 1:
             raise ValueError(f"window_len must be >= 1, got {self.window_len}")
         for name in ("ratio", "theta"):
@@ -234,6 +236,9 @@ class ScenarioConfig:
     def mask(self) -> Mask | None:
         return self.detection.mask.build(self.partition(), self.seed)
 
+    def truth(self) -> GroundTruth:
+        return GroundTruth.from_defects(self.defects, self.partition())
+
 
 def simulate_scenario(scenario: ScenarioConfig) -> DataCube:
     """Run the scenario's plate through ``sim.simulate`` with every grid setting.
@@ -262,8 +267,9 @@ def simulate_scenario(scenario: ScenarioConfig) -> DataCube:
         raise ConfigError(f"the plate cannot be simulated: {exc}") from None
 
 
-# The two runs below look ``run_detection`` and ``monte_carlo_sweep`` up on
-# their modules at each call, so a wrapper set on a module sees the call.
+# The calls below look ``run_detection``, ``monte_carlo_sweep`` and
+# ``detection_metrics`` up on their modules at each call, so a wrapper set on
+# a module sees the call.
 
 def detect_scenario(scenario: ScenarioConfig, cube: DataCube) -> DetectionResult:
     """Detect on ``cube`` with the scenario's partition, detection config and mask.
@@ -282,15 +288,24 @@ def sweep_scenario(scenario: ScenarioConfig, cube: DataCube, ratios, trials: int
     """``monte_carlo_sweep`` of ``cube`` from the scenario's seed.
 
     Every trial is a detection with the scenario's partition and detection
-    config, scored against the regions its defects alter
-    (``GroundTruth.from_defects``).  The keywords pick the masks, as in
-    ``sampling.sweep_recipes``.
+    config, scored as ``score_scenario`` scores one.  The keywords pick the
+    masks, as in ``sampling.sweep_recipes``.
     """
-    partition = scenario.partition()
     return sampling.monte_carlo_sweep(
-        cube, partition, scenario.detection_config(), ratios, trials, scenario.seed,
-        truth=sampling.GroundTruth.from_defects(list(scenario.defects), partition),
+        cube, scenario.partition(), scenario.detection_config(), ratios, trials,
+        scenario.seed, truth=scenario.truth(),
         pattern=pattern, stride=stride, sharing=sharing,
+    )
+
+
+def score_scenario(scenario: ScenarioConfig, flagged) -> DetectionMetrics:
+    """``detection_metrics`` of ``flagged`` against the scenario's ``truth()``.
+
+    The origin block surrounds the scenario's excitation source.  This runs
+    no detection: ``flagged`` is a set of regions, such as a result's.
+    """
+    return sampling.detection_metrics(
+        flagged, scenario.truth(), scenario.partition(), scenario.excitation.source
     )
 
 
@@ -305,7 +320,9 @@ def with_overrides(scenario: ScenarioConfig, **changes) -> ScenarioConfig:
     changes = {k: v for k, v in changes.items() if v is not None}
     types = {f.name: f.type for f in fields(DetectionSettings)}
     for key, value in changes.items():
-        if isinstance(value, str) and types.get(key) in _PARSERS:
+        if key not in types:
+            raise ConfigError(f"unknown detection setting {key!r}")
+        if isinstance(value, str) and types[key] in _PARSERS:
             try:
                 changes[key] = _PARSERS[types[key]](value)
             except ValueError as exc:

@@ -4,8 +4,10 @@ Chains velocity estimation, transit-window extraction and low-rank saliency
 scoring with a single configuration object, so the command-line tools, the
 Monte Carlo sweep and tests all exercise the identical path.  A scenario
 runs through ``config.detect_scenario`` and ``config.sweep_scenario``,
-which wire in its partition, detection config, mask, seed and defects;
-``run_detection`` samples every node unless its caller passes a mask.
+which wire in its partition, detection config, mask, seed and defects,
+and a flagged set is scored against its defects by
+``config.score_scenario``; ``run_detection`` samples every node unless
+its caller passes a mask.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ false flags over 20 trials are 92.8 of 205 regions against 1.15.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -220,7 +221,7 @@ class GroundTruth:
     @classmethod
     def from_defects(
         cls,
-        defects: list[DefectSpec],
+        defects: Sequence[DefectSpec],
         partition: Partition,
     ) -> "GroundTruth":
         hit = set()

@@ -519,8 +519,9 @@ def leapfrog(
 
     with S the operator's stencil sum, d = D / s, g = -dt^2 / (s rho_h)
     and s the operator's ``scale``; the force adds f * (dt^2 / (rho_h
-    dx^2)) at the source, so the step stays exactly linear in f.  Edges are pinned to zero after every step.  Steps run in
-    the operator's buffers and allocate nothing.  Returns
+    dx^2)) at the source, so the step stays exactly linear in f.  Edges
+    are pinned to zero after every step.  Steps run in the operator's
+    buffers and allocate nothing.  Returns
     ``step_count // record_every + 1`` recorded states, ``w_curr`` first.
 
     Raises:

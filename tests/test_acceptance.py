@@ -23,16 +23,12 @@ from wavesaliency.config import (
     bundled_config_path,
     detect_scenario,
     load_scenario,
+    score_scenario,
     simulate_scenario,
     sweep_scenario,
 )
 from wavesaliency.errors import PartitionError
-from wavesaliency.sampling import (
-    GroundTruth,
-    detection_metrics,
-    double_cross_mask,
-    origin_block,
-)
+from wavesaliency.sampling import double_cross_mask, origin_block
 from wavesaliency.sim import (
     analytic_group_velocity,
     analytic_phase_velocity,
@@ -162,18 +158,15 @@ def test_probe_estimated_speed_tracks_dispersion(pristine):
 
 def test_three_inclusions_found_with_few_false_alarms(bench1):
     scenario, cube = bench1
-    part = scenario.partition()
-    truth = GroundTruth.from_defects(list(scenario.defects), part)
+    truth = scenario.truth()
     result = detect_scenario(scenario, cube)
-    metrics = detection_metrics(
-        result.flagged, truth, part, scenario.excitation.source
-    )
+    metrics = score_scenario(scenario, result.flagged)
     print(f"truth {sorted(truth.regions)}, flagged {sorted(result.flagged)}, "
           f"metrics {tuple(metrics)}")
     assert metrics.regional_correct == len(truth.regions) == 3
     # false alarms that are neither near a defect nor in the noisy block
     # around the excitation corner
-    block = origin_block(part, (0, 0))
+    block = origin_block(scenario.partition(), (0, 0))
     stray = [
         f for f in result.flagged
         if all(_chebyshev(f, t) >= 2 for t in truth.regions)
@@ -208,13 +201,7 @@ def test_line_defect_tips_and_path_flagged(bench2):
 
 def test_detection_survives_heavy_subsampling(ci_bench1):
     scenario, cube = ci_bench1
-    part = scenario.partition()
-    truth = GroundTruth.from_defects(list(scenario.defects), part)
-
-    full = detection_metrics(
-        detect_scenario(scenario, cube).flagged, truth, part,
-        scenario.excitation.source,
-    )
+    full = score_scenario(scenario, detect_scenario(scenario, cube).flagged)
     start = time.perf_counter()
     rows = sweep_scenario(scenario, cube, [0.5, 0.33, 0.2, 0.1, 0.07], trials=50)
     elapsed = time.perf_counter() - start

@@ -12,6 +12,7 @@ from pathlib import Path
 import wavesaliency
 from wavesaliency.cli import build_parser
 from wavesaliency.config import bundled_config_path, parse_scenario
+from wavesaliency.sampling import MaskSettings
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
 SRC = Path(wavesaliency.__file__).resolve().parents[1]
@@ -69,21 +70,22 @@ def test_commands_include_the_analytic_run():
 
 
 def test_commands_include_the_masked_detections_on_bench1s_cube():
-    # two edited copies of bench1.cfg, detected on bench1's own cube with no
-    # second simulate: a shared and a per-region random 0.5 mask
+    # three edited copies of bench1.cfg, detected on bench1's own cube with no
+    # second simulate: a shared and a per-region random 0.5 mask, and cross 2
     original = bundled_config_path("bench1").read_text()
     before, after = original.split("\nmask = full\n")
-    for plate, sharing, lines in (
-        ("bench1_random", "shared", "mask = random 0.5"),
-        ("bench1_per_region", "per_region", "mask = random 0.5\nsharing = per_region"),
+    for plate, mask, lines in (
+        ("bench1_random", MaskSettings("random", ratio=0.5), "mask = random 0.5"),
+        ("bench1_per_region", MaskSettings("random", ratio=0.5, sharing="per_region"),
+         "mask = random 0.5\nsharing = per_region"),
+        ("bench1_cross", MaskSettings("cross", stride=2), "mask = cross 2"),
     ):
         assert compare_outputs.commands(plate, 3) == {
             "detect": ["detect", "bench1.wvc", f"{plate}.cfg", f"{plate}.detect"],
         }
         text = compare_outputs.plate_config(SRC, plate)
         assert text == f"{before}\n{lines}\n{after}"
-        mask = parse_scenario(text).detection.mask
-        assert (mask.kind, mask.ratio, mask.sharing) == ("random", 0.5, sharing)
+        assert parse_scenario(text).detection.mask == mask
 
 
 def test_help_of_the_cli_and_each_subcommand_is_recorded(tmp_path):

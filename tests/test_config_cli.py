@@ -401,6 +401,24 @@ def test_python_overrides_hold_their_field_types():
     assert (given.detection.ratio, given.detection.theta) == (1, 0.6)
 
 
+def test_python_mask_override_must_be_mask_settings():
+    # the mask has no text form outside a file: a string is refused where
+    # the setting is made, before anything tries to build it
+    s = load_scenario(bundled_config_path("bench1_ci"))
+    with pytest.raises(ConfigError, match=re.escape(
+        "bad detection setting: mask must be a MaskSettings, got 'random 0.5'"
+    )):
+        with_overrides(s, mask="random 0.5")
+    masked = with_overrides(s, mask=MaskSettings("random", ratio=0.5))
+    assert masked.detection.mask == MaskSettings("random", ratio=0.5)
+
+
+def test_python_override_of_an_unknown_key_names_it():
+    s = load_scenario(bundled_config_path("bench1_ci"))
+    with pytest.raises(ConfigError, match="^unknown detection setting 'bogus'$"):
+        with_overrides(s, bogus=3)
+
+
 # Every key a scenario file can hold, once each (plus a line-segment defect).
 EVERY_KEY_CFG = SMALL_CFG.replace(
     "record_every = 4\n", "record_every = 4\nspace_order = 4\n"
@@ -786,16 +804,25 @@ def test_detect_takes_one_svd_for_its_manifest(small_run, tmp_path, monkeypatch)
     assert calls == [False]
 
 
-@pytest.mark.parametrize("sharing", ["shared", "per_region"])
+# The [detection] lines of each masked bench1_ci, and the mask its manifest echoes.
+MASKED_LINES = {
+    "shared": ("mask = random 0.5", "random 0.5 sharing=shared"),
+    "per_region": ("mask = random 0.5\nsharing = per_region", "random 0.5 sharing=per_region"),
+    "cross": ("mask = cross 2", "cross 2 sharing=shared"),
+}
+
+
+@pytest.mark.parametrize("form", MASKED_LINES)
 def test_masked_detect_draws_its_rows_once_and_is_detect_scenario(
-    sharing, ci_bench1, ci_cube_file, tmp_path, monkeypatch
+    form, ci_bench1, ci_cube_file, tmp_path, monkeypatch
 ):
-    # bench1_ci at mask = random 0.5: the CLI draws the mask's rows once, for
-    # scoring, and the manifest's spectrum reuses them; its outputs are
-    # detect_scenario's and snapshot_spectrum's, run here in process
+    # bench1_ci at mask = random 0.5, shared and per region, and at cross 2:
+    # the CLI draws the mask's rows once, for scoring, and the manifest's
+    # spectrum reuses them; its outputs are detect_scenario's and
+    # snapshot_spectrum's, run here in process
     _, cube = ci_bench1
-    line = "mask = random 0.5" + ("\nsharing = per_region" if sharing == "per_region" else "")
-    text = bundled_config_path("bench1_ci").read_text().replace("mask = full", line)
+    lines, echo = MASKED_LINES[form]
+    text = bundled_config_path("bench1_ci").read_text().replace("mask = full", lines)
     cfg = tmp_path / "masked.cfg"
     cfg.write_text(text)
     draw, drawn = Mask.row_indices, []
@@ -807,14 +834,14 @@ def test_masked_detect_draws_its_rows_once_and_is_detect_scenario(
     with monkeypatch.context() as patch:
         patch.setattr(Mask, "row_indices", counted)
         assert main(["detect", str(ci_cube_file), str(cfg), str(tmp_path / "m")]) == EXIT_OK
-    assert drawn == [sharing]
+    assert drawn == [parse_scenario(text).detection.mask.sharing]
     result = detect_scenario(parse_scenario(text), cube)
     assert (tmp_path / "m.csv").read_text() == saliency_csv_text(result.saliency)
     flags = "".join(f"{a} {b}\n" for a, b in sorted(result.flagged))
     assert (tmp_path / "m.flags.txt").read_text() == flags
     spectrum = snapshot_spectrum(result.window_set, result.saliency.scores)
     manifest = (tmp_path / "m.manifest").read_text().splitlines()
-    assert f"mask = random 0.5 sharing={sharing}" in manifest
+    assert f"mask = {echo}" in manifest
     assert "singular_values = " + " ".join(f"{v:.9e}" for v in spectrum) in manifest
 
 

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from wavesaliency import saliency
-from wavesaliency.config import bundled_config_path, parse_scenario, simulate_scenario
+from wavesaliency.config import (
+    bundled_config_path,
+    load_scenario,
+    parse_scenario,
+    score_scenario,
+    simulate_scenario,
+    sweep_scenario,
+)
 from wavesaliency.errors import GeometryError, MaskError
 from wavesaliency.pipeline import run_detection
 from wavesaliency.sampling import (
@@ -447,6 +454,37 @@ def test_metrics_score_origin_false_around_a_moved_source(far_source_bench1):
     assert without_origin_flags.origin_false == m.origin_false
 
 
+def test_scenario_truth_is_the_regions_its_defects_alter():
+    # on each bundled plate: three inclusions, the slot's four regions, and
+    # no region on a pristine plate
+    for name, count in (("bench1", 3), ("bench2", 4), ("pristine", 0),
+                        ("bench1_ci", 3), ("pristine_ci", 0)):
+        scenario = load_scenario(bundled_config_path(name))
+        truth = scenario.truth()
+        assert truth == GroundTruth.from_defects(scenario.defects, scenario.partition())
+        assert len(truth.regions) == count, name
+
+
+def test_score_scenario_is_detection_metrics_against_its_truth(ci_bench1):
+    scenario, cube = ci_bench1
+    part = scenario.partition()
+    truth = GroundTruth.from_defects(scenario.defects, part)
+    detected = run_detection(cube, part, scenario.detection_config()).flagged
+    for flagged in (detected, detected | {(0, 0), (1, 1)}, set()):
+        assert score_scenario(scenario, flagged) == detection_metrics(
+            flagged, truth, part, scenario.excitation.source
+        )
+
+
+def test_score_scenario_counts_origin_false_around_the_source(far_source_bench1):
+    # the far-corner plate's origin block surrounds region (7, 7), not (0, 0)
+    scenario, _ = far_source_bench1
+    near_source, near_origin = {(7, 7), (6, 5)}, {(0, 0), (1, 2)}
+    assert not (near_source | near_origin) & scenario.truth().regions
+    assert score_scenario(scenario, near_source | near_origin).origin_false == 2
+    assert score_scenario(scenario, near_origin).origin_false == 0
+
+
 def test_sweep_scores_origin_false_around_the_source(far_source_bench1):
     # the sweep scores every trial around region (7, 7), not region (0, 0)
     scenario, cube = far_source_bench1
@@ -551,8 +589,6 @@ def test_bench1_sweeps_match_the_eigh_reference(bench1, monkeypatch):
     # byte-identical.  The golden plates have 129 nodes, where no Gram
     # reaches the Lanczos order.
     scenario, cube = bench1
-    part, config = scenario.partition(), scenario.detection_config()
-    truth = GroundTruth.from_defects(list(scenario.defects), part)
     forms = (
         dict(ratios=[0.5, 0.33, 0.2, 0.1, 0.07]),
         dict(ratios=[0.2], sharing=PER_REGION),
@@ -561,13 +597,9 @@ def test_bench1_sweeps_match_the_eigh_reference(bench1, monkeypatch):
     )
 
     def sweeps():
-        return [
-            sweep_csv_text(monte_carlo_sweep(cube, part, config, trials=3,
-                                             base_seed=scenario.seed, truth=truth,
-                                             **form))
-            for form in forms
-        ]
+        return [sweep_csv_text(sweep_scenario(scenario, cube, trials=3, **form))
+                for form in forms]
 
     fitted = sweeps()
-    monkeypatch.setattr(saliency, "_KRYLOV_ORDER", part.nodes_per_region + 1)
+    monkeypatch.setattr(saliency, "_KRYLOV_ORDER", scenario.partition().nodes_per_region + 1)
     assert sweeps() == fitted

@@ -23,8 +23,9 @@ that is the one run whose ``.meta`` and manifest carry the analytic mode.
 Every bundled plate detects at ``mask = full`` too, so each tree runs
 ``detect`` on ``bench1``'s cube with copies of its ``bench1.cfg`` that read
 ``mask = random 0.5`` (``bench1_random``), once more with ``sharing =
-per_region`` (``bench1_per_region``): the masked detections whose CSV,
-flags and manifest spectrum are compared.
+per_region`` (``bench1_per_region``), and with ``mask = cross 2``
+(``bench1_cross``): the masked detections whose CSV, flags and manifest
+spectrum are compared.
 
 Once per tree, it also records ``wavesaliency --help`` and each
 subcommand's ``--help``, so a changed command, option, default or help
@@ -60,6 +61,7 @@ EDITED = {
     "bench1_random": ("bench1", "mask = full", "mask = random 0.5"),
     "bench1_per_region": ("bench1", "mask = full",
                           "mask = random 0.5\nsharing = per_region"),
+    "bench1_cross": ("bench1", "mask = full", "mask = cross 2"),
 }
 
 
