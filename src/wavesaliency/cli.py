@@ -14,6 +14,10 @@ windowing produced no active region or a window longer than the record
 required.  Any other toolkit error, an I/O error or a record too large
 to allocate exits 1.
 
+This is the only module that names output files: ``<cube>.meta``, and the
+``<prefix>`` files of ``detect`` and ``spectrum``.  Each text file is its
+module's pure ``*_text`` function written with ``write_text``.
+
 Heavy imports happen inside ``main`` so that the ``WAVESALIENCY_THREADS``
 environment variable can pin the BLAS/OpenMP thread pools before numpy is
 first loaded; ``errors`` loads no numpy.
@@ -76,10 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run a scenario and write the WVC1 cube")
+    p.set_defaults(run=_cmd_simulate)
     p.add_argument("config", help="scenario config file")
     p.add_argument("output", help="output cube path (a .meta sidecar is added)")
 
     p = sub.add_parser("detect", help="saliency detection on a recorded cube")
+    p.set_defaults(run=_cmd_detect)
     p.add_argument("cube", help="WVC1 cube path")
     p.add_argument("config", help="scenario config file")
     p.add_argument("prefix", help="output prefix for csv/pgm/flags/manifest")
@@ -92,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "window as a small WVC1 cube under DIR")
 
     p = sub.add_parser("sweep", help="Monte Carlo subsampling sweep")
+    p.set_defaults(run=_cmd_sweep)
     p.add_argument("cube", help="WVC1 cube path")
     p.add_argument("config", help="scenario config file")
     p.add_argument("output", help="output CSV path")
@@ -110,6 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", help="subspace rank override (an integer >= 1)")
 
     p = sub.add_parser("spectrum", help="wavenumber spectrum of one snapshot")
+    p.set_defaults(run=_cmd_spectrum)
     p.add_argument("cube", help="WVC1 cube path")
     p.add_argument("prefix", help="output prefix for csv/pgm")
     p.add_argument("--floor-db", type=float, default=-20.0,
@@ -125,13 +133,7 @@ def main(argv=None) -> int:
     _apply_thread_override()
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "detect":
-            return _cmd_detect(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return _cmd_spectrum(args)
+        return args.run(args)
     except (WaveSaliencyError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(
@@ -142,7 +144,7 @@ def main(argv=None) -> int:
 
 def _cmd_simulate(args) -> int:
     from .config import load_scenario, scenario_echo, simulate_scenario
-    from .cube import meta_path, write_cube, write_meta
+    from .cube import meta_text, write_cube, write_text
 
     scenario = load_scenario(args.config)
     cube = simulate_scenario(scenario)
@@ -151,7 +153,7 @@ def _cmd_simulate(args) -> int:
     meta["cube.dt"] = repr(cube.dt)
     meta["cube.dx"] = repr(cube.dx)
     meta["cube.t_len"] = str(cube.t_len)
-    write_meta(meta_path(args.output), meta)
+    write_text(f"{args.output}.meta", meta_text(meta))
     print(f"wrote {args.output}: {cube.n1}x{cube.n2} nodes, "
           f"{cube.t_len} samples at dt = {cube.dt:.6e} s")
     return EXIT_OK
@@ -159,8 +161,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_detect(args) -> int:
     from .config import detect_scenario, load_scenario, scenario_echo, with_overrides
-    from .cube import read_cube, write_meta, write_text
-    from .saliency import saliency_csv_text, snapshot_spectrum, write_saliency_pgm
+    from .cube import meta_text, read_cube, write_text
+    from .saliency import flags_text, saliency_csv_text, saliency_pgm_texts, snapshot_spectrum
 
     scenario = with_overrides(
         load_scenario(args.config),
@@ -170,9 +172,11 @@ def _cmd_detect(args) -> int:
     result = detect_scenario(scenario, cube)
 
     write_text(f"{args.prefix}.csv", saliency_csv_text(result.saliency))
-    write_saliency_pgm(result.saliency, f"{args.prefix}.pgm")
+    heat_map, activity = saliency_pgm_texts(result.saliency)
+    write_text(f"{args.prefix}.pgm", heat_map)
+    write_text(f"{args.prefix}.mask.pgm", activity)
     flagged = sorted(result.flagged)
-    write_text(f"{args.prefix}.flags.txt", "".join(f"{a} {b}\n" for a, b in flagged))
+    write_text(f"{args.prefix}.flags.txt", flags_text(flagged))
 
     echo = scenario_echo(scenario)
     manifest = {
@@ -190,7 +194,7 @@ def _cmd_detect(args) -> int:
             f"{v:.9e}" for v in snapshot_spectrum(result.window_set, result.saliency.scores)
         ),
     }
-    write_meta(f"{args.prefix}.manifest", manifest)
+    write_text(f"{args.prefix}.manifest", meta_text(manifest))
     if args.dump_windows:
         count = _dump_window_cubes(result.window_set, cube, args.dump_windows)
         print(f"dumped {count} region window(s)")
@@ -222,13 +226,13 @@ def _dump_window_cubes(window_set, cube, directory) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .config import _parse_float, load_scenario, sweep_scenario, with_overrides
+    from .config import load_scenario, parse_float, sweep_scenario, with_overrides
     from .cube import read_cube, write_text
     from .sampling import sweep_csv_text, sweep_recipes
 
     scenario = with_overrides(load_scenario(args.config), rank=args.rank)
     try:
-        ratios = [_parse_float(r) for r in args.ratios.split(",") if r.strip()]
+        ratios = [parse_float(r) for r in args.ratios.split(",") if r.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --ratios list {args.ratios!r}: {exc}") from None
     if args.trials < 1:
@@ -254,7 +258,7 @@ def _cmd_spectrum(args) -> int:
         dft2_magnitude,
         occupied_fraction,
         spectrum_csv_text,
-        write_spectrum_pgm,
+        spectrum_pgm_text,
     )
 
     if not args.floor_db < 0:
@@ -272,7 +276,7 @@ def _cmd_spectrum(args) -> int:
     spec = dft2_magnitude(cube.slice_at(index))
     fraction = occupied_fraction(spec, args.floor_db)
     write_text(f"{args.prefix}.csv", spectrum_csv_text(spec))
-    write_spectrum_pgm(spec, f"{args.prefix}.pgm")
+    write_text(f"{args.prefix}.pgm", spectrum_pgm_text(spec))
     print(f"occupied fraction: {fraction:.6f} at floor {args.floor_db:g} dB, "
           f"snapshot {index}")
     if args.compare_ratio is not None:

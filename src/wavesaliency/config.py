@@ -423,22 +423,22 @@ def _read_blocks(text: str) -> list[_Block]:
     return blocks
 
 
-def _parse_float(text: str) -> float:
+def parse_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"{text!r} is not a finite number")
     return value
 
 
-def _parse_int(text: str) -> int:
-    value = _parse_float(text)
+def parse_int(text: str) -> int:
+    value = parse_float(text)
     if value != int(value):
         raise ValueError(f"{text!r} is not an integer")
     return int(value)
 
 
 # The parser of a settings field's text, by its annotation.
-_PARSERS = {"int": _parse_int, "float": _parse_float}
+_PARSERS = {"int": parse_int, "float": parse_float}
 
 
 def _parse_mask(text: str) -> MaskSettings:
@@ -449,24 +449,24 @@ def _parse_mask(text: str) -> MaskSettings:
     if kind == "random":
         if len(args) != 1:
             raise ValueError("mask 'random' needs a ratio")
-        return MaskSettings(kind, ratio=_parse_float(args[0]))
+        return MaskSettings(kind, ratio=parse_float(args[0]))
     if kind == "cross":
         if len(args) != 1:
             raise ValueError("mask 'cross' needs a stride")
-        return MaskSettings(kind, stride=_parse_int(args[0]))
+        return MaskSettings(kind, stride=parse_int(args[0]))
     return MaskSettings(kind)
 
 
 def _parse_defect(b: _Block) -> DefectSpec:
     kind = b.get("kind", str)
     # An unknown kind reads no geometry and fails DefectSpec's own check.
-    geometry = [b.get(key, _parse_float) for key in sim.DEFECT_GEOMETRY_KEYS.get(kind, ())]
+    geometry = [b.get(key, parse_float) for key in sim.DEFECT_GEOMETRY_KEYS.get(kind, ())]
     return b.make(
         DefectSpec,
         kind=kind,
         geometry=geometry,
-        modulus_scale=b.get("modulus_scale", _parse_float),
-        density_scale=b.get("density_scale", _parse_float),
+        modulus_scale=b.get("modulus_scale", parse_float),
+        density_scale=b.get("density_scale", parse_float),
     )
 
 
@@ -484,11 +484,11 @@ def parse_scenario(text: str) -> ScenarioConfig:
     b = named["excitation"]
     excitation = b.make(
         ExcitationSpec,
-        carrier_frequency=b.get("frequency", _parse_float),
-        cycle_count=b.get("cycles", _parse_int, 5),
-        amplitude=b.get("amplitude", _parse_float, 1.0),
+        carrier_frequency=b.get("frequency", parse_float),
+        cycle_count=b.get("cycles", parse_int, 5),
+        amplitude=b.get("amplitude", parse_float, 1.0),
         source=GridPoint(
-            b.get("source_l", _parse_int, 0), b.get("source_m", _parse_int, 0)
+            b.get("source_l", parse_int, 0), b.get("source_m", parse_int, 0)
         ),
     )
 
@@ -503,8 +503,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
     # Coordinates may stay in the file while mode = analytic; they are parsed
     # and checked (so typos still surface) but not used.  Absent, they default.
     if any(k in b.entries for k in ("first_l", "first_m", "second_l", "second_m")):
-        first = GridPoint(b.get("first_l", _parse_int), b.get("first_m", _parse_int))
-        second = GridPoint(b.get("second_l", _parse_int), b.get("second_m", _parse_int))
+        first = GridPoint(b.get("first_l", parse_int), b.get("first_m", parse_int))
+        second = GridPoint(b.get("second_l", parse_int), b.get("second_m", parse_int))
     else:
         first, second = (GridPoint(round(f * (grid.n1 - 1)), 1)
                          for f in DEFAULT_PROBE_FRACTIONS)
@@ -520,7 +520,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         defects=tuple(_parse_defect(d) for d in blocks if d.name == "defect"),
         detection=detection,
         probes=probes,
-        seed=b.get("seed", _parse_int, ScenarioConfig.seed),
+        seed=b.get("seed", parse_int, ScenarioConfig.seed),
     )
 
 

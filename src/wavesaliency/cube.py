@@ -26,7 +26,10 @@ It rejects trailing bytes and reads the samples straight into their final
 array.
 
 Sidecar metadata (material constants, excitation, run parameters) goes in a
-plain ``key = value`` text file next to the binary, never in the binary.
+plain ``key = value`` text file next to the binary, never in the binary:
+the CLI writes ``<cube>.meta`` from ``meta_text``.  Every text output is a
+pure ``*_text`` function of its data; only the CLI names files and writes
+them with ``write_text``.
 """
 
 from __future__ import annotations
@@ -224,28 +227,21 @@ def _payload_mismatch(size: int, got: int) -> CubeFormatError:
     )
 
 
-def write_meta(path: str | Path, entries: dict) -> None:
-    """Write sidecar metadata as sorted ``key = value`` lines."""
-    lines = [f"{key} = {entries[key]}" for key in sorted(entries)]
-    write_text(path, "\n".join(lines) + "\n")
+def meta_text(entries: dict) -> str:
+    """Metadata as sorted ``key = value`` lines: the cube sidecar and manifest text."""
+    return "\n".join(f"{key} = {entries[key]}" for key in sorted(entries)) + "\n"
+
+
+def pgm_text(pixels: np.ndarray) -> str:
+    """ASCII P2 grayscale image of ``pixels[x, y]`` (0-255), one text row per y."""
+    width, height = pixels.shape
+    lines = ["P2", f"{width} {height}", "255"]
+    lines += [" ".join(map(str, row))
+              for row in pixels.T.astype(int, copy=False).tolist()]
+    return "\n".join(lines) + "\n"
 
 
 def write_text(path: str | Path, text: str) -> None:
     """Write text to a file, created or truncated, with no newline translation."""
     with open(path, "w", newline="") as fh:
         fh.write(text)
-
-
-def write_pgm(path: str | Path, pixels: np.ndarray) -> None:
-    """ASCII P2 grayscale image of ``pixels[x, y]`` (0-255), one text row per y."""
-    width, height = pixels.shape
-    lines = ["P2", f"{width} {height}", "255"]
-    lines += [" ".join(map(str, row))
-              for row in pixels.T.astype(int, copy=False).tolist()]
-    write_text(path, "\n".join(lines) + "\n")
-
-
-def meta_path(cube_path: str | Path) -> Path:
-    """Sidecar path convention: the cube path with ``.meta`` appended."""
-    p = Path(cube_path)
-    return p.with_name(p.name + ".meta")

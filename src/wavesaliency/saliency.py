@@ -54,11 +54,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .cube import write_pgm
+from .cube import pgm_text
 from .errors import RankError
 from .windowing import RegionalWindowSet
 
@@ -404,14 +403,18 @@ def saliency_csv_text(sal: SaliencyMap) -> str:
     )
 
 
-def write_saliency_pgm(sal: SaliencyMap, path) -> None:
-    """Write an ASCII PGM heat map plus an activity-mask sidecar.
+def flags_text(flagged) -> str:
+    """The flagged regions, sorted, as one ``a b`` line each: the ``.flags.txt`` text."""
+    return "".join(f"{a} {b}\n" for a, b in sorted(flagged))
 
-    Pixel (row b, column a) is round(255 * fraction); inactive regions are
-    forced to 255 and distinguished through ``<stem>.mask.pgm`` (255 =
-    active, 0 = inactive).
+
+def saliency_pgm_texts(sal: SaliencyMap) -> tuple[str, str]:
+    """ASCII PGM texts of the heat map and of its activity mask.
+
+    Heat map pixel (row b, column a) is round(255 * fraction), with inactive
+    regions forced to 255; the activity mask, the CLI's second PGM, tells
+    them apart: 255 = active, 0 = inactive.
     """
     shade = np.full(sal.shape, 255)
     shade[sal.active] = np.round(255.0 * sal.fractions[sal.active])
-    write_pgm(path, shade)
-    write_pgm(Path(path).with_suffix(".mask.pgm"), np.where(sal.active, 255, 0))
+    return pgm_text(shade), pgm_text(np.where(sal.active, 255, 0))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cube import write_pgm
+from .cube import pgm_text
 from .errors import NoSignalError
 
 # Bottom of the PGM chart's dB scale: bins at or below it are black.
@@ -66,8 +66,8 @@ def spectrum_csv_text(spectrum: np.ndarray) -> str:
     return "".join(row % tuple(r) for r in spectrum.tolist())
 
 
-def write_spectrum_pgm(spectrum: np.ndarray, path) -> None:
-    """ASCII PGM of the spectrum in dB, clipped to [PGM_FLOOR_DB, 0].
+def spectrum_pgm_text(spectrum: np.ndarray) -> str:
+    """ASCII PGM text of the spectrum in dB, clipped to [PGM_FLOOR_DB, 0].
 
     Pixel row = ky index (so the image reads like a map with ky vertical),
     column = kx index; 255 = peak, 0 = at/below the floor.
@@ -75,4 +75,4 @@ def write_spectrum_pgm(spectrum: np.ndarray, path) -> None:
     with np.errstate(divide="ignore"):
         db = 20.0 * np.log10(spectrum)
     scaled = np.clip((db - PGM_FLOOR_DB) / (-PGM_FLOOR_DB), 0.0, 1.0)
-    write_pgm(path, np.round(255.0 * scaled).astype(int))
+    return pgm_text(np.round(255.0 * scaled).astype(int))

@@ -42,12 +42,18 @@ from wavesaliency.config import (
     load_scenario,
     parse_scenario,
     scenario_echo,
+    sweep_scenario,
     with_overrides,
 )
 from wavesaliency.cube import GridPoint, read_cube, write_cube
-from wavesaliency.errors import ConfigError
+from wavesaliency.errors import ConfigError, RankError
 from wavesaliency.pipeline import DetectionConfig
-from wavesaliency.saliency import saliency_csv_text, snapshot_spectrum
+from wavesaliency.saliency import (
+    flags_text,
+    saliency_csv_text,
+    saliency_pgm_texts,
+    snapshot_spectrum,
+)
 from wavesaliency.sampling import Mask, MaskSettings
 from wavesaliency.sim import DefectSpec, ExcitationSpec, MaterialSpec, analytic_group_velocity
 from wavesaliency.windowing import Partition, ProbePair
@@ -836,9 +842,10 @@ def test_masked_detect_draws_its_rows_once_and_is_detect_scenario(
         assert main(["detect", str(ci_cube_file), str(cfg), str(tmp_path / "m")]) == EXIT_OK
     assert drawn == [parse_scenario(text).detection.mask.sharing]
     result = detect_scenario(parse_scenario(text), cube)
-    assert (tmp_path / "m.csv").read_text() == saliency_csv_text(result.saliency)
-    flags = "".join(f"{a} {b}\n" for a, b in sorted(result.flagged))
-    assert (tmp_path / "m.flags.txt").read_text() == flags
+    heat_map, activity = saliency_pgm_texts(result.saliency)
+    for suffix, text in ((".csv", saliency_csv_text(result.saliency)), (".pgm", heat_map),
+                         (".mask.pgm", activity), (".flags.txt", flags_text(result.flagged))):
+        assert (tmp_path / f"m{suffix}").read_text() == text, suffix
     spectrum = snapshot_spectrum(result.window_set, result.saliency.scores)
     manifest = (tmp_path / "m.manifest").read_text().splitlines()
     assert f"mask = {echo}" in manifest
@@ -1001,6 +1008,35 @@ def test_negative_seed_fails_before_the_cube_is_read(
             assert main(argv) == EXIT_CONFIG, (mask, argv[0])
             assert capsys.readouterr().err == "error: seed must be >= 0, got -3\n"
     assert reads == [] and not list(tmp_path.glob("[ds].*"))
+
+
+# bench1_ci has 56 active regions; by command: (rank, options, error line,
+# the same run in process).
+RANK_ERRORS = {
+    "detect": (60, [], "error: rank 60 outside [1, 56] for a 289 x 56 snapshot",
+               detect_scenario),
+    "sweep": (57, ["--ratios", "0.5", "--trials", "1"],
+              "error: rank 57 outside [1, 56] for a 144 x 56 snapshot",
+              lambda scenario, cube: sweep_scenario(scenario, cube, [0.5], 1)),
+}
+
+
+@pytest.mark.parametrize("command", RANK_ERRORS)
+def test_rank_above_the_active_regions_exits_config(command, ci_bench1, ci_cube_file,
+                                                     tmp_path, capsys):
+    # the scoring core's RankError exits 2 with one error line and writes
+    # no output
+    rank, options, message, run = RANK_ERRORS[command]
+    scenario, cube = ci_bench1
+    with pytest.raises(RankError, match=re.escape(message.removeprefix("error: "))):
+        run(with_overrides(scenario, rank=rank), cube)
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = str(bundled_config_path("bench1_ci"))
+    argv = [command, str(ci_cube_file), cfg, str(out / "r"), "--rank", str(rank), *options]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == message + "\n"
+    assert list(out.iterdir()) == []
 
 
 def test_exit_code_config_errors(small_run, tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Behaviour fingerprint: exact hashes of detection and sweep outputs.
 
 For every bundled plate the golden files under ``tests/golden/`` hold
-the sha256 of the saliency CSV, of the flagged set (one ``a b`` line per
-region, as in ``.flags.txt``) and of sweep CSVs, each sweep over 3 trials
+the sha256 of the saliency CSV, of the flagged set (its ``flags_text``,
+the ``.flags.txt`` text) and of sweep CSVs, each sweep over 3 trials
 from the scenario seed.  On the two fast plates, ``bench1_ci`` and
 ``pristine_ci``, the sweeps are shared random masks at 0.5, 0.2 and 0.07,
 per-region masks at 0.2 and the double cross at strides 1 and 2, and for
@@ -36,20 +36,19 @@ and say why in CHANGES.md.
 
 import hashlib
 import json
-import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wavesaliency.config import detect_scenario, sweep_scenario
-from wavesaliency.saliency import saliency_csv_text
+from wavesaliency.saliency import flags_text, saliency_csv_text
 from wavesaliency.sampling import sweep_csv_text
 from wavesaliency.spectrum import (
     dft2_magnitude,
     occupied_fraction,
     spectrum_csv_text,
-    write_spectrum_pgm,
+    spectrum_pgm_text,
 )
 from wavesaliency.windowing import estimate_group_velocity
 
@@ -84,7 +83,7 @@ def fingerprint(scenario, cube, ci: bool) -> dict[str, str | float]:
     result = detect_scenario(scenario, cube)
     out = {
         "saliency_csv": _sha(saliency_csv_text(result.saliency)),
-        "flagged": _sha("".join(f"{a} {b}\n" for a, b in sorted(result.flagged))),
+        "flagged": _sha(flags_text(result.flagged)),
     }
     for key, kw in (CI_SWEEPS if ci else FULL_SWEEPS).items():
         kw = dict(kw)
@@ -94,10 +93,7 @@ def fingerprint(scenario, cube, ci: bool) -> dict[str, str | float]:
         return out
     spec = dft2_magnitude(cube.slice_at(cube.t_len - 1))
     out["spectrum_csv"] = _sha(spectrum_csv_text(spec))
-    with tempfile.TemporaryDirectory() as tmp:
-        pgm = Path(tmp) / "spectrum.pgm"
-        write_spectrum_pgm(spec, pgm)
-        out["spectrum_pgm"] = _sha(pgm.read_text())
+    out["spectrum_pgm"] = _sha(spectrum_pgm_text(spec))
     out["spectrum_fraction_20db"] = occupied_fraction(spec, -20.0)
     return out
 

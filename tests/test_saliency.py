@@ -28,9 +28,9 @@ from wavesaliency.saliency import (
     salient_columns,
     saliency_csv_text,
     saliency_map,
+    saliency_pgm_texts,
     score_offsets,
     snapshot_spectrum,
-    write_saliency_pgm,
 )
 from wavesaliency.sampling import PER_REGION, Mask, double_cross_mask, random_mask
 from wavesaliency.sim import ExcitationSpec
@@ -948,12 +948,11 @@ def test_csv_marks_inactive_na():
     assert lines[1].split(",") == ["0.000000", "0.000000"]
 
 
-def test_pgm_layout(tmp_path):
+def test_pgm_layout():
     ws = _synthetic_window_set(spiked_taus=tuple(range(11)))
     sal = saliency_map(ws, rank=1, ratio=0.25)
-    out = tmp_path / "map.pgm"
-    write_saliency_pgm(sal, out)
-    body = out.read_text().split("\n")
+    heat_map, activity = saliency_pgm_texts(sal)
+    body = heat_map.split("\n")
     assert body[0] == "P2"
     assert body[1] == "2 2"
     assert body[2] == "255"
@@ -961,9 +960,8 @@ def test_pgm_layout(tmp_path):
     # row index is b, column index is a; region (1,1) is fully salient
     assert rows[1][1] == "255"
     assert rows[0][0] == "0"
-    mask_file = tmp_path / "map.mask.pgm"
-    assert mask_file.exists()
-    assert set(mask_file.read_text().split("\n")[3].split()) == {"255"}
+    assert activity.split("\n")[:3] == ["P2", "2 2", "255"]
+    assert set(activity.split("\n")[3].split()) == {"255"}
 
 
 def test_csv_file_and_stream_agree(tmp_path):

@@ -32,8 +32,14 @@ from wavesaliency.config import (
     load_scenario,
     simulate_scenario,
 )
-from wavesaliency.cube import GridPoint
-from wavesaliency.errors import DivergenceError, GeometryError
+from wavesaliency.cube import DataCube, GridPoint
+from wavesaliency.errors import (
+    CubeDataError,
+    DivergenceError,
+    GeometryError,
+    NoSignalError,
+    PartitionError,
+)
 from wavesaliency.sim import (
     DefectSpec,
     ExcitationSpec,
@@ -50,6 +56,7 @@ from wavesaliency.sim import (
     simulate,
     stable_timestep,
 )
+from wavesaliency.windowing import Partition, first_envelope_peak_time
 
 ALUMINUM = MaterialSpec(
     youngs_modulus=71e9,
@@ -744,3 +751,41 @@ def test_leapfrog_allocates_nothing_per_step():
     field_bytes = n * n * 8
     assert peaks[1] - peaks[0] < 4096
     assert peaks[1] < 2 * field_bytes + field_bytes // 8
+
+
+def _cube(n1=2, t_len=1, dt=2e-8):
+    return DataCube(n1, 2, t_len, 1e-3, dt, np.zeros(n1 * 2 * t_len))
+
+
+# Library guards that no other test executes, by case: (call, error,
+# message fragment).
+GUARDS = {
+    "cube_one_column": (lambda: _cube(n1=1), CubeDataError, "at least 2 x 2"),
+    "cube_no_samples": (lambda: _cube(t_len=0), CubeDataError, "at least one time sample"),
+    "cube_zero_dt": (lambda: _cube(dt=0.0), CubeDataError, "dt must be positive"),
+    "slice_past_record": (lambda: _cube(t_len=3).slice_at(3), IndexError, "out of range"),
+    "segment_of_two_values": (lambda: DefectSpec("line_segment", (0.1, 0.2), 2, 2),
+                              ValueError, "needs 4 geometry values"),
+    "material_map_one_column": (lambda: build_material_map(ALUMINUM, [], 1, 5),
+                                ValueError, "at least 2 x 2"),
+    "zero_safety": (lambda: stable_timestep(build_material_map(ALUMINUM, [], 5, 5), 1e-3,
+                                            safety=0), ValueError, "safety must be positive"),
+    "zero_frequency": (lambda: analytic_phase_velocity(ALUMINUM, 0), ValueError,
+                       "frequency must be positive"),
+    "oblong_operator": (lambda: PlateOperator(build_material_map(ALUMINUM, [], 9, 7),
+                                              1e-3, 1e-8), ValueError, "must match"),
+    "no_steps": (lambda: simulate(ALUMINUM, [], BURST, 9, 9, 0, 0.5), ValueError,
+                 "step_count must be at least 1"),
+    "no_record_cadence": (lambda: simulate(ALUMINUM, [], BURST, 9, 9, 10, 0.5, record_every=0),
+                          ValueError, "record_every must be at least 1"),
+    "one_node_partition": (lambda: Partition(1, 5, 1, 1), PartitionError, "would collapse"),
+    "silent_history": (lambda: first_envelope_peak_time(np.zeros(16), 1.0), NoSignalError,
+                       "silent history"),
+}
+
+
+@pytest.mark.parametrize("case", GUARDS)
+def test_library_guard_raises(case):
+    call, error, message = GUARDS[case]
+    with pytest.raises(error, match=message):
+        call()

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from wavesaliency.cube import write_pgm, write_text
+from wavesaliency.cube import pgm_text, write_text
 from wavesaliency.errors import NoSignalError
 from wavesaliency.spectrum import (
     PGM_FLOOR_DB,
     dft2_magnitude,
     occupied_fraction,
     spectrum_csv_text,
-    write_spectrum_pgm,
+    spectrum_pgm_text,
 )
 
 
@@ -150,28 +150,23 @@ def test_csv_round_trip(tmp_path, rng):
         assert spectrum_csv_text(_spectrum_of(values)) == _per_value_csv(values)
 
 
-def test_pgm_text_matches_the_per_value_formula(tmp_path, rng):
+def test_pgm_text_matches_the_per_value_formula(rng):
     # one text row per y, each pixel written as str(int(v))
     for pixels in (rng.integers(0, 256, size=(7, 5)),
                    rng.integers(0, 256, size=(1, 4)),
                    rng.random((3, 6)) * 255.0, rng.random((4, 2)) > 0.5):
-        out = tmp_path / "any.pgm"
-        write_pgm(out, pixels)
         width, height = pixels.shape
         lines = ["P2", f"{width} {height}", "255"]
         lines += [" ".join(str(int(v)) for v in pixels[:, y])
                   for y in range(height)]
-        assert out.read_text() == "\n".join(lines) + "\n"
+        assert pgm_text(pixels) == "\n".join(lines) + "\n"
 
 
-def test_pgm_layout(tmp_path):
+def test_pgm_layout():
     values = np.zeros((5, 3))
     values[2, 1] = 1.0
     values[0, 0] = 10 ** (-30.0 / 20.0)  # below a -20 floor, above -60
-    spec = _spectrum_of(values)
-    out = tmp_path / "spec.pgm"
-    write_spectrum_pgm(spec, out)
-    body = out.read_text().split("\n")
+    body = spectrum_pgm_text(_spectrum_of(values)).split("\n")
     assert body[:3] == ["P2", "5 3", "255"]
     rows = [line.split() for line in body[3:6]]
     assert len(rows) == 3 and all(len(r) == 5 for r in rows)
