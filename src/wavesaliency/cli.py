@@ -1,18 +1,23 @@
 """Command-line front end: simulate / detect / sweep / spectrum.
 
-Exit codes are stable: 0 success, 2 bad configuration (parse failure, a
-missing required key such as the rank, a partition that does not divide
-the grid, a detection setting out of range in the file or on the command
-line, per-region sharing with a mask that is not random, plate
-coefficients, a side length's step gains or an analytic group velocity
-out of float range, a sweep ratio list that is empty or holds an entry
-that is not a finite number, a spectrum floor that is not negative, or a
-spectrum compare ratio outside (0, 1]), 3 simulation divergence, 4
-windowing produced no active region or a window longer than the record
-(``detect --tw 200`` on ``bench1_ci``'s 96-sample cube: "window length
-200 exceeds the 96-sample record"), 5 silent input where a signal is
-required.  Any other toolkit error, an I/O error or a record too large
-to allocate exits 1.
+Exit codes are stable: 0 success, 2 bad configuration, 3 simulation
+divergence, 4 windowing produced no active region or a window longer than
+the record (``detect --tw 200`` on ``bench1_ci``'s 96-sample cube: "window
+length 200 exceeds the 96-sample record"), 5 silent input where a signal is
+required.  Any other toolkit error, an I/O error or a record too large to
+allocate exits 1.
+
+Exit 2 is the ``ConfigError`` family (``errors``): a parse failure or a
+missing required key such as the rank, a burst N_c/nu out of float range
+once squared (refused by every command as the file is read), a partition
+that does not divide the grid, a mask or rank that does not fit it, a
+detection setting out of range in the file or on the command line,
+per-region sharing with a mask that is not random, plate coefficients, a
+side length's step gains or an analytic group velocity out of float range,
+a sweep ratio list that is empty or holds an entry that is not a finite
+number, a spectrum floor that is not negative, or a spectrum compare ratio
+outside (0, 1].  A cube header whose dx or dt sits near the ends of float
+range overruns every window and exits 4, with no floating-point warning.
 
 This is the only module that names output files: ``<cube>.meta``, and the
 ``<prefix>`` files of ``detect`` and ``spectrum``.  Each text file is its
@@ -33,8 +38,6 @@ from .errors import (
     ConfigError,
     DivergenceError,
     NoSignalError,
-    PartitionError,
-    RankError,
     WaveSaliencyError,
     WindowingError,
 )
@@ -51,7 +54,7 @@ EXIT_NO_SIGNAL = 5
 # Exit code of a caught error: the first row whose types match wins, and any
 # other toolkit or OS error exits EXIT_ERROR.
 _EXIT_CODES = (
-    ((ConfigError, PartitionError, RankError), EXIT_CONFIG),
+    (ConfigError, EXIT_CONFIG),
     (DivergenceError, EXIT_DIVERGENCE),
     (WindowingError, EXIT_WINDOWING),
     (NoSignalError, EXIT_NO_SIGNAL),

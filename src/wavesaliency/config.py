@@ -78,7 +78,7 @@ from pathlib import Path
 
 from . import pipeline, sampling, sim
 from .cube import DataCube, GridPoint, hold_plain_numbers
-from .errors import ConfigError, GeometryError, MaskError, PartitionError
+from .errors import ConfigError
 from .pipeline import DetectionConfig, DetectionResult
 from .saliency import DEFAULT_DECISION_THRESHOLD, DEFAULT_ENERGY_RATIO
 from .sampling import SHARED, DetectionMetrics, GroundTruth, Mask, MaskSettings, SweepRow
@@ -185,14 +185,14 @@ class ScenarioConfig:
 
     def __post_init__(self):
         # The seed, partition divisibility against the grid block, then the
-        # mask against the partition; the library's errors are wrapped so the
-        # failure reads as a config problem.
+        # mask against the partition; a partition or mask that does not fit
+        # raises its own ConfigError.
         try:
             hold_plain_numbers(self)
             if self.seed < 0:
                 raise ValueError(f"seed must be >= 0, got {self.seed}")
             mask = self.mask()
-        except (PartitionError, MaskError, GeometryError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(str(exc)) from None
         # A snapshot has one row per node the mask keeps in a region, and the
         # rank cannot exceed it; ``saliency_map`` bounds it by the active
@@ -246,9 +246,9 @@ def simulate_scenario(scenario: ScenarioConfig) -> DataCube:
     Every argument has passed the checks of ``ScenarioConfig``, so a
     ValueError or an arithmetic error here comes from the scenario's numbers
     themselves (a bending stiffness or density out of float range, alone or
-    through overlapping defects, or a burst too long for it) and is raised
-    as a ConfigError.  They are checked here and not at parse time because
-    building the coefficient map costs far more than parsing the file.
+    through overlapping defects) and is raised as a ConfigError.  They are
+    checked here and not at parse time because building the coefficient map
+    costs far more than parsing the file.
     """
     grid = scenario.grid
     try:
@@ -372,7 +372,7 @@ class _Block:
         """``cls(**values)``, which must use up every key of the block."""
         try:
             settings = cls(**values)
-        except (ValueError, GeometryError) as exc:
+        except (ValueError, ConfigError) as exc:
             raise ConfigError(str(exc), line=self.line) from None
         for key, (_, line) in self.entries.items():
             raise ConfigError(f"unknown key {key!r} in [{self.name}]", line=line)

@@ -66,6 +66,7 @@ class Mask:
                 f"mask keeps {kept} node(s); at least {MIN_RETAINED} required"
             )
         g.flags.writeable = False
+        object.__setattr__(self, "grid", g)
 
     @property
     def retained_count(self) -> int:

@@ -139,6 +139,16 @@ class ExcitationSpec:
             raise ValueError("carrier_frequency must be positive")
         if self.cycle_count < 1:
             raise ValueError("cycle_count must be at least 1")
+        # ``simulate`` scales its divergence bound by T_b^2 and window timing
+        # waits T_b / 2, so T_b = N_c / nu and its square must be positive
+        # floats; a cycle count past float range lasts longer than any.
+        try:
+            t_b, cycles = self.burst_duration, f"{self.cycle_count:g}"
+        except OverflowError:
+            t_b, cycles = math.inf, str(self.cycle_count)
+        if not 0.0 < t_b * t_b < math.inf:
+            raise ValueError(f"the burst lasts N_c/nu = {cycles} / {self.carrier_frequency:g} "
+                             f"Hz = {t_b:.3e} s, out of float range once squared")
 
     @property
     def burst_duration(self) -> float:
@@ -595,9 +605,8 @@ def simulate(
             displacement scale, naming the first bad step.
         ValueError: a bad argument, such as an unsupported space order,
             a side length whose dx^2, dt^2 or step gains are zero or out of
-            float range, or (both from ``PlateOperator``) a plate that is
-            not square, or a burst N_c/nu whose square is out of float
-            range.
+            float range, or (from ``PlateOperator``) a plate that is not
+            square.
     """
     if step_count < 1:
         raise ValueError("step_count must be at least 1")
@@ -614,15 +623,8 @@ def simulate(
 
     # Displacement scale of the driven lumped mass under the peak force held
     # for the whole burst; honest responses sit far below 1e6 times this.
-    t_b = excitation.burst_duration
-    if not 0.0 < t_b * t_b < math.inf:
-        raise ValueError(
-            f"the burst lasts N_c/nu = {excitation.cycle_count:g} / "
-            f"{excitation.carrier_frequency:g} Hz = {t_b:.3e} s, whose square "
-            f"is out of float range"
-        )
     rho_min = float(np.min(mmap.areal_density))
-    blow_up = 1e6 * abs(excitation.amplitude) * t_b**2 / (rho_min * dx * dx)
+    blow_up = 1e6 * abs(excitation.amplitude) * excitation.burst_duration**2 / (rho_min * dx * dx)
 
     rest = np.zeros((n2, n1))
     record = leapfrog(

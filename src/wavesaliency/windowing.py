@@ -19,6 +19,7 @@ order; inside a region, node i = local_l + p1 * local_m (x-fastest too).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,7 +170,7 @@ def first_envelope_peak_time(signal: np.ndarray, dt: float) -> float:
         a, b, c = env[idx - 1], env[idx], env[idx + 1]
         denom = a - 2.0 * b + c
         if denom != 0.0:
-            t += 0.5 * (a - c) / denom
+            t += float(0.5 * (a - c) / denom)
     return t * dt
 
 
@@ -183,7 +184,8 @@ def estimate_group_velocity(cube: DataCube, probes: ProbePair) -> float:
     Raises:
         NoSignalError: the cube or a probe history is numerically silent.
         VelocityEstimateError: the second probe's crest does not come later
-            than the first's.
+            than the first's, or the crest times are not numbers (a ``dt``
+            near the top of float range).
     """
     probes.first.validate(cube.n1, cube.n2)
     probes.second.validate(cube.n1, cube.n2)
@@ -201,13 +203,15 @@ def estimate_group_velocity(cube: DataCube, probes: ProbePair) -> float:
             )
         times.append(first_envelope_peak_time(h, cube.dt))
 
+    # the times are Python floats, so a delay or speed past float range is
+    # inf or NaN with no warning; a NaN delay is refused like a negative one
     delta_t = times[1] - times[0]
-    if delta_t <= 0.0:
+    if not delta_t > 0.0:
         raise VelocityEstimateError(
             f"second probe's envelope crest ({times[1]:.3e} s) does not "
             f"trail the first's ({times[0]:.3e} s)"
         )
-    return float(probes.separation(cube.dx) / delta_t)
+    return probes.separation(cube.dx) / delta_t
 
 
 def arrival_time(centroid_distance, group_velocity: float, excitation: ExcitationSpec):
@@ -292,7 +296,16 @@ def extract_windows(
     is an indexable axis pair, so each window offset is one gather of the
     regions whose window fits the record; each of their RMS values is read
     from that stack and compared with ``cube.peak``, and silent columns, if
-    any, are dropped.
+    any, are dropped.  A start that is not finite (a ``dx`` or ``dt`` near
+    the ends of float range) overruns the record like one past 2**62.
+
+    When ``cube.peak`` lies outside [2**-400, 2**400], the windows are
+    multiplied by the exact power of two that brings the peak into
+    [0.5, 1), and the RMS check compares against that rescaled peak, so
+    sums of squares stay in float range and every ratio, hence every
+    decision, is that of a cube with a moderate peak.  For such cubes the
+    windows, and what is read from them (``detect --dump-windows`` and the
+    manifest's singular values), are in the rescaled units.
 
     Raises:
         PartitionError: partition grid does not match the cube.
@@ -313,16 +326,17 @@ def extract_windows(
     p1, p2 = partition.p1, partition.p2
 
     # Region origins and centroids; rows are b, columns a, so ravel() is
-    # column order j = a + r1 * b.
+    # column order j = a + r1 * b.  fmin caps a start past 2**62 samples or
+    # one that is NaN, so the cast to int64 is defined and either overruns
+    # any record.
     l0 = np.arange(r1) * (p1 - 1)
     m0 = np.arange(r2) * (p2 - 1)
-    cx = (l0 + (p1 - 1) / 2.0) * cube.dx
-    cy = (m0 + (p2 - 1) / 2.0) * cube.dx
-    distance = np.hypot(cx[None, :] - sx, cy[:, None] - sy).ravel()
-    t_c = arrival_time(distance, group_velocity, excitation)
-    # a start past 2**62 samples overruns any record; the cap keeps an
-    # absurdly slow wave's cast to int64 defined
-    start = np.rint(np.minimum(t_c / cube.dt, 2.0**62)).astype(np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cx = (l0 + (p1 - 1) / 2.0) * cube.dx
+        cy = (m0 + (p2 - 1) / 2.0) * cube.dx
+        distance = np.hypot(cx[None, :] - sx, cy[:, None] - sy).ravel()
+        t_c = arrival_time(distance, group_velocity, excitation)
+        start = np.rint(np.fmin(t_c / cube.dt, 2.0**62)).astype(np.int64)
     fits = (start >= 0) & (start + window_len <= cube.t_len)
 
     # The cube as (t, b, local m, a, local l): neighbouring regions share
@@ -344,9 +358,16 @@ def extract_windows(
         block = view[first + tau, b, :, a, :]  # (fitting regions, p2, p1)
         windows[tau] = block.reshape(first.size, nodes).T
 
+    # the sums of squares of a peak outside [2**-400, 2**400], here and in
+    # scoring, would leave float range
+    peak = cube.peak
+    if not 2.0**-400 <= peak <= 2.0**400:
+        peak, exponent = math.frexp(peak)
+        np.ldexp(windows, -exponent, out=windows)
+
     # per-region sum of squares, without a stack-sized temporary
     energy = np.einsum("tij,tij->j", windows, windows)
-    loud = np.sqrt(energy / (window_len * nodes)) > SILENCE_FLOOR * cube.peak
+    loud = np.sqrt(energy / (window_len * nodes)) > SILENCE_FLOOR * peak
     if not loud.all():
         windows = np.compress(loud, windows, axis=2)
     active = fits.copy()

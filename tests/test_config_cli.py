@@ -10,6 +10,7 @@ import os
 import random
 import re
 import stat
+import struct
 import subprocess
 import sys
 import textwrap
@@ -31,6 +32,7 @@ from wavesaliency.cli import (
     EXIT_OK,
     EXIT_WINDOWING,
     THREAD_ENV_VAR,
+    _EXIT_CODES,
     _apply_thread_override,
     main,
 )
@@ -46,7 +48,13 @@ from wavesaliency.config import (
     with_overrides,
 )
 from wavesaliency.cube import GridPoint, read_cube, write_cube
-from wavesaliency.errors import ConfigError, RankError
+from wavesaliency.errors import (
+    ConfigError,
+    GeometryError,
+    MaskError,
+    PartitionError,
+    RankError,
+)
 from wavesaliency.pipeline import DetectionConfig
 from wavesaliency.saliency import (
     flags_text,
@@ -475,7 +483,15 @@ def test_docstring_shows_the_defaults():
     assert len(optional) == 14, optional
 
 
-def _bad_value_table() -> list[tuple[str, str, str]]:
+# Values that some key lines read without a parse error, so a run can get
+# past the parser with one of them: a number out of range or not an
+# integer, or a word where a word is read.
+PARSEABLE_BAD_VALUES = ("1e308", "1e-308", "2.5", "1234567890123456789012", "abc", "1e-5")
+
+
+def _bad_value_table(
+    values=("inf", "-inf", "nan", "1e309", "0x10", "", "0", "-0"),
+) -> list[tuple[str, str, str]]:
     """(key, value, config text) with each bad value on each key line in turn."""
     lines = EVERY_KEY_CFG.split("\n")
     keyed = [i for i, ln in enumerate(lines) if " = " in ln]
@@ -483,7 +499,7 @@ def _bad_value_table() -> list[tuple[str, str, str]]:
     table = []
     for i in keyed:
         key = lines[i].split(" = ")[0]
-        for value in ("inf", "-inf", "nan", "1e309", "0x10", "", "0", "-0"):
+        for value in values:
             text = "\n".join(lines[:i] + [f"{key} = {value}".rstrip()] + lines[i + 1:])
             table.append((key, value, text))
     return table
@@ -1079,6 +1095,11 @@ def test_exit_code_config_errors(small_run, tmp_path, capsys):
         assert main([
             "detect", str(cube_path), str(bad), str(tmp_path / "r")
         ]) == EXIT_CONFIG, text
+    # exit 2 is one class: each bad-configuration error is a ConfigError
+    assert [row for row in _EXIT_CODES if row[1] == EXIT_CONFIG] == [(ConfigError, EXIT_CONFIG)]
+    for error in (PartitionError, MaskError, GeometryError, RankError):
+        assert issubclass(error, ConfigError), error
+    assert issubclass(RankError, ValueError)
 
 
 def test_overflowing_plate_coefficients_exit_config(tmp_path, capsys):
@@ -1170,29 +1191,41 @@ def test_side_length_out_of_float_range_exits_config(tmp_path, capsys):
     assert read_cube(tmp_path / "p.wvc").t_len == 3
 
 
-def test_plate_values_out_of_float_range_exit_with_no_warning(tmp_path, capsys):
+def test_plate_values_out_of_float_range_exit_with_no_warning(
+    ci_cube_file, tmp_path, capsys
+):
     # one value of bench1_ci changed: a near-zero stiffness overflows the
     # node averages and dt, a huge force overflows inside the step loop,
-    # and a burst N_c/nu whose square leaves float range is named as such;
+    # and a burst N_c/nu whose square leaves float range is refused as the
+    # file is read, by detect and sweep too, at the [excitation] header;
     # each prints one error line and no floating-point warning
     bench1_ci = bundled_config_path("bench1_ci").read_text()
+    header = bench1_ci.split("\n").index("[excitation]") + 1
+    burst = f"error: line {header}: the burst lasts N_c/nu = "
     cfg = tmp_path / "plate.cfg"
-    for change, code, named in (
-        ({"modulus_scale": "1e-320"}, EXIT_CONFIG, "step gain zero"),
-        ({"amplitude": "1e308"}, EXIT_DIVERGENCE, "diverged at step"),
-        ({"cycles": "1e308"}, EXIT_CONFIG, "N_c/nu = 1e+308 / 250000 Hz"),
-        ({"frequency": "1e-300"}, EXIT_CONFIG, "N_c/nu = 5 / 1e-300 Hz"),
-        ({"frequency": "1e300"}, EXIT_CONFIG, "N_c/nu = 5 / 1e+300 Hz"),
+    simulate = ["simulate", str(cfg), str(tmp_path / "p.wvc")]
+    every_command = (
+        simulate,
+        ["detect", str(ci_cube_file), str(cfg), str(tmp_path / "d")],
+        ["sweep", str(ci_cube_file), str(cfg), str(tmp_path / "s.csv"), "--trials", "1"],
+    )
+    for change, code, named, commands in (
+        ({"modulus_scale": "1e-320"}, EXIT_CONFIG, "step gain zero", [simulate]),
+        ({"amplitude": "1e308"}, EXIT_DIVERGENCE, "diverged at step", [simulate]),
+        ({"cycles": "1e308"}, EXIT_CONFIG, burst + "1e+308 / 250000 Hz", every_command),
+        ({"frequency": "1e-300"}, EXIT_CONFIG, burst + "5 / 1e-300 Hz", every_command),
+        ({"frequency": "1e300"}, EXIT_CONFIG, burst + "5 / 1e+300 Hz", every_command),
     ):
         cfg.write_text(_edit(bench1_ci, **change))
-        capsys.readouterr()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["simulate", str(cfg), str(tmp_path / "p.wvc")]) == code, change
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: "), (change, err)
-        assert named in err[0], (change, err)
-    assert not (tmp_path / "p.wvc").exists()
+        for argv in commands:
+            capsys.readouterr()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(argv) == code, (change, argv)
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: "), (change, argv, err)
+            assert named in err[0], (change, argv, err)
+    assert not list(tmp_path.glob("[pds].*"))
 
 
 def test_record_too_large_to_allocate_is_one_error_line(tmp_path, capsys):
@@ -1298,7 +1331,7 @@ def test_exit_code_divergence(tmp_path):
     assert main(["simulate", str(cfg), str(tmp_path / "u.wvc")]) == EXIT_DIVERGENCE
 
 
-def test_exit_code_windowing(tmp_path):
+def test_exit_code_windowing(ci_cube_file, tmp_path, capsys):
     # 3 stored samples cannot hold an 11-sample window anywhere
     cfg = tmp_path / "short.cfg"
     cfg.write_text(_edit(SMALL_CFG, steps="42", record_every="21"))
@@ -1307,6 +1340,24 @@ def test_exit_code_windowing(tmp_path):
     assert main([
         "detect", str(cube_path), str(cfg), str(tmp_path / "w")
     ]) == EXIT_WINDOWING
+    # bench1_ci's cube under a header whose dt or dx sits at an end of float
+    # range: the probe speed or every centroid leaves it, each start is
+    # past the record, and no floating-point warning is raised on the way
+    ci_cfg = str(bundled_config_path("bench1_ci"))
+    blob = ci_cube_file.read_bytes()
+    for offset, value in ((28, 5e-324), (20, 1.7e308)):  # dt, dx
+        edited = tmp_path / "edge.wvc"
+        edited.write_bytes(blob[:offset] + struct.pack("<d", value) + blob[offset + 8:])
+        for argv in (["detect", str(edited), ci_cfg, str(tmp_path / "e")],
+                     ["sweep", str(edited), ci_cfg, str(tmp_path / "e.csv"),
+                      "--trials", "1", "--ratios", "0.5"]):
+            capsys.readouterr()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(argv) == EXIT_WINDOWING, (value, argv)
+            err = capsys.readouterr().err.splitlines()
+            assert err == ["error: no region has a usable window inside the "
+                           "recorded interval"], (value, argv, err)
 
 
 def test_exit_code_no_signal(small_run, tmp_path):
@@ -1323,25 +1374,33 @@ def test_exit_code_no_signal(small_run, tmp_path):
 def test_detect_on_sampled_bad_values_exits_with_a_documented_code(
     small_run, tmp_path, capsys
 ):
-    # a seeded draw from the bad-value table, each run through detect on the
-    # small cube: a documented exit code, never 1 and never an exception,
-    # and one error line whenever the run fails
+    # a seeded draw from the table of values the parser refuses, and every
+    # value it may read on every key, each run through detect and sweep on
+    # the small cube: a documented exit code, never 1 and never an
+    # exception, one error line whenever the run fails, and no warning
     _, cube_path = small_run
     cfg = tmp_path / "mutated.cfg"
     cfg.write_text(EVERY_KEY_CFG)
     assert main(["detect", str(cube_path), str(cfg), str(tmp_path / "ok")]) == EXIT_OK
     documented = {EXIT_OK, EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_WINDOWING,
                   EXIT_NO_SIGNAL}
+    commands = (["detect", str(cube_path), str(cfg), str(tmp_path / "out")],
+                ["sweep", str(cube_path), str(cfg), str(tmp_path / "out.csv"),
+                 "--trials", "1", "--ratios", "0.5"])
     seen = set()
-    for key, value, text in random.Random(20261018).sample(_bad_value_table(), 60):
+    for key, value, text in (random.Random(20261018).sample(_bad_value_table(), 60)
+                             + _bad_value_table(PARSEABLE_BAD_VALUES)):
         cfg.write_text(text)
-        capsys.readouterr()
-        code = main(["detect", str(cube_path), str(cfg), str(tmp_path / "out")])
-        assert code in documented, (key, value, code)
-        err = capsys.readouterr().err.splitlines()
-        if code != EXIT_OK:
-            assert len(err) == 1 and err[0].startswith("error: "), (key, value, err)
-        seen.add(code)
+        for argv in commands:
+            capsys.readouterr()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(argv)
+            assert code in documented, (key, value, argv[0], code)
+            err = capsys.readouterr().err.splitlines()
+            if code != EXIT_OK:
+                assert len(err) == 1 and err[0].startswith("error: "), (key, value, err)
+            seen.add(code)
     # the draw reaches detection, not only the parser
     assert {EXIT_OK, EXIT_CONFIG, EXIT_NO_SIGNAL} <= seen
 

@@ -124,6 +124,10 @@ def test_mask_constructor_validation():
         Mask(grid=good, kind="random", sharing="broadcast")
     with pytest.raises(MaskError):
         Mask(grid=good, kind="random", sharing=PER_REGION)  # seed required
+    # a nested list is checked as an array, and the array is what is kept
+    listed = Mask(grid=[[True] * 5] * 5, kind="random", seed=1)
+    assert isinstance(listed.grid, np.ndarray) and not listed.grid.flags.writeable
+    assert np.array_equal(listed.row_indices(5, 5, 3), np.arange(25))
 
 
 def test_row_indices_shared_flattening():

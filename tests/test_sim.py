@@ -779,6 +779,8 @@ GUARDS = {
     "no_record_cadence": (lambda: simulate(ALUMINUM, [], BURST, 9, 9, 10, 0.5, record_every=0),
                           ValueError, "record_every must be at least 1"),
     "one_node_partition": (lambda: Partition(1, 5, 1, 1), PartitionError, "would collapse"),
+    "cycle_count_past_float_range": (lambda: ExcitationSpec(5e5, 10**400, 1.0, GridPoint(0, 0)),
+                                     ValueError, "^the burst lasts N_c/nu = 1000"),
     "silent_history": (lambda: first_envelope_peak_time(np.zeros(16), 1.0), NoSignalError,
                        "silent history"),
 }

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from wavesaliency.config import bundled_config_path, load_scenario
+from wavesaliency.config import bundled_config_path, detect_scenario, load_scenario
 from wavesaliency.cube import DataCube, GridPoint
 from wavesaliency.errors import (
     NoSignalError,
@@ -346,7 +346,7 @@ def test_absurdly_slow_wave_overruns_every_region():
     cube = _ramp_cube()
     part = Partition(33, 33, 4, 4)
     exc = ExcitationSpec(5e5, 5, 1.0, GridPoint(0, 0))
-    with warnings.catch_warnings(), np.errstate(over="ignore"):
+    with warnings.catch_warnings():
         warnings.simplefilter("error")
         for speed in (1e-200, 1e-320):
             with pytest.raises(WindowingError, match="no region has a usable window"):
@@ -395,6 +395,23 @@ def test_extraction_is_deterministic():
     assert np.array_equal(a.windows, b.windows)
     assert np.array_equal(a.arrival_index, b.arrival_index)
     assert np.array_equal(a.active, b.active)
+
+
+@pytest.mark.parametrize("power", [600, -600])
+def test_detection_is_amplitude_scale_invariant_over_the_float_range(ci_bench1, power):
+    # at a peak of 2**569 or 2**-631 the sums of squares leave float range;
+    # the windows are brought to a peak in [0.5, 1) by an exact power of
+    # two, so the map is the unscaled cube's, with no warning on the way
+    scenario, cube = ci_bench1
+    scaled = dataclasses.replace(cube, values=np.ldexp(cube.values, power))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = detect_scenario(scenario, scaled)
+    reference = detect_scenario(scenario, cube)
+    assert len(reference.flagged) == 13
+    assert result.flagged == reference.flagged
+    assert np.array_equal(result.saliency.fractions, reference.saliency.fractions,
+                          equal_nan=True)
 
 
 def test_windows_capture_the_wavefront(ci_pristine):
