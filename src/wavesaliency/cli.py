@@ -15,8 +15,10 @@ detection setting out of range in the file or on the command line,
 per-region sharing with a mask that is not random, plate coefficients, a
 side length's step gains or an analytic group velocity out of float range,
 a sweep ratio list that is empty or holds an entry that is not a finite
-number, a spectrum floor that is not negative, or a spectrum compare ratio
-outside (0, 1].  A cube header whose dx or dt sits near the ends of float
+number, a sweep trial count outside [1, ``MAX_TRIALS``], a spectrum floor
+that is not negative, or a spectrum compare ratio outside (0, 1].  A cube
+header whose dx or dt is not a positive, finite, normal float exits 1, and
+so does one whose probe speed underflows to 0; a dx near the top of float
 range overruns every window and exits 4, with no floating-point warning.
 
 This is the only module that names output files: ``<cube>.meta``, and the
@@ -43,6 +45,10 @@ from .errors import (
 )
 
 THREAD_ENV_VAR = "WAVESALIENCY_THREADS"
+
+# The most trials per ratio a sweep takes.  Sweeps run tens of trials; a
+# count far past this one is a typo that would run until it is killed.
+MAX_TRIALS = 10**6
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -238,8 +244,8 @@ def _cmd_sweep(args) -> int:
         ratios = [parse_float(r) for r in args.ratios.split(",") if r.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --ratios list {args.ratios!r}: {exc}") from None
-    if args.trials < 1:
-        raise ConfigError("--trials must be >= 1")
+    if not 1 <= args.trials <= MAX_TRIALS:
+        raise ConfigError(f"--trials must be in [1, {MAX_TRIALS}]")
     # Every mask the sweep will draw passes the checks of a file's mask line.
     recipes = sweep_recipes(ratios, args.pattern, args.stride, args.sharing)
     if not recipes:

@@ -15,32 +15,45 @@ that energy exceeds a fixed ratio of the snapshot's peak energy.
 fits each with a rank-r basis on its smaller side: the left basis U when
 rows <= regions, else the right basis V.  One projection forms every
 residual explicitly, X − U(UᵀX) or X − (XV)Vᵀ, never as ‖x‖² − ‖Uᵀx‖²,
-whose cancellation error would rise above the dust floor.  The basis comes
-from one of three fits, chosen per offset in ``score_offsets``' loop:
+whose cancellation error would rise above the dust floor.  This is the one
+statement of the fit rule.  ``score_offsets`` picks each offset's fit from
+the mask's rows, the Gram order and the rank before any fit, and the
+certificate and the gap may then move an offset on:
 
-- Gram matrices of order at least ``_KRYLOV_ORDER`` (at 257 nodes: full
-  sampling and the 0.5 and 0.33 sweep masks, orders 205, 144 and 95), at a
-  rank whose r + 1 eigenpairs fit in a third of the Krylov basis, are
-  fitted by block Lanczos with Rayleigh–Ritz (``_lanczos_bases``), which
-  reads only the top of the spectrum and never builds a tall snapshot's
-  Gram.  The offsets share one pass per chunk, so numpy's per-call cost
-  is paid once per chunk.  Each offset's fit is kept only when a
-  Davis–Kahan bound certifies its basis at least as well placed as
-  ``eigh``'s at the gap floor below; else that offset alone goes to ``eigh``.
-- Every other offset builds its Gram matrix and takes its ``eigh``.  Squaring
-  X halves its relative precision: eigh places the basis to about
-  eps·λ₀/(λ_r − λ_{r+1}).
-- An ``eigh`` offset whose Gram eigengap at the rank is at most 1e-8 λ₀ (a
-  rank in the noise floor, or above the snapshot's exact rank) takes
-  instead the leading singular vectors of a thin SVD on the same side
-  (Halko, Martinsson & Tropp 2011, arXiv:0909.4061, §5); λ₀ stays
-  ``eigh``'s.  Only ``eigh``'s eigenvalues take that decision: a Lanczos
-  fit never certifies a gap that small.
+- Under full sampling or a shared mask, a Gram matrix of order at least
+  ``_KRYLOV_ORDER`` = 90 (at 257 nodes: full sampling and the 0.5 and
+  0.33 sweep masks, orders 205, 144 and 95), at a rank whose r + 1
+  eigenpairs fit in a third of the ``_KRYLOV_BLOCK`` × ``_KRYLOV_STEPS`` =
+  56-column Krylov basis (r <= 17), is fitted by block Lanczos with
+  Rayleigh–Ritz (``_lanczos_bases``).  The fit reads only the top of the
+  spectrum and never builds a tall snapshot's Gram: it applies it as
+  Xᵀ(X·).  The offsets share one pass per ``_GRAM_CHUNK`` = 2 MiB of what
+  the pass holds (each offset's basis, its image under the Gram matrix,
+  and a wide snapshot's Gram or a tall snapshot itself), so numpy's
+  per-call cost is paid once per pass.  Each offset's fit is kept only
+  when a Davis–Kahan bound certifies its basis at least as well placed as
+  ``eigh``'s at the gap floor below; else that offset alone goes to
+  ``eigh``, and the record marks it ``refused``.
+- A per-region mask (two-dimensional rows, one node pattern per column)
+  never tries the fit.  Its columns hold different nodes, so its snapshot
+  is not low rank and no fit of it certifies: on ``bench1`` the pass
+  certified 0 of 110 offsets at each of 0.5 and 0.33 (ten seeds).
+- Every other offset builds its Gram matrix once and takes its ``eigh``.
+  Squaring X halves its relative precision: eigh places the basis to
+  about eps·λ₀/(λ_r − λ_{r+1}).
+- An ``eigh`` offset whose Gram eigengap at the rank is at most
+  ``_GRAM_GAP`` = 1e-8 λ₀ (a rank in the noise floor, or above the
+  snapshot's exact rank) takes instead the leading singular vectors of a
+  thin SVD on the same side (Halko, Martinsson & Tropp 2011,
+  arXiv:0909.4061, §5); λ₀ stays ``eigh``'s.  Only ``eigh``'s eigenvalues
+  take that decision: a Lanczos fit never certifies a gap that small.
 
 The rank is an input of the model, never chosen from the data.  The dust
-floor comes from λ₀ of the tau = 0 Gram matrix, so scoring takes no full
-SVD outside that fallback; the full tau = 0 spectrum exists only for
-``detect``'s manifest (``snapshot_spectrum``).
+floor is ``_DUST`` = 1e-24 of λ₀ of the tau = 0 Gram matrix: an offset
+whose peak energy is at or below it is exactly reconstructed and yields no
+outlier.  So scoring takes no full SVD outside the gap fallback; the full
+tau = 0 spectrum exists only for ``detect``'s manifest
+(``snapshot_spectrum``).
 
 ``score_offsets`` resolves the mask to snapshot ``rows`` once and returns
 one read-only ``OffsetScores`` (``energies``, ``live``, ``lam0``, fit
@@ -302,10 +315,11 @@ def _lanczos_bases(stack: np.ndarray, rank: int, start: np.ndarray) -> list:
 def score_offsets(window_set: RegionalWindowSet, rank: int, mask=None) -> OffsetScores:
     """Fit every window offset's snapshot at ``rank`` and score its columns.
 
-    Gram orders of at least ``_KRYLOV_ORDER``, at ranks whose r + 1 pairs
-    fit in a third of the basis, try ``_lanczos_bases`` in passes of
-    ``_GRAM_CHUNK`` bytes.  ``mask`` and the errors are ``saliency_map``'s;
-    its rows are drawn once and kept as the record's ``rows``.
+    The fit follows the rule of the module docstring, chosen from the mask's
+    rows before any fit: a per-region mask's offsets go straight to
+    ``eigh``, each building one Gram matrix, and never start a Lanczos pass.
+    ``mask`` and the errors are ``saliency_map``'s; its rows are drawn once
+    and kept as the record's ``rows``.
     """
     windows, part = window_set.windows, window_set.partition
     picked = None if mask is None else mask.row_indices(part.p1, part.p2, windows.shape[2])
@@ -316,7 +330,8 @@ def score_offsets(window_set: RegionalWindowSet, rank: int, mask=None) -> Offset
         raise RankError(f"rank {rank} outside [1, {order}] for a "
                         f"{rows} x {cols} snapshot")
     wide = rows <= cols
-    tried = order >= _KRYLOV_ORDER and rank < m // 3
+    shared = picked is None or picked.ndim == 1
+    tried = shared and order >= _KRYLOV_ORDER and rank < m // 3
     held = 8 * order * (2 * m + (order if wide else rows))
     chunk = max(1, _GRAM_CHUNK // held) if tried else count
     energies, lam0, paths = np.empty((count, cols)), np.empty(count), [""] * count

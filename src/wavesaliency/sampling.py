@@ -12,7 +12,10 @@ shared low-rank subspace meaningful).  Per-region patterns, behind the
 low rank and the mode measures how detection degrades without that
 premise: on the tau = 0 snapshot of ``bench1`` at ratio 0.5, lambda_14 /
 lambda_0 is 0.20 per region against 0.0015 shared, and the mean regional
-false flags over 20 trials are 92.8 of 205 regions against 1.15.
+false flags over 20 trials are 92.8 of 205 regions against 1.15.  Such a
+snapshot cannot pass the Lanczos certificate, so ``saliency.score_offsets``
+sees the mask's two-dimensional rows and sends every offset to ``eigh``
+without starting a pass (the fit rule is in the ``saliency`` docstring).
 """
 
 from __future__ import annotations

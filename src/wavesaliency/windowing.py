@@ -184,8 +184,9 @@ def estimate_group_velocity(cube: DataCube, probes: ProbePair) -> float:
     Raises:
         NoSignalError: the cube or a probe history is numerically silent.
         VelocityEstimateError: the second probe's crest does not come later
-            than the first's, or the crest times are not numbers (a ``dt``
-            near the top of float range).
+            than the first's, the crest times are not numbers (a ``dt``
+            near the top of float range), or the speed underflows to 0 (a
+            tiny ``dx`` over a huge delay).
     """
     probes.first.validate(cube.n1, cube.n2)
     probes.second.validate(cube.n1, cube.n2)
@@ -211,7 +212,13 @@ def estimate_group_velocity(cube: DataCube, probes: ProbePair) -> float:
             f"second probe's envelope crest ({times[1]:.3e} s) does not "
             f"trail the first's ({times[0]:.3e} s)"
         )
-    return probes.separation(cube.dx) / delta_t
+    speed = probes.separation(cube.dx) / delta_t
+    if not speed > 0.0:
+        raise VelocityEstimateError(
+            f"probe speed underflows to 0: dx = {cube.dx!r} m over a "
+            f"{delta_t:.3e} s delay"
+        )
+    return speed
 
 
 def arrival_time(centroid_distance, group_velocity: float, excitation: ExcitationSpec):

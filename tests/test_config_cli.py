@@ -1340,24 +1340,65 @@ def test_exit_code_windowing(ci_cube_file, tmp_path, capsys):
     assert main([
         "detect", str(cube_path), str(cfg), str(tmp_path / "w")
     ]) == EXIT_WINDOWING
-    # bench1_ci's cube under a header whose dt or dx sits at an end of float
-    # range: the probe speed or every centroid leaves it, each start is
-    # past the record, and no floating-point warning is raised on the way
+    # bench1_ci's cube under a header whose dx sits at the top of float
+    # range: every centroid leaves it, each start is past the record, and
+    # no floating-point warning is raised on the way.  A subnormal dt (or
+    # dx) is refused as the cube is read, so it exits 1
+    for edit, code, line in (
+        ({"dx": 1.7e308}, EXIT_WINDOWING,
+         "error: no region has a usable window inside the recorded interval"),
+        ({"dt": 5e-324}, EXIT_ERROR,
+         "error: cube file rejected: dt must be positive, finite and normal, got 5e-324"),
+    ):
+        assert _edited_header_runs(ci_cube_file, tmp_path, capsys, edit) == [
+            (code, [line])] * 2, edit
+
+
+def _edited_header_runs(cube_file, tmp_path, capsys, edit):
+    """(exit code, stderr lines) of detect and sweep on bench1_ci's cube with
+    the header fields of ``edit`` replaced; no run may raise a warning."""
+    offsets = {"dx": 20, "dt": 28}
+    blob = bytearray(cube_file.read_bytes())
+    for name, value in edit.items():
+        blob[offsets[name]:offsets[name] + 8] = struct.pack("<d", value)
+    edited = tmp_path / "edge.wvc"
+    edited.write_bytes(blob)
     ci_cfg = str(bundled_config_path("bench1_ci"))
-    blob = ci_cube_file.read_bytes()
-    for offset, value in ((28, 5e-324), (20, 1.7e308)):  # dt, dx
-        edited = tmp_path / "edge.wvc"
-        edited.write_bytes(blob[:offset] + struct.pack("<d", value) + blob[offset + 8:])
-        for argv in (["detect", str(edited), ci_cfg, str(tmp_path / "e")],
-                     ["sweep", str(edited), ci_cfg, str(tmp_path / "e.csv"),
-                      "--trials", "1", "--ratios", "0.5"]):
-            capsys.readouterr()
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert main(argv) == EXIT_WINDOWING, (value, argv)
-            err = capsys.readouterr().err.splitlines()
-            assert err == ["error: no region has a usable window inside the "
-                           "recorded interval"], (value, argv, err)
+    runs = []
+    for argv in (["detect", str(edited), ci_cfg, str(tmp_path / "e")],
+                 ["sweep", str(edited), ci_cfg, str(tmp_path / "e.csv"),
+                  "--trials", "1", "--ratios", "0.5"]):
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        runs.append((code, capsys.readouterr().err.splitlines()))
+    return runs
+
+
+def test_subnormal_header_step_is_one_error_line(ci_cube_file, tmp_path, capsys):
+    # a dx of 5e-324 keeps too few bits for the probe separation and the
+    # centroid distances: it is refused as the cube is read.  1e-300 is a
+    # normal float and finds the 13 regions of the true dx
+    line = "error: cube file rejected: dx must be positive, finite and normal, got 5e-324"
+    runs = _edited_header_runs(ci_cube_file, tmp_path, capsys, {"dx": 5e-324})
+    assert runs == [(EXIT_ERROR, [line])] * 2
+    assert not (tmp_path / "e.csv").exists()
+    flags = []
+    for dx in (read_cube(ci_cube_file).dx, 1e-300):
+        runs = _edited_header_runs(ci_cube_file, tmp_path, capsys, {"dx": dx})
+        assert [code for code, _ in runs] == [EXIT_OK] * 2, dx
+        flags.append((tmp_path / "e.flags.txt").read_text())
+    assert flags[0] == flags[1] and len(flags[0].splitlines()) == 13
+
+
+def test_probe_speed_underflow_is_one_error_line(ci_cube_file, tmp_path, capsys):
+    # dx = 1e-200 and dt = 1e200 are normal floats, but the probe speed,
+    # separation * dx over a delay near 3e201 s, underflows to 0
+    runs = _edited_header_runs(ci_cube_file, tmp_path, capsys,
+                               {"dx": 1e-200, "dt": 1e200})
+    assert runs == [(EXIT_ERROR, ["error: probe speed underflows to 0: dx = 1e-200 m "
+                                  "over a 2.795e+201 s delay"])] * 2
 
 
 def test_exit_code_no_signal(small_run, tmp_path):
@@ -1501,7 +1542,9 @@ def test_sweep_bad_arguments(ci_cube_file, tmp_path, capsys):
         "sweep", str(ci_cube_file), str(ci_cfg), str(out),
         "--ratios", "0.5,apple",
     ]) == EXIT_CONFIG
-    for bad in (["--trials", "0"], ["--pattern", "cross", "--stride", "3"],
+    for bad in (["--trials", "0"], ["--trials", "1000001"],
+                ["--trials", "1234567890123456789012"],
+                ["--pattern", "cross", "--stride", "3"],
                 ["--ratios", "0.5,2"], ["--ratios", ","], ["--ratios", ""],
                 ["--rank", "0"], ["--rank", "500"], ["--rank", "auto"]):
         capsys.readouterr()
@@ -1512,6 +1555,13 @@ def test_sweep_bad_arguments(ci_cube_file, tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), (bad, err)
     assert not out.exists()
+    # a trial count past the bound is refused before the cube is read: a
+    # missing cube would exit 1
+    for trials in ("1000001", "1234567890123456789012"):
+        capsys.readouterr()
+        assert main(["sweep", str(tmp_path / "missing.wvc"), str(ci_cfg), str(out),
+                     "--trials", trials]) == EXIT_CONFIG, trials
+        assert capsys.readouterr().err == "error: --trials must be in [1, 1000000]\n"
     # a rank that is no integer is named as it is in a config file
     for command, dest in (("detect", tmp_path / "d"), ("sweep", out)):
         capsys.readouterr()

@@ -11,8 +11,8 @@ PGM texts and the occupied fraction at -20 dB.  On the 257-node plates,
 ``bench1``, ``bench2`` and ``pristine``, the sweeps are shared random
 masks at 0.5, 0.33 and 0.2 and per-region masks at 0.5: their full
 sampling takes the Gram-free tall fit, the shared 0.5 and 0.33 masks the
-batched Lanczos fit and 0.2 ``eigh``, and the per-region masks fail the
-Lanczos certificate and fall back to ``eigh``.  Beside the hashes the
+batched Lanczos fit and 0.2 ``eigh``, and the per-region masks go to
+``eigh`` without trying the Lanczos fit.  Beside the hashes the
 files hold a summary of the simulated cube itself: each sample's L2 norm,
 the deflection histories at the scenario's two velocity probes and the
 group velocity estimated from them.

@@ -818,6 +818,26 @@ def test_a_closed_gap_leaves_the_rest_of_its_pass_certified(rng):
     _assert_matches_oracle(ws, 5, None, sal)
 
 
+def test_per_region_masks_above_the_lanczos_order_take_eigh_and_match_svd_oracle(rng):
+    # a 0.5 mask keeps 144 of the tall set's 289 nodes: a 144 x 196
+    # snapshot of Gram order 144, above _KRYLOV_ORDER.  Shared, the Lanczos
+    # pass certifies every offset.  Per region, each column holds its own
+    # nodes, so no pass starts: every offset takes eigh and builds its one
+    # Gram matrix, and the counts and spectrum match the per-snapshot SVD
+    # oracle.  Either way each offset builds one Gram matrix
+    p, regions = _LANCZOS_SHAPES["tall"]
+    ws = _spectrum_set(rng, "tall", _decaying(regions * regions))
+    for sharing, path in (("shared", "lanczos"), (PER_REGION, "eigh")):
+        mask = random_mask(p, p, 0.5, seed=11, sharing=sharing)
+        assert min(mask.retained_count, ws.active_count) >= _KRYLOV_ORDER
+        for rank in (1, 6, 14):
+            sal, grams = _map_and_grams(ws, rank, mask)
+            assert sal.scores.paths == (path,) * ws.window_len, (sharing, rank)
+            assert not sal.scores.refused.any(), (sharing, rank)
+            assert grams == ws.window_len, (sharing, rank)
+            _assert_matches_oracle(ws, rank, mask, sal)
+
+
 # Gram order at full sampling: the plate's active regions
 _FULL_ORDER = {"bench1": 205, "bench2": 205, "pristine": 203}
 
@@ -828,10 +848,12 @@ def test_plates_fit_orders_from_90_by_lanczos_and_58_by_eigh(plate, request):
     # order 144) are certified at every offset, and on bench1 so is the 0.33
     # mask (order 95); a 0.2 mask keeps 58 nodes, below _KRYLOV_ORDER, and
     # runs on eigh without trying the fit.  Per-region 0.5 and 0.33 masks
-    # try the fit at every offset and never certify it: their columns hold
-    # different nodes, so the snapshot is not low rank.  A tall pass builds
-    # no Gram matrix; a wide pass, or an eigh, builds one per offset.  The
-    # runs go through run_detection, whose result carries the map's record
+    # reach the order but never try the fit either: their columns hold
+    # different nodes, so the snapshot is not low rank, and the fit is
+    # chosen from the mask's rows before any pass starts.  A tall pass
+    # builds no Gram matrix; a wide pass, or an eigh, builds one per offset,
+    # and no offset builds two.  The runs go through run_detection, whose
+    # result carries the map's record
     scenario, cube = request.getfixturevalue(plate)
     part = scenario.partition()
     config = scenario.detection_config()
@@ -839,7 +861,7 @@ def test_plates_fit_orders_from_90_by_lanczos_and_58_by_eigh(plate, request):
     cases = [(None, None, _FULL_ORDER[plate], "lanczos"), (0.5, "shared", 144, "lanczos")]
     if plate == "bench1":
         cases += [(0.33, "shared", 95, "lanczos"), (0.2, "shared", 58, "eigh"),
-                  (0.5, PER_REGION, 144, "refused"), (0.33, PER_REGION, 95, "refused")]
+                  (0.5, PER_REGION, 144, "eigh"), (0.33, PER_REGION, 95, "eigh")]
     for ratio, sharing, order, path in cases:
         for seed in (1, 2, 3) if ratio else (None,):
             mask = None if ratio is None else random_mask(
@@ -849,14 +871,9 @@ def test_plates_fit_orders_from_90_by_lanczos_and_58_by_eigh(plate, request):
             with _gram_builds() as built:
                 scores = run_detection(cube, part, config, mask, ws).saliency.scores
             where = (ratio, sharing, seed)
-            if path == "refused":
-                assert scores.refused.all() and "lanczos" not in scores.paths, where
-            else:
-                assert scores.paths == (path,) * ws.window_len, where
-                assert not scores.refused.any(), where
-            # a refused wide pass builds each Gram, and its eigh builds it again
-            wide = ratio is not None
-            assert sum(built) == ws.window_len * (wide + (path == "refused")), where
+            assert scores.paths == (path,) * ws.window_len, where
+            assert not scores.refused.any(), where
+            assert sum(built) == ws.window_len * (ratio is not None), where
 
 
 def test_lanczos_fit_is_deterministic_and_scale_invariant(bench1):

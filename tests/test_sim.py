@@ -763,6 +763,8 @@ GUARDS = {
     "cube_one_column": (lambda: _cube(n1=1), CubeDataError, "at least 2 x 2"),
     "cube_no_samples": (lambda: _cube(t_len=0), CubeDataError, "at least one time sample"),
     "cube_zero_dt": (lambda: _cube(dt=0.0), CubeDataError, "dt must be positive"),
+    "cube_subnormal_dt": (lambda: _cube(dt=5e-324), CubeDataError,
+                          "dt must be positive, finite and normal, got 5e-324"),
     "slice_past_record": (lambda: _cube(t_len=3).slice_at(3), IndexError, "out of range"),
     "segment_of_two_values": (lambda: DefectSpec("line_segment", (0.1, 0.2), 2, 2),
                               ValueError, "needs 4 geometry values"),

@@ -13,17 +13,17 @@ Every run goes through ``wavesaliency.cli.main`` in this process, with a
 * each option of ``FLAGS`` set to each of ``BAD_VALUES``;
 * cube files from ``cube_edits``: truncated, with trailing bytes, a bad
   magic or version, ``n1`` or ``t_len`` of 0, a ``dx`` or ``dt`` that is
-  NaN, negative, infinite, 5e-324 or 1.7e308, a NaN sample, and the
-  payload scaled by 2**600 and 2**-600, each through ``detect``, ``sweep``
-  and ``spectrum``.
+  NaN, negative, infinite, 5e-324 or 1.7e308, ``dx = 1e-200`` with ``dt =
+  1e200`` (a probe speed that underflows), a NaN sample, and the payload
+  scaled by 2**600 and 2**-600, each through ``detect``, ``sweep`` and
+  ``spectrum``.
 
 One line per run gives its verdict, exit code, stderr line count, warning
 count and command.  A run passes when it exits with a documented code (0 to
 5), raises no exception, emits no ``RuntimeWarning`` (numpy's
 floating-point warnings among them) and prints at most one stderr line;
 argparse's usage error, exit 2 after a ``usage:`` line, passes too.  The
-runs in ``KNOWN`` are open faults: they are reported, not failed.  The
-script exits 1 if any other run fails, else 0.
+script exits 1 if any run fails, else 0.
 """
 
 from __future__ import annotations
@@ -67,10 +67,6 @@ FLAGS = {
     "--floor-db": ("spectrum", "{cube}", "{out}"),
     "--compare-ratio": ("spectrum", "{cube}", "{out}"),
 }
-
-# Open faults, by the label the report prints: a trial count this large
-# runs until the alarm instead of being refused.
-KNOWN = {"sweep --trials 1234567890123456789012"}
 
 _HEADER = struct.Struct("<4sIIIIdd")  # magic, version, n1, n2, t_len, dx, dt
 
@@ -151,6 +147,7 @@ def cube_edits(blob: bytes):
     for name in ("dx", "dt"):
         for value in (float("nan"), -1.0, float("inf"), 5e-324, 1.7e308):
             yield f"{name} = {value!r}", header(**{name: value})
+    yield "dx = 1e-200 and dt = 1e200", header(dx=1e-200, dt=1e200)
     values = np.frombuffer(blob[head:], dtype="<f8")
     with_nan = values.copy()
     with_nan[with_nan.size // 2] = np.nan
@@ -175,7 +172,7 @@ def main_sweep() -> int:
         def check(label: str, argv: list[str]) -> None:
             code, err, found = run(argv)
             bad = problems(code, err, found)
-            verdict = ("known" if label in KNOWN else "FAIL") if bad else "ok"
+            verdict = "FAIL" if bad else "ok"
             verdicts[verdict] += 1
             codes[code if isinstance(code, int) else "other"] += 1
             print(f"{verdict:5} exit={code} stderr={len(err)} warnings={len(found)} {label}")
@@ -206,7 +203,7 @@ def main_sweep() -> int:
                 check(f"{argv[0]} on a cube with {name}", argv)
 
     print(f"{sum(verdicts.values())} runs: {verdicts['ok']} ok, "
-          f"{verdicts['known']} known, {verdicts['FAIL']} failed; exit codes "
+          f"{verdicts['FAIL']} failed; exit codes "
           + ", ".join(f"{code}: {n}" for code, n in sorted(codes.items(), key=str)))
     return 1 if verdicts["FAIL"] else 0
 
