@@ -1,25 +1,12 @@
 """Command-line front end: simulate / detect / sweep / spectrum.
 
-Exit codes are stable: 0 success, 2 bad configuration, 3 simulation
-divergence, 4 windowing produced no active region or a window longer than
-the record (``detect --tw 200`` on ``bench1_ci``'s 96-sample cube: "window
-length 200 exceeds the 96-sample record"), 5 silent input where a signal is
-required.  Any other toolkit error, an I/O error or a record too large to
-allocate exits 1.
-
-Exit 2 is the ``ConfigError`` family (``errors``): a parse failure or a
-missing required key such as the rank, a burst N_c/nu out of float range
-once squared (refused by every command as the file is read), a partition
-that does not divide the grid, a mask or rank that does not fit it, a
-detection setting out of range in the file or on the command line,
-per-region sharing with a mask that is not random, plate coefficients, a
-side length's step gains or an analytic group velocity out of float range,
-a sweep ratio list that is empty or holds an entry that is not a finite
-number, a sweep trial count outside [1, ``MAX_TRIALS``], a spectrum floor
-that is not negative, or a spectrum compare ratio outside (0, 1].  A cube
-header whose dx or dt is not a positive, finite, normal float exits 1, and
-so does one whose probe speed underflows to 0; a dx near the top of float
-range overruns every window and exits 4, with no floating-point warning.
+Exit codes are stable, one ``errors`` class each: 0 success, 2 bad
+configuration (``ConfigError``), 3 simulation divergence
+(``DivergenceError``), 4 windowing produced no active region or a window
+longer than the record (``WindowingError``), 5 silent input where a signal
+is required (``NoSignalError``).  Any other toolkit error (``DataError``
+among them), an I/O error or a record too large to allocate exits 1.
+README's "Exit codes" lists what each code covers.
 
 This is the only module that names output files: ``<cube>.meta``, and the
 ``<prefix>`` files of ``detect`` and ``spectrum``.  Each text file is its
@@ -45,6 +32,9 @@ from .errors import (
 )
 
 THREAD_ENV_VAR = "WAVESALIENCY_THREADS"
+# The pool sizes that THREAD_ENV_VAR sets, unless one is set already.
+POOL_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 # The most trials per ratio a sweep takes.  Sweeps run tens of trials; a
 # count far past this one is a typo that would run until it is killed.
@@ -57,8 +47,8 @@ EXIT_DIVERGENCE = 3
 EXIT_WINDOWING = 4
 EXIT_NO_SIGNAL = 5
 
-# Exit code of a caught error: the first row whose types match wins, and any
-# other toolkit or OS error exits EXIT_ERROR.
+# Exit code of a caught error: the row of its class; any other toolkit or OS
+# error exits EXIT_ERROR.
 _EXIT_CODES = (
     (ConfigError, EXIT_CONFIG),
     (DivergenceError, EXIT_DIVERGENCE),
@@ -68,16 +58,19 @@ _EXIT_CODES = (
 
 
 def _apply_thread_override() -> None:
-    """Pin thread-pool sizes from WAVESALIENCY_THREADS (before numpy loads)."""
+    """Pin thread-pool sizes from WAVESALIENCY_THREADS (before numpy loads).
+
+    Only ASCII digits are taken: ``str.isdigit`` also passes ``'²'``, which
+    ``int`` refuses, and ``'٣'``, which C's ``atoi`` reads as 0.
+    """
     threads = os.environ.get(THREAD_ENV_VAR)
     if not threads:
         return
-    if not threads.isdigit() or int(threads) < 1:
-        raise SystemExit(
+    if not (threads.isascii() and threads.isdigit() and int(threads) >= 1):
+        raise ConfigError(
             f"{THREAD_ENV_VAR} must be a positive integer, got {threads!r}"
         )
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    for var in POOL_ENV_VARS:
         os.environ.setdefault(var, threads)
 
 
@@ -139,9 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_override()
-    args = build_parser().parse_args(argv)
     try:
+        _apply_thread_override()
+        args = build_parser().parse_args(argv)
         return args.run(args)
     except (WaveSaliencyError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -152,26 +145,22 @@ def main(argv=None) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from .config import load_scenario, scenario_echo, simulate_scenario
-    from .cube import meta_text, write_cube, write_text
+    from .config import cube_meta_text, load_scenario, simulate_scenario
+    from .cube import write_cube, write_text
 
     scenario = load_scenario(args.config)
     cube = simulate_scenario(scenario)
     write_cube(cube, args.output)
-    meta = scenario_echo(scenario)
-    meta["cube.dt"] = repr(cube.dt)
-    meta["cube.dx"] = repr(cube.dx)
-    meta["cube.t_len"] = str(cube.t_len)
-    write_text(f"{args.output}.meta", meta_text(meta))
+    write_text(f"{args.output}.meta", cube_meta_text(scenario, cube))
     print(f"wrote {args.output}: {cube.n1}x{cube.n2} nodes, "
           f"{cube.t_len} samples at dt = {cube.dt:.6e} s")
     return EXIT_OK
 
 
 def _cmd_detect(args) -> int:
-    from .config import detect_scenario, load_scenario, scenario_echo, with_overrides
-    from .cube import meta_text, read_cube, write_text
-    from .saliency import flags_text, saliency_csv_text, saliency_pgm_texts, snapshot_spectrum
+    from .config import detect_scenario, load_scenario, manifest_text, with_overrides
+    from .cube import read_cube, write_text
+    from .saliency import flags_text, saliency_csv_text, saliency_pgm_texts
 
     scenario = with_overrides(
         load_scenario(args.config),
@@ -186,24 +175,7 @@ def _cmd_detect(args) -> int:
     write_text(f"{args.prefix}.mask.pgm", activity)
     flagged = sorted(result.flagged)
     write_text(f"{args.prefix}.flags.txt", flags_text(flagged))
-
-    echo = scenario_echo(scenario)
-    manifest = {
-        "group_velocity": repr(result.group_velocity),
-        "velocity_source": echo["probes.mode"],
-        "rank": echo["detection.rank"],
-        "window_len": echo["detection.window_len"],
-        "energy_ratio": echo["detection.ratio"],
-        "theta": echo["detection.theta"],
-        "mask": echo["detection.mask"],
-        "seed": echo["seed"],
-        "active_regions": str(int(result.saliency.active.sum())),
-        "flagged": ";".join(f"{a},{b}" for a, b in flagged),
-        "singular_values": " ".join(
-            f"{v:.9e}" for v in snapshot_spectrum(result.window_set, result.saliency.scores)
-        ),
-    }
-    write_text(f"{args.prefix}.manifest", meta_text(manifest))
+    write_text(f"{args.prefix}.manifest", manifest_text(scenario, result))
     if args.dump_windows:
         count = _dump_window_cubes(result.window_set, cube, args.dump_windows)
         print(f"dumped {count} region window(s)")

@@ -77,10 +77,10 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import pipeline, sampling, sim
-from .cube import DataCube, GridPoint, hold_plain_numbers
+from .cube import DataCube, GridPoint, hold_plain_numbers, meta_text
 from .errors import ConfigError
 from .pipeline import DetectionConfig, DetectionResult
-from .saliency import DEFAULT_DECISION_THRESHOLD, DEFAULT_ENERGY_RATIO
+from .saliency import DEFAULT_DECISION_THRESHOLD, DEFAULT_ENERGY_RATIO, snapshot_spectrum
 from .sampling import SHARED, DetectionMetrics, GroundTruth, Mask, MaskSettings, SweepRow
 from .sim import (
     DEFAULT_SPACE_ORDER,
@@ -545,11 +545,51 @@ def bundled_config_path(name: str):
 # Canonical echo (manifests, .meta sidecars)
 # ---------------------------------------------------------------------------
 
+def cube_meta_text(scenario: ScenarioConfig, cube: DataCube) -> str:
+    """The ``.meta`` sidecar of ``cube``, simulated from ``scenario``.
+
+    It is the scenario's echo plus the cube's ``cube.dt``, ``cube.dx`` and
+    ``cube.t_len``.
+    """
+    return meta_text({
+        **scenario_echo(scenario),
+        "cube.dt": repr(cube.dt),
+        "cube.dx": repr(cube.dx),
+        "cube.t_len": str(cube.t_len),
+    })
+
+
+def manifest_text(scenario: ScenarioConfig, result: DetectionResult) -> str:
+    """The ``detect`` manifest: ``result``'s settings, findings and spectrum.
+
+    ``result`` is ``detect_scenario(scenario, cube)``.  Each setting is
+    written as ``scenario_echo`` writes it, and ``singular_values`` is the
+    tau = 0 snapshot's ``snapshot_spectrum``.
+    """
+    d = scenario.detection
+    return meta_text({
+        "group_velocity": repr(result.group_velocity),
+        "velocity_source": scenario.probes.mode,
+        "rank": str(d.rank),
+        "window_len": str(d.window_len),
+        "energy_ratio": str(d.ratio),
+        "theta": str(d.theta),
+        "mask": str(d.mask),
+        "seed": str(scenario.seed),
+        "active_regions": str(int(result.saliency.active.sum())),
+        "flagged": ";".join(f"{a},{b}" for a, b in sorted(result.flagged)),
+        "singular_values": " ".join(
+            f"{v:.9e}" for v in snapshot_spectrum(result.window_set, result.saliency.scores)
+        ),
+    })
+
+
 def scenario_echo(scenario: ScenarioConfig) -> dict[str, str]:
     """Flatten a scenario into sorted-key text form with defaults resolved.
 
-    Used for the cube ``.meta`` sidecar and detection manifests, so two runs
-    are comparable (and byte-identical) even when one spelled fewer keys.
+    ``cube_meta_text`` writes it, and ``manifest_text`` spells each setting
+    as it does, so two runs are comparable (and byte-identical) even when
+    one spelled fewer keys.
     """
     exc = scenario.excitation
     out = {

@@ -27,9 +27,10 @@ array.
 
 Sidecar metadata (material constants, excitation, run parameters) goes in a
 plain ``key = value`` text file next to the binary, never in the binary:
-the CLI writes ``<cube>.meta`` from ``meta_text``.  Every text output is a
-pure ``*_text`` function of its data; only the CLI names files and writes
-them with ``write_text``.
+the CLI writes ``<cube>.meta`` from ``config.cube_meta_text``, which lays
+its lines out with ``meta_text``.  Every text output is a pure ``*_text``
+function of its data; only the CLI names files and writes them with
+``write_text``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CubeDataError, CubeFormatError
+from .errors import DataError
 
 MAGIC = b"WVC1"
 FORMAT_VERSION = 1
@@ -115,20 +116,20 @@ class DataCube:
 
     def __post_init__(self):
         if self.n1 < 2 or self.n2 < 2:
-            raise CubeDataError(f"grid must be at least 2 x 2, got {self.n1} x {self.n2}")
+            raise DataError(f"grid must be at least 2 x 2, got {self.n1} x {self.n2}")
         if self.t_len < 1:
-            raise CubeDataError(f"need at least one time sample, got {self.t_len}")
+            raise DataError(f"need at least one time sample, got {self.t_len}")
         # a subnormal step keeps too few bits for distances and times, and
         # the map goes wrong with no error (dx = 5e-324 on bench1_ci flags
         # 11 regions, not 13)
         for name in ("dx", "dt"):
             value = getattr(self, name)
             if not sys.float_info.min <= value <= sys.float_info.max:
-                raise CubeDataError(
+                raise DataError(
                     f"{name} must be positive, finite and normal, got {value}")
         arr = np.ascontiguousarray(self.values, dtype=np.float64)
         if arr.size != self.n1 * self.n2 * self.t_len:
-            raise CubeDataError(
+            raise DataError(
                 f"payload has {arr.size} samples, header implies "
                 f"{self.n1 * self.n2 * self.t_len}"
             )
@@ -136,7 +137,7 @@ class DataCube:
         # them, so this one reduction is also the finiteness check.
         peak = max(float(arr.max()), -float(arr.min()))
         if not np.isfinite(peak):
-            raise CubeDataError("payload contains non-finite values")
+            raise DataError("payload contains non-finite values")
         arr = arr.reshape(self.t_len, self.n2, self.n1)
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -192,18 +193,22 @@ def write_cube(cube: DataCube, path: str | Path) -> int:
 
 
 def read_cube(path: str | Path) -> DataCube:
-    """Read a WVC1 file, validating magic, version, length, and finiteness."""
+    """Read a WVC1 file, validating magic, version, length, and finiteness.
+
+    A file or header that cannot be used raises DataError; one that the
+    cube constructor refuses has "cube file rejected: " before its message.
+    """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size:
-            raise CubeFormatError(
+            raise DataError(
                 f"file too short for WVC1 header ({len(head)} < {_HEADER.size} bytes)"
             )
         magic, version, n1, n2, t_len, dx, dt = _HEADER.unpack(head)
         if magic != MAGIC:
-            raise CubeFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
+            raise DataError(f"bad magic {magic!r}, expected {MAGIC!r}")
         if version != FORMAT_VERSION:
-            raise CubeFormatError(f"unsupported format version {version}")
+            raise DataError(f"unsupported format version {version}")
         size = 8 * n1 * n2 * t_len
         # sized before the payload is allocated; a pipe fails this seek
         try:
@@ -215,7 +220,7 @@ def read_cube(path: str | Path) -> DataCube:
         if left < size:
             raise _payload_mismatch(size, left)
         if left > size:
-            raise CubeFormatError("trailing bytes after payload")
+            raise DataError("trailing bytes after payload")
         fh.seek(here)
         values = np.empty(size // 8, dtype="<f8")
         got = fh.readinto(memoryview(values).cast("B"))
@@ -223,12 +228,12 @@ def read_cube(path: str | Path) -> DataCube:
             raise _payload_mismatch(size, got)
     try:
         return DataCube(n1=n1, n2=n2, t_len=t_len, dx=dx, dt=dt, values=values)
-    except CubeDataError as exc:
-        raise CubeDataError(f"cube file rejected: {exc}") from exc
+    except DataError as exc:
+        raise DataError(f"cube file rejected: {exc}") from exc
 
 
-def _payload_mismatch(size: int, got: int) -> CubeFormatError:
-    return CubeFormatError(
+def _payload_mismatch(size: int, got: int) -> DataError:
+    return DataError(
         f"payload length mismatch: header implies {size} bytes, got {got}"
     )
 

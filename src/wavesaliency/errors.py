@@ -1,13 +1,19 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit: one class per exit code.
 
-Only failures that callers are expected to branch on (or that the CLI maps
-to distinct exit codes) get their own class; plain argument misuse raises
-the usual ValueError/IndexError.
+A failure gets its own class only when the CLI maps it to its own exit
+code; plain argument misuse raises the usual ValueError/IndexError.  The
+six classes, with the ``wavesaliency`` exit code of each:
 
-``ConfigError`` heads the family of bad-configuration failures: a partition,
-mask, geometry or rank that cannot be used is a ``ConfigError`` subclass, so
-catching ``ConfigError`` catches all five and the CLI maps the family alone
-to exit code 2.
+* ``WaveSaliencyError`` (1): the base of the other five;
+* ``ConfigError`` (2): a scenario, partition, mask, geometry, rank or
+  command-line setting that cannot be used;
+* ``DataError`` (1): a cube file or header that cannot be read or used, or
+  a probe timing that the cube cannot supply;
+* ``DivergenceError`` (3): the time stepper blew up;
+* ``WindowingError`` (4): windowing left no usable region;
+* ``NoSignalError`` (5): silence where a signal is required.
+
+The message says which failure it was, so no caller needs a finer class.
 """
 
 
@@ -22,41 +28,17 @@ class ConfigError(WaveSaliencyError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-class CubeFormatError(WaveSaliencyError):
-    """Malformed cube file: bad magic, bad version, or payload/header mismatch."""
-
-
-class CubeDataError(WaveSaliencyError):
-    """Cube payload violates a data invariant (non-finite values, bad shape)."""
-
-
-class GeometryError(ConfigError):
-    """Defect or probe geometry falls outside the plate."""
+class DataError(WaveSaliencyError):
+    """A cube or its header cannot be read or used, or gives no probe timing."""
 
 
 class DivergenceError(WaveSaliencyError):
     """The explicit time stepper blew up; the message names the first step."""
 
 
-class PartitionError(ConfigError):
-    """Grid cannot be tiled into the requested number of side-sharing regions."""
-
-
-class VelocityEstimateError(WaveSaliencyError):
-    """Probe pair produced no usable time-of-flight (zero or negative delay)."""
-
-
-class NoSignalError(WaveSaliencyError):
-    """An operation that needs a non-zero field received silence."""
-
-
 class WindowingError(WaveSaliencyError):
     """Time-of-flight windowing produced no active region."""
 
 
-class RankError(ConfigError, ValueError):
-    """Requested subspace rank does not fit the snapshot matrix."""
-
-
-class MaskError(ConfigError):
-    """Subsampling mask would retain too few points or has bad geometry."""
+class NoSignalError(WaveSaliencyError):
+    """An operation that needs a non-zero field received silence."""

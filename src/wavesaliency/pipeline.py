@@ -66,7 +66,7 @@ def build_window_set(
 
     The window set does not depend on the mask, so a Monte Carlo sweep
     builds it once and shares it across all of its masked detections.
-    A cube whose grid is not the partition's raises PartitionError before
+    A cube whose grid is not the partition's raises ConfigError before
     any probe is read.
     """
     partition.check_grid(cube)

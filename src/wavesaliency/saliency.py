@@ -71,7 +71,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cube import pgm_text
-from .errors import RankError
+from .errors import ConfigError
 from .windowing import RegionalWindowSet
 
 DEFAULT_ENERGY_RATIO = 0.25
@@ -327,8 +327,8 @@ def score_offsets(window_set: RegionalWindowSet, rank: int, mask=None) -> Offset
     count, rows, cols = stack.shape
     order, m = min(rows, cols), _KRYLOV_BLOCK * _KRYLOV_STEPS
     if not 1 <= rank <= order:
-        raise RankError(f"rank {rank} outside [1, {order}] for a "
-                        f"{rows} x {cols} snapshot")
+        raise ConfigError(f"rank {rank} outside [1, {order}] for a "
+                          f"{rows} x {cols} snapshot")
     wide = rows <= cols
     shared = picked is None or picked.ndim == 1
     tried = shared and order >= _KRYLOV_ORDER and rank < m // 3
@@ -376,8 +376,8 @@ def saliency_map(
     ``sampling.Mask``.
 
     Raises:
-        RankError: the rank is outside [1, min(snapshot shape)].
-        MaskError: the mask was built for another region size.
+        ConfigError: the rank is outside [1, min(snapshot shape)], or the
+            mask was built for another region size.
     """
     part = window_set.partition
     scores = score_offsets(window_set, rank, mask)

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cube import DataCube, GridPoint, plain_number
-from .errors import GeometryError, MaskError
+from .errors import ConfigError
 from .pipeline import DetectionConfig, build_window_set, run_detection
 from .sim import DefectSpec, defect_cells, effective_source
 from .windowing import Partition
@@ -46,7 +46,8 @@ class Mask:
     ("random" with ``seed``, or "double_cross" with ``stride``).  With
     ``sharing == PER_REGION`` the grid shows the first region's pattern and
     ``row_indices`` derives an independent same-size pattern per region
-    from the same seed stream.
+    from the same seed stream.  A grid, sharing mode or seed that cannot be
+    used raises ConfigError.
     """
 
     grid: np.ndarray = field(repr=False)
@@ -58,14 +59,14 @@ class Mask:
     def __post_init__(self):
         g = np.asarray(self.grid)
         if g.ndim != 2 or g.dtype != np.bool_:
-            raise MaskError("mask grid must be a 2-D boolean array")
+            raise ConfigError("mask grid must be a 2-D boolean array")
         if self.sharing not in (SHARED, PER_REGION):
-            raise MaskError(f"unknown sharing mode {self.sharing!r}")
+            raise ConfigError(f"unknown sharing mode {self.sharing!r}")
         if self.sharing == PER_REGION and self.seed is None:
-            raise MaskError("per-region sharing needs a seed to derive patterns")
+            raise ConfigError("per-region sharing needs a seed to derive patterns")
         kept = int(np.count_nonzero(g))
         if kept < MIN_RETAINED:
-            raise MaskError(
+            raise ConfigError(
                 f"mask keeps {kept} node(s); at least {MIN_RETAINED} required"
             )
         g.flags.writeable = False
@@ -91,7 +92,7 @@ class Mask:
         row indices when ``sharing == PER_REGION``.
         """
         if self.grid.shape != (p1, p2):
-            raise MaskError(
+            raise ConfigError(
                 f"mask built for {self.grid.shape[0]}x{self.grid.shape[1]} "
                 f"regions cannot be applied to {p1}x{p2} regions"
             )
@@ -120,11 +121,11 @@ def random_mask(
     PER_REGION mode is exactly region 0's pattern.
     """
     if not 0.0 < target_ratio <= 1.0:
-        raise MaskError(f"target ratio must be in (0, 1], got {target_ratio}")
+        raise ConfigError(f"target ratio must be in (0, 1], got {target_ratio}")
     total = p1 * p2
     kept = int(round(target_ratio * total))
     if kept < MIN_RETAINED:
-        raise MaskError(
+        raise ConfigError(
             f"target ratio {target_ratio} keeps only {kept} of {total} "
             f"nodes; at least {MIN_RETAINED} required"
         )
@@ -143,11 +144,11 @@ def double_cross_mask(p1: int, p2: int, stride: int = 1) -> Mask:
     a square region with odd side (the center must be a node).
     """
     if p1 != p2:
-        raise GeometryError(
+        raise ConfigError(
             f"double cross needs a square region, got {p1}x{p2}"
         )
     if p1 % 2 == 0:
-        raise GeometryError(
+        raise ConfigError(
             f"double cross needs an odd region side (a center node), got {p1}"
         )
     if stride not in (1, 2, 4):
@@ -201,8 +202,8 @@ class MaskSettings:
         """
         if self.kind != "random" and self.sharing != SHARED:
             what = "full sampling" if self.kind == "full" else "the double cross"
-            raise MaskError(f"{what} is one shared pattern; "
-                            f"sharing = {self.sharing} does not apply")
+            raise ConfigError(f"{what} is one shared pattern; "
+                              f"sharing = {self.sharing} does not apply")
         if self.kind == "full":
             return None
         if self.kind == "random":
@@ -368,7 +369,7 @@ def monte_carlo_sweep(
     and its score counts for all ``trials``, so its row reads as ``trials``
     identical trials with zero standard error, at the achieved ratio.
     Every mask comes from ``MaskSettings.build``, so a double cross with
-    ``sharing=PER_REGION`` raises MaskError as it does in a scenario file;
+    ``sharing=PER_REGION`` raises ConfigError as it does in a scenario file;
     each recipe's first mask is built before the window set, so a recipe
     that cannot be drawn fails before any trial is scored.
     Trials are scored by ``detection_metrics`` around the source of

@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cube import DataCube, GridPoint, hold_plain_numbers, plain_number
-from .errors import DivergenceError, GeometryError
+from .errors import DivergenceError
 
 DEFAULT_SPACE_ORDER = 4
 
@@ -191,7 +191,7 @@ class DefectSpec:
         geometry = tuple(plain_number("geometry", g, "float") for g in self.geometry)
         object.__setattr__(self, "geometry", geometry)
         if any(not 0.0 <= g <= 1.0 for g in self.geometry):
-            raise GeometryError(
+            raise ValueError(
                 f"defect geometry {self.geometry} outside the unit square"
             )
         if self.modulus_scale <= 0.0 or self.density_scale <= 0.0:

@@ -25,12 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cube import DataCube, GridPoint, hold_plain_numbers
-from .errors import (
-    NoSignalError,
-    PartitionError,
-    VelocityEstimateError,
-    WindowingError,
-)
+from .errors import ConfigError, DataError, NoSignalError, WindowingError
 from .sim import ExcitationSpec, effective_source
 
 DEFAULT_WINDOW_LEN = 11
@@ -60,14 +55,14 @@ class Partition:
         for n, r, axis in ((self.n1, self.regions_x, "x"),
                            (self.n2, self.regions_y, "y")):
             if r < 1:
-                raise PartitionError(f"region count along {axis} must be >= 1")
+                raise ConfigError(f"region count along {axis} must be >= 1")
             if (n - 1) % r != 0:
-                raise PartitionError(
+                raise ConfigError(
                     f"cannot split {n} nodes into {r} regions along {axis}: "
                     f"{n - 1} intervals not divisible by {r}"
                 )
             if (n - 1) // r < 1:
-                raise PartitionError(
+                raise ConfigError(
                     f"regions along {axis} would collapse to a single node"
                 )
 
@@ -86,9 +81,9 @@ class Partition:
         return self.p1 * self.p2
 
     def check_grid(self, cube: DataCube) -> None:
-        """Raise PartitionError unless ``cube`` has this partition's grid."""
+        """Raise ConfigError unless ``cube`` has this partition's grid."""
         if (self.n1, self.n2) != (cube.n1, cube.n2):
-            raise PartitionError(
+            raise ConfigError(
                 f"partition is for {self.n1} x {self.n2} nodes, "
                 f"cube has {cube.n1} x {cube.n2}"
             )
@@ -183,10 +178,10 @@ def estimate_group_velocity(cube: DataCube, probes: ProbePair) -> float:
 
     Raises:
         NoSignalError: the cube or a probe history is numerically silent.
-        VelocityEstimateError: the second probe's crest does not come later
-            than the first's, the crest times are not numbers (a ``dt``
-            near the top of float range), or the speed underflows to 0 (a
-            tiny ``dx`` over a huge delay).
+        DataError: the second probe's crest does not come later than the
+            first's, the crest times are not numbers (a ``dt`` near the top
+            of float range), or the speed underflows to 0 (a tiny ``dx``
+            over a huge delay).
     """
     probes.first.validate(cube.n1, cube.n2)
     probes.second.validate(cube.n1, cube.n2)
@@ -208,13 +203,13 @@ def estimate_group_velocity(cube: DataCube, probes: ProbePair) -> float:
     # inf or NaN with no warning; a NaN delay is refused like a negative one
     delta_t = times[1] - times[0]
     if not delta_t > 0.0:
-        raise VelocityEstimateError(
+        raise DataError(
             f"second probe's envelope crest ({times[1]:.3e} s) does not "
             f"trail the first's ({times[0]:.3e} s)"
         )
     speed = probes.separation(cube.dx) / delta_t
     if not speed > 0.0:
-        raise VelocityEstimateError(
+        raise DataError(
             f"probe speed underflows to 0: dx = {cube.dx!r} m over a "
             f"{delta_t:.3e} s delay"
         )
@@ -315,7 +310,7 @@ def extract_windows(
     manifest's singular values), are in the rescaled units.
 
     Raises:
-        PartitionError: partition grid does not match the cube.
+        ConfigError: partition grid does not match the cube.
         WindowingError: invalid window length, or no region ends up active.
         ValueError: a group velocity that is not positive.
     """

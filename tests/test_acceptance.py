@@ -27,7 +27,7 @@ from wavesaliency.config import (
     simulate_scenario,
     sweep_scenario,
 )
-from wavesaliency.errors import PartitionError
+from wavesaliency.errors import ConfigError
 from wavesaliency.sampling import double_cross_mask, origin_block
 from wavesaliency.sim import (
     analytic_group_velocity,
@@ -109,9 +109,11 @@ def test_partition_sizes_on_the_benchmark_grid():
         part = Partition(257, 257, regions, regions)
         print(f"{regions}x{regions} regions -> {part.p1}x{part.p2} nodes")
         assert (part.p1, part.p2) == (expected, expected)
-    with pytest.raises(PartitionError):
+    with pytest.raises(ConfigError, match="^cannot split 257 nodes into 10 regions along x: "
+                                          "256 intervals not divisible by 10$"):
         Partition(257, 257, 10, 10)
-    with pytest.raises(PartitionError):
+    with pytest.raises(ConfigError, match="^cannot split 257 nodes into 12 regions along y: "
+                                          "256 intervals not divisible by 12$"):
         Partition(257, 257, 16, 12)
 
 

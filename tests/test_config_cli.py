@@ -24,6 +24,7 @@ import pytest
 
 import wavesaliency
 import wavesaliency.config
+import wavesaliency.errors
 from wavesaliency.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGENCE,
@@ -31,6 +32,7 @@ from wavesaliency.cli import (
     EXIT_NO_SIGNAL,
     EXIT_OK,
     EXIT_WINDOWING,
+    POOL_ENV_VARS,
     THREAD_ENV_VAR,
     _EXIT_CODES,
     _apply_thread_override,
@@ -40,21 +42,17 @@ from wavesaliency.config import (
     DetectionSettings,
     GridSettings,
     bundled_config_path,
+    cube_meta_text,
     detect_scenario,
     load_scenario,
+    manifest_text,
     parse_scenario,
     scenario_echo,
     sweep_scenario,
     with_overrides,
 )
 from wavesaliency.cube import GridPoint, read_cube, write_cube
-from wavesaliency.errors import (
-    ConfigError,
-    GeometryError,
-    MaskError,
-    PartitionError,
-    RankError,
-)
+from wavesaliency.errors import ConfigError, DataError, WaveSaliencyError
 from wavesaliency.pipeline import DetectionConfig
 from wavesaliency.saliency import (
     flags_text,
@@ -868,6 +866,24 @@ def test_masked_detect_draws_its_rows_once_and_is_detect_scenario(
     assert "singular_values = " + " ".join(f"{v:.9e}" for v in spectrum) in manifest
 
 
+@pytest.mark.parametrize("lines", ["mask = full", MASKED_LINES["per_region"][0]])
+def test_manifest_and_meta_are_their_text_functions(lines, tmp_path):
+    # the CLI's .meta and .manifest are cube_meta_text's and manifest_text's
+    # bytes, on bench1_ci at full sampling and with per-region random masks
+    text = bundled_config_path("bench1_ci").read_text().replace("mask = full", lines)
+    cfg, cube_path = tmp_path / "s.cfg", tmp_path / "s.wvc"
+    cfg.write_text(text)
+    assert main(["simulate", str(cfg), str(cube_path)]) == EXIT_OK
+    assert main(["detect", str(cube_path), str(cfg), str(tmp_path / "d")]) == EXIT_OK
+    scenario, cube = parse_scenario(text), read_cube(cube_path)
+    meta = (tmp_path / "s.wvc.meta").read_bytes()
+    assert meta == cube_meta_text(scenario, cube).encode()
+    manifest = (tmp_path / "d.manifest").read_bytes()
+    assert manifest == manifest_text(scenario, detect_scenario(scenario, cube)).encode()
+    assert f"detection.mask = {scenario.detection.mask}\n".encode() in meta
+    assert f"mask = {scenario.detection.mask}\n".encode() in manifest
+
+
 def test_detect_window_dump(small_run, tmp_path, capsys):
     cfg, cube_path = small_run
     dump = tmp_path / "wins"
@@ -1044,7 +1060,7 @@ def test_rank_above_the_active_regions_exits_config(command, ci_bench1, ci_cube_
     # no output
     rank, options, message, run = RANK_ERRORS[command]
     scenario, cube = ci_bench1
-    with pytest.raises(RankError, match=re.escape(message.removeprefix("error: "))):
+    with pytest.raises(ConfigError, match=re.escape(message.removeprefix("error: "))):
         run(with_overrides(scenario, rank=rank), cube)
     out = tmp_path / "out"
     out.mkdir()
@@ -1095,11 +1111,31 @@ def test_exit_code_config_errors(small_run, tmp_path, capsys):
         assert main([
             "detect", str(cube_path), str(bad), str(tmp_path / "r")
         ]) == EXIT_CONFIG, text
-    # exit 2 is one class: each bad-configuration error is a ConfigError
-    assert [row for row in _EXIT_CODES if row[1] == EXIT_CONFIG] == [(ConfigError, EXIT_CONFIG)]
-    for error in (PartitionError, MaskError, GeometryError, RankError):
-        assert issubclass(error, ConfigError), error
-    assert issubclass(RankError, ValueError)
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_one_error_class_per_exit_code():
+    # errors.py defines the base and one class per exit code, each with one
+    # base; every class but DataError (exit 1, like any other error) has its
+    # own row of the exit-code table
+    defined = {name for name, value in vars(wavesaliency.errors).items()
+               if isinstance(value, type)}
+    assert defined == {"WaveSaliencyError", "ConfigError", "DataError", "DivergenceError",
+                       "WindowingError", "NoSignalError"}
+    classes = list(_subclasses(WaveSaliencyError))
+    assert sorted(cls.__name__ for cls in classes) == sorted(defined - {"WaveSaliencyError"})
+    assert WaveSaliencyError.__bases__ == (Exception,)
+    for cls in classes:
+        assert cls.__module__ == "wavesaliency.errors" and cls.__bases__ == (WaveSaliencyError,)
+        rows = [row for row in _EXIT_CODES if issubclass(cls, row[0])]
+        assert len(rows) == (0 if cls is DataError else 1), cls
+    assert sorted(code for _, code in _EXIT_CODES) == [EXIT_CONFIG, EXIT_DIVERGENCE,
+                                                     EXIT_WINDOWING, EXIT_NO_SIGNAL]
 
 
 def test_overflowing_plate_coefficients_exit_config(tmp_path, capsys):
@@ -1613,10 +1649,17 @@ def test_thread_override(monkeypatch):
     assert os.environ["OMP_NUM_THREADS"] == "1"
 
 
-def test_thread_override_rejects_garbage(monkeypatch):
-    monkeypatch.setenv(THREAD_ENV_VAR, "many")
-    with pytest.raises(SystemExit):
-        main(["spectrum", "x", "y"])
+def test_thread_override_rejects_garbage(monkeypatch, capsys):
+    # a superscript two and an Arabic-Indic three pass str.isdigit; C's atoi
+    # reads the three as 0.  Each is refused before the arguments are read.
+    for var in POOL_ENV_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for value in ("many", "0", "\u00b2", "\u0663"):
+        monkeypatch.setenv(THREAD_ENV_VAR, value)
+        assert main(["spectrum", "x", "y", "--no-such-flag"]) == EXIT_CONFIG, value
+        assert capsys.readouterr().err == (
+            f"error: {THREAD_ENV_VAR} must be a positive integer, got {value!r}\n")
+        assert not any(var in os.environ for var in POOL_ENV_VARS)
 
 
 def _child_env() -> dict[str, str]:

@@ -14,7 +14,7 @@ from wavesaliency.cube import (
     read_cube,
     write_cube,
 )
-from wavesaliency.errors import CubeDataError, CubeFormatError
+from wavesaliency.errors import DataError
 
 from conftest import wvc1_bytes
 
@@ -52,13 +52,13 @@ def test_cube_shape_and_views(rng):
 
 def test_cube_rejects_bad_payload(rng):
     vals = rng.normal(size=(2, 3, 4))
-    with pytest.raises(CubeDataError):
+    with pytest.raises(DataError, match="^payload has 24 samples, header implies 30$"):
         DataCube(5, 3, 2, 1e-3, 1e-8, vals)  # header/payload size mismatch
     bad = vals.copy()
     bad[0, 0, 0] = np.nan
-    with pytest.raises(CubeDataError):
+    with pytest.raises(DataError, match="^payload contains non-finite values$"):
         DataCube(4, 3, 2, 1e-3, 1e-8, bad)
-    with pytest.raises(CubeDataError):
+    with pytest.raises(DataError, match="^dx must be positive, finite and normal, got -0.001$"):
         DataCube(4, 3, 2, -1e-3, 1e-8, vals)
 
 
@@ -94,30 +94,30 @@ def test_roundtrip_on_disk(tmp_path, rng):
 def test_read_rejects_bad_magic(rng, tmp_path):
     blob = bytearray(wvc1_bytes(make_cube(rng)))
     blob[:4] = b"XXXX"
-    with pytest.raises(CubeFormatError, match=r"^bad magic b'XXXX', expected b'WVC1'$"):
+    with pytest.raises(DataError, match=r"^bad magic b'XXXX', expected b'WVC1'$"):
         read_cube(_file(tmp_path, bytes(blob)))
 
 
 def test_read_rejects_other_versions(rng, tmp_path):
     blob = bytearray(wvc1_bytes(make_cube(rng)))
     struct.pack_into("<I", blob, 4, 2)
-    with pytest.raises(CubeFormatError, match="^unsupported format version 2$"):
+    with pytest.raises(DataError, match="^unsupported format version 2$"):
         read_cube(_file(tmp_path, bytes(blob)))
 
 
 def test_read_rejects_truncated_payload(rng, tmp_path):
     blob = wvc1_bytes(make_cube(rng, n1=6, n2=5, t_len=4))
-    with pytest.raises(CubeFormatError,
+    with pytest.raises(DataError,
                        match="^payload length mismatch: header implies 960 bytes, got 952$"):
         read_cube(_file(tmp_path, blob[:-8]))
-    with pytest.raises(CubeFormatError,
+    with pytest.raises(DataError,
                        match=r"^file too short for WVC1 header \(35 < 36 bytes\)$"):
         read_cube(_file(tmp_path, blob[:35]))
 
 
 def test_read_rejects_trailing_bytes(rng, tmp_path):
     blob = wvc1_bytes(make_cube(rng, n1=6, n2=5, t_len=4))
-    with pytest.raises(CubeFormatError, match="^trailing bytes after payload$"):
+    with pytest.raises(DataError, match="^trailing bytes after payload$"):
         read_cube(_file(tmp_path, blob + b"\0"))
 
 
@@ -129,7 +129,7 @@ def test_read_rejects_a_payload_the_stream_cannot_hold(rng, tmp_path):
     target = _file(tmp_path, bytes(blob))
     message = "payload length mismatch: header implies 512000000000 bytes, got 40"
     for source in (target, str(target)):
-        with pytest.raises(CubeFormatError, match=message):
+        with pytest.raises(DataError, match=message):
             read_cube(source)
 
 
@@ -154,7 +154,7 @@ def test_read_rejects_nonfinite_payload(rng, tmp_path):
     blob = bytearray(wvc1_bytes(cube))
     header = struct.calcsize("<4sIIIIdd")
     blob[header:header + 8] = struct.pack("<d", np.inf)
-    with pytest.raises(CubeDataError):
+    with pytest.raises(DataError, match="^cube file rejected: payload contains non-finite values$"):
         read_cube(_file(tmp_path, bytes(blob)))
 
 
@@ -177,13 +177,13 @@ def test_nonfinite_sample_rejected_anywhere(bad, where, rng, tmp_path):
     # first, a middle and the last of 2 x 3 x 4 samples
     vals = rng.normal(size=(2, 3, 4))
     vals.flat[where] = bad
-    with pytest.raises(CubeDataError, match="^payload contains non-finite values$"):
+    with pytest.raises(DataError, match="^payload contains non-finite values$"):
         DataCube(4, 3, 2, 1e-3, 1e-8, vals)
     blob = bytearray(wvc1_bytes(DataCube(4, 3, 2, 1e-3, 1e-8, np.zeros((2, 3, 4)))))
     header = struct.calcsize("<4sIIIIdd")
     blob[header + 8 * where:header + 8 * where + 8] = struct.pack("<d", bad)
     with pytest.raises(
-        CubeDataError, match="^cube file rejected: payload contains non-finite values$"
+        DataError, match="^cube file rejected: payload contains non-finite values$"
     ):
         read_cube(_file(tmp_path, bytes(blob)))
 

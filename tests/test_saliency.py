@@ -17,7 +17,7 @@ import scipy.linalg
 
 from wavesaliency.cube import DataCube, GridPoint, write_text
 from wavesaliency import saliency
-from wavesaliency.errors import MaskError
+from wavesaliency.errors import ConfigError
 from wavesaliency.pipeline import build_window_set, run_detection
 from wavesaliency.saliency import (
     _KRYLOV_BLOCK,
@@ -389,9 +389,9 @@ def test_map_marks_inactive_with_nan():
 
 def test_map_rank_validation():
     ws = _synthetic_window_set(spiked_taus=(0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match=r"^rank 0 outside \[1, 4\] for a 25 x 4 snapshot$"):
         saliency_map(ws, rank=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match=r"^rank 5 outside \[1, 4\] for a 25 x 4 snapshot$"):
         saliency_map(ws, rank=5)  # only 4 columns
 
 
@@ -420,7 +420,7 @@ def test_map_mask_validation():
     )
     mask = random_mask(5, 5, 0.5, seed=3)
     assert saliency_map(ws, rank=1, mask=mask).shape == (2, 2)
-    with pytest.raises(MaskError, match="built for 5x5 regions cannot be applied to 7x7"):
+    with pytest.raises(ConfigError, match="built for 5x5 regions cannot be applied to 7x7"):
         saliency_map(wide, rank=1, mask=mask)
 
 

@@ -17,7 +17,7 @@ from wavesaliency.config import (
     simulate_scenario,
     sweep_scenario,
 )
-from wavesaliency.errors import GeometryError, MaskError
+from wavesaliency.errors import ConfigError
 from wavesaliency.pipeline import run_detection
 from wavesaliency.sampling import (
     PER_REGION,
@@ -66,11 +66,12 @@ def test_random_mask_exact_counts():
 
 
 def test_random_mask_errors():
-    with pytest.raises(MaskError):
+    with pytest.raises(ConfigError, match=r"^target ratio must be in \(0, 1\], got 0\.0$"):
         random_mask(17, 17, 0.0, seed=1)
-    with pytest.raises(MaskError):
+    with pytest.raises(ConfigError, match=r"^target ratio must be in \(0, 1\], got 1\.1$"):
         random_mask(17, 17, 1.1, seed=1)
-    with pytest.raises(MaskError):
+    with pytest.raises(ConfigError, match="^target ratio 0.01 keeps only 3 of 289 nodes; "
+                                          "at least 4 required$"):
         random_mask(17, 17, 0.01, seed=1)  # would keep 3 < 4 nodes
 
 
@@ -102,9 +103,10 @@ def test_double_cross_also_on_small_regions():
 
 
 def test_double_cross_errors():
-    with pytest.raises(GeometryError):
+    with pytest.raises(ConfigError, match="^double cross needs a square region, got 17x9$"):
         double_cross_mask(17, 9)
-    with pytest.raises(GeometryError):
+    with pytest.raises(ConfigError, match=r"^double cross needs an odd region side "
+                                          r"\(a center node\), got 16$"):
         double_cross_mask(16, 16)
     with pytest.raises(ValueError):
         double_cross_mask(17, 17, stride=3)
@@ -114,15 +116,15 @@ def test_mask_constructor_validation():
     good = np.zeros((5, 5), dtype=bool)
     good[:2, :2] = True
     Mask(grid=good, kind="random", seed=0)
-    with pytest.raises(MaskError):
+    with pytest.raises(ConfigError, match="^mask grid must be a 2-D boolean array$"):
         Mask(grid=good.astype(int), kind="random")
     sparse = np.zeros((5, 5), dtype=bool)
     sparse[0, :3] = True
-    with pytest.raises(MaskError):
+    with pytest.raises(ConfigError, match=r"^mask keeps 3 node\(s\); at least 4 required$"):
         Mask(grid=sparse, kind="random")
-    with pytest.raises(MaskError):
+    with pytest.raises(ConfigError, match="^unknown sharing mode 'broadcast'$"):
         Mask(grid=good, kind="random", sharing="broadcast")
-    with pytest.raises(MaskError):
+    with pytest.raises(ConfigError, match="^per-region sharing needs a seed to derive patterns$"):
         Mask(grid=good, kind="random", sharing=PER_REGION)  # seed required
     # a nested list is checked as an array, and the array is what is kept
     listed = Mask(grid=[[True] * 5] * 5, kind="random", seed=1)
@@ -186,7 +188,8 @@ def test_row_indices_per_region_match_one_permutation_per_region(
 
 def test_row_indices_shape_mismatch():
     mask = random_mask(17, 17, 0.3, seed=3)
-    with pytest.raises(MaskError):
+    with pytest.raises(ConfigError, match="^mask built for 17x17 regions cannot be applied "
+                                          "to 9x9 regions$"):
         mask.row_indices(9, 9, region_count=4)
 
 
@@ -380,7 +383,7 @@ def test_sweep_validation(ci_bench1):
         monte_carlo_sweep(cube, part, config, [0.5], trials=1,
                           base_seed=0, truth=truth, pattern="fancy")
     # the double cross is one shared pattern, in a sweep as in a file
-    with pytest.raises(MaskError, match="double cross is one shared pattern"):
+    with pytest.raises(ConfigError, match="double cross is one shared pattern"):
         monte_carlo_sweep(cube, part, config, [], trials=1, base_seed=0,
                           truth=truth, pattern="cross", stride=2,
                           sharing=PER_REGION)
@@ -414,14 +417,14 @@ def test_sweep_refuses_a_bad_recipe_before_scoring(ci_bench1, monkeypatch):
 
     cube, part, config, truth = _sweep_inputs(ci_bench1)
     masks = _record_detections(monkeypatch)
-    with pytest.raises(MaskError, match="keeps only 3 of 289"):
+    with pytest.raises(ConfigError, match="keeps only 3 of 289"):
         monte_carlo_sweep(cube, part, config, [0.5, 0.01], trials=50,
                           base_seed=0, truth=truth)
     assert masks == []
     built = []
     monkeypatch.setattr(sampling, "build_window_set",
                         lambda *args: built.append(args))
-    with pytest.raises(MaskError, match="double cross is one shared pattern"):
+    with pytest.raises(ConfigError, match="double cross is one shared pattern"):
         monte_carlo_sweep(cube, part, config, [], trials=1, base_seed=0,
                           truth=truth, pattern="cross", sharing=PER_REGION)
     assert built == []

@@ -33,13 +33,7 @@ from wavesaliency.config import (
     simulate_scenario,
 )
 from wavesaliency.cube import DataCube, GridPoint
-from wavesaliency.errors import (
-    CubeDataError,
-    DivergenceError,
-    GeometryError,
-    NoSignalError,
-    PartitionError,
-)
+from wavesaliency.errors import ConfigError, DataError, DivergenceError, NoSignalError
 from wavesaliency.sim import (
     DefectSpec,
     ExcitationSpec,
@@ -177,7 +171,7 @@ def test_defect_cells_point_and_line():
 
 
 def test_defect_validation():
-    with pytest.raises(GeometryError):
+    with pytest.raises(ValueError, match=r"^defect geometry \(1\.2, 0\.5\) outside the unit square$"):
         DefectSpec("point_inclusion", (1.2, 0.5), 100.0, 100.0)
     with pytest.raises(ValueError):
         DefectSpec("blob", (0.5, 0.5), 100.0, 100.0)
@@ -760,10 +754,10 @@ def _cube(n1=2, t_len=1, dt=2e-8):
 # Library guards that no other test executes, by case: (call, error,
 # message fragment).
 GUARDS = {
-    "cube_one_column": (lambda: _cube(n1=1), CubeDataError, "at least 2 x 2"),
-    "cube_no_samples": (lambda: _cube(t_len=0), CubeDataError, "at least one time sample"),
-    "cube_zero_dt": (lambda: _cube(dt=0.0), CubeDataError, "dt must be positive"),
-    "cube_subnormal_dt": (lambda: _cube(dt=5e-324), CubeDataError,
+    "cube_one_column": (lambda: _cube(n1=1), DataError, "at least 2 x 2"),
+    "cube_no_samples": (lambda: _cube(t_len=0), DataError, "at least one time sample"),
+    "cube_zero_dt": (lambda: _cube(dt=0.0), DataError, "dt must be positive"),
+    "cube_subnormal_dt": (lambda: _cube(dt=5e-324), DataError,
                           "dt must be positive, finite and normal, got 5e-324"),
     "slice_past_record": (lambda: _cube(t_len=3).slice_at(3), IndexError, "out of range"),
     "segment_of_two_values": (lambda: DefectSpec("line_segment", (0.1, 0.2), 2, 2),
@@ -780,7 +774,7 @@ GUARDS = {
                  "step_count must be at least 1"),
     "no_record_cadence": (lambda: simulate(ALUMINUM, [], BURST, 9, 9, 10, 0.5, record_every=0),
                           ValueError, "record_every must be at least 1"),
-    "one_node_partition": (lambda: Partition(1, 5, 1, 1), PartitionError, "would collapse"),
+    "one_node_partition": (lambda: Partition(1, 5, 1, 1), ConfigError, "would collapse"),
     "cycle_count_past_float_range": (lambda: ExcitationSpec(5e5, 10**400, 1.0, GridPoint(0, 0)),
                                      ValueError, "^the burst lasts N_c/nu = 1000"),
     "silent_history": (lambda: first_envelope_peak_time(np.zeros(16), 1.0), NoSignalError,

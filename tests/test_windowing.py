@@ -22,12 +22,7 @@ import scipy.signal
 
 from wavesaliency.config import bundled_config_path, detect_scenario, load_scenario
 from wavesaliency.cube import DataCube, GridPoint
-from wavesaliency.errors import (
-    NoSignalError,
-    PartitionError,
-    VelocityEstimateError,
-    WindowingError,
-)
+from wavesaliency.errors import ConfigError, DataError, NoSignalError, WindowingError
 from wavesaliency.pipeline import build_window_set, run_detection
 from wavesaliency.sim import ExcitationSpec, analytic_group_velocity
 from wavesaliency.windowing import (
@@ -70,11 +65,13 @@ def test_partition_region_sizes():
 
 
 def test_partition_rejects_non_divisible():
-    with pytest.raises(PartitionError):
+    with pytest.raises(ConfigError, match="^cannot split 256 nodes into 10 regions along x: "
+                                          "255 intervals not divisible by 10$"):
         Partition(256, 256, 10, 10)  # 255 intervals, no tenth
-    with pytest.raises(PartitionError):
+    with pytest.raises(ConfigError, match="^region count along x must be >= 1$"):
         Partition(257, 257, 0, 8)
-    with pytest.raises(PartitionError):
+    with pytest.raises(ConfigError, match="^cannot split 33 nodes into 5 regions along x: "
+                                          "32 intervals not divisible by 5$"):
         Partition(33, 33, 5, 5)  # 32 intervals, no fifth
     # 8 regions of 8 intervals is the finest legal split of 9 nodes
     assert Partition(9, 9, 8, 8).p1 == 2
@@ -224,7 +221,8 @@ def test_velocity_estimate_against_translating_pulse():
 
 def test_velocity_estimate_errors():
     cube = _translating_pulse_cube(5000.0)
-    with pytest.raises(VelocityEstimateError):
+    with pytest.raises(DataError, match=r"^second probe's envelope crest \(4\.021e-06 s\) does "
+                                        r"not trail the first's \(2\.400e-05 s\)$"):
         # reversed order: second crest leads instead of trailing
         estimate_group_velocity(cube, ProbePair(GridPoint(150, 2), GridPoint(50, 2)))
     silent = DataCube(8, 8, 50, 1e-3, 1e-7, np.zeros((50, 8, 8)))
@@ -369,7 +367,7 @@ def test_window_length_validation():
         extract_windows(cube, part, 5000.0, exc, window_len=0)
     with pytest.raises(WindowingError):
         extract_windows(cube, part, 5000.0, exc, window_len=9)
-    with pytest.raises(PartitionError):
+    with pytest.raises(ConfigError, match="^partition is for 33 x 33 nodes, cube has 17 x 17$"):
         extract_windows(_ramp_cube(n=17), part, 5000.0, exc, window_len=3)
 
 
@@ -382,7 +380,7 @@ def test_cube_of_another_grid_fails_before_any_probe_is_read(ci_pristine):
     assert isinstance(config.velocity, ProbePair)
     message = "^partition is for 257 x 257 nodes, cube has 129 x 129$"
     for run in (build_window_set, run_detection):
-        with pytest.raises(PartitionError, match=message):
+        with pytest.raises(ConfigError, match=message):
             run(cube, part, config)
 
 

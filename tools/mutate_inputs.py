@@ -16,7 +16,12 @@ Every run goes through ``wavesaliency.cli.main`` in this process, with a
   NaN, negative, infinite, 5e-324 or 1.7e308, ``dx = 1e-200`` with ``dt =
   1e200`` (a probe speed that underflows), a NaN sample, and the payload
   scaled by 2**600 and 2**-600, each through ``detect``, ``sweep`` and
-  ``spectrum``.
+  ``spectrum``;
+* ``spectrum`` on the good cube with ``WAVESALIENCY_THREADS`` set to each
+  of ``THREAD_VALUES``.  The variable and the pool variables it sets are
+  restored after each run.  A value that is accepted, however large,
+  starts no thread: numpy's pools already exist in this process, so no
+  such run may move to a child process.
 
 One line per run gives its verdict, exit code, stderr line count, warning
 count and command.  A run passes when it exits with a documented code (0 to
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import re
 import signal
 import struct
@@ -41,11 +47,14 @@ from pathlib import Path
 
 import numpy as np
 
-from wavesaliency.cli import main
+from wavesaliency.cli import POOL_ENV_VARS, THREAD_ENV_VAR, main
 from wavesaliency.config import bundled_config_path
 
 BAD_VALUES = ("0", "-1", "1e308", "1e-308", "0.5", "2.5", "1e999", "nan",
               "1234567890123456789012", "3", "abc", "", "1e-5", "-0")
+# Digits that ``str.isdigit`` passes but that are not ASCII: a superscript
+# two, and an Arabic-Indic three that C's ``atoi`` reads as 0.
+THREAD_VALUES = (*BAD_VALUES, "\u00b2", "\u0663")
 
 ALARM_SECONDS = 20
 DOCUMENTED = {0, 1, 2, 3, 4, 5}
@@ -111,6 +120,21 @@ def problems(code, err: list[str], found: list[str]) -> list[str]:
     if len(err) > 1:
         out.append(f"{len(err)} stderr lines")
     return out
+
+
+@contextlib.contextmanager
+def thread_setting(value: str):
+    """``THREAD_ENV_VAR`` set to ``value``; it and ``POOL_ENV_VARS`` restored after."""
+    saved = {name: os.environ.get(name) for name in (THREAD_ENV_VAR, *POOL_ENV_VARS)}
+    os.environ[THREAD_ENV_VAR] = value
+    try:
+        yield
+    finally:
+        for name, old in saved.items():
+            if old is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = old
 
 
 def config_mutations(text: str):
@@ -201,6 +225,10 @@ def main_sweep() -> int:
                          ["sweep", str(broken), str(good_cfg), f"{out}.csv", *SWEEP],
                          ["spectrum", str(broken), out]):
                 check(f"{argv[0]} on a cube with {name}", argv)
+
+        for value in THREAD_VALUES:
+            with thread_setting(value):
+                check(f"spectrum with {THREAD_ENV_VAR}={value!r}", ["spectrum", str(cube), out])
 
     print(f"{sum(verdicts.values())} runs: {verdicts['ok']} ok, "
           f"{verdicts['FAIL']} failed; exit codes "
