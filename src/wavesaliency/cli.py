@@ -8,9 +8,15 @@ is required (``NoSignalError``).  Any other toolkit error (``DataError``
 among them), an I/O error or a record too large to allocate exits 1.
 README's "Exit codes" lists what each code covers.
 
-This is the only module that names output files: ``<cube>.meta``, and the
-``<prefix>`` files of ``detect`` and ``spectrum``.  Each text file is its
-module's pure ``*_text`` function written with ``write_text``.
+This is the only module that names output files: ``<cube>.meta``, the
+``<prefix>`` files of ``detect`` and ``spectrum``, and the
+``region_AA_BB.wvc`` cubes of ``detect --dump-windows``.  Each text file is
+its module's pure ``*_text`` function written with ``write_text``, and each
+window cube is ``RegionalWindowSet.region_cubes`` written with
+``write_cube``.  A subcommand parses its flags, calls the library, and
+names and writes its files; it holds no scenario or layout rule: a sweep's
+masks are checked by ``config.sweep_masks``, as ``sweep_scenario`` checks
+them.
 
 Heavy imports happen inside ``main`` so that the ``WAVESALIENCY_THREADS``
 environment variable can pin the BLAS/OpenMP thread pools before numpy is
@@ -158,8 +164,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_detect(args) -> int:
+    from pathlib import Path
+
     from .config import detect_scenario, load_scenario, manifest_text, with_overrides
-    from .cube import read_cube, write_text
+    from .cube import read_cube, write_cube, write_text
     from .saliency import flags_text, saliency_csv_text, saliency_pgm_texts
 
     scenario = with_overrides(
@@ -177,8 +185,12 @@ def _cmd_detect(args) -> int:
     write_text(f"{args.prefix}.flags.txt", flags_text(flagged))
     write_text(f"{args.prefix}.manifest", manifest_text(scenario, result))
     if args.dump_windows:
-        count = _dump_window_cubes(result.window_set, cube, args.dump_windows)
-        print(f"dumped {count} region window(s)")
+        out = Path(args.dump_windows)
+        out.mkdir(parents=True, exist_ok=True)
+        windows = result.window_set.region_cubes(cube.dx, cube.dt)
+        for (a, b), window in windows.items():
+            write_cube(window, out / f"region_{a:02d}_{b:02d}.wvc")
+        print(f"dumped {len(windows)} region window(s)")
     print(f"group velocity: {result.group_velocity:.1f} m/s "
           f"({scenario.probes.mode}); rank {scenario.detection.rank}")
     print(f"flagged {len(flagged)} region(s): "
@@ -186,30 +198,10 @@ def _cmd_detect(args) -> int:
     return EXIT_OK
 
 
-def _dump_window_cubes(window_set, cube, directory) -> int:
-    """One WVC1 mini-cube per active region; returns the file count."""
-    from pathlib import Path
-
-    from .cube import DataCube, write_cube
-
-    out = Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
-    part = window_set.partition
-    ids = window_set.active_region_ids()
-    for j, (a, b) in enumerate(ids):
-        block = window_set.windows[:, :, j]
-        mini = DataCube(
-            part.p1, part.p2, window_set.window_len, cube.dx, cube.dt,
-            block.reshape(window_set.window_len, part.p2, part.p1).copy(),
-        )
-        write_cube(mini, out / f"region_{a:02d}_{b:02d}.wvc")
-    return len(ids)
-
-
 def _cmd_sweep(args) -> int:
-    from .config import load_scenario, parse_float, sweep_scenario, with_overrides
+    from .config import load_scenario, parse_float, sweep_masks, sweep_scenario, with_overrides
     from .cube import read_cube, write_text
-    from .sampling import sweep_csv_text, sweep_recipes
+    from .sampling import sweep_csv_text
 
     scenario = with_overrides(load_scenario(args.config), rank=args.rank)
     try:
@@ -218,12 +210,9 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"bad --ratios list {args.ratios!r}: {exc}") from None
     if not 1 <= args.trials <= MAX_TRIALS:
         raise ConfigError(f"--trials must be in [1, {MAX_TRIALS}]")
-    # Every mask the sweep will draw passes the checks of a file's mask line.
-    recipes = sweep_recipes(ratios, args.pattern, args.stride, args.sharing)
-    if not recipes:
+    if not sweep_masks(scenario, ratios, pattern=args.pattern, stride=args.stride,
+                       sharing=args.sharing):
         raise ConfigError(f"--ratios {args.ratios!r} names no ratio")
-    for recipe in recipes:
-        with_overrides(scenario, mask=recipe)
     rows = sweep_scenario(scenario, read_cube(args.cube), ratios, args.trials,
                           pattern=args.pattern, stride=args.stride, sharing=args.sharing)
     write_text(args.output, sweep_csv_text(rows))

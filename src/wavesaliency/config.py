@@ -282,6 +282,22 @@ def detect_scenario(scenario: ScenarioConfig, cube: DataCube) -> DetectionResult
     )
 
 
+def sweep_masks(scenario: ScenarioConfig, ratios, *, pattern: str = "random",
+                stride: int = 1, sharing: str = SHARED) -> list[MaskSettings]:
+    """The sweep's ``sampling.sweep_recipes``, each checked as the scenario's mask line.
+
+    A recipe that the scenario could not hold as its own ``mask`` and
+    ``sharing`` keys (a ratio that keeps too few nodes, a rank above the
+    nodes a mask keeps, a stride or sharing the double cross does not take)
+    raises the ConfigError that ``with_overrides`` raises for it.  This is
+    the one check of a sweep request; it reads no cube.
+    """
+    recipes = sampling.sweep_recipes(ratios, pattern, stride, sharing)
+    for recipe in recipes:
+        with_overrides(scenario, mask=recipe)
+    return recipes
+
+
 def sweep_scenario(scenario: ScenarioConfig, cube: DataCube, ratios, trials: int, *,
                    pattern: str = "random", stride: int = 1,
                    sharing: str = SHARED) -> list[SweepRow]:
@@ -289,8 +305,10 @@ def sweep_scenario(scenario: ScenarioConfig, cube: DataCube, ratios, trials: int
 
     Every trial is a detection with the scenario's partition and detection
     config, scored as ``score_scenario`` scores one.  The keywords pick the
-    masks, as in ``sampling.sweep_recipes``.
+    masks, as in ``sampling.sweep_recipes``, and ``sweep_masks`` checks
+    them before any detection runs.
     """
+    sweep_masks(scenario, ratios, pattern=pattern, stride=stride, sharing=sharing)
     return sampling.monte_carlo_sweep(
         cube, scenario.partition(), scenario.detection_config(), ratios, trials,
         scenario.seed, truth=scenario.truth(),

@@ -98,13 +98,19 @@ class Mask:
             )
         if self.sharing == SHARED:
             return self.flat_indices()
-        # permuted(axis=1) shuffles row after row with the draws that one
-        # rng.permutation(p1 * p2) per region would take, so region j's
-        # pattern is the j-th permutation's first k nodes
-        rng = np.random.default_rng(self.seed)
-        nodes = np.tile(np.arange(p1 * p2), (region_count, 1))
-        picked = rng.permuted(nodes, axis=1)[:, :self.retained_count]
-        return np.sort(picked, axis=1).T
+        return _draw_patterns(self.seed, p1 * p2, self.retained_count, region_count).T
+
+
+def _draw_patterns(seed: int, total: int, kept: int, count: int) -> np.ndarray:
+    """``count`` random patterns of ``kept`` of ``total`` nodes, one per row.
+
+    Row j is the first ``kept`` entries of the j-th shuffle of
+    ``arange(total)`` drawn from one generator seeded with ``seed``, sorted.
+    Row 0 is the pattern ``random_mask`` records in its grid.
+    """
+    rng = np.random.default_rng(seed)
+    nodes = np.tile(np.arange(total), (count, 1))
+    return np.sort(rng.permuted(nodes, axis=1)[:, :kept], axis=1)
 
 
 def random_mask(
@@ -129,8 +135,7 @@ def random_mask(
             f"target ratio {target_ratio} keeps only {kept} of {total} "
             f"nodes; at least {MIN_RETAINED} required"
         )
-    rng = np.random.default_rng(seed)
-    flat = np.sort(rng.permutation(total)[:kept])
+    flat = _draw_patterns(seed, total, kept, 1)[0]
     grid = np.zeros((p1, p2), dtype=bool)
     grid[np.unravel_index(flat, (p1, p2), order="F")] = True
     return Mask(grid=grid, kind="random", sharing=sharing, seed=seed)
@@ -152,7 +157,7 @@ def double_cross_mask(p1: int, p2: int, stride: int = 1) -> Mask:
             f"double cross needs an odd region side (a center node), got {p1}"
         )
     if stride not in (1, 2, 4):
-        raise ValueError(f"stride must be 1, 2 or 4, got {stride}")
+        raise ConfigError(f"stride must be 1, 2 or 4, got {stride}")
     p = p1
     center = (p - 1) // 2
     idx = np.array([i for i in range(p) if (i - center) % stride == 0])

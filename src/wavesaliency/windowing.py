@@ -274,6 +274,18 @@ class RegionalWindowSet:
         b, a = np.nonzero(self.active.T)
         return list(zip(a.tolist(), b.tolist()))
 
+    def region_cubes(self, dx: float, dt: float) -> dict[tuple[int, int], DataCube]:
+        """Each active region's window as a p1 x p2 cube, keyed (a, b) in column order.
+
+        Window sample tau of region (a, b) is its node block at sample
+        ``arrival_index[a, b] + tau``; ``dx`` and ``dt`` are the source
+        cube's steps.
+        """
+        t, p1, p2 = self.window_len, self.partition.p1, self.partition.p2
+        blocks = self.windows.reshape(t, p2, p1, self.active_count)
+        return {region: DataCube(p1, p2, t, dx, dt, blocks[..., j])
+                for j, region in enumerate(self.active_region_ids())}
+
 
 def extract_windows(
     cube: DataCube,
@@ -300,6 +312,14 @@ def extract_windows(
     from that stack and compared with ``cube.peak``, and silent columns, if
     any, are dropped.  A start that is not finite (a ``dx`` or ``dt`` near
     the ends of float range) overruns the record like one past 2**62.
+
+    The cube header is the source of truth for ``dx`` and ``dt``: a
+    measured cube's header is the only record of how it was sampled, and a
+    scenario's grid block only drives ``simulate``.  A start is ``t_c /
+    cube.dt`` samples, and the burst half-duration in ``t_c`` is in
+    seconds, so a wrong header ``dt`` moves every window and raises
+    nothing: on ``bench1_ci``, ``dt`` x 2 flags 16 regions instead of 13.  The ``.meta`` sidecar's ``cube.dt`` is the
+    value to check a simulated cube's header against.
 
     When ``cube.peak`` lies outside [2**-400, 2**400], the windows are
     multiplied by the exact power of two that brings the peak into

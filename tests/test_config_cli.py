@@ -60,7 +60,7 @@ from wavesaliency.saliency import (
     saliency_pgm_texts,
     snapshot_spectrum,
 )
-from wavesaliency.sampling import Mask, MaskSettings
+from wavesaliency.sampling import Mask, MaskSettings, sweep_csv_text
 from wavesaliency.sim import DefectSpec, ExcitationSpec, MaterialSpec, analytic_group_velocity
 from wavesaliency.windowing import Partition, ProbePair
 
@@ -902,6 +902,36 @@ def test_detect_window_dump(small_run, tmp_path, capsys):
     assert np.any(mini.values != 0.0)
 
 
+def test_dumped_windows_are_the_cube_at_each_arrival(ci_bench1, ci_cube_file, tmp_path,
+                                                    capsys):
+    # on 17 x 33 regions, a swap of p1 and p2 or of the region order moves
+    # every file: each region_AA_BB.wvc is the cube's node block of region
+    # (a, b) over the window_len samples from its arrival index
+    _, cube = ci_bench1
+    text = _edit(bundled_config_path("bench1_ci").read_text(), regions_y="4", rank="8")
+    scenario = parse_scenario(text)
+    part, window_len = scenario.partition(), scenario.detection.window_len
+    assert (part.p1, part.p2) == (17, 33)
+    cfg, dump = tmp_path / "rect.cfg", tmp_path / "wins"
+    cfg.write_text(text)
+    assert main(["detect", str(ci_cube_file), str(cfg), str(tmp_path / "d"),
+                 "--dump-windows", str(dump)]) == EXIT_OK
+    window_set = detect_scenario(scenario, cube).window_set
+    regions = window_set.active_region_ids()
+    assert len(regions) == 28
+    assert "dumped 28 region window(s)" in capsys.readouterr().out
+    assert sorted(p.name for p in dump.iterdir()) == sorted(
+        f"region_{a:02d}_{b:02d}.wvc" for a, b in regions)
+    for a, b in regions:
+        window = read_cube(dump / f"region_{a:02d}_{b:02d}.wvc")
+        s, l0, m0 = window_set.arrival_index[a, b], a * (part.p1 - 1), b * (part.p2 - 1)
+        assert (window.n1, window.n2, window.t_len) == (part.p1, part.p2, window_len)
+        assert (window.dx, window.dt) == (cube.dx, cube.dt)
+        assert np.array_equal(
+            window.values, cube.values[s:s + window_len, m0:m0 + part.p2, l0:l0 + part.p1]
+        ), (a, b)
+
+
 def test_detect_is_byte_deterministic(small_run, tmp_path):
     cfg, cube_path = small_run
     outs = []
@@ -1069,6 +1099,75 @@ def test_rank_above_the_active_regions_exits_config(command, ci_bench1, ci_cube_
     assert main(argv) == EXIT_CONFIG
     assert capsys.readouterr().err == message + "\n"
     assert list(out.iterdir()) == []
+
+
+DEFAULT_RATIOS = [0.5, 0.33, 0.2, 0.1, 0.07]
+
+# bench1_ci sweep requests that no mask line of the scenario could hold: the
+# sweep options, the same request to sweep_scenario (rank, ratios and
+# keywords) and the one message both give.
+SWEEP_REFUSALS = {
+    "rank": (["--rank", "25"], (25, DEFAULT_RATIOS, {}),
+             "rank 25 exceeds the 20 node(s) the mask keeps per region"),
+    "stride": (["--pattern", "cross", "--stride", "3"],
+               (None, DEFAULT_RATIOS, {"pattern": "cross", "stride": 3}),
+               "stride must be 1, 2 or 4, got 3"),
+    "ratio": (["--ratios", "0.5,0.01"], (None, [0.5, 0.01], {}),
+              "target ratio 0.01 keeps only 3 of 289 nodes; at least 4 required"),
+    "sharing": (["--pattern", "cross", "--sharing", "per_region"],
+                (None, DEFAULT_RATIOS, {"pattern": "cross", "sharing": "per_region"}),
+                "the double cross is one shared pattern; sharing = per_region "
+                "does not apply"),
+}
+
+
+@pytest.mark.parametrize("case", SWEEP_REFUSALS)
+def test_library_and_cli_sweeps_refuse_alike_before_any_detection(
+    case, ci_bench1, ci_cube_file, tmp_path, capsys, monkeypatch
+):
+    # config.sweep_masks is the one check of a sweep request: the CLI runs
+    # it before reading the cube, sweep_scenario before any detection
+    import wavesaliency.cube
+    import wavesaliency.pipeline
+
+    calls = []
+    for module, name in ((wavesaliency.cube, "read_cube"),
+                         (wavesaliency.pipeline, "saliency_map")):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    options, (rank, ratios, keywords), message = SWEEP_REFUSALS[case]
+    scenario, cube = ci_bench1
+    with pytest.raises(ConfigError) as refused:
+        sweep_scenario(with_overrides(scenario, rank=rank), cube, ratios, 2, **keywords)
+    assert str(refused.value) == message
+    out = tmp_path / "s.csv"
+    capsys.readouterr()
+    assert main(["sweep", str(ci_cube_file), str(bundled_config_path("bench1_ci")),
+                 str(out), "--trials", "2", *options]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("options, keywords", [
+    ([], {}),
+    (["--sharing", "per_region", "--ratios", "0.5"], {"sharing": "per_region"}),
+    (["--pattern", "cross", "--stride", "2"], {"pattern": "cross", "stride": 2}),
+], ids=["random", "per_region", "cross"])
+def test_sweep_csv_is_sweep_scenarios_text(options, keywords, ci_bench1, ci_cube_file,
+                                           tmp_path):
+    # the CLI's CSV is sweep_csv_text of the library sweep of the same request
+    scenario, cube = ci_bench1
+    ratios = [0.5] if "--ratios" in options else DEFAULT_RATIOS
+    out = tmp_path / "s.csv"
+    assert main(["sweep", str(ci_cube_file), str(bundled_config_path("bench1_ci")),
+                 str(out), "--trials", "2", *options]) == EXIT_OK
+    rows = sweep_scenario(scenario, cube, ratios, 2, **keywords)
+    assert out.read_bytes() == sweep_csv_text(rows).encode()
 
 
 def test_exit_code_config_errors(small_run, tmp_path, capsys):
@@ -1758,3 +1857,39 @@ def test_runtime_imports_no_scipy(command, small_run, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "scipy modules: []"
+
+
+def test_outputs_do_not_depend_on_the_thread_count(ci_cube_file, tmp_path):
+    # README's determinism claim on bench1_ci: python -m children under 1
+    # and 2 BLAS threads write the same bytes and print the same lines,
+    # except the manifest's singular_values line, whose last digits are
+    # round-off that can move with the thread count
+    config = str(bundled_config_path("bench1_ci"))
+    commands = {
+        "detect": ["detect", str(ci_cube_file), config, "d"],
+        "sweep": ["sweep", str(ci_cube_file), config, "s.csv", "--trials", "2"],
+        "per_region": ["sweep", str(ci_cube_file), config, "p.csv", "--trials", "2",
+                       "--sharing", "per_region", "--ratios", "0.5"],
+    }
+    env = {k: v for k, v in _child_env().items() if k not in POOL_ENV_VARS}
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        stdouts = {}
+        for name, argv in commands.items():
+            proc = subprocess.run(
+                [sys.executable, "-m", "wavesaliency.cli", *argv],
+                capture_output=True, text=True, cwd=out,
+                env={**env, THREAD_ENV_VAR: threads},
+            )
+            assert proc.returncode == 0, (threads, name, proc.stderr)
+            stdouts[name] = proc.stdout
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        manifest = files.pop("d.manifest").decode().splitlines()
+        kept = [line for line in manifest if not line.startswith("singular_values = ")]
+        assert len(kept) == len(manifest) - 1
+        runs.append((stdouts, files, kept))
+    assert sorted(runs[0][1]) == ["d.csv", "d.flags.txt", "d.mask.pgm", "d.pgm",
+                                  "p.csv", "s.csv"]
+    assert runs[0] == runs[1]

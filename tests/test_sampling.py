@@ -108,7 +108,7 @@ def test_double_cross_errors():
     with pytest.raises(ConfigError, match=r"^double cross needs an odd region side "
                                           r"\(a center node\), got 16$"):
         double_cross_mask(16, 16)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="^stride must be 1, 2 or 4, got 3$"):
         double_cross_mask(17, 17, stride=3)
 
 
@@ -184,6 +184,8 @@ def test_row_indices_per_region_match_one_permutation_per_region(
                                      region_count)
         assert rows.dtype == want.dtype and rows.shape == want.shape
         assert np.array_equal(rows, want), (seed, p1, p2, region_count)
+        # the grid random_mask records is the first permutation's pattern
+        assert np.array_equal(mask.flat_indices(), want[:, 0]), (seed, p1, p2)
 
 
 def test_row_indices_shape_mismatch():
