@@ -77,7 +77,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import pipeline, sampling, sim
-from .cube import DataCube, GridPoint, hold_plain_numbers, meta_text
+from .cube import DataCube, GridPoint, hold_plain_numbers, meta_text, plain_number
 from .errors import ConfigError
 from .pipeline import DetectionConfig, DetectionResult
 from .saliency import DEFAULT_DECISION_THRESHOLD, DEFAULT_ENERGY_RATIO, snapshot_spectrum
@@ -97,6 +97,10 @@ _KNOWN_BLOCKS = ("material", "grid", "excitation", "defect", "detection", "probe
 # ride the first interior node row (m = 1): the simply supported edge itself
 # never moves.
 DEFAULT_PROBE_FRACTIONS = (0.3, 0.7)
+
+# The most trials per ratio a sweep takes.  Sweeps run tens of trials; a
+# count far past this one is a typo that would run until it is killed.
+MAX_TRIALS = 10**6
 
 
 @dataclass(frozen=True)
@@ -282,17 +286,34 @@ def detect_scenario(scenario: ScenarioConfig, cube: DataCube) -> DetectionResult
     )
 
 
-def sweep_masks(scenario: ScenarioConfig, ratios, *, pattern: str = "random",
+def sweep_masks(scenario: ScenarioConfig, ratios, trials: int, *, pattern: str = "random",
                 stride: int = 1, sharing: str = SHARED) -> list[MaskSettings]:
     """The sweep's ``sampling.sweep_recipes``, each checked as the scenario's mask line.
 
-    A recipe that the scenario could not hold as its own ``mask`` and
-    ``sharing`` keys (a ratio that keeps too few nodes, a rank above the
-    nodes a mask keeps, a stride or sharing the double cross does not take)
-    raises the ConfigError that ``with_overrides`` raises for it.  This is
-    the one check of a sweep request; it reads no cube.
+    This is the one check of a sweep request; it reads no cube.  It raises
+    ConfigError for:
+
+    * a ``trials`` that is not a plain integer (``cube.plain_number``'s
+      rule: no bool, no float) in [1, ``MAX_TRIALS``];
+    * a pattern other than ``random`` or ``cross``, a sharing mode other
+      than ``shared`` or ``per_region``, a ratio that is not a finite real,
+      or a stride that is not an integer;
+    * no recipe: a random sweep with an empty ratio list (the double cross
+      takes no ratio);
+    * a recipe that the scenario could not hold as its own ``mask`` and
+      ``sharing`` keys (a ratio that keeps too few nodes, a rank above the
+      nodes a mask keeps, a stride or sharing the double cross does not
+      take), with the message that ``with_overrides`` gives for it.
     """
-    recipes = sampling.sweep_recipes(ratios, pattern, stride, sharing)
+    try:
+        trials = plain_number("trials", trials, "int")
+        recipes = sampling.sweep_recipes(ratios, pattern, stride, sharing)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ConfigError(f"trials must be in [1, {MAX_TRIALS}], got {trials}")
+    if not recipes:
+        raise ConfigError("a random sweep needs at least one ratio")
     for recipe in recipes:
         with_overrides(scenario, mask=recipe)
     return recipes
@@ -306,9 +327,10 @@ def sweep_scenario(scenario: ScenarioConfig, cube: DataCube, ratios, trials: int
     Every trial is a detection with the scenario's partition and detection
     config, scored as ``score_scenario`` scores one.  The keywords pick the
     masks, as in ``sampling.sweep_recipes``, and ``sweep_masks`` checks
-    them before any detection runs.
+    the whole request before any window is cut: this is ``wavesaliency
+    sweep``.
     """
-    sweep_masks(scenario, ratios, pattern=pattern, stride=stride, sharing=sharing)
+    sweep_masks(scenario, ratios, trials, pattern=pattern, stride=stride, sharing=sharing)
     return sampling.monte_carlo_sweep(
         cube, scenario.partition(), scenario.detection_config(), ratios, trials,
         scenario.seed, truth=scenario.truth(),

@@ -3,11 +3,14 @@
 The three full-size benchmark cubes take a few seconds each to simulate, so
 they are built once per session and shared by the unit and acceptance
 tests.  Everything downstream of `simulate` is deterministic, which makes
-cross-test sharing safe.  Two plain helpers sit beside them: the WVC1
-bytes of a cube, and a partition's region ids in column order.
+cross-test sharing safe.  Three plain helpers sit beside them: the WVC1
+bytes of a cube, a partition's region ids in column order, and a script of
+``tools/`` loaded as a module.
 """
 
+import importlib.util
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,15 @@ def wvc1_bytes(cube):
 def region_ids(part):
     """Every (a, b) region of a partition in column order (a fastest)."""
     return [(a, b) for b in range(part.regions_y) for a in range(part.regions_x)]
+
+
+def load_tool(name):
+    """``tools/<name>.py``, a script rather than a package module, loaded from its path."""
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _run_scenario(name):

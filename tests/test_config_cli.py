@@ -64,6 +64,8 @@ from wavesaliency.sampling import Mask, MaskSettings, sweep_csv_text
 from wavesaliency.sim import DefectSpec, ExcitationSpec, MaterialSpec, analytic_group_velocity
 from wavesaliency.windowing import Partition, ProbePair
 
+from conftest import load_tool
+
 SMALL_CFG = """\
 seed = 7
 
@@ -1103,21 +1105,38 @@ def test_rank_above_the_active_regions_exits_config(command, ci_bench1, ci_cube_
 
 DEFAULT_RATIOS = [0.5, 0.33, 0.2, 0.1, 0.07]
 
-# bench1_ci sweep requests that no mask line of the scenario could hold: the
-# sweep options, the same request to sweep_scenario (rank, ratios and
-# keywords) and the one message both give.
+# bench1_ci sweep requests that config.sweep_masks refuses: the sweep
+# options (None for a request the CLI's flags cannot make), the same request
+# to sweep_scenario (rank, ratios, trials and keywords) and the one message
+# both give.
 SWEEP_REFUSALS = {
-    "rank": (["--rank", "25"], (25, DEFAULT_RATIOS, {}),
+    "rank": (["--rank", "25"], (25, DEFAULT_RATIOS, 2, {}),
              "rank 25 exceeds the 20 node(s) the mask keeps per region"),
     "stride": (["--pattern", "cross", "--stride", "3"],
-               (None, DEFAULT_RATIOS, {"pattern": "cross", "stride": 3}),
+               (None, DEFAULT_RATIOS, 2, {"pattern": "cross", "stride": 3}),
                "stride must be 1, 2 or 4, got 3"),
-    "ratio": (["--ratios", "0.5,0.01"], (None, [0.5, 0.01], {}),
+    "ratio": (["--ratios", "0.5,0.01"], (None, [0.5, 0.01], 2, {}),
               "target ratio 0.01 keeps only 3 of 289 nodes; at least 4 required"),
     "sharing": (["--pattern", "cross", "--sharing", "per_region"],
-                (None, DEFAULT_RATIOS, {"pattern": "cross", "sharing": "per_region"}),
+                (None, DEFAULT_RATIOS, 2, {"pattern": "cross", "sharing": "per_region"}),
                 "the double cross is one shared pattern; sharing = per_region "
                 "does not apply"),
+    "no_ratio": (["--ratios", ","], (None, [], 2, {}),
+                 "a random sweep needs at least one ratio"),
+    "no_trial": (["--trials", "0"], (None, DEFAULT_RATIOS, 0, {}),
+                 "trials must be in [1, 1000000], got 0"),
+    "many_trials": (["--trials", "1000001"], (None, DEFAULT_RATIOS, 1000001, {}),
+                    "trials must be in [1, 1000000], got 1000001"),
+    "float_trials": (None, (None, DEFAULT_RATIOS, 2.5, {}),
+                     "trials must be an integer, got 2.5"),
+    "bool_trials": (None, (None, DEFAULT_RATIOS, True, {}),
+                    "trials must be an integer, got True"),
+    "pattern": (None, (None, DEFAULT_RATIOS, 2, {"pattern": "diagonal"}),
+                "unknown mask pattern 'diagonal'"),
+    "text_stride": (None, (None, DEFAULT_RATIOS, 2, {"pattern": "cross", "stride": "2"}),
+                    "mask 'cross' needs an integer stride, got '2'"),
+    "sharing_mode": (None, (None, DEFAULT_RATIOS, 2, {"sharing": "x"}),
+                     "unknown sharing mode 'x'"),
 }
 
 
@@ -1126,31 +1145,31 @@ def test_library_and_cli_sweeps_refuse_alike_before_any_detection(
     case, ci_bench1, ci_cube_file, tmp_path, capsys, monkeypatch
 ):
     # config.sweep_masks is the one check of a sweep request: the CLI runs
-    # it before reading the cube, sweep_scenario before any detection
+    # it before reading the cube, sweep_scenario before any window is cut.
+    # Reaching one of these calls fails the test at once, so a lost check
+    # cannot start a sweep of a million trials.
     import wavesaliency.cube
     import wavesaliency.pipeline
 
-    calls = []
     for module, name in ((wavesaliency.cube, "read_cube"),
+                         (wavesaliency.pipeline, "extract_windows"),
                          (wavesaliency.pipeline, "saliency_map")):
-        original = getattr(module, name)
+        def reached(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} ran")
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-    options, (rank, ratios, keywords), message = SWEEP_REFUSALS[case]
+        monkeypatch.setattr(module, name, reached)
+    options, (rank, ratios, trials, keywords), message = SWEEP_REFUSALS[case]
     scenario, cube = ci_bench1
     with pytest.raises(ConfigError) as refused:
-        sweep_scenario(with_overrides(scenario, rank=rank), cube, ratios, 2, **keywords)
+        sweep_scenario(with_overrides(scenario, rank=rank), cube, ratios, trials, **keywords)
     assert str(refused.value) == message
     out = tmp_path / "s.csv"
-    capsys.readouterr()
-    assert main(["sweep", str(ci_cube_file), str(bundled_config_path("bench1_ci")),
-                 str(out), "--trials", "2", *options]) == EXIT_CONFIG
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert calls == [] and not out.exists()
+    if options is not None:
+        capsys.readouterr()
+        assert main(["sweep", str(ci_cube_file), str(bundled_config_path("bench1_ci")),
+                     str(out), "--trials", "2", *options]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("options, keywords", [
@@ -1677,10 +1696,8 @@ def test_sweep_bad_arguments(ci_cube_file, tmp_path, capsys):
         "sweep", str(ci_cube_file), str(ci_cfg), str(out),
         "--ratios", "0.5,apple",
     ]) == EXIT_CONFIG
-    for bad in (["--trials", "0"], ["--trials", "1000001"],
-                ["--trials", "1234567890123456789012"],
-                ["--pattern", "cross", "--stride", "3"],
-                ["--ratios", "0.5,2"], ["--ratios", ","], ["--ratios", ""],
+    for bad in (["--pattern", "cross", "--stride", "3"],
+                ["--ratios", "0.5,2"], ["--ratios", ""],
                 ["--rank", "0"], ["--rank", "500"], ["--rank", "auto"]):
         capsys.readouterr()
         assert main([
@@ -1690,13 +1707,20 @@ def test_sweep_bad_arguments(ci_cube_file, tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), (bad, err)
     assert not out.exists()
-    # a trial count past the bound is refused before the cube is read: a
-    # missing cube would exit 1
-    for trials in ("1000001", "1234567890123456789012"):
+    # a trial count out of bounds and an empty ratio list are refused before
+    # the cube is read: a missing cube would exit 1, and a lost check cannot
+    # start a sweep
+    for bad, message in (
+        (["--trials", "0"], "trials must be in [1, 1000000], got 0"),
+        (["--trials", "1000001"], "trials must be in [1, 1000000], got 1000001"),
+        (["--trials", "1234567890123456789012"],
+         "trials must be in [1, 1000000], got 1234567890123456789012"),
+        (["--ratios", ","], "a random sweep needs at least one ratio"),
+    ):
         capsys.readouterr()
         assert main(["sweep", str(tmp_path / "missing.wvc"), str(ci_cfg), str(out),
-                     "--trials", trials]) == EXIT_CONFIG, trials
-        assert capsys.readouterr().err == "error: --trials must be in [1, 1000000]\n"
+                     *bad]) == EXIT_CONFIG, bad
+        assert capsys.readouterr().err == f"error: {message}\n"
     # a rank that is no integer is named as it is in a config file
     for command, dest in (("detect", tmp_path / "d"), ("sweep", out)):
         capsys.readouterr()
@@ -1863,7 +1887,10 @@ def test_outputs_do_not_depend_on_the_thread_count(ci_cube_file, tmp_path):
     # README's determinism claim on bench1_ci: python -m children under 1
     # and 2 BLAS threads write the same bytes and print the same lines,
     # except the manifest's singular_values line, whose last digits are
-    # round-off that can move with the thread count
+    # round-off that can move with the thread count; the runs and the line
+    # exception are those of tools/compare_outputs.py and its CI threads job
+    compare_outputs = load_tool("compare_outputs")
+    src = Path(wavesaliency.__file__).resolve().parents[1]
     config = str(bundled_config_path("bench1_ci"))
     commands = {
         "detect": ["detect", str(ci_cube_file), config, "d"],
@@ -1871,25 +1898,17 @@ def test_outputs_do_not_depend_on_the_thread_count(ci_cube_file, tmp_path):
         "per_region": ["sweep", str(ci_cube_file), config, "p.csv", "--trials", "2",
                        "--sharing", "per_region", "--ratios", "0.5"],
     }
-    env = {k: v for k, v in _child_env().items() if k not in POOL_ENV_VARS}
-    runs = []
     for threads in ("1", "2"):
-        out = tmp_path / threads
-        out.mkdir()
-        stdouts = {}
-        for name, argv in commands.items():
-            proc = subprocess.run(
-                [sys.executable, "-m", "wavesaliency.cli", *argv],
-                capture_output=True, text=True, cwd=out,
-                env={**env, THREAD_ENV_VAR: threads},
-            )
-            assert proc.returncode == 0, (threads, name, proc.stderr)
-            stdouts[name] = proc.stdout
-        files = {p.name: p.read_bytes() for p in out.iterdir()}
-        manifest = files.pop("d.manifest").decode().splitlines()
-        kept = [line for line in manifest if not line.startswith("singular_values = ")]
-        assert len(kept) == len(manifest) - 1
-        runs.append((stdouts, files, kept))
-    assert sorted(runs[0][1]) == ["d.csv", "d.flags.txt", "d.mask.pgm", "d.pgm",
-                                  "p.csv", "s.csv"]
-    assert runs[0] == runs[1]
+        (tmp_path / threads).mkdir()
+        compare_outputs.run_commands(src, tmp_path / threads, "ci", commands,
+                                     {THREAD_ENV_VAR: threads})
+    one, two = tmp_path / "1", tmp_path / "2"
+    assert sorted(p.name for p in one.iterdir()) == [
+        "ci.detect.log", "ci.per_region.log", "ci.sweep.log", "d.csv", "d.flags.txt",
+        "d.manifest", "d.mask.pgm", "d.pgm", "p.csv", "s.csv"]
+    for name in commands:
+        assert (one / f"ci.{name}.log").read_text().startswith("exit 0\n"), name
+    manifest = one / "d.manifest"
+    assert compare_outputs.compared_bytes(manifest, round_off=True).count(b"\n") == (
+        manifest.read_bytes().count(b"\n") - 1)
+    assert compare_outputs.differences(one, two, round_off=True) == (10, [])

@@ -3,6 +3,7 @@
 Usage::
 
     python tools/compare_outputs.py OLD_SRC NEW_SRC [--trials N] [--work DIR]
+                                    [--new-env NAME=VALUE ...]
 
 OLD_SRC and NEW_SRC are directories that hold a ``wavesaliency`` package,
 such as the ``src`` of two checkouts.  On each of the five bundled plates,
@@ -32,11 +33,22 @@ subcommand's ``--help``, so a changed command, option, default or help
 line shows as a differing file.
 
 Every command runs in its tree's own output directory with relative paths
-and one BLAS thread, and its exit code, stdout and stderr are kept as a
-file beside its outputs.  The two directories are then compared file by
-file, byte for byte.  The script lists every file that differs or exists
-on one side only, and exits 1 if there is any; it exits 0 when all files
-are byte-identical.
+and one BLAS thread (``WAVESALIENCY_THREADS=1``, with every inherited
+``*_NUM_THREADS`` variable removed), and its exit code, stdout and stderr
+are kept as a file beside its outputs.  The two directories are then
+compared file by file, byte for byte.  The script lists every file that
+differs or exists on one side only, and exits 1 if there is any; it exits
+0 when all files are byte-identical.
+
+``--new-env`` runs the new tree with an environment variable set or
+replaced, so one tree can be compared with itself under two BLAS settings::
+
+    python tools/compare_outputs.py src src --new-env WAVESALIENCY_THREADS=2
+    python tools/compare_outputs.py src src --new-env OPENBLAS_CORETYPE=Prescott
+
+Such a comparison leaves out each manifest's ``singular_values`` line,
+whose last digits are round-off that can move with the BLAS thread count or
+kernel; every other line of every file must still match.
 """
 
 from __future__ import annotations
@@ -68,6 +80,10 @@ EDITED = {
 # The help texts each tree records once, by label.
 SUBCOMMANDS = ("simulate", "detect", "sweep", "spectrum")
 HELP = {"help": ["--help"], **{f"help_{cmd}": [cmd, "--help"] for cmd in SUBCOMMANDS}}
+
+# The start of the one line that may differ between runs under two BLAS
+# settings: a manifest's singular values, whose last digits are round-off.
+ROUND_OFF_LINE = b"singular_values = "
 
 
 def plate_config(src: Path, plate: str) -> str:
@@ -110,12 +126,15 @@ def commands(plate: str, trials: int) -> dict[str, list[str]]:
     return runs
 
 
-def run_commands(src: Path, out: Path, name: str, runs: dict[str, list[str]]) -> None:
+def run_commands(src: Path, out: Path, name: str, runs: dict[str, list[str]],
+                 env: dict[str, str] | None = None) -> None:
     """Run the CLI of the tree at ``src`` in ``out`` on each argument list.
 
-    Each run's exit code, stdout and stderr go to ``<name>.<label>.log``.
+    The runs see one BLAS thread unless ``env`` says otherwise.  Each run's
+    exit code, stdout and stderr go to ``<name>.<label>.log``.
     """
-    env = {**os.environ, "PYTHONPATH": str(src), "WAVESALIENCY_THREADS": "1"}
+    inherited = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env = {**inherited, "PYTHONPATH": str(src), "WAVESALIENCY_THREADS": "1", **(env or {})}
     for label, argv in runs.items():
         proc = subprocess.run(
             [sys.executable, "-m", "wavesaliency.cli", *argv],
@@ -128,17 +147,30 @@ def run_commands(src: Path, out: Path, name: str, runs: dict[str, list[str]]) ->
         print(f"{src}: {name} {label}: exit {proc.returncode}", flush=True)
 
 
-def run_tree(src: Path, out: Path, trials: int) -> None:
+def run_tree(src: Path, out: Path, trials: int, env: dict[str, str] | None = None) -> None:
     """Write the help texts and every plate's CLI outputs of the tree at ``src``."""
     out.mkdir(parents=True)
-    run_commands(src, out, "cli", HELP)
+    run_commands(src, out, "cli", HELP, env)
     for plate in (*PLATES, *EDITED):
         (out / f"{plate}.cfg").write_text(plate_config(src, plate))
-        run_commands(src, out, plate, commands(plate, trials))
+        run_commands(src, out, plate, commands(plate, trials), env)
 
 
-def differences(old: Path, new: Path) -> tuple[int, list[str]]:
-    """(files compared, one line per file that differs or is one-sided)."""
+def compared_bytes(path: Path, round_off: bool = False) -> bytes:
+    """The bytes of ``path``, without a manifest's ``ROUND_OFF_LINE`` if ``round_off``."""
+    data = path.read_bytes()
+    if round_off and path.suffix == ".manifest":
+        data = b"".join(line for line in data.splitlines(keepends=True)
+                        if not line.startswith(ROUND_OFF_LINE))
+    return data
+
+
+def differences(old: Path, new: Path, round_off: bool = False) -> tuple[int, list[str]]:
+    """(files compared, one line per file that differs or is one-sided).
+
+    With ``round_off``, each manifest is compared without its
+    ``ROUND_OFF_LINE``.
+    """
     def files(root: Path) -> set[Path]:
         return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
 
@@ -146,7 +178,7 @@ def differences(old: Path, new: Path) -> tuple[int, list[str]]:
     lines = [f"only in old: {p}" for p in sorted(old_files - new_files)]
     lines += [f"only in new: {p}" for p in sorted(new_files - old_files)]
     lines += [f"differs: {p}" for p in sorted(old_files & new_files)
-              if (old / p).read_bytes() != (new / p).read_bytes()]
+              if compared_bytes(old / p, round_off) != compared_bytes(new / p, round_off)]
     return len(old_files | new_files), lines
 
 
@@ -159,19 +191,30 @@ def main(argv=None) -> int:
     parser.add_argument("--work", type=Path,
                         help="keep the outputs under this new directory "
                              "(default: a temporary one, removed at exit)")
+    parser.add_argument("--new-env", action="append", default=[], metavar="NAME=VALUE",
+                        help="run the new tree with this environment variable "
+                             "(repeatable); each manifest is then compared "
+                             "without its singular_values line")
     args = parser.parse_args(argv)
     for src in (args.old_src, args.new_src):
         if not (src / "wavesaliency" / "cli.py").is_file():
             parser.error(f"{src} holds no wavesaliency package")
+    new_env = {}
+    for item in args.new_env:
+        name, sep, value = item.partition("=")
+        if not (name and sep):
+            parser.error(f"--new-env takes NAME=VALUE, got {item!r}")
+        new_env[name] = value
     with tempfile.TemporaryDirectory() as tmp:
         work = args.work or Path(tmp)
         old, new = work / "old", work / "new"
         run_tree(args.old_src.resolve(), old, args.trials)
-        run_tree(args.new_src.resolve(), new, args.trials)
-        count, lines = differences(old, new)
+        run_tree(args.new_src.resolve(), new, args.trials, new_env)
+        count, lines = differences(old, new, round_off=bool(new_env))
     for line in lines:
         print(line)
-    print(f"{count} files compared, {len(lines)} differ or are one-sided")
+    print(f"{count} files compared, {len(lines)} differ or are one-sided"
+          + (" (manifests without their singular_values line)" if new_env else ""))
     return 1 if lines else 0
 
 
