@@ -29,7 +29,12 @@ symbol that sets its stable time step.
   as ``np.pad(..., reflect_type="odd")`` does) and evaluates the stencil on
   one contiguous slice of the flattened buffer that runs through every
   interior row at full padded width, so each neighbour is a fixed offset.
-  Values landing in ghost columns are thrown away.
+  Values landing in ghost columns are thrown away.  Every array a step
+  writes starts its span (a scratch array, its first element) on a 64-byte
+  cache line: numpy's SIMD loops store whole 64-byte vectors, and a span
+  that starts partway into a line splits every one of those stores across
+  two lines.  Alignment moves no value; each node sees the same operations
+  in the same order.
 * ``leapfrog`` steps from any initial ``(w_prev, w_curr)`` with an optional
   point-force callback, writing each new state over w_prev; it allocates
   nothing per step.
@@ -381,6 +386,22 @@ def _cells_to_nodes(cells: np.ndarray) -> np.ndarray:
     return acc / cnt
 
 
+# Bytes per cache line: every array a step writes starts its span there.
+CACHE_LINE = 64
+
+
+def _aligned_zeros(size: int, first: int = 0) -> np.ndarray:
+    """``size`` float64 zeros whose element ``first`` starts a cache line.
+
+    Over-allocates by one line's worth of elements and slices; numpy's
+    buffers are at least 8-byte aligned, so some start in that line fits.
+    """
+    per_line = CACHE_LINE // 8
+    raw = np.zeros(size + per_line)
+    skip = -(raw.ctypes.data // 8 + first) % per_line
+    return raw[skip:skip + size]
+
+
 class PaddedField:
     """One ``(n + 4) x (n + 4)`` buffer: n x n nodes inside two ghost layers.
 
@@ -388,16 +409,18 @@ class PaddedField:
     contiguous 1-D slice of the flattened buffer from padded ``(2, 2)`` to
     ``(n + 1, n + 1)``: every node, plus the ghost columns between interior
     rows.  ``shift[k]`` is the same slice moved by k elements, so the
-    stencil neighbours at +-1, +-2, +-W and +-2W (W = n + 4) are plain
-    views.  All views are built once.
+    stencil neighbours at +-1, +-2, +-W and +-2W (W = ``width`` = n + 4)
+    are plain views.  All views are built once.  ``span`` starts on a
+    ``CACHE_LINE`` boundary, so the SIMD stores of a pass that writes it
+    never straddle two lines; the shifted reads are left where they fall.
     """
 
     def __init__(self, n: int):
-        width = n + 4
-        self.full = np.zeros((width, width))
-        self.nodes = self.full[2:-2, 2:-2]
-        flat = self.full.reshape(-1)
+        self.width = width = n + 4
         start, stop = 2 * width + 2, (n + 1) * width + n + 2
+        flat = _aligned_zeros(width * width, first=start)
+        self.full = flat.reshape(width, width)
+        self.nodes = self.full[2:-2, 2:-2]
         self.shift = {
             k: flat[start + k:stop + k]
             for k in (0, -1, 1, -2, 2, -width, width, -2 * width, 2 * width)
@@ -445,7 +468,11 @@ class PlateOperator:
     Every node sees the same operations, in the same order, as the same
     formula on ``np.pad(f, 2, mode="reflect", reflect_type="odd")``, so
     results are bit-identical to it for n >= 3.  Order 2 reads one ghost
-    layer of the same buffers.
+    layer of the same buffers.  Every array a step writes (the three
+    buffers' spans, ``_gain``, ``_tmp`` and ``_rise``) starts on a
+    ``CACHE_LINE`` boundary, as do the coefficient spans, so no SIMD store
+    of a pass is split across two lines; each node's arithmetic is
+    unchanged.
     """
 
     def __init__(
@@ -466,7 +493,7 @@ class PlateOperator:
         self.w_curr, self.w_prev, self.stage, self._d, rho = (
             PaddedField(n) for _ in range(5))
         self._gain, self._tmp, self._rise = (
-            np.empty_like(self.stage.span) for _ in range(3))
+            _aligned_zeros(self.stage.span.size) for _ in range(3))
         dt2 = dt * dt
         with np.errstate(all="ignore"):
             # Layout is [m, l] (y index first) so that node views are already
@@ -491,7 +518,7 @@ class PlateOperator:
     def stencil_sum(self, src: PaddedField, out: np.ndarray) -> None:
         """Fill ``src``'s ghosts; write ``scale`` times its Laplacian over its span to ``out``."""
         src.fill_ghosts()
-        at, tmp, w = src.shift, self._tmp, self.n + 4
+        at, tmp, w = src.shift, self._tmp, src.width
         np.add(at[-w], at[w], out=out)
         np.add(out, at[-1], out=out)
         np.add(out, at[1], out=out)
@@ -547,7 +574,7 @@ def leapfrog(
         field.nodes[...] = state
     if forcing is not None:
         source.validate(op.n, op.n)
-        src_idx = source.m * (op.n + 4) + source.l  # node (l, m) in a span
+        src_idx = source.m * curr.width + source.l  # node (l, m) in a span
         src_gain = op._force_gain[source.m, source.l]
     gain, tmp, stage, rise = op._gain, op._tmp, op.stage.span, op._rise
     # an overflow or NaN in a step is the divergence the loop checks for

@@ -457,7 +457,7 @@ def _stage_symbol(theta, order):
     return (30.0 - 32.0 * np.cos(theta) + 2.0 * np.cos(2.0 * theta)) / 12.0
 
 
-@pytest.mark.parametrize("n", [3, 5, 8])
+@pytest.mark.parametrize("n", [3, 5, 8, 129, 257])
 def test_ghost_fill_equals_np_pad(n, rng):
     op, _, _ = _operator(n, 4)
     field = rng.normal(size=(n, n))  # edges left nonzero on purpose
@@ -467,6 +467,29 @@ def test_ghost_fill_equals_np_pad(n, rng):
     buf.fill_ghosts()
     want = np.pad(field, 2, mode="reflect", reflect_type="odd")
     assert buf.full.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("n", [3, 9, 33, 129, 257])
+def test_stepper_buffers_start_on_cache_lines(order, n):
+    # every span and scratch array a step writes, and the stiffness span it
+    # reads beside them, starts on a 64-byte line, before and after a run
+    op, _, _ = _operator(n, order)
+    buffers = {"w_curr": op.w_curr.span, "w_prev": op.w_prev.span,
+               "stage": op.stage.span, "d": op._d.span,
+               "gain": op._gain, "tmp": op._tmp, "rise": op._rise}
+    for field in (op.w_curr, op.w_prev, op.stage, op._d):
+        assert field.width == n + 4
+        assert np.shares_memory(field.span, field.full)
+    rest = np.zeros((n, n))
+    for _ in range(2):
+        misaligned = {name: a.ctypes.data % 64 for name, a in buffers.items()
+                      if a.ctypes.data % 64}
+        assert misaligned == {}
+        assert all(a.size == op.stage.span.size for a in buffers.values())
+        leapfrog(op, rest, rest, 2, lambda t: burst_force(t, BURST),
+                 effective_source(GridPoint(n // 3, n // 2), n, n))
+    assert op.w_curr.span is buffers["w_curr"] and op._rise is buffers["rise"]
 
 
 @pytest.mark.parametrize("order", [2, 4])
