@@ -604,7 +604,10 @@ def manifest_text(scenario: ScenarioConfig, result: DetectionResult) -> str:
 
     ``result`` is ``detect_scenario(scenario, cube)``.  Each setting is
     written as ``scenario_echo`` writes it, and ``singular_values`` is the
-    tau = 0 snapshot's ``snapshot_spectrum``.
+    tau = 0 snapshot's ``snapshot_spectrum`` as ``singular_values_text``
+    prints it, on a grid of 1e-10 s_0.  With ``group_velocity``, whose
+    envelope magnitude is ``cube.magnitude``'s, no line of the manifest
+    moves with the BLAS thread count or kernel or numpy's SIMD level.
     """
     d = scenario.detection
     return meta_text({
@@ -618,10 +621,25 @@ def manifest_text(scenario: ScenarioConfig, result: DetectionResult) -> str:
         "seed": str(scenario.seed),
         "active_regions": str(int(result.saliency.active.sum())),
         "flagged": ";".join(f"{a},{b}" for a, b in sorted(result.flagged)),
-        "singular_values": " ".join(
-            f"{v:.9e}" for v in snapshot_spectrum(result.window_set, result.saliency.scores)
-        ),
+        "singular_values": singular_values_text(
+            snapshot_spectrum(result.window_set, result.saliency.scores)),
     })
+
+
+def singular_values_text(values) -> str:
+    """Singular values, largest first, on a grid of 1e-10 s_0: the manifest's line.
+
+    s_0 is read back from its own ``.9e`` text, and every value is snapped
+    to the nearest multiple of 1e-10 times it before it is printed in the
+    same form.  The SVD moves a value by up to about 6e-17 s_0 with the
+    BLAS thread count or kernel, far below the step, so the text moves only
+    when a value lies that close to a half step: about 1.2e-6 odds per
+    value.  The spectrum's tail reaches s/s_0 ~ 2e-9, where ten digits of
+    the value itself would be round-off.
+    """
+    first, *rest = map(float, values)
+    s0 = float(f"{first:.9e}")  # s_0 = 0 only for an all-zero spectrum, printed as zeros
+    return " ".join(f"{round(v / s0, 10) * s0 if s0 else 0.0:.9e}" for v in (s0, *rest))
 
 
 def scenario_echo(scenario: ScenarioConfig) -> dict[str, str]:

@@ -30,7 +30,8 @@ plain ``key = value`` text file next to the binary, never in the binary:
 the CLI writes ``<cube>.meta`` from ``config.cube_meta_text``, which lays
 its lines out with ``meta_text``.  Every text output is a pure ``*_text``
 function of its data; only the CLI names files and writes them with
-``write_text``.
+``write_text``.  ``magnitude`` is the package's one complex magnitude,
+shared by the window-timing envelope and the wavenumber spectrum.
 """
 
 from __future__ import annotations
@@ -236,6 +237,23 @@ def _payload_mismatch(size: int, got: int) -> DataError:
     return DataError(
         f"payload length mismatch: header implies {size} bytes, got {got}"
     )
+
+
+def magnitude(z: np.ndarray) -> np.ndarray:
+    """``|z|`` of a complex array, to the same bits under every numpy SIMD level.
+
+    The complex ``np.abs`` is a hypot, and numpy's SSE loop for it rounds
+    differently from its AVX2 and AVX-512 loops.  Multiply, add and sqrt
+    are correctly rounded in every loop, so ``sqrt(re*re + im*im)`` gives
+    the same bits in each.  The parts are first scaled by the exact power
+    of two of their peak, as ``windowing.extract_windows`` scales a loud
+    cube: no square then leaves float range, and the result scales
+    exactly with ``z``.
+    """
+    parts = np.stack([z.real, z.imag])
+    _, exponent = math.frexp(float(np.abs(parts).max(initial=0.0)))
+    re, im = np.ldexp(parts, -exponent)
+    return np.ldexp(np.sqrt(re * re + im * im), exponent)
 
 
 def meta_text(entries: dict) -> str:

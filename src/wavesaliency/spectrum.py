@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cube import pgm_text
+from .cube import magnitude, pgm_text
 from .errors import NoSignalError
 
 # Bottom of the PGM chart's dB scale: bins at or below it are black.
@@ -26,14 +26,15 @@ def dft2_magnitude(snapshot: np.ndarray) -> np.ndarray:
     """Centred magnitude spectrum of a 2-D snapshot, normalised to peak 1.
 
     ``snapshot`` is indexed [l, m] (x-index first); the result has the same
-    shape and is read-only.
+    shape and is read-only.  The magnitudes are ``cube.magnitude``'s, so
+    they do not move with numpy's SIMD level.
     """
     snap = np.asarray(snapshot, dtype=np.float64)
     if snap.ndim != 2:
         raise ValueError("snapshot must be 2-D")
     if not np.isfinite(snap).all():
         raise ValueError("snapshot must be finite")
-    mag = np.abs(np.fft.fftshift(np.fft.fft2(snap)))
+    mag = magnitude(np.fft.fftshift(np.fft.fft2(snap)))
     peak = float(mag.max())
     if peak <= 0.0:
         raise NoSignalError("all-zero snapshot has no wavenumber content")

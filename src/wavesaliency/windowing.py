@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cube import DataCube, GridPoint, hold_plain_numbers
+from .cube import DataCube, GridPoint, hold_plain_numbers, magnitude
 from .errors import ConfigError, DataError, NoSignalError, WindowingError
 from .sim import ExcitationSpec, effective_source
 
@@ -123,6 +123,8 @@ def _analytic_envelope(signal: np.ndarray) -> np.ndarray:
     The one-sided FFT construction (Marple 1999, IEEE Trans. Signal Process.
     47(9)): keep the DC bin and, for an even length, the Nyquist bin, double
     the positive frequencies, zero the negative ones and transform back.
+    The magnitude is ``cube.magnitude``'s, so the crest times, and the
+    group velocity read from them, do not move with numpy's SIMD level.
     """
     n = len(signal)
     h = np.zeros(n)
@@ -130,7 +132,7 @@ def _analytic_envelope(signal: np.ndarray) -> np.ndarray:
     h[1:(n + 1) // 2] = 2.0
     if n % 2 == 0:
         h[n // 2] = 1.0
-    return np.abs(np.fft.ifft(np.fft.fft(signal) * h))
+    return magnitude(np.fft.ifft(np.fft.fft(signal) * h))
 
 
 def first_envelope_peak_time(signal: np.ndarray, dt: float) -> float:

@@ -39,25 +39,6 @@ def test_differences_names_one_sided_and_differing_files(tmp_path):
     assert compare_outputs.differences(old, old) == (3, [])
 
 
-def test_round_off_leaves_out_only_the_manifests_singular_values_line(tmp_path):
-    # under two BLAS settings, a manifest may differ in its singular_values
-    # line and nowhere else; any other line, or that line in another file,
-    # still differs
-    old, new = tmp_path / "old", tmp_path / "new"
-    for root, digits in ((old, b"1.000000000e+00 2.000000001e-09"),
-                         (new, b"1.000000000e+00 2.000000002e-09")):
-        root.mkdir()
-        values = b"singular_values = " + digits + b"\n"
-        (root / "d.manifest").write_bytes(b"rank = 3\n" + values + b"ratio = 0.25\n")
-        (root / "d.txt").write_bytes(values)
-    assert compare_outputs.differences(old, new) == (
-        2, ["differs: d.manifest", "differs: d.txt"])
-    assert compare_outputs.differences(old, new, round_off=True) == (2, ["differs: d.txt"])
-    (new / "d.manifest").write_bytes(b"rank = 4\nsingular_values = 1\nratio = 0.25\n")
-    assert compare_outputs.differences(old, new, round_off=True)[1] == [
-        "differs: d.manifest", "differs: d.txt"]
-
-
 def test_commands_include_the_analytic_run():
     analytic = compare_outputs.ANALYTIC
     cfg, cube = f"{analytic}.cfg", f"{analytic}.wvc"

@@ -48,6 +48,7 @@ from wavesaliency.config import (
     manifest_text,
     parse_scenario,
     scenario_echo,
+    singular_values_text,
     sweep_scenario,
     with_overrides,
 )
@@ -865,7 +866,31 @@ def test_masked_detect_draws_its_rows_once_and_is_detect_scenario(
     spectrum = snapshot_spectrum(result.window_set, result.saliency.scores)
     manifest = (tmp_path / "m.manifest").read_text().splitlines()
     assert f"mask = {echo}" in manifest
-    assert "singular_values = " + " ".join(f"{v:.9e}" for v in spectrum) in manifest
+    assert "singular_values = " + singular_values_text(spectrum) in manifest
+
+
+def test_singular_values_are_printed_on_a_grid_of_1e_10_s0(ci_bench1):
+    # each printed value is the multiple of 1e-10 s_0 nearest the value,
+    # s_0 as its own .9e text prints, so round-off far below the step, the
+    # BLAS thread count's or kernel's, moves no digit
+    scenario, cube = ci_bench1
+    result = detect_scenario(scenario, cube)
+    values = snapshot_spectrum(result.window_set, result.saliency.scores)
+    text = singular_values_text(values)
+    printed = text.split()
+    assert len(printed) == values.size and printed[0] == f"{values[0]:.9e}"
+    s0 = float(printed[0])
+    step = 1e-10 * s0
+    for word, value in zip(printed, values):
+        assert word == f"{round(float(word) / step) / 1e10 * s0:.9e}", word
+        # within half a step, plus the half unit of the text's last digit
+        assert abs(float(word) - value) <= 0.5 * step + 5e-10 * float(word), word
+    for shift in (1e-6 * step, -1e-6 * step):
+        moved = values.copy()
+        moved[1:] += shift
+        assert singular_values_text(moved) == text
+    # an all-zero spectrum prints as zeros
+    assert singular_values_text(np.zeros(2)) == "0.000000000e+00 0.000000000e+00"
 
 
 @pytest.mark.parametrize("lines", ["mask = full", MASKED_LINES["per_region"][0]])
@@ -1885,10 +1910,9 @@ def test_runtime_imports_no_scipy(command, small_run, tmp_path):
 
 def test_outputs_do_not_depend_on_the_thread_count(ci_cube_file, tmp_path):
     # README's determinism claim on bench1_ci: python -m children under 1
-    # and 2 BLAS threads write the same bytes and print the same lines,
-    # except the manifest's singular_values line, whose last digits are
-    # round-off that can move with the thread count; the runs and the line
-    # exception are those of tools/compare_outputs.py and its CI threads job
+    # and 2 BLAS threads write the same bytes, the manifest's singular
+    # values too, and print the same lines; the runs are those of
+    # tools/compare_outputs.py and its CI threads job
     compare_outputs = load_tool("compare_outputs")
     src = Path(wavesaliency.__file__).resolve().parents[1]
     config = str(bundled_config_path("bench1_ci"))
@@ -1908,7 +1932,4 @@ def test_outputs_do_not_depend_on_the_thread_count(ci_cube_file, tmp_path):
         "d.manifest", "d.mask.pgm", "d.pgm", "p.csv", "s.csv"]
     for name in commands:
         assert (one / f"ci.{name}.log").read_text().startswith("exit 0\n"), name
-    manifest = one / "d.manifest"
-    assert compare_outputs.compared_bytes(manifest, round_off=True).count(b"\n") == (
-        manifest.read_bytes().count(b"\n") - 1)
-    assert compare_outputs.differences(one, two, round_off=True) == (10, [])
+    assert compare_outputs.differences(one, two) == (10, [])

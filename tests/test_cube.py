@@ -1,15 +1,21 @@
 """Cube container and WVC1 serialization."""
 
 import dataclasses
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wavesaliency
 from wavesaliency.cube import (
     DataCube,
     GridPoint,
+    magnitude,
     meta_text,
     read_cube,
     write_cube,
@@ -215,3 +221,47 @@ def test_meta_sidecar():
     # sorted output => deterministic bytes regardless of insertion order
     for entries in ({"b": "2", "a": "1"}, {"a": "1", "b": "2"}):
         assert meta_text(entries).encode() == b"a = 1\nb = 2\n"
+
+
+def test_magnitude_matches_abs_and_scales_exactly(rng):
+    z = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
+    np.testing.assert_allclose(magnitude(z), np.abs(z), rtol=3 * np.finfo(float).eps, atol=0)
+    # the power-of-two scale keeps every square in float range
+    for power in (-600, 600):
+        assert np.array_equal(magnitude(z * 2.0**power), magnitude(z) * 2.0**power)
+    assert np.array_equal(magnitude(np.zeros(3, complex)), np.zeros(3))
+
+
+# Prints the sha256 of an analytic-signal envelope and of a wavenumber
+# spectrum, each of seeded noise.
+_SIMD_PROBE = """
+import hashlib
+import numpy as np
+from wavesaliency.spectrum import dft2_magnitude
+from wavesaliency.windowing import _analytic_envelope
+rng = np.random.default_rng(1701)
+for values in (_analytic_envelope(rng.normal(size=1701)),
+               dft2_magnitude(rng.normal(size=(64, 48)))):
+    print(hashlib.sha256(values.tobytes()).hexdigest())
+"""
+
+
+def test_magnitudes_do_not_depend_on_the_simd_level():
+    # python children with numpy's defaults and with every dispatched SIMD
+    # feature this host has switched off (numpy's baseline loops) print the
+    # same hashes; the complex np.abs rounds differently in numpy's SSE loop
+    # than in its AVX2 and AVX-512 loops
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    disabled = " ".join(f for f in __cpu_dispatch__ if __cpu_features__.get(f))
+    src = str(Path(wavesaliency.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    hashes = []
+    for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": disabled}):
+        proc = subprocess.run([sys.executable, "-c", _SIMD_PROBE], capture_output=True,
+                              text=True, env={**env, "PYTHONPATH": src, **extra})
+        assert proc.returncode == 0, proc.stderr
+        hashes.append(proc.stdout.split())
+    assert len(hashes[0]) == 2 and hashes[0] == hashes[1]

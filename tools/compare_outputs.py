@@ -41,14 +41,14 @@ differs or exists on one side only, and exits 1 if there is any; it exits
 0 when all files are byte-identical.
 
 ``--new-env`` runs the new tree with an environment variable set or
-replaced, so one tree can be compared with itself under two BLAS settings::
+replaced, so one tree can be compared with itself, byte for byte, under two
+BLAS or SIMD settings::
 
     python tools/compare_outputs.py src src --new-env WAVESALIENCY_THREADS=2
     python tools/compare_outputs.py src src --new-env OPENBLAS_CORETYPE=Prescott
 
-Such a comparison leaves out each manifest's ``singular_values`` line,
-whose last digits are round-off that can move with the BLAS thread count or
-kernel; every other line of every file must still match.
+and numpy's SSE baseline loops against its default ones with ``--new-env
+NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR"``.
 """
 
 from __future__ import annotations
@@ -80,10 +80,6 @@ EDITED = {
 # The help texts each tree records once, by label.
 SUBCOMMANDS = ("simulate", "detect", "sweep", "spectrum")
 HELP = {"help": ["--help"], **{f"help_{cmd}": [cmd, "--help"] for cmd in SUBCOMMANDS}}
-
-# The start of the one line that may differ between runs under two BLAS
-# settings: a manifest's singular values, whose last digits are round-off.
-ROUND_OFF_LINE = b"singular_values = "
 
 
 def plate_config(src: Path, plate: str) -> str:
@@ -156,21 +152,8 @@ def run_tree(src: Path, out: Path, trials: int, env: dict[str, str] | None = Non
         run_commands(src, out, plate, commands(plate, trials), env)
 
 
-def compared_bytes(path: Path, round_off: bool = False) -> bytes:
-    """The bytes of ``path``, without a manifest's ``ROUND_OFF_LINE`` if ``round_off``."""
-    data = path.read_bytes()
-    if round_off and path.suffix == ".manifest":
-        data = b"".join(line for line in data.splitlines(keepends=True)
-                        if not line.startswith(ROUND_OFF_LINE))
-    return data
-
-
-def differences(old: Path, new: Path, round_off: bool = False) -> tuple[int, list[str]]:
-    """(files compared, one line per file that differs or is one-sided).
-
-    With ``round_off``, each manifest is compared without its
-    ``ROUND_OFF_LINE``.
-    """
+def differences(old: Path, new: Path) -> tuple[int, list[str]]:
+    """(files compared, one line per file that differs or is one-sided)."""
     def files(root: Path) -> set[Path]:
         return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
 
@@ -178,7 +161,7 @@ def differences(old: Path, new: Path, round_off: bool = False) -> tuple[int, lis
     lines = [f"only in old: {p}" for p in sorted(old_files - new_files)]
     lines += [f"only in new: {p}" for p in sorted(new_files - old_files)]
     lines += [f"differs: {p}" for p in sorted(old_files & new_files)
-              if compared_bytes(old / p, round_off) != compared_bytes(new / p, round_off)]
+              if (old / p).read_bytes() != (new / p).read_bytes()]
     return len(old_files | new_files), lines
 
 
@@ -193,8 +176,7 @@ def main(argv=None) -> int:
                              "(default: a temporary one, removed at exit)")
     parser.add_argument("--new-env", action="append", default=[], metavar="NAME=VALUE",
                         help="run the new tree with this environment variable "
-                             "(repeatable); each manifest is then compared "
-                             "without its singular_values line")
+                             "(repeatable)")
     args = parser.parse_args(argv)
     for src in (args.old_src, args.new_src):
         if not (src / "wavesaliency" / "cli.py").is_file():
@@ -210,11 +192,10 @@ def main(argv=None) -> int:
         old, new = work / "old", work / "new"
         run_tree(args.old_src.resolve(), old, args.trials)
         run_tree(args.new_src.resolve(), new, args.trials, new_env)
-        count, lines = differences(old, new, round_off=bool(new_env))
+        count, lines = differences(old, new)
     for line in lines:
         print(line)
-    print(f"{count} files compared, {len(lines)} differ or are one-sided"
-          + (" (manifests without their singular_values line)" if new_env else ""))
+    print(f"{count} files compared, {len(lines)} differ or are one-sided")
     return 1 if lines else 0
 
 
